@@ -10,7 +10,7 @@ from .devices import DeviceMode, DeviceModel, HarmonicSpec, default_library
 from .evaluate import EvalReport, baseline_report, evaluate, mae
 from .featurize import FeatureDataset, FeatureSpec, NormStats, featurize, rank_features
 from .model import RegressorParams, TrainConfig, init_params, forward, predict_count, train
-from .signals import Waveform, WindowView
+from .signals import Waveform
 from .simulate import (
     GroundTruthSeries,
     ScenarioConfig,
@@ -25,7 +25,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Waveform",
-    "WindowView",
     "HarmonicSpec",
     "DeviceMode",
     "DeviceModel",

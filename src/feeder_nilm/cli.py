@@ -11,8 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-
-import numpy as np
+from typing import Callable, NamedTuple
 
 from . import storage as st
 from .evaluate import baseline_report, evaluate, median_count
@@ -73,11 +72,20 @@ def _say(quiet: bool, message: str) -> None:
         print(message)
 
 
-def _check_fingerprint(path, found: str, expected: str) -> None:
-    # Waveform headers store only a 16-byte prefix; compare on the shorter one.
-    width = min(len(found), len(expected)) if found else 0
-    if not found or found[:width] != expected[:width]:
+def _fingerprint_matches(path, found: str, expected: str) -> bool:
+    # A waveform header stores the first 16 bytes (32 hex digits) of the fingerprint.
+    if str(path).endswith(".fnwv"):
+        expected = expected[:32]
+    return found == expected
+
+
+def _read_checked(out: str, name: str, reader, expected: str):
+    """Artifact ``name`` read from ``out``; refused unless it carries the ``expected`` fingerprint."""
+    path = os.path.join(out, ARTIFACTS[name])
+    value, *_, found = reader(path)
+    if not _fingerprint_matches(path, found, expected):
         raise ContractError(f"{path} was produced by a different configuration; re-run the upstream stage")
+    return value
 
 
 def _file_size(path) -> str:
@@ -117,8 +125,7 @@ def _resolve_features(config: RunConfig, library, out: str) -> FeatureSpec:
     ranking_path = os.path.join(out, ARTIFACTS["ranking"])
     if not os.path.exists(ranking_path):
         raise ContractError(f"{ranking_path} is required when top_k is set; run select-features first")
-    ranking, fp = st.read_ranking(ranking_path)
-    _check_fingerprint(ranking_path, fp, dataset_fingerprint(config, library))
+    ranking = _read_checked(out, "ranking", st.read_ranking, dataset_fingerprint(config, library))
     chosen = {fid for fid, _ in ranking[:top_k]}
     kept = tuple(fid for fid in spec.features if fid in chosen)
     return FeatureSpec(kept, spec.f0_hz, spec.max_harmonic)
@@ -127,15 +134,9 @@ def _resolve_features(config: RunConfig, library, out: str) -> FeatureSpec:
 def stage_featurize(config: RunConfig, out: str, quiet: bool) -> None:
     library = load_library_for(config)
     scenario_fp = scenario_fingerprint(config, library)
-    voltage_path = os.path.join(out, ARTIFACTS["voltage"])
-    current_path = os.path.join(out, ARTIFACTS["current"])
-    truth_path = os.path.join(out, ARTIFACTS["truth"])
-    voltage, _, fp_v = st.read_waveform(voltage_path)
-    current, _, fp_i = st.read_waveform(current_path)
-    truth, fp_t = st.read_ground_truth(truth_path)
-    _check_fingerprint(voltage_path, fp_v, scenario_fp)
-    _check_fingerprint(current_path, fp_i, scenario_fp)
-    _check_fingerprint(truth_path, fp_t, scenario_fp)
+    voltage = _read_checked(out, "voltage", st.read_waveform, scenario_fp)
+    current = _read_checked(out, "current", st.read_waveform, scenario_fp)
+    truth = _read_checked(out, "truth", st.read_ground_truth, scenario_fp)
 
     spec = _resolve_features(config, library, out)
     dataset = featurize(
@@ -175,13 +176,6 @@ def stage_select_features(config: RunConfig, out: str, quiet: bool) -> None:
     _say(quiet, f"select-features: ranked {len(ranking)} features, top: {top}")
 
 
-def _load_dataset_checked(config: RunConfig, library, out: str) -> FeatureDataset:
-    dataset_path = os.path.join(out, ARTIFACTS["dataset"])
-    dataset, fp = st.read_dataset(dataset_path)
-    _check_fingerprint(dataset_path, fp, dataset_fingerprint(config, library))
-    return dataset
-
-
 def _split_rows(config: RunConfig, dataset: FeatureDataset):
     fractions = (
         config.split.train_fraction,
@@ -198,7 +192,7 @@ def _split_rows(config: RunConfig, dataset: FeatureDataset):
 
 def stage_train(config: RunConfig, out: str, quiet: bool) -> None:
     library = load_library_for(config)
-    dataset = _load_dataset_checked(config, library, out)
+    dataset = _read_checked(out, "dataset", st.read_dataset, dataset_fingerprint(config, library))
     train_part, val_part, _ = _split_rows(config, dataset)
 
     stats = fit_normalization(train_part.X, dataset.feature_spec.features)
@@ -222,13 +216,11 @@ def stage_train(config: RunConfig, out: str, quiet: bool) -> None:
 
 def stage_eval(config: RunConfig, out: str, quiet: bool) -> None:
     library = load_library_for(config)
-    dataset = _load_dataset_checked(config, library, out)
-    model_path = os.path.join(out, ARTIFACTS["model"])
-    params, fp_model = st.read_model(model_path)
+    dataset = _read_checked(out, "dataset", st.read_dataset, dataset_fingerprint(config, library))
     expected_fp = model_fingerprint(config, library)
-    _check_fingerprint(model_path, fp_model, expected_fp)
+    params = _read_checked(out, "model", st.read_model, expected_fp)
     if params.norm_stats is None or params.norm_stats.input_feature_ids != dataset.feature_spec.features:
-        raise ContractError(f"{model_path} feature layout does not match {ARTIFACTS['dataset']}")
+        raise ContractError(f"{ARTIFACTS['model']} feature layout does not match {ARTIFACTS['dataset']}")
 
     train_part, _, test_part = _split_rows(config, dataset)
     report = evaluate(params, test_part, expected_fp)
@@ -249,16 +241,11 @@ def stage_eval(config: RunConfig, out: str, quiet: bool) -> None:
         entries.append((f"count_{count}", f"{n} {format(err, '.17g')}"))
     st.write_report_lines(os.path.join(out, ARTIFACTS["report"]), entries, expected_fp)
 
-    subset = test_part.rows(test_part.valid)
-    continuous = forward_batch(params, apply_normalization(subset.X, params.norm_stats))
-    rounded = np.array([count_from_output(v) for v in continuous])
-    with open(os.path.join(out, ARTIFACTS["residuals"]), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("window_index,t_start_s,y_true,y_continuous,y_rounded,abs_error_rounded\n")
-        for k in range(subset.n_windows):
-            fh.write(
-                f"{k},{format(subset.t_start_s[k], '.17g')},{subset.y[k]},"
-                f"{format(continuous[k], '.17g')},{rounded[k]},{abs(int(rounded[k]) - int(subset.y[k]))}\n"
-            )
+    continuous = forward_batch(params, apply_normalization(test_part.X, params.norm_stats))
+    rounded = [count_from_output(v) for v in continuous]
+    st.write_residuals(
+        os.path.join(out, ARTIFACTS["residuals"]), test_part.t_start_s, test_part.y, continuous, rounded, expected_fp
+    )
     _say(
         quiet,
         f"eval: rounded MAE {report.mae_rounded:.4g} (baseline {baseline.mae_rounded:.4g}), "
@@ -266,53 +253,54 @@ def stage_eval(config: RunConfig, out: str, quiet: bool) -> None:
     )
 
 
+class Stage(NamedTuple):
+    """A subcommand and what it writes: (ARTIFACTS key, text tag or None for a waveform) pairs."""
+
+    name: str
+    run: Callable[[RunConfig, str, bool], None]
+    fingerprint: Callable
+    artifacts: tuple[tuple[str, str | None], ...]
+    help: str
+
+
+# The stages in pipeline order: a plain module-level tuple, so a tracer that
+# rebinds the stage functions here reaches the ones `pipeline` and `main` run.
 _STAGES = (
-    ("simulate", stage_simulate, ("voltage", "current", "schedule", "truth"), scenario_fingerprint),
-    ("select-features", stage_select_features, ("ranking",), dataset_fingerprint),
-    ("featurize", stage_featurize, ("dataset",), dataset_fingerprint),
-    ("train", stage_train, ("model",), model_fingerprint),
-    ("eval", stage_eval, ("report",), model_fingerprint),
+    Stage("simulate", stage_simulate, scenario_fingerprint,
+          (("voltage", None), ("current", None), ("schedule", "schedule"), ("truth", "ground-truth")),
+          "synthesize waveforms, schedule, and ground truth"),
+    Stage("select-features", stage_select_features, dataset_fingerprint, (("ranking", "ranking"),),
+          "rank features by Fisher score over class signatures"),
+    Stage("featurize", stage_featurize, dataset_fingerprint, (("dataset", "dataset"),),
+          "window the waveforms into a feature dataset"),
+    Stage("train", stage_train, model_fingerprint, (("model", "model"),), "fit the count regressor on the dataset"),
+    Stage("eval", stage_eval, model_fingerprint, (("report", "report"), ("residuals", "residuals")),
+          "evaluate the trained model and write the report"),
 )
 
 
-_TEXT_TAGS = {
-    "schedule": "schedule",
-    "truth": "ground-truth",
-    "dataset": "dataset",
-    "ranking": "ranking",
-    "model": "model",
-    "report": "report",
-}
-
-
-def _artifact_current(out: str, name: str, expected_fp: str) -> bool:
+def _artifact_current(out: str, name: str, tag: str | None, expected_fp: str) -> bool:
     path = os.path.join(out, ARTIFACTS[name])
-    if not os.path.exists(path):
-        return False
     try:
-        if name in ("voltage", "current"):
-            _, _, fp = st.read_waveform(path)
-        else:
-            fp, _ = st._read_tagged_lines(path, _TEXT_TAGS[name])
+        fp = st.read_waveform(path)[2] if tag is None else st.read_fingerprint(path, tag)
     except (st.FileFormatError, OSError):
         return False
-    width = min(len(fp), len(expected_fp)) if fp else 0
-    return bool(fp) and fp[:width] == expected_fp[:width]
+    return _fingerprint_matches(path, fp, expected_fp)
 
 
 def stage_pipeline(config: RunConfig, out: str, quiet: bool) -> None:
     """Run all stages in order, skipping stages whose artifacts are current."""
     library = load_library_for(config)
     n_classes = sum(1 for _, count in config.scenario.populations() if count > 0)
-    for name, runner, artifacts, fingerprint_fn in _STAGES:
-        if name == "select-features" and n_classes < 2 and config.featurize.top_k == 0:
-            _say(quiet, f"{name}: skipped (single device class, top_k unset)")
+    for stage in _STAGES:
+        if stage.name == "select-features" and n_classes < 2 and config.featurize.top_k == 0:
+            _say(quiet, f"{stage.name}: skipped (single device class, top_k unset)")
             continue
-        expected = fingerprint_fn(config, library)
-        if all(_artifact_current(out, a, expected) for a in artifacts):
-            _say(quiet, f"{name}: up to date")
+        expected = stage.fingerprint(config, library)
+        if all(_artifact_current(out, name, tag, expected) for name, tag in stage.artifacts):
+            _say(quiet, f"{stage.name}: up to date")
             continue
-        runner(config, out, quiet)
+        stage.run(config, out, quiet)
 
 
 # --------------------------------------------------------------------- main
@@ -324,31 +312,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulate feeder waveforms, extract window features, and train a device-count regressor.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "simulate": "synthesize waveforms, schedule, and ground truth",
-        "featurize": "window the waveforms into a feature dataset",
-        "select-features": "rank features by Fisher score over class signatures",
-        "train": "fit the count regressor on the dataset",
-        "eval": "evaluate the trained model and write the report",
-        "pipeline": "run all stages in order",
-    }
-    for name, help_text in commands.items():
+    commands = [(stage.name, stage.help) for stage in _STAGES] + [("pipeline", "run all stages in order")]
+    for name, help_text in commands:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="run configuration file")
         cmd.add_argument("--out", default=None, help="output directory (default: $FEEDER_NILM_OUT or ./out)")
         cmd.add_argument("--seed", type=int, default=None, help="override the scenario rng_seed")
         cmd.add_argument("--quiet", action="store_true", help="suppress per-stage summaries")
     return parser
-
-
-_DISPATCH = {
-    "simulate": stage_simulate,
-    "featurize": stage_featurize,
-    "select-features": stage_select_features,
-    "train": stage_train,
-    "eval": stage_eval,
-    "pipeline": stage_pipeline,
-}
 
 
 def main(argv=None) -> int:
@@ -359,7 +330,9 @@ def main(argv=None) -> int:
             config = config.with_seed(args.seed)
         out = args.out or os.environ.get("FEEDER_NILM_OUT") or config.output_dir or "out"
         os.makedirs(out, exist_ok=True)
-        _DISPATCH[args.command](config, out, args.quiet)
+        runners = {stage.name: stage.run for stage in _STAGES}
+        runners["pipeline"] = stage_pipeline
+        runners[args.command](config, out, args.quiet)
     except (ConfigError, LibraryFormatError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

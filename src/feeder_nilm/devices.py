@@ -235,12 +235,10 @@ def characterization_vectors(
     vectors: list[np.ndarray] = []
     for mode in model.non_off_modes:
         _check_aliasing(mode, f0, sample_rate_hz)
-        base = mode_current_samples(mode, t, f0)
         rng = np.random.default_rng(_stable_seed(rng_seed, model.class_name, mode.name, "characterize"))
-        for _ in range(repetitions):
-            current = base + rng.normal(0.0, mode.noise_rms_amps, n) if mode.noise_rms_amps > 0.0 else base
-            row, _ = evaluate_window(voltage, current, feature_spec, sample_rate_hz)
-            vectors.append(row)
+        current = mode_current_samples(mode, t, f0) + rng.normal(0.0, mode.noise_rms_amps, (repetitions, n))
+        rows, _ = evaluate_window(np.broadcast_to(voltage, current.shape), current, feature_spec, sample_rate_hz)
+        vectors.extend(rows)
     return vectors
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import signals
-from .signals import UndefinedFeatureError, Waveform
+from .signals import Waveform, wrap_phase
 from .simulate import GroundTruthSeries, window_targets
 
 __all__ = [
@@ -32,6 +32,11 @@ __all__ = [
     "apply_normalization",
     "denormalize",
 ]
+
+# Windows are evaluated in blocks of rows; each signal's contiguous copy of
+# a block stays near this size, so a strided view of a long trace is never
+# copied whole.
+BLOCK_BYTES = 4 << 20
 
 # Harmonic-magnitude features cover orders 2..7 of the grid frequency.
 FEATURE_IDS = (
@@ -83,45 +88,73 @@ class FeatureSpec:
 
 def evaluate_window(
     v_window: np.ndarray, i_window: np.ndarray, spec: FeatureSpec, sample_rate_hz: float
-) -> tuple[np.ndarray, bool]:
-    """One feature row for an aligned (voltage, current) window.
+) -> tuple[np.ndarray, np.ndarray | bool]:
+    """Feature rows for aligned (voltage, current) windows.
 
-    Undefined features (all-zero current, say) are reported as 0.0 and
-    flip the window's validity flag to False; the row stays rectangular.
+    Takes one 1-D window pair (returns one row and one flag) or a pair of
+    ``(n, W)`` window stacks (returns an ``(n, n_features)`` matrix and
+    ``n`` flags). Undefined features (all-zero current, say) are reported
+    as 0.0 and flip the window's validity flag to False; the row stays
+    rectangular.
     """
     v = np.asarray(v_window, dtype=np.float64)
     i = np.asarray(i_window, dtype=np.float64)
-    if v.shape != i.shape or v.ndim != 1 or v.size == 0:
-        raise ValueError("voltage and current windows must be equal-length 1-D arrays")
-    row = np.zeros(len(spec.features), dtype=np.float64)
-    valid = True
-    for idx, name in enumerate(spec.features):
-        try:
-            row[idx] = _single_feature(name, v, i, spec, sample_rate_hz)
-        except UndefinedFeatureError:
-            row[idx] = 0.0
-            valid = False
-    return row, valid
+    if v.shape != i.shape or v.ndim not in (1, 2) or v.size == 0:
+        raise ValueError("voltage and current windows must be equal-shape 1-D or (n, W) arrays")
+    stacked = v.ndim == 2
+    v, i = np.atleast_2d(v), np.atleast_2d(i)
+    n, width = v.shape
+    X, valid = np.empty((n, len(spec.features))), np.empty(n, dtype=bool)
+    step = min(n, max(1, BLOCK_BYTES // (8 * width)))
+    # Block buffers are reused: filling fresh memory for every block costs
+    # more than the projections themselves.
+    v_block, i_block, work = (np.empty((step, width)) for _ in range(3))
+    for lo in range(0, n, step):
+        m = min(step, n - lo)
+        np.copyto(v_block[:m], v[lo : lo + m])
+        np.copyto(i_block[:m], i[lo : lo + m])
+        X[lo : lo + m], valid[lo : lo + m] = _evaluate_block(v_block[:m], i_block[:m], work[:m], spec, sample_rate_hz)
+    return (X, valid) if stacked else (X[0], bool(valid[0]))
 
 
-def _single_feature(name: str, v: np.ndarray, i: np.ndarray, spec: FeatureSpec, fs: float) -> float:
-    if name == "i_rms":
-        return signals.rms(i)
-    if name == "i_form_factor":
-        return signals.form_factor(i)
-    if name == "i_crest_factor":
-        return signals.crest_factor(i)
-    if name == "phase_shift":
-        return signals.phase_shift(v, i, spec.f0_hz, fs)
-    if name == "active_power":
-        return float(np.mean(v * i))
-    if name == "reactive_power":
-        return signals.active_reactive_power(v, i, spec.f0_hz, fs)[1]
-    if name == "thd":
-        return signals.thd(i, spec.f0_hz, fs, spec.max_harmonic)
-    if name.startswith("h"):
-        return signals.harmonic_magnitude(i, int(name[1:]), spec.f0_hz, fs)
-    raise ValueError(f"unknown feature identifier {name!r}")
+def _evaluate_block(v, i, work, spec: FeatureSpec, fs: float):
+    never = np.zeros(len(i), dtype=bool)
+    # Row reductions run along the contiguous axis, as the scalar signals
+    # functions do, so they match those bit for bit.
+    i_rms = np.sqrt(np.mean(np.multiply(i, i, out=work), axis=1))
+    # Project the current only on the harmonic orders the spec needs.
+    names = set(spec.features)
+    orders = {int(name[1:]) for name in names if name[1:].isdigit()}
+    if "thd" in names:
+        orders.update(range(2, spec.max_harmonic + 1))
+    if orders or names & {"phase_shift", "reactive_power"}:
+        orders.add(1)  # its projection also rejects windows shorter than one grid period
+    i_phasors = {h: signals.fundamental_phasor(i, h * spec.f0_hz, fs) for h in sorted(orders)}
+    # feature -> (column, undefined mask)
+    table = {f"h{h}": (magnitude, never) for h, (magnitude, _) in i_phasors.items()}
+    table["i_rms"] = (i_rms, never)
+    table["active_power"] = (np.mean(np.multiply(v, i, out=work), axis=1), never)
+    abs_i = np.abs(i, out=work)
+    table["i_form_factor"] = _ratio(i_rms, np.mean(abs_i, axis=1))
+    table["i_crest_factor"] = _ratio(np.max(abs_i, axis=1), i_rms)
+    if "thd" in names:
+        energy = sum(i_phasors[h][0] ** 2 for h in range(2, spec.max_harmonic + 1))
+        table["thd"] = _ratio(np.sqrt(energy), i_phasors[1][0])
+    if names & {"phase_shift", "reactive_power"}:
+        v_mag, v_phase = signals.fundamental_phasor(v, spec.f0_hz, fs)
+        i_mag, i_phase = i_phasors[1]
+        no_shift = (v_mag == 0.0) | (i_mag == 0.0)
+        shift = np.where(no_shift, 0.0, wrap_phase(v_phase - i_phase))
+        table["phase_shift"] = (shift, no_shift)
+        table["reactive_power"] = (v_mag * i_mag * np.sin(shift), no_shift)
+    values, undefined = zip(*(table[name] for name in spec.features))
+    return np.column_stack(values), ~np.any(undefined, axis=0)
+
+
+def _ratio(numerator: np.ndarray, denominator: np.ndarray):
+    """(numerator / denominator, undefined mask): 0.0 where the denominator is zero."""
+    undefined = denominator == 0.0
+    return np.divide(numerator, denominator, out=np.zeros_like(numerator), where=~undefined), undefined
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,18 +230,11 @@ def featurize(
         raise ValueError("window_s and stride_s must cover at least one sample")
     if window_len > voltage.n_samples:
         raise ValueError("window_s exceeds the trace duration")
-    n_windows = (voltage.n_samples - window_len) // stride_len + 1
-
+    windows = [np.lib.stride_tricks.sliding_window_view(w.samples, window_len)[::stride_len] for w in (voltage, current)]
+    n_windows = len(windows[0])
     y = window_targets(truth, window_s, stride_s, n_windows=n_windows)
-    X = np.zeros((n_windows, len(spec.features)), dtype=np.float64)
-    valid = np.zeros(n_windows, dtype=bool)
-    t_start = np.zeros(n_windows, dtype=np.float64)
-    for k in range(n_windows):
-        offset = k * stride_len
-        v_win = voltage.samples[offset : offset + window_len]
-        i_win = current.samples[offset : offset + window_len]
-        X[k], valid[k] = evaluate_window(v_win, i_win, spec, fs)
-        t_start[k] = voltage.start_time_s + offset / fs
+    X, valid = evaluate_window(*windows, spec, fs)
+    t_start = voltage.start_time_s + np.arange(n_windows) * stride_len / fs
     return FeatureDataset(X, y, t_start, valid, window_s, stride_s, spec)
 
 

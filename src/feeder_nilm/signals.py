@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "UndefinedFeatureError",
     "Waveform",
-    "WindowView",
     "wrap_phase",
     "rms",
     "form_factor",
@@ -39,8 +38,14 @@ class UndefinedFeatureError(ValueError):
     """A feature has no defined value on this window (for example an all-zero signal)."""
 
 
-def wrap_phase(angle_rad: float) -> float:
-    """Wrap an angle to the interval (-pi, pi]."""
+def wrap_phase(angle_rad):
+    """Wrap an angle, or an array of angles, to the interval (-pi, pi]."""
+    if np.ndim(angle_rad):
+        # fmod is exact, and the one-period correction is exact too (Sterbenz),
+        # so arrays wrap to the same bits as math.remainder gives scalars.
+        wrapped = np.fmod(angle_rad, 2.0 * math.pi)
+        wrapped = np.where(wrapped > math.pi, wrapped - 2.0 * math.pi, wrapped)
+        return np.where(wrapped <= -math.pi, wrapped + 2.0 * math.pi, wrapped)
     wrapped = math.remainder(angle_rad, 2.0 * math.pi)
     if wrapped <= -math.pi:
         wrapped += 2.0 * math.pi
@@ -82,26 +87,6 @@ class Waveform:
     def duration_s(self) -> float:
         return self.samples.size / self.sample_rate_hz
 
-    def window(self, view: WindowView) -> np.ndarray:
-        """Read-only slice of the samples selected by ``view``."""
-        if view.offset_samples + view.length_samples > self.samples.size:
-            raise ValueError("window extends past the end of the waveform")
-        return self.samples[view.offset_samples : view.offset_samples + view.length_samples]
-
-
-@dataclass(frozen=True)
-class WindowView:
-    """Half-open sample range [offset, offset + length) into a parent waveform."""
-
-    offset_samples: int
-    length_samples: int
-
-    def __post_init__(self) -> None:
-        if self.offset_samples < 0:
-            raise ValueError("offset_samples must be non-negative")
-        if self.length_samples < 1:
-            raise ValueError("length_samples must be positive")
-
 
 def _as_window(x) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
@@ -111,15 +96,14 @@ def _as_window(x) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _projection_basis(n: int, freq_hz: float, sample_rate_hz: float):
+def _projection_basis(n: int, freq_hz: float, sample_rate_hz: float) -> np.ndarray:
     # Cached per (length, frequency, rate); every window of a trace shares one shape.
+    # Rows are sin and cos, so a stack of windows projects on both in one product.
     t = np.arange(n, dtype=np.float64) / sample_rate_hz
     omega = 2.0 * math.pi * freq_hz
-    sin_basis = np.sin(omega * t)
-    cos_basis = np.cos(omega * t)
-    sin_basis.flags.writeable = False
-    cos_basis.flags.writeable = False
-    return sin_basis, cos_basis
+    basis = np.stack([np.sin(omega * t), np.cos(omega * t)])
+    basis.flags.writeable = False
+    return basis
 
 
 def rms(window) -> float:
@@ -154,28 +138,36 @@ def crest_factor(window) -> float:
     return float(np.max(np.abs(arr))) / r
 
 
-def fundamental_phasor(window, freq_hz: float, sample_rate_hz: float) -> tuple[float, float]:
+def fundamental_phasor(window, freq_hz: float, sample_rate_hz: float):
     """Single-bin Fourier projection of the window at ``freq_hz``.
 
     Returns ``(magnitude_rms, phase_rad)`` in the sine convention
     ``x(t) = sqrt(2) * magnitude_rms * sin(2*pi*freq_hz*t + phase)`` with
     the phase referenced to the window start and wrapped to (-pi, pi].
-    A zero signal yields magnitude 0.0 and phase 0.0.
+    A zero signal yields magnitude 0.0 and phase 0.0. A ``(..., W)`` stack
+    of windows yields arrays of shape ``(...)``, one entry per window.
 
     Raises:
         ValueError: if the window covers less than one period of
             ``freq_hz`` or ``freq_hz`` is not below Nyquist.
     """
-    arr = _as_window(window)
+    arr = np.asarray(window, dtype=np.float64)
+    if arr.ndim == 0 or arr.size == 0:
+        raise ValueError("window must be a non-empty sample array")
+    n = arr.shape[-1]
     if not (freq_hz > 0.0 and sample_rate_hz > 0.0):
         raise ValueError("freq_hz and sample_rate_hz must be positive")
     if freq_hz >= 0.5 * sample_rate_hz:
         raise ValueError("freq_hz must lie below the Nyquist frequency")
-    if arr.size * freq_hz < sample_rate_hz * (1.0 - 1e-12):
+    if n * freq_hz < sample_rate_hz * (1.0 - 1e-12):
         raise ValueError("window shorter than one period of freq_hz")
-    sin_basis, cos_basis = _projection_basis(arr.size, freq_hz, sample_rate_hz)
-    in_phase = 2.0 * float(arr @ sin_basis) / arr.size
-    quadrature = 2.0 * float(arr @ cos_basis) / arr.size
+    basis = _projection_basis(n, freq_hz, sample_rate_hz)
+    if arr.ndim > 1:
+        in_phase, quadrature = np.moveaxis(2.0 * (arr @ basis.T) / n, -1, 0)
+        return np.hypot(in_phase, quadrature) / math.sqrt(2.0), wrap_phase(np.arctan2(quadrature, in_phase))
+    sin_basis, cos_basis = basis
+    in_phase = 2.0 * float(arr @ sin_basis) / n
+    quadrature = 2.0 * float(arr @ cos_basis) / n
     magnitude_rms = math.hypot(in_phase, quadrature) / math.sqrt(2.0)
     phase = wrap_phase(math.atan2(quadrature, in_phase))
     return magnitude_rms, phase

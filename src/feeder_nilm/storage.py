@@ -1,4 +1,4 @@
-"""Artifact file formats: waveforms, schedules, ground truth, datasets, models, reports.
+"""Artifact file formats: waveforms, schedules, ground truth, datasets, models, reports, residuals.
 
 Waveform files are binary with a fixed 64-byte header:
 
@@ -46,6 +46,7 @@ __all__ = [
     "read_model",
     "write_report_lines",
     "read_report_lines",
+    "write_residuals",
     "write_ranking",
     "read_ranking",
 ]
@@ -379,6 +380,15 @@ def read_report_lines(path) -> tuple[list[tuple[str, str]], str]:
         key, value = line.split("=", 1)
         entries.append((key.strip(), value.strip()))
     return entries, fingerprint
+
+
+def write_residuals(path, t_start_s, y_true, y_continuous, y_rounded, fingerprint: str = "") -> None:
+    """Write one CSV row per test window: truth, continuous and rounded prediction, rounded error."""
+    lines = _header_lines("residuals", fingerprint)
+    lines.append("window_index,t_start_s,y_true,y_continuous,y_rounded,abs_error_rounded")
+    for k, (t, y, cont, rounded) in enumerate(zip(t_start_s, y_true, y_continuous, y_rounded)):
+        lines.append(f"{k},{_f(t)},{int(y)},{_f(cont)},{int(rounded)},{abs(int(rounded) - int(y))}")
+    _write_text(path, lines)
 
 
 # ------------------------------------------------------------------ ranking

@@ -1,3 +1,4 @@
+import argparse
 import os
 
 import numpy as np
@@ -11,7 +12,8 @@ from feeder_nilm.config import (
     load_run_config,
     scenario_fingerprint,
 )
-from feeder_nilm.storage import read_dataset, read_report_lines, read_waveform
+from feeder_nilm.config import model_fingerprint
+from feeder_nilm.storage import read_dataset, read_fingerprint, read_report_lines, read_waveform
 
 SMALL_CONFIG = """
 [scenario]
@@ -223,6 +225,36 @@ class TestPipeline:
         entries_b, _ = read_report_lines(os.path.join(out_b, "report.txt"))
         assert entries_a == entries_b
 
+    def test_pipeline_recreates_deleted_residuals(self, config_path, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert run("pipeline", "--config", config_path, "--out", out, "--quiet") == 0
+        residuals = os.path.join(out, "residuals.csv")
+        os.remove(residuals)
+        assert run("pipeline", "--config", config_path, "--out", out) == 0
+        assert "eval: up to date" not in capsys.readouterr().out
+        config = load_run_config(config_path)
+        expected = model_fingerprint(config, load_library_for(config))
+        assert read_fingerprint(residuals, "residuals") == expected
+
+    def test_truncated_dataset_fingerprint_is_stale(self, config_path, tmp_path, capsys):
+        # A fingerprint cut to one character must not pass as a prefix match.
+        out = str(tmp_path / "out")
+        assert run("pipeline", "--config", config_path, "--out", out, "--quiet") == 0
+        dataset_path = os.path.join(out, "dataset.csv")
+        with open(dataset_path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        index = next(k for k, line in enumerate(lines) if line.startswith("# fingerprint="))
+        full = lines[index]
+        lines[index] = full[: len("# fingerprint=") + 1] + "\n"
+        with open(dataset_path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        assert run("train", "--config", config_path, "--out", out, "--quiet") == 4
+        capsys.readouterr()
+        assert run("pipeline", "--config", config_path, "--out", out) == 0
+        assert "featurize: up to date" not in capsys.readouterr().out
+        with open(dataset_path, encoding="utf-8") as fh:
+            assert full in fh.read().splitlines(keepends=True)
+
     def test_seed_override_propagates(self, config_path, tmp_path):
         out_a = str(tmp_path / "a")
         out_b = str(tmp_path / "b")
@@ -231,6 +263,17 @@ class TestPipeline:
         wave_a, _, _ = read_waveform(os.path.join(out_a, "current.fnwv"))
         wave_b, _, _ = read_waveform(os.path.join(out_b, "current.fnwv"))
         assert not np.array_equal(wave_a.samples, wave_b.samples)
+
+
+class TestStageRegistry:
+    def test_subcommands_are_registry_plus_pipeline(self):
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == {stage.name for stage in cli._STAGES} | {"pipeline"}
+
+    def test_registry_artifacts_cover_artifact_table(self):
+        written = [name for stage in cli._STAGES for name, _ in stage.artifacts]
+        assert sorted(written) == sorted(cli.ARTIFACTS)
 
 
 class TestTopK:

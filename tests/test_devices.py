@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from feeder_nilm.devices import (
     save_device_library,
     synth_device_current,
 )
-from feeder_nilm.featurize import FeatureSpec
+from feeder_nilm.featurize import FEATURE_IDS, FeatureSpec
 
 
 def make_model(*harmonics, noise=0.0, name="widget"):
@@ -157,6 +160,18 @@ class TestSignatureFeatures:
             sg.thd(i, f0, fs, 7),
         ] + [sg.harmonic_magnitude(i, h, f0, fs) for h in range(2, 8)]
         assert vec == pytest.approx(expected, abs=1e-9)
+
+    def test_rank_default_features_script(self):
+        script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "rank_default_features.py")
+        result = subprocess.run(
+            [sys.executable, script, "--window-s", "0.2", "--reps", "2"],
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        rows = [line.split() for line in result.stdout.splitlines()[1:]]
+        assert [int(rank) for rank, _, _ in rows] == list(range(1, 14))
+        assert sorted(name for _, name, _ in rows) == sorted(FEATURE_IDS)
+        scores = [float(score) for _, _, score in rows]
+        assert scores == sorted(scores, reverse=True)
 
     def test_characterization_vectors_shape(self, grid):
         f0, fs = grid

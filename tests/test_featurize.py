@@ -1,3 +1,7 @@
+import importlib
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +10,7 @@ from hypothesis import strategies as strat
 from feeder_nilm import signals as sg
 from feeder_nilm.devices import default_library
 from feeder_nilm.featurize import (
+    FEATURE_IDS,
     FeatureSpec,
     apply_normalization,
     denormalize,
@@ -17,6 +22,8 @@ from feeder_nilm.featurize import (
 from feeder_nilm.simulate import Schedule, ScenarioConfig, generate_schedule, ground_truth_counts, synthesize_feeder
 
 LIBRARY = default_library()
+# The package re-exports the featurize function under the module's name.
+FEATURIZE_MODULE = importlib.import_module("feeder_nilm.featurize")
 
 
 def small_trace(n_medical=2, duration=60.0, seed=42, **overrides):
@@ -235,3 +242,94 @@ class TestEvaluateWindow:
         assert not valid
         assert np.array_equal(row[1:4], np.zeros(3))  # form, crest, phase undefined
         assert row[0] == 0.0  # rms of zero current is genuinely zero
+
+    def test_spec_without_harmonics_ignores_aliasing_orders(self):
+        # At 600 Hz the 7th harmonic of 60 Hz aliases; features that project
+        # no harmonic must still evaluate, and THD must still refuse.
+        fs, n = 600.0, 600
+        v = np.sin(2 * np.pi * 60.0 * np.arange(n) / fs)
+        row, valid = evaluate_window(v, 0.5 * v, FeatureSpec(("i_rms",)), fs)
+        assert valid and row[0] == sg.rms(0.5 * v)
+        with pytest.raises(ValueError):
+            evaluate_window(v, 0.5 * v, FeatureSpec(("thd",)), fs)
+
+
+def scalar_oracle(name, v, i, spec, fs):
+    """One feature of one window from the scalar signals functions."""
+    f0 = spec.f0_hz
+    if name == "i_rms":
+        return sg.rms(i)
+    if name == "i_form_factor":
+        return sg.form_factor(i)
+    if name == "i_crest_factor":
+        return sg.crest_factor(i)
+    if name == "phase_shift":
+        return sg.phase_shift(v, i, f0, fs)
+    if name == "active_power":
+        # Not active_reactive_power(...)[0]: P stays defined where Q is not.
+        return float(np.mean(v * i))
+    if name == "reactive_power":
+        return sg.active_reactive_power(v, i, f0, fs)[1]
+    if name == "thd":
+        return sg.thd(i, f0, fs, spec.max_harmonic)
+    return sg.harmonic_magnitude(i, int(name[1:]), f0, fs)
+
+
+# Reductions over samples run in the scalar order, so these match exactly.
+# Stacked projections are matrix products and may differ in the last bits;
+# the absolute tolerance covers phase shifts near zero.
+EXACT_FEATURES = ("i_rms", "i_form_factor", "i_crest_factor", "active_power")
+
+
+class TestEvaluateWindowStack:
+    @given(
+        features=strat.lists(strat.sampled_from(FEATURE_IDS), min_size=1, unique=True),
+        n_rows=strat.integers(1, 6),
+        width=strat.integers(34, 300),
+        zero_rows=strat.lists(strat.booleans(), min_size=6, max_size=6),
+        block_rows=strat.integers(1, 4),
+        seed=strat.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_scalar_oracle(self, features, n_rows, width, zero_rows, block_rows, seed):
+        fs = 2000.0
+        spec = FeatureSpec(tuple(features))
+        rng = np.random.default_rng(seed)
+        t = np.arange(width) / fs
+        v = rng.uniform(50, 200, (n_rows, 1)) * np.sin(2 * np.pi * 60.0 * t + rng.uniform(-3, 3, (n_rows, 1)))
+        i = rng.normal(0.0, rng.uniform(0.01, 5.0), (n_rows, width)) + 0.3 * v / 100.0
+        i[np.array(zero_rows[:n_rows])] = 0.0
+        with mock.patch.object(FEATURIZE_MODULE, "BLOCK_BYTES", 8 * width * block_rows):
+            X, valid = evaluate_window(v, i, spec, fs)
+        assert X.shape == (n_rows, len(features)) and valid.shape == (n_rows,)
+        for k in range(n_rows):
+            row_valid = True
+            for col, name in enumerate(features):
+                try:
+                    want = scalar_oracle(name, v[k], i[k], spec, fs)
+                except sg.UndefinedFeatureError:
+                    want, row_valid = 0.0, False
+                if name in EXACT_FEATURES:
+                    assert X[k, col] == want, name
+                else:
+                    assert math.isclose(X[k, col], want, rel_tol=1e-12, abs_tol=1e-12), name
+            assert valid[k] == row_valid
+
+    def test_one_window_matches_its_stack_row(self, grid):
+        f0, fs = grid
+        rng = np.random.default_rng(8)
+        t = np.arange(2000) / fs
+        v = 170.0 * np.sin(2 * np.pi * f0 * t)
+        i = np.stack([np.zeros_like(t), 3.0 * np.sin(2 * np.pi * f0 * t - 0.4) + rng.normal(0, 0.1, t.size)])
+        X, valid = evaluate_window(np.stack([v, v]), i, FeatureSpec(), fs)
+        for k in range(2):
+            row, row_valid = evaluate_window(v, i[k], FeatureSpec(), fs)
+            np.testing.assert_allclose(row, X[k], rtol=1e-12, atol=1e-12)
+            assert row_valid == valid[k]
+        assert valid.tolist() == [False, True]
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValueError):
+            evaluate_window(np.ones((2, 50)), np.ones((3, 50)), FeatureSpec(), 2000.0)
+        with pytest.raises(ValueError):
+            evaluate_window(np.ones((2, 2, 50)), np.ones((2, 2, 50)), FeatureSpec(), 2000.0)

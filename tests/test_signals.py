@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as strat
 
 from feeder_nilm import signals as sg
-from feeder_nilm.signals import UndefinedFeatureError, Waveform, WindowView
+from feeder_nilm.signals import UndefinedFeatureError, Waveform
 
 from conftest import sine
 
@@ -38,16 +38,6 @@ class TestWaveform:
             Waveform(np.ones(4), 0.0)
         with pytest.raises(ValueError):
             Waveform(np.array([1.0, np.nan]), 100.0)
-
-    def test_window_view_bounds(self):
-        w = Waveform(np.arange(10, dtype=float), 10.0)
-        assert np.array_equal(w.window(WindowView(2, 3)), [2.0, 3.0, 4.0])
-        with pytest.raises(ValueError):
-            w.window(WindowView(8, 3))
-        with pytest.raises(ValueError):
-            WindowView(-1, 3)
-        with pytest.raises(ValueError):
-            WindowView(0, 0)
 
 
 class TestRms:
