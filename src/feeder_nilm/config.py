@@ -11,6 +11,8 @@ Example:
     background_population = resistive_heater:8 induction_motor:5 smps:1
     schedule_ventilator = 150 75
     schedule_resistive_heater = 180 120
+    schedule_induction_motor = 150 150
+    schedule_smps = 240 60
     feeder_noise_rms_amps = 0.05
     rng_seed = 7
 
@@ -28,21 +30,27 @@ Example:
     val_fraction = 0.2
     test_fraction = 0.2
 
-Unknown keys are rejected so typos fail loudly. Per-class schedule means
-use ``schedule_<class> = <mean_on_s> <mean_off_s>`` keys. Stage artifacts
-carry a sha256 fingerprint chained over (scenario + library), then
-featurize, then model + split sections; stages reject artifacts whose
+Unknown keys are rejected so typos fail loudly. A section's keys and
+defaults are the fields of its dataclass (``ModelSection`` with its
+``TrainConfig`` fields inline), each value converted by the field's type.
+Besides those, [scenario] takes ``device_library`` and per-class schedule
+means as ``schedule_<class> = <mean_on_s> <mean_off_s>``, [output] takes
+``dir``, and ``stride_s`` defaults to ``window_s``. Stage artifacts carry
+a sha256 fingerprint of every field, chained over (scenario + library),
+then featurize, then model + split; stages reject artifacts whose
 fingerprint does not match the current configuration.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 from configparser import ConfigParser, Error as ConfigParserError
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from typing import get_type_hints
 
-from .devices import DeviceModel, default_library, load_device_library
+from .devices import DeviceModel, _check_aliasing, default_library, load_device_library
 from .featurize import DEFAULT_FEATURES, FeatureSpec
 from .model import TrainConfig
 from .simulate import ScenarioConfig
@@ -96,7 +104,6 @@ class SplitSection:
     train_fraction: float = 0.6
     val_fraction: float = 0.2
     test_fraction: float = 0.2
-    seed: int = 0  # recorded for provenance; the chronological split does not use it
 
     def __post_init__(self) -> None:
         fractions = (self.train_fraction, self.val_fraction, self.test_fraction)
@@ -122,55 +129,61 @@ class RunConfig:
         return replace(self, scenario=replace(self.scenario, rng_seed=seed))
 
 
-_SCENARIO_KEYS = {
-    "duration_s",
-    "sample_rate_hz",
-    "f0_hz",
-    "voltage_rms",
-    "voltage_thd",
-    "n_medical_devices",
-    "medical_class",
-    "medical_modes",
-    "background_population",
-    "feeder_noise_rms_amps",
-    "rng_seed",
-    "device_library",
-}
-_FEATURIZE_KEYS = {"window_s", "stride_s", "features", "max_harmonic", "top_k"}
-_MODEL_KEYS = {
-    "hidden_layers",
-    "learning_rate",
-    "batch_size",
-    "epochs",
-    "l2_penalty",
-    "init_seed",
-    "shuffle_seed",
-    "patience",
-}
-_SPLIT_KEYS = {"train_fraction", "val_fraction", "test_fraction", "seed"}
-_OUTPUT_KEYS = {"dir"}
-
-
-def _get(section: dict[str, str], key: str, convert, default):
-    if key not in section:
-        return default
-    try:
-        return convert(section[key])
-    except (ValueError, TypeError):
-        raise ConfigError(f"bad value for {key!r}: {section[key]!r}") from None
-
-
 def _parse_population(value: str) -> tuple[tuple[str, int], ...]:
-    population = []
-    for token in value.replace(",", " ").split():
-        if ":" not in token:
-            raise ConfigError(f"background_population entries need 'class:count', got {token!r}")
-        name, count = token.rsplit(":", 1)
-        try:
-            population.append((name, int(count)))
-        except ValueError:
-            raise ConfigError(f"bad device count in {token!r}") from None
-    return tuple(population)
+    pairs = (token.rsplit(":", 1) for token in value.replace(",", " ").split())
+    return tuple((name, int(count)) for name, count in pairs)
+
+
+# A section field's value string is converted by the field's type.
+_CONVERTERS = {
+    float: float,
+    int: int,
+    str: str,
+    tuple[str, ...]: lambda value: tuple(value.split()),
+    tuple[int, ...]: lambda value: tuple(int(x) for x in value.split()),
+    tuple[tuple[str, int], ...]: _parse_population,
+}
+
+
+def _typed_fields(cls):
+    hints = get_type_hints(cls)
+    return tuple((f, hints[f.name]) for f in fields(cls))
+
+
+def _keys(cls) -> set[str]:
+    """The keys of a section: its field names, a dataclass-typed field's keys inline."""
+    return set().union(*(_keys(kind) if is_dataclass(kind) else {f.name} for f, kind in _typed_fields(cls)))
+
+
+def _build(path, section: str, cls, raw: dict[str, str], **given):
+    """``cls`` from ``[section]`` value strings: each field not ``given`` reads its key or keeps its default."""
+    kwargs = dict(given)
+    for f, kind in _typed_fields(cls):
+        if f.name in given:
+            continue
+        if is_dataclass(kind):
+            kwargs[f.name] = _build(path, section, kind, raw)
+        elif f.name in raw:
+            try:
+                kwargs[f.name] = _CONVERTERS[kind](raw[f.name])
+            except ValueError:
+                raise ConfigError(f"{path}: bad value for [{section}] {f.name}: {raw[f.name]!r}") from None
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{path}: [{section}] {f.name} is required")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _reject_unknown(path, section: str, unknown) -> None:
+    if unknown:
+        raise ConfigError(f"{path}: unknown key(s) in [{section}]: {', '.join(sorted(unknown))}")
+
+
+def _section(path, section: str, cls, raw: dict[str, str], **given):
+    _reject_unknown(path, section, set(raw) - _keys(cls))
+    return _build(path, section, cls, raw, **given)
 
 
 def load_run_config(path) -> RunConfig:
@@ -180,210 +193,97 @@ def load_run_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError:
-        raise
     except ConfigParserError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
-    known_sections = {"scenario", "featurize", "model", "split", "output"}
-    for section in parser.sections():
-        if section not in known_sections:
-            raise ConfigError(f"{path}: unknown section [{section}]")
-    if not parser.has_section("scenario"):
+    raw = {name: dict(parser.items(name)) for name in parser.sections()}
+    for name in raw:
+        if name not in ("scenario", "featurize", "model", "split", "output"):
+            raise ConfigError(f"{path}: unknown section [{name}]")
+    if "scenario" not in raw:
         raise ConfigError(f"{path}: missing [scenario] section")
 
-    scenario_raw = dict(parser.items("scenario"))
-    schedule_params: dict[str, tuple[float, float]] = {}
-    for key in list(scenario_raw):
-        if key.startswith("schedule_"):
-            fields = scenario_raw.pop(key).split()
-            if len(fields) != 2:
-                raise ConfigError(f"{path}: {key} needs '<mean_on_s> <mean_off_s>'")
-            try:
-                schedule_params[key[len("schedule_") :]] = (float(fields[0]), float(fields[1]))
-            except ValueError:
-                raise ConfigError(f"{path}: bad schedule means in {key}") from None
-    _reject_unknown(path, "scenario", scenario_raw, _SCENARIO_KEYS)
-    if "duration_s" not in scenario_raw:
-        raise ConfigError(f"{path}: [scenario] duration_s is required")
-
-    try:
-        scenario = ScenarioConfig(
-            duration_s=_get(scenario_raw, "duration_s", float, None),
-            sample_rate_hz=_get(scenario_raw, "sample_rate_hz", float, 10_000.0),
-            f0_hz=_get(scenario_raw, "f0_hz", float, 60.0),
-            voltage_rms=_get(scenario_raw, "voltage_rms", float, 120.0),
-            voltage_thd=_get(scenario_raw, "voltage_thd", float, 0.0),
-            n_medical_devices=_get(scenario_raw, "n_medical_devices", int, 0),
-            medical_class=_get(scenario_raw, "medical_class", str, "ventilator"),
-            background_population=_get(scenario_raw, "background_population", _parse_population, ()),
-            schedule_params=schedule_params,
-            medical_modes=tuple(_get(scenario_raw, "medical_modes", str, "").split()),
-            feeder_noise_rms_amps=_get(scenario_raw, "feeder_noise_rms_amps", float, 0.0),
-            rng_seed=_get(scenario_raw, "rng_seed", int, 0),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-    featurize_raw = dict(parser.items("featurize")) if parser.has_section("featurize") else {}
-    _reject_unknown(path, "featurize", featurize_raw, _FEATURIZE_KEYS)
-    window_s = _get(featurize_raw, "window_s", float, 5.0)
-    try:
-        featurize_section = FeaturizeSection(
-            window_s=window_s,
-            stride_s=_get(featurize_raw, "stride_s", float, window_s),
-            features=tuple(_get(featurize_raw, "features", str, " ".join(DEFAULT_FEATURES)).split()),
-            max_harmonic=_get(featurize_raw, "max_harmonic", int, 7),
-            top_k=_get(featurize_raw, "top_k", int, 0),
-        )
-        FeatureSpec(featurize_section.features, scenario.f0_hz, featurize_section.max_harmonic)
-    except (ConfigError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-    model_raw = dict(parser.items("model")) if parser.has_section("model") else {}
-    _reject_unknown(path, "model", model_raw, _MODEL_KEYS)
-    try:
-        model_section = ModelSection(
-            hidden_layers=tuple(int(h) for h in _get(model_raw, "hidden_layers", str, "32 16").split()),
-            init_seed=_get(model_raw, "init_seed", int, 1),
-            train=TrainConfig(
-                learning_rate=_get(model_raw, "learning_rate", float, 0.02),
-                batch_size=_get(model_raw, "batch_size", int, 16),
-                epochs=_get(model_raw, "epochs", int, 400),
-                l2_penalty=_get(model_raw, "l2_penalty", float, 0.0),
-                shuffle_seed=_get(model_raw, "shuffle_seed", int, 0),
-                patience=_get(model_raw, "patience", int, 60),
-            ),
-        )
-    except (ConfigError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-    split_raw = dict(parser.items("split")) if parser.has_section("split") else {}
-    _reject_unknown(path, "split", split_raw, _SPLIT_KEYS)
-    try:
-        split_section = SplitSection(
-            train_fraction=_get(split_raw, "train_fraction", float, 0.6),
-            val_fraction=_get(split_raw, "val_fraction", float, 0.2),
-            test_fraction=_get(split_raw, "test_fraction", float, 0.2),
-            seed=_get(split_raw, "seed", int, 0),
-        )
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-    output_raw = dict(parser.items("output")) if parser.has_section("output") else {}
-    _reject_unknown(path, "output", output_raw, _OUTPUT_KEYS)
-
-    library_path = scenario_raw.get("device_library")
+    scenario_raw = raw["scenario"]
+    schedules: dict[str, tuple[float, float]] = {}
+    for key in [key for key in scenario_raw if key.startswith("schedule_")]:
+        try:
+            mean_on, mean_off = map(float, scenario_raw.pop(key).split())
+        except ValueError:
+            raise ConfigError(f"{path}: {key} needs '<mean_on_s> <mean_off_s>'") from None
+        schedules[key[len("schedule_") :]] = (mean_on, mean_off)
+    library_path = scenario_raw.pop("device_library", None)
     if library_path is not None and not os.path.isabs(library_path):
         library_path = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(path)), library_path))
+    scenario = _section(path, "scenario", ScenarioConfig, scenario_raw, schedule_params=schedules)
+
+    featurize_raw = raw.get("featurize", {})
+    featurize_section = _section(path, "featurize", FeaturizeSection, featurize_raw)
+    if "stride_s" not in featurize_raw:  # the stride defaults to the window
+        featurize_section = replace(featurize_section, stride_s=featurize_section.window_s)
+    try:
+        FeatureSpec(featurize_section.features, scenario.f0_hz, featurize_section.max_harmonic)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+    output_raw = raw.get("output", {})
+    output_dir = output_raw.pop("dir", None)
+    _reject_unknown(path, "output", output_raw)
 
     return RunConfig(
         scenario=scenario,
         featurize=featurize_section,
-        model=model_section,
-        split=split_section,
+        model=_section(path, "model", ModelSection, raw.get("model", {})),
+        split=_section(path, "split", SplitSection, raw.get("split", {})),
         device_library_path=library_path,
-        output_dir=output_raw.get("dir"),
+        output_dir=output_dir,
     )
-
-
-def _reject_unknown(path, section: str, raw: dict[str, str], known: set[str]) -> None:
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"{path}: unknown key(s) in [{section}]: {', '.join(sorted(unknown))}")
 
 
 def load_library_for(config: RunConfig) -> dict[str, DeviceModel]:
     """The device library named by the config, or the built-in default.
 
-    Also checks the config invariant that every referenced class exists.
+    Also checks the scenario against it, so that simulate cannot fail on the config.
     """
+    scenario = config.scenario
     library = load_device_library(config.device_library_path) if config.device_library_path else default_library()
-    for class_name, count in config.scenario.populations():
-        if count > 0 and class_name not in library:
+    listed = [class_name for class_name, _ in scenario.populations()]
+    for class_name, count in scenario.populations():
+        if class_name not in library:
             raise ConfigError(f"device class {class_name!r} is not in the device library")
-    medical = config.scenario.medical_class
-    if config.scenario.n_medical_devices > 0:
+        if listed.count(class_name) > 1:
+            raise ConfigError(f"device class {class_name!r} is listed more than once")
+        if class_name not in scenario.schedule_params:
+            raise ConfigError(f"device class {class_name!r} needs schedule_{class_name} = <mean_on_s> <mean_off_s>")
+        if count > 0:
+            highest = max(library[class_name].modes, key=lambda mode: mode.max_order)
+            try:
+                _check_aliasing(highest, scenario.f0_hz, scenario.sample_rate_hz)
+            except ValueError as exc:
+                raise ConfigError(f"device class {class_name!r}: {exc}") from None
+    medical = scenario.medical_class
+    if scenario.n_medical_devices > 0:
         if not library[medical].is_medical:
             raise ConfigError(f"device class {medical!r} is not flagged is_medical in the library")
-        for mode_name in config.scenario.medical_modes:
-            try:
-                library[medical].mode(mode_name)
-            except KeyError as exc:
-                raise ConfigError(str(exc)) from None
+        modes = [mode.name for mode in library[medical].non_off_modes]
+        for mode_name in scenario.medical_modes:
+            if mode_name not in modes:
+                raise ConfigError(f"medical_modes: device {medical!r} has no non-off mode {mode_name!r}")
     return library
 
 
-# -------------------------------------------------------------- fingerprints
-
-
-def _canon_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _canon_scenario(scenario: ScenarioConfig) -> str:
-    parts = [
-        f"duration_s={_canon_float(scenario.duration_s)}",
-        f"sample_rate_hz={_canon_float(scenario.sample_rate_hz)}",
-        f"f0_hz={_canon_float(scenario.f0_hz)}",
-        f"voltage_rms={_canon_float(scenario.voltage_rms)}",
-        f"voltage_thd={_canon_float(scenario.voltage_thd)}",
-        f"n_medical_devices={scenario.n_medical_devices}",
-        f"medical_class={scenario.medical_class}",
-        f"medical_modes={','.join(scenario.medical_modes)}",
-        "background_population=" + ",".join(f"{c}:{n}" for c, n in scenario.background_population),
-        "schedule_params="
-        + ";".join(
-            f"{c}:{_canon_float(on)}:{_canon_float(off)}"
-            for c, (on, off) in sorted(scenario.schedule_params.items())
-        ),
-        f"feeder_noise_rms_amps={_canon_float(scenario.feeder_noise_rms_amps)}",
-        f"rng_seed={scenario.rng_seed}",
-    ]
-    return "\n".join(parts)
-
-
-def _canon_library(library: dict[str, DeviceModel]) -> str:
-    parts = []
-    for class_name in sorted(library):
-        model = library[class_name]
-        parts.append(f"device={class_name} medical={model.is_medical}")
-        for mode in model.modes:
-            harmonics = ",".join(
-                f"{h.harmonic_order}:{_canon_float(h.magnitude_rms_amps)}:{_canon_float(h.phase_rad)}"
-                for h in mode.harmonics
-            )
-            parts.append(f"mode={mode.name} noise={_canon_float(mode.noise_rms_amps)} h=[{harmonics}]")
-    return "\n".join(parts)
-
-
-def _sha(text: str) -> str:
+def _digest(*parts) -> str:
+    """sha256 of a canonical JSON dump of ``parts``: every dataclass field, floats by repr."""
+    text = json.dumps(parts, sort_keys=True, default=asdict)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def scenario_fingerprint(config: RunConfig, library: dict[str, DeviceModel]) -> str:
-    return _sha(_canon_scenario(config.scenario) + "\n" + _canon_library(library))
+    return _digest(config.scenario, library)
 
 
 def dataset_fingerprint(config: RunConfig, library: dict[str, DeviceModel]) -> str:
-    f = config.featurize
-    canon = (
-        f"window_s={_canon_float(f.window_s)}\nstride_s={_canon_float(f.stride_s)}\n"
-        f"features={','.join(f.features)}\nmax_harmonic={f.max_harmonic}\ntop_k={f.top_k}"
-    )
-    return _sha(scenario_fingerprint(config, library) + "\n" + canon)
+    return _digest(scenario_fingerprint(config, library), config.featurize)
 
 
 def model_fingerprint(config: RunConfig, library: dict[str, DeviceModel]) -> str:
-    m, s = config.model, config.split
-    canon = (
-        f"hidden_layers={','.join(str(h) for h in m.hidden_layers)}\n"
-        f"init_seed={m.init_seed}\n"
-        f"learning_rate={_canon_float(m.train.learning_rate)}\n"
-        f"batch_size={m.train.batch_size}\nepochs={m.train.epochs}\n"
-        f"l2_penalty={_canon_float(m.train.l2_penalty)}\n"
-        f"shuffle_seed={m.train.shuffle_seed}\npatience={m.train.patience}\n"
-        f"split={_canon_float(s.train_fraction)}:{_canon_float(s.val_fraction)}:{_canon_float(s.test_fraction)}\n"
-        f"split_seed={s.seed}"
-    )
-    return _sha(dataset_fingerprint(config, library) + "\n" + canon)
+    return _digest(dataset_fingerprint(config, library), config.model, config.split)

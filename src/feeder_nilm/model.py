@@ -60,8 +60,6 @@ class RegressorParams:
     layer_sizes: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    hidden_activation: str = "relu"
-    output_activation: str = "softplus"
     init_seed: int = 0
     norm_stats: NormStats | None = None
 
@@ -71,8 +69,6 @@ class RegressorParams:
             raise ValueError("layer_sizes needs at least input and output, all positive")
         if self.layer_sizes[-1] != 1:
             raise ValueError("output layer size must be 1")
-        if self.hidden_activation != "relu" or self.output_activation != "softplus":
-            raise ValueError("supported activations: relu hidden, softplus output")
         expected = list(zip(self.layer_sizes[1:], self.layer_sizes[:-1]))
         if len(self.weights) != len(expected) or len(self.biases) != len(expected):
             raise ValueError("weights/biases must match the layer count")
@@ -87,8 +83,6 @@ class RegressorParams:
             self.layer_sizes,
             [w.copy() for w in self.weights],
             [b.copy() for b in self.biases],
-            self.hidden_activation,
-            self.output_activation,
             self.init_seed,
             self.norm_stats,
         )
@@ -179,9 +173,7 @@ def loss_and_gradient(params: RegressorParams, batch_X, batch_y, l2: float = 0.0
 
     pre, act, y_hat = _forward_pass(params, X)
     residual = y_hat - y
-    loss = float(np.mean(_huber(residual)))
-    if l2 > 0.0:
-        loss += 0.5 * l2 * sum(float(np.sum(w * w)) for w in params.weights)
+    loss = float(np.mean(_huber(residual))) + _penalty(params, l2)
 
     # dL/dy_hat for the mean Huber: clip(residual, -1, 1) / n
     d_yhat = np.clip(residual, -1.0, 1.0) / n
@@ -199,6 +191,10 @@ def loss_and_gradient(params: RegressorParams, batch_X, batch_y, l2: float = 0.0
         for layer, w in enumerate(params.weights):
             grad_w[layer] += l2 * w
     return loss, grad_w, grad_b
+
+
+def _penalty(params: RegressorParams, l2: float) -> float:
+    return 0.5 * l2 * sum(float(np.sum(w * w)) for w in params.weights) if l2 > 0.0 else 0.0
 
 
 def _data_loss(params: RegressorParams, X: np.ndarray, y: np.ndarray) -> float:
@@ -243,7 +239,7 @@ def run_epochs(params, train_set, val_set, config: TrainConfig, permutations):
                 w -= config.learning_rate * gw
             for b, gb in zip(current.biases, grad_b):
                 b -= config.learning_rate * gb
-        train_obj, _, _ = loss_and_gradient(current, X_train, y_train, config.l2_penalty)
+        train_obj = _data_loss(current, X_train, y_train) + _penalty(current, config.l2_penalty)
         val_loss = _data_loss(current, X_val, y_val)
         history.append((epoch, train_obj, val_loss))
         if val_loss < best_val:

@@ -16,11 +16,15 @@ Waveform files are binary with a fixed 64-byte header:
 Text artifacts are line-oriented; every format starts with comment lines
 carrying the format name and the config fingerprint, and renders floats
 with 17 significant digits so a write/read/write cycle is byte-identical.
+Every artifact is written to a temp file beside it and then renamed over
+it, so an interrupted write leaves the previous artifact intact.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
 from typing import Iterable
 
 import numpy as np
@@ -73,6 +77,23 @@ def _f(x: float) -> str:
     return format(float(x), ".17g")
 
 
+@contextmanager
+def _atomic_open(path, mode: str, **kwargs):
+    """A handle on a temp file in the same directory that replaces ``path`` once the block completes.
+
+    A reader never sees a partial artifact; if the block raises, the temp
+    file is removed and the previous artifact stays as it was.
+    """
+    temp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(temp, path)
+    finally:
+        if os.path.exists(temp):  # the block raised before the replace
+            os.remove(temp)
+
+
 # ---------------------------------------------------------------- waveforms
 
 
@@ -88,7 +109,7 @@ def write_waveform(path, waveform: Waveform, channel: str, fingerprint_hex: str 
         channel.encode("ascii"),
         _fingerprint_bytes(fingerprint_hex),
     )
-    with open(path, "wb") as fh:
+    with _atomic_open(path, "wb") as fh:
         fh.write(header)
         fh.write(waveform.samples.astype("<f8", copy=False).tobytes())
 
@@ -126,7 +147,7 @@ def read_waveform(path) -> tuple[Waveform, str, str]:
 
 
 def _write_text(path, lines: Iterable[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in lines:
             fh.write(line)
             fh.write("\n")
@@ -307,8 +328,6 @@ def write_model(path, params: RegressorParams, fingerprint: str = "") -> None:
     lines = _header_lines("model", fingerprint)
     lines.append("format_version = 1")
     lines.append("layer_sizes = " + " ".join(str(s) for s in params.layer_sizes))
-    lines.append(f"hidden_activation = {params.hidden_activation}")
-    lines.append(f"output_activation = {params.output_activation}")
     lines.append(f"init_seed = {params.init_seed}")
     lines.append("input_features = " + " ".join(stats.input_feature_ids))
     lines.append("kept_indices = " + " ".join(str(i) for i in stats.kept_indices))
@@ -344,15 +363,7 @@ def read_model(path) -> tuple[RegressorParams, str]:
             b = np.asarray([float(x) for x in values[f"b{layer}"].split()], dtype=np.float64)
             weights.append(w.reshape(fan_out, fan_in))
             biases.append(b)
-        params = RegressorParams(
-            sizes,
-            weights,
-            biases,
-            values["hidden_activation"],
-            values["output_activation"],
-            int(values["init_seed"]),
-            stats,
-        )
+        params = RegressorParams(sizes, weights, biases, int(values["init_seed"]), stats)
     except FileFormatError:
         raise
     except (KeyError, ValueError) as exc:

@@ -189,6 +189,25 @@ class TestStages:
         path.write_text("[scenario]\nduration_s = -5\n")
         assert run("simulate", "--config", str(path), "--out", str(tmp_path / "o")) == 2
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (("schedule_lighting = 20 20\n", ""), "lighting"),
+            (("lighting:1", "lighting:1 resistive_heater:1"), "resistive_heater"),
+            (("medical_modes = run humidifier-run", "medical_modes = off"), "off"),
+            (("sample_rate_hz = 2000", "sample_rate_hz = 500"), "aliases"),
+        ],
+        ids=["missing-schedule", "class-listed-twice", "off-medical-mode", "aliasing-rate"],
+    )
+    def test_scenario_inconsistent_with_library_exits_2(self, tmp_path, capsys, edit, message):
+        path = tmp_path / "bad.cfg"
+        assert edit[0] in SMALL_CONFIG
+        path.write_text(SMALL_CONFIG.replace(*edit))
+        for command in ("simulate", "pipeline"):
+            assert run(command, "--config", str(path), "--out", str(tmp_path / "o")) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and message in err
+
     def test_env_var_out_dir(self, config_path, tmp_path, monkeypatch):
         out = str(tmp_path / "envout")
         monkeypatch.setenv("FEEDER_NILM_OUT", out)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as strat
 
+from feeder_nilm import model as model_module
 from feeder_nilm.model import (
     TrainConfig,
     count_from_output,
@@ -210,6 +211,37 @@ class TestTrain:
         from feeder_nilm.model import _data_loss
 
         assert _data_loss(fitted, X_val, y_val) <= best_recorded + 1e-12
+
+    def test_one_gradient_per_batch(self, monkeypatch):
+        # The logged train objective costs a forward pass, not a full-batch gradient.
+        calls = []
+
+        def counting(*args):
+            calls.append(len(args[2]))
+            return loss_and_gradient(*args)
+
+        monkeypatch.setattr(model_module, "loss_and_gradient", counting)
+        X, y = self.make_data(n=10)
+        config = TrainConfig(learning_rate=0.03, batch_size=4, epochs=3, patience=100)
+        orders = [np.random.default_rng(k).permutation(10) for k in range(3)]
+        _, history = run_epochs(init_params((3, 6, 1), seed=4), (X, y), (X, y), config, orders)
+        assert len(history) == 3
+        assert calls == [4, 4, 2] * 3
+
+    def test_history_objective_includes_l2(self):
+        X, y = self.make_data(n=10)
+        config = TrainConfig(learning_rate=0.03, batch_size=4, epochs=2, l2_penalty=0.1, patience=100)
+        orders = [np.arange(10)]
+        params = init_params((3, 6, 1), seed=4)
+        _, history = run_epochs(params, (X, y), (X, y), config, orders)
+        stepped = params.copy()
+        for lo in range(0, 10, 4):
+            _, grad_w, grad_b = loss_and_gradient(stepped, X[lo : lo + 4], y[lo : lo + 4], 0.1)
+            for w, gw in zip(stepped.weights, grad_w):
+                w -= 0.03 * gw
+            for b, gb in zip(stepped.biases, grad_b):
+                b -= 0.03 * gb
+        assert history[0][1] == loss_and_gradient(stepped, X, y, 0.1)[0]
 
     def test_empty_split_rejected(self):
         params = init_params((3, 6, 1), seed=0)

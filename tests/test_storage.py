@@ -1,5 +1,10 @@
+import os
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+
+from feeder_nilm import storage
 
 from feeder_nilm.devices import default_library
 from feeder_nilm.featurize import FeatureDataset, FeatureSpec, NormStats
@@ -207,6 +212,19 @@ class TestModelFile:
         write_model(second, loaded, fingerprint)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_model_written_before_activation_removal_still_reads(self, tmp_path):
+        # Files from before the format dropped the fixed activation lines still load.
+        path = tmp_path / "model.txt"
+        write_model(path, self.make_params(), FP)
+        lines = path.read_text().splitlines()
+        assert not any("activation" in line for line in lines)
+        at = lines.index("format_version = 1") + 2
+        lines[at:at] = ["hidden_activation = relu", "output_activation = softplus"]
+        path.write_text("\n".join(lines) + "\n")
+        loaded, fingerprint = read_model(path)
+        assert fingerprint == FP
+        assert np.array_equal(loaded.weights[0], self.make_params().weights[0])
+
     def test_missing_layer_rejected(self, tmp_path):
         path = tmp_path / "model.txt"
         write_model(path, self.make_params(), FP)
@@ -242,3 +260,43 @@ class TestRankingFile:
         write_ranking(path, [("h3", float("inf"))], FP)
         loaded, _ = read_ranking(path)
         assert loaded[0][1] == float("inf")
+
+
+class _Exploding:
+    """Stands in for a sample array whose serialisation fails after the header is out."""
+
+    def astype(self, *args, **kwargs):
+        raise RuntimeError("disk full")
+
+
+class TestAtomicWrites:
+    def test_failed_text_write_keeps_previous_artifact(self, tmp_path):
+        path = tmp_path / "ranking.txt"
+        write_ranking(path, [("thd", 2.0), ("h3", 1.0)], FP)
+        before = path.read_bytes()
+
+        def lines():
+            yield "# feeder-nilm ranking v1"
+            raise RuntimeError("disk full")
+
+        with pytest.raises(RuntimeError):
+            storage._write_text(path, lines())
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["ranking.txt"]
+
+    def test_failed_waveform_write_keeps_previous_artifact(self, tmp_path):
+        path = tmp_path / "current.fnwv"
+        write_waveform(path, random_waveform(), "CURR", FP)
+        before = path.read_bytes()
+        broken = SimpleNamespace(sample_rate_hz=100.0, start_time_s=0.0, n_samples=10, samples=_Exploding())
+        with pytest.raises(RuntimeError):
+            write_waveform(path, broken, "CURR", FP)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["current.fnwv"]
+
+    def test_write_replaces_existing_artifact(self, tmp_path):
+        path = tmp_path / "ranking.txt"
+        write_ranking(path, [("thd", 2.0)], FP)
+        write_ranking(path, [("h3", 1.0)], FP)
+        assert read_ranking(path) == ([("h3", 1.0)], FP)
+        assert os.listdir(tmp_path) == ["ranking.txt"]
