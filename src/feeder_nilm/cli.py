@@ -23,7 +23,7 @@ from .featurize import (
     fit_normalization,
     rank_features,
 )
-from .model import count_from_output, forward_batch, init_params, train
+from .model import init_params, train
 from .simulate import generate_schedule, ground_truth_counts, synthesize_feeder
 from .config import (
     ConfigError,
@@ -34,7 +34,7 @@ from .config import (
     model_fingerprint,
     scenario_fingerprint,
 )
-from .devices import LibraryFormatError, characterization_vectors
+from .devices import DeviceModel, LibraryFormatError, characterization_vectors
 
 __all__ = ["main", "ContractError", "chronological_split", "ARTIFACTS"]
 
@@ -49,6 +49,8 @@ ARTIFACTS = {
     "report": "report.txt",
     "residuals": "residuals.csv",
 }
+
+Library = dict[str, DeviceModel]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -95,8 +97,7 @@ def _file_size(path) -> str:
 # ------------------------------------------------------------------- stages
 
 
-def stage_simulate(config: RunConfig, out: str, quiet: bool) -> None:
-    library = load_library_for(config)
+def stage_simulate(config: RunConfig, library: Library, out: str, quiet: bool) -> None:
     fp = scenario_fingerprint(config, library)
     schedule = generate_schedule(config.scenario, library)
     truth = ground_truth_counts(schedule, config.scenario)
@@ -131,8 +132,7 @@ def _resolve_features(config: RunConfig, library, out: str) -> FeatureSpec:
     return FeatureSpec(kept, spec.f0_hz, spec.max_harmonic)
 
 
-def stage_featurize(config: RunConfig, out: str, quiet: bool) -> None:
-    library = load_library_for(config)
+def stage_featurize(config: RunConfig, library: Library, out: str, quiet: bool) -> None:
     scenario_fp = scenario_fingerprint(config, library)
     voltage = _read_checked(out, "voltage", st.read_waveform, scenario_fp)
     current = _read_checked(out, "current", st.read_waveform, scenario_fp)
@@ -151,8 +151,7 @@ def stage_featurize(config: RunConfig, out: str, quiet: bool) -> None:
     )
 
 
-def stage_select_features(config: RunConfig, out: str, quiet: bool) -> None:
-    library = load_library_for(config)
+def stage_select_features(config: RunConfig, library: Library, out: str, quiet: bool) -> None:
     spec = config.feature_spec()
     signatures = {}
     for class_name, count in config.scenario.populations():
@@ -190,8 +189,7 @@ def _split_rows(config: RunConfig, dataset: FeatureDataset):
     return splits
 
 
-def stage_train(config: RunConfig, out: str, quiet: bool) -> None:
-    library = load_library_for(config)
+def stage_train(config: RunConfig, library: Library, out: str, quiet: bool) -> None:
     dataset = _read_checked(out, "dataset", st.read_dataset, dataset_fingerprint(config, library))
     train_part, val_part, _ = _split_rows(config, dataset)
 
@@ -214,8 +212,7 @@ def stage_train(config: RunConfig, out: str, quiet: bool) -> None:
     )
 
 
-def stage_eval(config: RunConfig, out: str, quiet: bool) -> None:
-    library = load_library_for(config)
+def stage_eval(config: RunConfig, library: Library, out: str, quiet: bool) -> None:
     dataset = _read_checked(out, "dataset", st.read_dataset, dataset_fingerprint(config, library))
     expected_fp = model_fingerprint(config, library)
     params = _read_checked(out, "model", st.read_model, expected_fp)
@@ -241,10 +238,13 @@ def stage_eval(config: RunConfig, out: str, quiet: bool) -> None:
         entries.append((f"count_{count}", f"{n} {format(err, '.17g')}"))
     st.write_report_lines(os.path.join(out, ARTIFACTS["report"]), entries, expected_fp)
 
-    continuous = forward_batch(params, apply_normalization(test_part.X, params.norm_stats))
-    rounded = [count_from_output(v) for v in continuous]
     st.write_residuals(
-        os.path.join(out, ARTIFACTS["residuals"]), test_part.t_start_s, test_part.y, continuous, rounded, expected_fp
+        os.path.join(out, ARTIFACTS["residuals"]),
+        test_part.t_start_s,
+        test_part.y,
+        report.continuous,
+        report.rounded,
+        expected_fp,
     )
     _say(
         quiet,
@@ -257,7 +257,7 @@ class Stage(NamedTuple):
     """A subcommand and what it writes: (ARTIFACTS key, text tag or None for a waveform) pairs."""
 
     name: str
-    run: Callable[[RunConfig, str, bool], None]
+    run: Callable[[RunConfig, Library, str, bool], None]
     fingerprint: Callable
     artifacts: tuple[tuple[str, str | None], ...]
     help: str
@@ -288,9 +288,8 @@ def _artifact_current(out: str, name: str, tag: str | None, expected_fp: str) ->
     return _fingerprint_matches(path, fp, expected_fp)
 
 
-def stage_pipeline(config: RunConfig, out: str, quiet: bool) -> None:
+def stage_pipeline(config: RunConfig, library: Library, out: str, quiet: bool) -> None:
     """Run all stages in order, skipping stages whose artifacts are current."""
-    library = load_library_for(config)
     n_classes = sum(1 for _, count in config.scenario.populations() if count > 0)
     for stage in _STAGES:
         if stage.name == "select-features" and n_classes < 2 and config.featurize.top_k == 0:
@@ -300,7 +299,7 @@ def stage_pipeline(config: RunConfig, out: str, quiet: bool) -> None:
         if all(_artifact_current(out, name, tag, expected) for name, tag in stage.artifacts):
             _say(quiet, f"{stage.name}: up to date")
             continue
-        stage.run(config, out, quiet)
+        stage.run(config, library, out, quiet)
 
 
 # --------------------------------------------------------------------- main
@@ -332,7 +331,7 @@ def main(argv=None) -> int:
         os.makedirs(out, exist_ok=True)
         runners = {stage.name: stage.run for stage in _STAGES}
         runners["pipeline"] = stage_pipeline
-        runners[args.command](config, out, args.quiet)
+        runners[args.command](config, load_library_for(config), out, args.quiet)
     except (ConfigError, LibraryFormatError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -36,9 +36,10 @@ defaults are the fields of its dataclass (``ModelSection`` with its
 Besides those, [scenario] takes ``device_library`` and per-class schedule
 means as ``schedule_<class> = <mean_on_s> <mean_off_s>``, [output] takes
 ``dir``, and ``stride_s`` defaults to ``window_s``. Stage artifacts carry
-a sha256 fingerprint of every field, chained over (scenario + library),
-then featurize, then model + split; stages reject artifacts whose
-fingerprint does not match the current configuration.
+a sha256 fingerprint of every field, chained over (scenario + library +
+``simulate.SYNTHESIS_VERSION``), then featurize, then model + split;
+stages reject artifacts whose fingerprint does not match the current
+configuration.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from typing import get_type_hints
 from .devices import DeviceModel, _check_aliasing, default_library, load_device_library
 from .featurize import DEFAULT_FEATURES, FeatureSpec
 from .model import TrainConfig
+from . import simulate
 from .simulate import ScenarioConfig
 
 __all__ = [
@@ -278,7 +280,8 @@ def _digest(*parts) -> str:
 
 
 def scenario_fingerprint(config: RunConfig, library: dict[str, DeviceModel]) -> str:
-    return _digest(config.scenario, library)
+    # The synthesis version is read at call time: waveforms made by another synthesizer are stale.
+    return _digest(config.scenario, library, simulate.SYNTHESIS_VERSION)
 
 
 def dataset_fingerprint(config: RunConfig, library: dict[str, DeviceModel]) -> str:

@@ -1,4 +1,9 @@
-"""Parametric steady-state appliance signatures and per-device current synthesis.
+"""Parametric steady-state appliance signatures and the harmonic synthesis kernel.
+
+``add_harmonics`` turns summed mode phasors (``mode_phasors``) into
+samples; ``synth_device_current`` and the feeder synthesis in
+``simulate`` both use it, and ``mode_current_samples`` is the scalar
+reference it is tested against.
 
 A device class is described by named operational modes, each mode by a
 set of harmonic phasors (RMS amperes, radians, sine convention) plus a
@@ -26,6 +31,8 @@ __all__ = [
     "DeviceModel",
     "OFF_MODE_NAME",
     "mode_current_samples",
+    "mode_phasors",
+    "add_harmonics",
     "synth_device_current",
     "device_signature_features",
     "characterization_vectors",
@@ -143,6 +150,66 @@ def mode_current_samples(mode: DeviceMode, t_s: np.ndarray, f0_hz: float, phase_
     return out
 
 
+def mode_phasors(mode: DeviceMode, max_order: int, phase_offset_rad: float = 0.0) -> np.ndarray:
+    """Complex amplitudes of ``mode``'s current indexed by harmonic order (0..max_order).
+
+    Entry h is sqrt(2) * M_h * exp(j * (phi_h + h * phase_offset)), so the
+    current is sum_h Im(entry_h * exp(j*2*pi*h*f0*t)), as in
+    ``mode_current_samples``. Phasors of concurrent modes add.
+    """
+    out = np.zeros(max_order + 1, dtype=np.complex128)
+    for h in mode.harmonics:
+        total_phase = h.phase_rad + h.harmonic_order * phase_offset_rad
+        out[h.harmonic_order] = math.sqrt(2.0) * h.magnitude_rms_amps * cmath.exp(1j * total_phase)
+    return out
+
+
+# Samples per block when harmonics are evaluated sample by sample.
+_DIRECT_BLOCK = 1 << 16
+
+
+def _harmonic_values(phasors: np.ndarray, orders: np.ndarray, turns: np.ndarray) -> np.ndarray:
+    # sum_h Im(A_h * exp(j*2*pi*turns_h)); ``turns`` has one row per order.
+    theta = 2.0 * math.pi * turns
+    a = phasors[orders]
+    return (a.real[:, None] * np.sin(theta) + a.imag[:, None] * np.cos(theta)).sum(axis=0)
+
+
+def add_harmonics(out: np.ndarray, start: int, phasors: np.ndarray, sample_rate_hz: float, f0_hz: float) -> None:
+    """Add the harmonic sum of ``phasors`` (see ``mode_phasors``) into ``out`` in place.
+
+    ``out[k]`` gains sum_h Im(phasors[h] * exp(j*2*pi*h*f0*(start + k)/fs)):
+    ``out`` holds the contiguous samples from absolute index ``start`` on,
+    so the result is phase-locked to the scenario clock. At integer rates
+    the sum repeats every fs / gcd(fs, f0) samples (500 at 10 kHz and
+    60 Hz): one period is evaluated, each phase reduced exactly in
+    integers as (h*f0*k mod fs) / fs turns, and tiled over ``out``. At
+    other rates the same phasors are evaluated on each sample's index.
+    """
+    orders = np.flatnonzero(phasors)
+    n = out.size
+    if orders.size == 0 or n == 0:
+        return
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be contiguous")
+    if not (float(sample_rate_hz).is_integer() and float(f0_hz).is_integer()):
+        step = orders[:, None] * (f0_hz / sample_rate_hz)
+        for lo in range(0, n, _DIRECT_BLOCK):
+            turns = step * np.arange(start + lo, start + min(lo + _DIRECT_BLOCK, n), dtype=np.float64)
+            block = _harmonic_values(phasors, orders, turns - np.floor(turns))
+            out[lo : lo + block.size] += block
+        return
+    fs, f0 = int(sample_rate_hz), int(f0_hz)
+    period = fs // math.gcd(fs, f0)
+    k = (start + np.arange(min(period, n), dtype=np.int64)) % period
+    table = _harmonic_values(phasors, orders, (orders[:, None] * f0 * k) % fs / fs)
+    full, rest = divmod(n, period)
+    if full:
+        tiles = out[: full * period].reshape(full, period)
+        tiles += table
+    out[full * period :] += table[:rest]
+
+
 def _check_aliasing(mode: DeviceMode, f0_hz: float, sample_rate_hz: float) -> None:
     if mode.max_order and sample_rate_hz <= 2.0 * f0_hz * mode.max_order:
         raise ValueError(
@@ -171,8 +238,8 @@ def synth_device_current(
     n = int(round(duration_s * sample_rate_hz))
     if n < 1:
         raise ValueError("duration_s too short for one sample")
-    t = np.arange(n, dtype=np.float64) / sample_rate_hz
-    samples = mode_current_samples(mode, t, f0_hz, phase_offset_rad)
+    samples = np.zeros(n, dtype=np.float64)
+    add_harmonics(samples, 0, mode_phasors(mode, mode.max_order, phase_offset_rad), sample_rate_hz, f0_hz)
     if mode.noise_rms_amps > 0.0:
         rng = np.random.default_rng(rng_seed)
         samples = samples + rng.normal(0.0, mode.noise_rms_amps, n)

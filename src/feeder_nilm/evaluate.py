@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +21,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Continuous and rounded MAE plus a per-true-count error breakdown."""
+    """Continuous and rounded MAE plus a per-true-count error breakdown.
+
+    ``continuous`` and ``rounded`` are the per-window predictions the
+    metrics were computed from, in the order of the evaluated windows.
+    """
 
     n_test_windows: int
     mae_continuous: float
@@ -29,6 +33,8 @@ class EvalReport:
     exact_count_accuracy: float
     per_count: tuple[tuple[int, int, float], ...]  # (true count, n windows, rounded MAE)
     fingerprint: str = ""
+    continuous: np.ndarray = field(default_factory=lambda: np.zeros(0), compare=False, repr=False)
+    rounded: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64), compare=False, repr=False)
 
 
 def mae(predictions, targets) -> float:
@@ -61,6 +67,8 @@ def report_from_predictions(
         exact_count_accuracy=float(np.mean(rounded_err == 0)),
         per_count=per_count,
         fingerprint=fingerprint,
+        continuous=cont,
+        rounded=rnd,
     )
 
 

@@ -4,14 +4,18 @@ A scenario is a fixed population of device instances behind one
 single-phase feeder. Each instance follows an alternating-renewal
 schedule (exponential on and off durations, stationary initial state)
 and the feeder current is the sum of the scheduled per-device currents
-plus optional wideband noise. The feeder voltage is stiff: a fixed
-sinusoid with an optional third-harmonic distortion term, unaffected by
-load.
+plus wideband noise: each mode's own noise level and the optional feeder
+noise. The feeder voltage is stiff: a fixed sinusoid with an optional
+third-harmonic distortion term, unaffected by load. Both waveforms come
+from the same harmonic kernel, ``devices.add_harmonics``.
 
 Determinism: schedules are drawn with ``random.Random`` seeded per
 (scenario seed, class name, instance index), so merging scenarios with
-disjoint populations preserves each device's schedule. Waveform noise
-uses numpy generators with seeds derived the same way.
+disjoint populations preserves each device's schedule and the noiseless
+current adds up. Noise is one numpy stream per scenario, seeded from
+(scenario seed, "feeder", "noise"), whose level follows the set of
+running modes; merged populations therefore do not keep each device's
+own noise samples.
 """
 
 from __future__ import annotations
@@ -22,7 +26,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .devices import DeviceModel, OFF_MODE_NAME, mode_current_samples, _check_aliasing, _stable_seed
+from .devices import (
+    OFF_MODE_NAME,
+    DeviceMode,
+    DeviceModel,
+    _check_aliasing,
+    _stable_seed,
+    add_harmonics,
+    mode_phasors,
+)
 from .signals import Waveform
 
 __all__ = [
@@ -34,7 +46,13 @@ __all__ = [
     "synthesize_feeder",
     "ground_truth_counts",
     "window_targets",
+    "SYNTHESIS_VERSION",
 ]
+
+# Bumped whenever synthesize_feeder produces different waveforms for the same
+# inputs; part of the scenario fingerprint, so older waveforms re-simulate.
+# 2: one merged phasor table and one feeder noise stream per schedule segment.
+SYNTHESIS_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -204,50 +222,70 @@ def synthesize_feeder(
 ) -> tuple[Waveform, Waveform]:
     """Aggregate feeder (voltage, current) waveforms for a scheduled scenario.
 
-    The current is the per-device sum in schedule order (fixed summation
-    order keeps the result deterministic) plus feeder noise; device
-    phases stay locked to the scenario clock across intervals.
+    One sweep over the schedule's change points (the sample indices where
+    any interval starts or ends). Between two of them the active modes are
+    fixed, so the noiseless current is their merged phasors, counted with
+    multiplicity and evaluated by ``add_harmonics`` phase-locked to the
+    scenario clock. Noise is one stream for the whole feeder: each segment
+    draws standard normals scaled by sqrt(feeder sigma^2 + sum of the
+    active modes' sigma^2), which has the distribution of independent
+    per-device noise plus feeder noise. Deterministic given the config and
+    schedule.
     """
-    n = int(round(config.duration_s * config.sample_rate_hz))
+    fs, f0 = config.sample_rate_hz, config.f0_hz
+    n = int(round(config.duration_s * fs))
     if n < 1:
         raise ValueError("scenario too short for one sample")
-    t = np.arange(n, dtype=np.float64) / config.sample_rate_hz
-    omega = 2.0 * math.pi * config.f0_hz
 
-    voltage = math.sqrt(2.0) * config.voltage_rms * np.sin(omega * t)
-    if config.voltage_thd > 0.0:
-        voltage = voltage + math.sqrt(2.0) * config.voltage_rms * config.voltage_thd * np.sin(3.0 * omega * t)
-
-    current = np.zeros(n, dtype=np.float64)
+    modes: list[DeviceMode] = []  # the distinct scheduled modes, one column each
+    columns: dict[tuple[str, str], int] = {}  # (class, mode name) -> column
+    events: list[tuple[int, int, int]] = []  # (sample index, column, +1 on / -1 off)
     for device in schedule.devices:
         if device.class_name not in library:
             raise ValueError(f"schedule references unknown device class {device.class_name!r}")
         model = library[device.class_name]
-        noise_rng = None
         for start, end, mode_name in device.intervals:
             if start < -1e-9 or end > config.duration_s + 1e-9:
                 raise ValueError(f"{device.device_id}: interval outside the scenario duration")
-            try:
-                mode = model.mode(mode_name)
-            except KeyError as exc:
-                raise ValueError(str(exc)) from None
-            _check_aliasing(mode, config.f0_hz, config.sample_rate_hz)
-            i0 = _sample_index(start, config.sample_rate_hz, n)
-            i1 = _sample_index(end, config.sample_rate_hz, n)
-            if i1 <= i0:
-                continue
-            current[i0:i1] += mode_current_samples(mode, t[i0:i1], config.f0_hz)
-            if mode.noise_rms_amps > 0.0:
-                if noise_rng is None:
-                    noise_rng = np.random.default_rng(
-                        _stable_seed(config.rng_seed, device.device_id, "noise")
-                    )
-                current[i0:i1] += noise_rng.normal(0.0, mode.noise_rms_amps, i1 - i0)
-    if config.feeder_noise_rms_amps > 0.0:
-        feeder_rng = np.random.default_rng(_stable_seed(config.rng_seed, "feeder", "noise"))
-        current += feeder_rng.normal(0.0, config.feeder_noise_rms_amps, n)
+            key = (device.class_name, mode_name)
+            if key not in columns:
+                try:
+                    mode = model.mode(mode_name)
+                except KeyError as exc:
+                    raise ValueError(str(exc)) from None
+                _check_aliasing(mode, f0, fs)
+                columns[key] = len(modes)
+                modes.append(mode)
+            i0 = _sample_index(start, fs, n)
+            i1 = _sample_index(end, fs, n)
+            if i1 > i0:
+                events += [(i0, columns[key], 1), (i1, columns[key], -1)]
 
-    return Waveform(voltage, config.sample_rate_hz, 0.0), Waveform(current, config.sample_rate_hz, 0.0)
+    max_order = max((mode.max_order for mode in modes), default=0)
+    phasors = np.array([mode_phasors(mode, max_order) for mode in modes]).reshape(len(modes), max_order + 1)
+    variances = np.array([mode.noise_rms_amps**2 for mode in modes])
+
+    index, column, step = np.array(events, dtype=np.int64).reshape(-1, 3).T
+    bounds = np.unique(np.concatenate(([0, n], index)))
+    delta = np.zeros((bounds.size, len(modes)), dtype=np.int64)
+    np.add.at(delta, (np.searchsorted(bounds, index), column), step)
+    counts = np.cumsum(delta, axis=0)[:-1]  # active count of each mode in segment [bounds[s], bounds[s + 1])
+    segment_phasors = (counts[:, :, None] * phasors[None]).sum(axis=1)
+    segment_sigma = np.sqrt(config.feeder_noise_rms_amps**2 + (counts * variances).sum(axis=1))
+
+    current = np.zeros(n, dtype=np.float64)
+    noise_rng = np.random.default_rng(_stable_seed(config.rng_seed, "feeder", "noise"))
+    for a, b, segment, sigma in zip(bounds[:-1], bounds[1:], segment_phasors, segment_sigma):
+        out = current[a:b]
+        if sigma > 0.0:
+            noise_rng.standard_normal(out=out)
+            out *= sigma
+        add_harmonics(out, int(a), segment, fs, f0)
+
+    amplitude = math.sqrt(2.0) * config.voltage_rms
+    voltage = np.zeros(n, dtype=np.float64)
+    add_harmonics(voltage, 0, np.array([0.0, amplitude, 0.0, amplitude * config.voltage_thd]), fs, f0)
+    return Waveform(voltage, fs, 0.0), Waveform(current, fs, 0.0)
 
 
 def _ceil_index(time_s: float) -> int:

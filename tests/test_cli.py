@@ -255,6 +255,37 @@ class TestPipeline:
         expected = model_fingerprint(config, load_library_for(config))
         assert read_fingerprint(residuals, "residuals") == expected
 
+    def test_residuals_hold_the_model_predictions(self, config_path, tmp_path):
+        # Eval writes the predictions evaluate() made: one forward pass, same bytes as recomputing it.
+        from feeder_nilm.featurize import apply_normalization
+        from feeder_nilm.model import count_from_output, forward_batch
+        from feeder_nilm.storage import read_model, write_residuals
+
+        out = str(tmp_path / "out")
+        assert run("pipeline", "--config", config_path, "--out", out, "--quiet") == 0
+        config = load_run_config(config_path)
+        dataset, _ = read_dataset(os.path.join(out, "dataset.csv"))
+        params, fp = read_model(os.path.join(out, "model.txt"))
+        _, _, test = cli._split_rows(config, dataset)
+        continuous = forward_batch(params, apply_normalization(test.X, params.norm_stats))
+        expected = tmp_path / "expected.csv"
+        write_residuals(expected, test.t_start_s, test.y, continuous, [count_from_output(v) for v in continuous], fp)
+        with open(os.path.join(out, "residuals.csv"), "rb") as fh:
+            assert fh.read() == expected.read_bytes()
+
+    def test_pipeline_loads_library_once(self, config_path, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(config):
+            calls.append(config)
+            return load_library_for(config)
+
+        monkeypatch.setattr(cli, "load_library_for", counting)
+        assert run("pipeline", "--config", config_path, "--out", str(tmp_path / "out"), "--quiet") == 0
+        assert len(calls) == 1
+        assert run("featurize", "--config", config_path, "--out", str(tmp_path / "out"), "--quiet") == 0
+        assert len(calls) == 2
+
     def test_truncated_dataset_fingerprint_is_stale(self, config_path, tmp_path, capsys):
         # A fingerprint cut to one character must not pass as a prefix match.
         out = str(tmp_path / "out")

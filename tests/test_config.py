@@ -189,6 +189,16 @@ class TestFingerprints:
         assert model_fingerprint(config, library) != model_fingerprint(config, tweaked)
 
 
+    def test_synthesis_version_changes_every_stage(self, tmp_path, monkeypatch):
+        # Waveforms from another synthesizer must not pass as current.
+        from feeder_nilm import simulate
+
+        config = load(tmp_path)
+        base = fingerprints(config)
+        monkeypatch.setattr(simulate, "SYNTHESIS_VERSION", simulate.SYNTHESIS_VERSION + 1)
+        assert all(a != b for a, b in zip(fingerprints(config), base))
+
+
 class TestDocstringExample:
     def test_example_loads_and_checks_against_library(self, tmp_path):
         doc = config_module.__doc__

@@ -283,3 +283,121 @@ class TestWindowTargets:
         y = window_targets(truth, 5.0, 5.0)
         assert y.min() >= 0
         assert y.max() <= 4
+
+
+def oracle_current(cfg, schedule, library):
+    """Masked per-device sum of the scalar ``mode_current_samples`` on absolute time."""
+    n = int(round(cfg.duration_s * cfg.sample_rate_hz))
+    t = np.arange(n) / cfg.sample_rate_hz
+    total = np.zeros(n)
+    for device in schedule.devices:
+        model = library[device.class_name]
+        for start, end, mode_name in device.intervals:
+            i0 = int(round(start * cfg.sample_rate_hz))
+            i1 = min(int(round(end * cfg.sample_rate_hz)), n)
+            total[i0:i1] += mode_current_samples(model.mode(mode_name), t[i0:i1], cfg.f0_hz)
+    return total
+
+
+# Change points off multiples of the 500-sample period at 10 kHz / 60 Hz; the
+# lighting interval [1.2345, 1.2567) is a 222-sample segment, the gap
+# [3.0411, 3.0462) between the heater's end and the motor's start 51 samples,
+# and the smps interval outlasts one 65536-sample direct-evaluation block.
+HAND_SCHEDULE = Schedule(
+    (
+        DeviceSchedule("ventilator#0", "ventilator", True, ((0.0123, 2.5017, "run"), (2.9, 7.9871, "humidifier-run"))),
+        DeviceSchedule("resistive_heater#0", "resistive_heater", False, ((0.3001, 3.0411, "on"),)),
+        DeviceSchedule("resistive_heater#1", "resistive_heater", False, ((0.3001, 1.7779, "on"),)),
+        DeviceSchedule("lighting#0", "lighting", False, ((1.2345, 1.2567, "on"),)),
+        DeviceSchedule("induction_motor#0", "induction_motor", False, ((3.0462, 8.0, "on"),)),
+        DeviceSchedule("smps#0", "smps", False, ((0.0, 7.5003, "on"),)),
+    )
+)
+
+
+def hand_scenario(**overrides):
+    base = dict(duration_s=8.0, sample_rate_hz=10_000.0, f0_hz=60.0, rng_seed=4)
+    base.update(overrides)
+    return ScenarioConfig(**base)
+
+
+class TestPeriodicTableSynthesis:
+    @pytest.mark.parametrize(
+        "fs, f0",
+        [(10_000.0, 60.0), (10_000.0, 59.94), (9_999.5, 60.0)],
+        ids=["integer-table", "non-integer-f0", "non-integer-fs"],
+    )
+    def test_matches_scalar_oracle(self, fs, f0):
+        lib = noiseless_library()
+        cfg = hand_scenario(sample_rate_hz=fs, f0_hz=f0)
+        _, current = synthesize_feeder(cfg, HAND_SCHEDULE, lib)
+        assert np.max(np.abs(current.samples - oracle_current(cfg, HAND_SCHEDULE, lib))) < 1e-9
+
+    def test_voltage_matches_direct_sine(self):
+        cfg = hand_scenario(voltage_thd=0.03, f0_hz=59.94)
+        voltage, _ = synthesize_feeder(cfg, Schedule(()), LIBRARY)
+        t = np.arange(voltage.n_samples) / cfg.sample_rate_hz
+        amplitude = np.sqrt(2.0) * cfg.voltage_rms
+        direct = amplitude * np.sin(2 * np.pi * cfg.f0_hz * t) + 0.03 * amplitude * np.sin(6 * np.pi * cfg.f0_hz * t)
+        assert np.max(np.abs(voltage.samples - direct)) < 1e-9
+
+    def test_add_harmonics_table_equals_direct_evaluation(self):
+        # Tiling one period is exact: every tile equals the samples evaluated at their own index.
+        from feeder_nilm.devices import add_harmonics, mode_phasors
+
+        phasors = mode_phasors(LIBRARY["smps"].mode("on"), 7, phase_offset_rad=0.3)
+        for start, n in [(0, 1), (123_457, 499), (5_000_003, 1_501), (77, 30_000)]:
+            tiled = np.zeros(n)
+            add_harmonics(tiled, start, phasors, 10_000.0, 60.0)
+            single = np.array([0.0])
+            for k in range(0, n, 997):
+                single[0] = 0.0
+                add_harmonics(single, start + k, phasors, 10_000.0, 60.0)
+                assert tiled[k] == single[0]
+            t = (start + np.arange(n)) / 10_000.0
+            oracle = mode_current_samples(LIBRARY["smps"].mode("on"), t, 60.0, phase_offset_rad=0.3)
+            assert np.max(np.abs(tiled - oracle)) < 1e-9
+
+    def test_segment_noise_variance_is_sum_of_active_variances(self):
+        from dataclasses import replace
+
+        noisy = dict(LIBRARY)
+        for name, sigma in (("resistive_heater", 0.03), ("lighting", 0.04)):
+            model = LIBRARY[name]
+            noisy[name] = replace(model, modes=(model.mode("off"), replace(model.mode("on"), noise_rms_amps=sigma)))
+        schedule = Schedule(
+            (
+                always_on("resistive_heater#0", "resistive_heater", "on", 4.0),
+                always_on("resistive_heater#1", "resistive_heater", "on", 4.0),
+                DeviceSchedule("lighting#0", "lighting", False, ((2.0, 6.0, "on"),)),
+            )
+        )
+        feeder_sigma = 0.002
+        cfg = hand_scenario(feeder_noise_rms_amps=feeder_sigma)
+        _, current = synthesize_feeder(cfg, schedule, noisy)
+        _, clean = synthesize_feeder(replace(cfg, feeder_noise_rms_amps=0.0), schedule, noiseless_library())
+        noise = current.samples - clean.samples
+        expected = {  # segment in samples -> feeder sigma^2 + sum of active sigma^2
+            (0, 20_000): feeder_sigma**2 + 2 * 0.03**2,
+            (20_000, 40_000): feeder_sigma**2 + 2 * 0.03**2 + 0.04**2,
+            (40_000, 60_000): feeder_sigma**2 + 0.04**2,
+            (60_000, 80_000): feeder_sigma**2,
+        }
+        for (a, b), variance in expected.items():
+            # The sample variance of 20 000 Gaussian draws has relative standard
+            # deviation sqrt(2 / 20 000) = 1 %; 5 % is five of those.
+            assert np.var(noise[a:b]) == pytest.approx(variance, rel=0.05)
+            assert abs(np.mean(noise[a:b])) < 5 * np.sqrt(variance / (b - a))
+
+    def test_noisy_run_bit_identical_across_runs(self):
+        cfg = scenario(
+            n_medical_devices=3,
+            background_population=(("resistive_heater", 2), ("lighting", 2)),
+            feeder_noise_rms_amps=0.05,
+            duration_s=30.0,
+            rng_seed=5,
+        )
+        schedule = generate_schedule(cfg, LIBRARY)
+        runs = [synthesize_feeder(cfg, schedule, LIBRARY) for _ in range(2)]
+        assert runs[0][0].samples.tobytes() == runs[1][0].samples.tobytes()
+        assert runs[0][1].samples.tobytes() == runs[1][1].samples.tobytes()
