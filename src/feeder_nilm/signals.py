@@ -184,6 +184,19 @@ def harmonic_magnitude(window, harmonic: int, base_freq_hz: float, sample_rate_h
     return magnitude
 
 
+def _fundamentals(v_window, i_window, freq_hz: float, sample_rate_hz: float):
+    """Aligned windows, both fundamental magnitudes and their phase shift, each fundamental projected once."""
+    v = _as_window(v_window)
+    i = _as_window(i_window)
+    if v.size != i.size:
+        raise ValueError("voltage and current windows must have equal length")
+    v_mag, v_phase = fundamental_phasor(v, freq_hz, sample_rate_hz)
+    i_mag, i_phase = fundamental_phasor(i, freq_hz, sample_rate_hz)
+    if v_mag == 0.0 or i_mag == 0.0:
+        raise UndefinedFeatureError("phase shift undefined: zero fundamental component")
+    return v, i, v_mag, i_mag, wrap_phase(v_phase - i_phase)
+
+
 def phase_shift(v_window, i_window, freq_hz: float, sample_rate_hz: float) -> float:
     """Fundamental phase of the voltage minus that of the current, in (-pi, pi].
 
@@ -193,15 +206,7 @@ def phase_shift(v_window, i_window, freq_hz: float, sample_rate_hz: float) -> fl
         UndefinedFeatureError: if either signal has a zero fundamental.
         ValueError: if the windows are not aligned (different lengths).
     """
-    v = _as_window(v_window)
-    i = _as_window(i_window)
-    if v.size != i.size:
-        raise ValueError("voltage and current windows must have equal length")
-    v_mag, v_phase = fundamental_phasor(v, freq_hz, sample_rate_hz)
-    i_mag, i_phase = fundamental_phasor(i, freq_hz, sample_rate_hz)
-    if v_mag == 0.0 or i_mag == 0.0:
-        raise UndefinedFeatureError("phase shift undefined: zero fundamental component")
-    return wrap_phase(v_phase - i_phase)
+    return _fundamentals(v_window, i_window, freq_hz, sample_rate_hz)[-1]
 
 
 def active_reactive_power(v_window, i_window, freq_hz: float, sample_rate_hz: float) -> tuple[float, float]:
@@ -213,16 +218,8 @@ def active_reactive_power(v_window, i_window, freq_hz: float, sample_rate_hz: fl
     Raises:
         UndefinedFeatureError: if either fundamental is zero (Q undefined).
     """
-    v = _as_window(v_window)
-    i = _as_window(i_window)
-    if v.size != i.size:
-        raise ValueError("voltage and current windows must have equal length")
-    p_watts = float(np.mean(v * i))
-    v_mag, _ = fundamental_phasor(v, freq_hz, sample_rate_hz)
-    i_mag, _ = fundamental_phasor(i, freq_hz, sample_rate_hz)
-    shift = phase_shift(v, i, freq_hz, sample_rate_hz)
-    q_var = v_mag * i_mag * math.sin(shift)
-    return p_watts, q_var
+    v, i, v_mag, i_mag, shift = _fundamentals(v_window, i_window, freq_hz, sample_rate_hz)
+    return float(np.mean(v * i)), v_mag * i_mag * math.sin(shift)
 
 
 def thd(window, freq_hz: float, sample_rate_hz: float, max_harmonic: int) -> float:

@@ -13,9 +13,16 @@ Waveform files are binary with a fixed 64-byte header:
     52      12    reserved, zeros
     64      ...   raw little-endian IEEE-754 float64 samples
 
-Text artifacts are line-oriented; every format starts with comment lines
-carrying the format name and the config fingerprint, and renders floats
-with 17 significant digits so a write/read/write cycle is byte-identical.
+Samples move between file and array without intermediate copies: the
+reader checks the file size against the header count before allocating,
+then reads straight into the final array; the writer writes the array's
+own buffer.
+
+Text artifacts are line-oriented. Every format begins with its format line
+``# feeder-nilm <tag> v1``, followed by ``# key=value`` comment lines that
+carry the fingerprint (and, for a dataset, its window metadata); floats
+are rendered with 17 significant digits so a write/read/write cycle is
+byte-identical.
 Every artifact is written to a temp file beside it and then renamed over
 it, so an interrupted write leaves the previous artifact intact.
 """
@@ -111,7 +118,7 @@ def write_waveform(path, waveform: Waveform, channel: str, fingerprint_hex: str 
     )
     with _atomic_open(path, "wb") as fh:
         fh.write(header)
-        fh.write(waveform.samples.astype("<f8", copy=False).tobytes())
+        fh.write(waveform.samples.astype("<f8", copy=False))
 
 
 def read_waveform(path) -> tuple[Waveform, str, str]:
@@ -125,16 +132,14 @@ def read_waveform(path) -> tuple[Waveform, str, str]:
             raise FileFormatError(f"{path}: not a waveform file (bad magic)")
         if version != WAVEFORM_VERSION:
             raise FileFormatError(f"{path}: unsupported waveform version {version}")
-        try:
-            channel = tag.decode("ascii")
-        except UnicodeDecodeError:
-            raise FileFormatError(f"{path}: bad channel tag") from None
+        channel = tag.decode("latin-1")  # never fails; a non-ASCII tag is not in CHANNEL_TAGS
         if channel not in CHANNEL_TAGS:
             raise FileFormatError(f"{path}: unknown channel tag {channel!r}")
-        payload = fh.read()
-    if len(payload) != 8 * count:
-        raise FileFormatError(f"{path}: sample payload does not match header count")
-    samples = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+        if os.fstat(fh.fileno()).st_size != _HEADER.size + 8 * count:
+            raise FileFormatError(f"{path}: sample payload does not match header count")
+        samples = np.empty(count, dtype="<f8")
+        if fh.readinto(samples) != samples.nbytes:
+            raise FileFormatError(f"{path}: sample payload does not match header count")
     fingerprint = "" if fp == b"\x00" * 16 else fp.hex()
     try:
         waveform = Waveform(samples, rate, start)
@@ -153,8 +158,13 @@ def _write_text(path, lines: Iterable[str]) -> None:
             fh.write("\n")
 
 
-def _read_tagged_lines(path, tag: str) -> tuple[str, list[str]]:
-    """Returns (fingerprint, non-comment lines); validates the format tag."""
+def _read_tagged_lines(path, tag: str) -> tuple[dict[str, str], list[str]]:
+    """Returns (header values, non-comment lines); validates the format line.
+
+    Header values are the ``key=value`` words of the comment lines after
+    the format line: the fingerprint ('' if absent), and for a dataset its
+    window metadata.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read().splitlines()
@@ -162,16 +172,32 @@ def _read_tagged_lines(path, tag: str) -> tuple[str, list[str]]:
         raise FileFormatError(f"{path}: not a text artifact") from None
     if not raw or raw[0] != f"# feeder-nilm {tag} v1":
         raise FileFormatError(f"{path}: missing '# feeder-nilm {tag} v1' header")
-    fingerprint = ""
+    header = {"fingerprint": ""}
     body: list[str] = []
     for line in raw[1:]:
-        if line.startswith("# fingerprint="):
-            fingerprint = line.split("=", 1)[1]
-        elif line.startswith("#") or not line.strip():
-            continue
-        else:
+        if line.startswith("#"):
+            header.update(word.split("=", 1) for word in line[1:].split() if "=" in word)
+        elif line.strip():
             body.append(line)
-    return fingerprint, body
+    return header, body
+
+
+def _fields(path, line: str, types: tuple, sep: str | None = None) -> tuple:
+    """One body line split on ``sep``, one field per entry of ``types``, each converted by it."""
+    fields = line.split(sep)
+    if len(fields) != len(types):
+        raise FileFormatError(f"{path}: expected {len(types)} fields, got {len(fields)} in {line!r}")
+    try:
+        return tuple(convert(field) for convert, field in zip(types, fields))
+    except ValueError:
+        raise FileFormatError(f"{path}: bad value in line {line!r}") from None
+
+
+def _entries(path, body: list[str]) -> list[tuple[str, str]]:
+    """``key = value`` lines, each split on its first '='."""
+    if any("=" not in line for line in body):
+        raise FileFormatError(f"{path}: expected 'key = value' lines")
+    return [tuple(part.strip() for part in line.split("=", 1)) for line in body]
 
 
 def _header_lines(tag: str, fingerprint: str) -> list[str]:
@@ -180,7 +206,7 @@ def _header_lines(tag: str, fingerprint: str) -> list[str]:
 
 def read_fingerprint(path, tag: str) -> str:
     """Fingerprint of a text artifact without parsing its body."""
-    return _read_tagged_lines(path, tag)[0]
+    return _read_tagged_lines(path, tag)[0]["fingerprint"]
 
 
 # ---------------------------------------------------------------- schedules
@@ -196,21 +222,18 @@ def write_schedule(path, schedule: Schedule, fingerprint: str = "") -> None:
     _write_text(path, lines)
 
 
+def _time_or_idle(field: str) -> float | None:
+    return None if field == "." else float(field)
+
+
 def read_schedule(path, library: dict[str, DeviceModel]) -> tuple[Schedule, str]:
-    fingerprint, body = _read_tagged_lines(path, "schedule")
+    header, body = _read_tagged_lines(path, "schedule")
     per_device: dict[str, list[tuple[float, float, str]]] = {}
     for line in body:
-        fields = line.split()
-        if len(fields) != 4:
-            raise FileFormatError(f"{path}: expected 'device_id start end mode' lines")
-        device_id = fields[0]
-        per_device.setdefault(device_id, [])
-        if fields[1] == ".":
-            continue
-        try:
-            per_device[device_id].append((float(fields[1]), float(fields[2]), fields[3]))
-        except ValueError:
-            raise FileFormatError(f"{path}: bad interval on line {line!r}") from None
+        device_id, start, end, mode = _fields(path, line, (str, _time_or_idle, _time_or_idle, str))
+        intervals = per_device.setdefault(device_id, [])
+        if start is not None:  # an idle device's '. . .' placeholder adds no interval
+            intervals.append((start, end, mode))
     devices = []
     for device_id, intervals in per_device.items():
         class_name = device_id.split("#", 1)[0]
@@ -220,9 +243,9 @@ def read_schedule(path, library: dict[str, DeviceModel]) -> tuple[Schedule, str]
             devices.append(
                 DeviceSchedule(device_id, class_name, library[class_name].is_medical, tuple(intervals))
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:  # TypeError: an interval whose end is '.'
             raise FileFormatError(f"{path}: {exc}") from None
-    return Schedule(tuple(devices)), fingerprint
+    return Schedule(tuple(devices)), header["fingerprint"]
 
 
 # ------------------------------------------------------------- ground truth
@@ -236,22 +259,13 @@ def write_ground_truth(path, truth: GroundTruthSeries, fingerprint: str = "") ->
 
 
 def read_ground_truth(path) -> tuple[GroundTruthSeries, str]:
-    fingerprint, body = _read_tagged_lines(path, "ground-truth")
-    timestamps, counts = [], []
-    for line in body:
-        fields = line.split()
-        if len(fields) != 2:
-            raise FileFormatError(f"{path}: expected 'timestamp count' lines")
-        try:
-            timestamps.append(float(fields[0]))
-            counts.append(int(fields[1]))
-        except ValueError:
-            raise FileFormatError(f"{path}: bad ground-truth line {line!r}") from None
+    header, body = _read_tagged_lines(path, "ground-truth")
+    rows = [_fields(path, line, (float, int)) for line in body]
     try:
-        truth = GroundTruthSeries(np.asarray(timestamps), np.asarray(counts))
+        truth = GroundTruthSeries(np.asarray([t for t, _ in rows]), np.asarray([c for _, c in rows]))
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from None
-    return truth, fingerprint
+    return truth, header["fingerprint"]
 
 
 # ------------------------------------------------------------------ dataset
@@ -272,50 +286,25 @@ def write_dataset(path, dataset: FeatureDataset, fingerprint: str = "") -> None:
 
 
 def read_dataset(path) -> tuple[FeatureDataset, str]:
-    fingerprint, body = _read_tagged_lines(path, "dataset")
-    meta: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("# window_s="):
-                meta = dict(part.split("=", 1) for part in line[2:].split())
-                break
-    if not meta or not body:
-        raise FileFormatError(f"{path}: missing dataset metadata or header row")
-    header = body[0].split(",")
-    if header[0] != "t_start_s" or header[-2:] != ["y", "valid"]:
-        raise FileFormatError(f"{path}: bad dataset header row")
-    features = tuple(header[1:-2])
+    meta, body = _read_tagged_lines(path, "dataset")
+    columns = (body or [""])[0].split(",")
+    if columns[0] != "t_start_s" or columns[-2:] != ["y", "valid"]:
+        raise FileFormatError(f"{path}: missing or bad dataset header row")
     try:
-        spec = FeatureSpec(features, float(meta["f0_hz"]), int(meta["max_harmonic"]))
-        window_s = float(meta["window_s"])
-        stride_s = float(meta["stride_s"])
+        spec = FeatureSpec(tuple(columns[1:-2]), float(meta["f0_hz"]), int(meta["max_harmonic"]))
+        window_s, stride_s = float(meta["window_s"]), float(meta["stride_s"])
     except (KeyError, ValueError) as exc:
         raise FileFormatError(f"{path}: bad dataset metadata ({exc})") from None
-    t_start, rows, y, valid = [], [], [], []
-    for line in body[1:]:
-        fields = line.split(",")
-        if len(fields) != len(header):
-            raise FileFormatError(f"{path}: row width disagrees with header")
-        try:
-            t_start.append(float(fields[0]))
-            rows.append([float(x) for x in fields[1:-2]])
-            y.append(int(fields[-2]))
-            valid.append(bool(int(fields[-1])))
-        except ValueError:
-            raise FileFormatError(f"{path}: bad dataset row {line!r}") from None
+    types = (float,) * (len(columns) - 2) + (int, int)
+    rows = np.array([_fields(path, line, types, ",") for line in body[1:]], dtype=np.float64)
+    rows = rows.reshape(-1, len(columns))  # y and valid are exact small integers in float64
     try:
         dataset = FeatureDataset(
-            np.asarray(rows, dtype=np.float64).reshape(len(rows), len(features)),
-            np.asarray(y),
-            np.asarray(t_start),
-            np.asarray(valid),
-            window_s,
-            stride_s,
-            spec,
+            rows[:, 1:-2], rows[:, -2], rows[:, 0], rows[:, -1] != 0, window_s, stride_s, spec
         )
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from None
-    return dataset, fingerprint
+    return dataset, meta["fingerprint"]
 
 
 # -------------------------------------------------------------------- model
@@ -340,35 +329,30 @@ def write_model(path, params: RegressorParams, fingerprint: str = "") -> None:
 
 
 def read_model(path) -> tuple[RegressorParams, str]:
-    fingerprint, body = _read_tagged_lines(path, "model")
-    values: dict[str, str] = {}
-    for line in body:
-        if "=" not in line:
-            raise FileFormatError(f"{path}: expected 'key = value' lines")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+    header, body = _read_tagged_lines(path, "model")
+    values = dict(_entries(path, body))
+
+    def floats(key: str) -> np.ndarray:
+        return np.asarray([float(x) for x in values[key].split()], dtype=np.float64)
+
+    if values.get("format_version") != "1":
+        raise FileFormatError(f"{path}: unsupported model format_version")
     try:
-        if values.get("format_version") != "1":
-            raise FileFormatError(f"{path}: unsupported model format_version")
         sizes = tuple(int(s) for s in values["layer_sizes"].split())
         stats = NormStats(
             tuple(values["input_features"].split()),
             tuple(int(i) for i in values["kept_indices"].split()),
-            np.asarray([float(x) for x in values["norm_mean"].split()]),
-            np.asarray([float(x) for x in values["norm_std"].split()]),
+            floats("norm_mean"),
+            floats("norm_std"),
         )
         weights, biases = [], []
         for layer, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-            w = np.asarray([float(x) for x in values[f"W{layer}"].split()], dtype=np.float64)
-            b = np.asarray([float(x) for x in values[f"b{layer}"].split()], dtype=np.float64)
-            weights.append(w.reshape(fan_out, fan_in))
-            biases.append(b)
+            weights.append(floats(f"W{layer}").reshape(fan_out, fan_in))
+            biases.append(floats(f"b{layer}"))
         params = RegressorParams(sizes, weights, biases, int(values["init_seed"]), stats)
-    except FileFormatError:
-        raise
     except (KeyError, ValueError) as exc:
         raise FileFormatError(f"{path}: bad model file ({exc})") from None
-    return params, fingerprint
+    return params, header["fingerprint"]
 
 
 # ------------------------------------------------------------------- report
@@ -383,14 +367,8 @@ def write_report_lines(path, entries: list[tuple[str, str]], fingerprint: str = 
 
 
 def read_report_lines(path) -> tuple[list[tuple[str, str]], str]:
-    fingerprint, body = _read_tagged_lines(path, "report")
-    entries: list[tuple[str, str]] = []
-    for line in body:
-        if "=" not in line:
-            raise FileFormatError(f"{path}: expected 'key = value' lines")
-        key, value = line.split("=", 1)
-        entries.append((key.strip(), value.strip()))
-    return entries, fingerprint
+    header, body = _read_tagged_lines(path, "report")
+    return _entries(path, body), header["fingerprint"]
 
 
 def write_residuals(path, t_start_s, y_true, y_continuous, y_rounded, fingerprint: str = "") -> None:
@@ -413,14 +391,5 @@ def write_ranking(path, ranking: list[tuple[str, float]], fingerprint: str = "")
 
 
 def read_ranking(path) -> tuple[list[tuple[str, float]], str]:
-    fingerprint, body = _read_tagged_lines(path, "ranking")
-    ranking: list[tuple[str, float]] = []
-    for line in body:
-        fields = line.split()
-        if len(fields) != 2:
-            raise FileFormatError(f"{path}: expected 'feature_id score' lines")
-        try:
-            ranking.append((fields[0], float(fields[1])))
-        except ValueError:
-            raise FileFormatError(f"{path}: bad ranking line {line!r}") from None
-    return ranking, fingerprint
+    header, body = _read_tagged_lines(path, "ranking")
+    return [_fields(path, line, (str, float)) for line in body], header["fingerprint"]

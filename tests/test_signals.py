@@ -225,6 +225,31 @@ class TestActiveReactivePower:
         assert p == pytest.approx(1.0, abs=1e-3)
         assert q == pytest.approx(math.sqrt(3.0), abs=1e-3)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bit_equal_to_separate_scalar_functions(self, grid, seed):
+        # One projection per fundamental gives the same bits as P = mean(v*i) and
+        # Q = |V1| |I1| sin(phase_shift) computed by the separate scalar functions.
+        f0, fs = grid
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(200, 2000))
+        v = rng.normal(0.0, 100.0, n) + sine(f0, fs, n * f0 / fs, amplitude=170.0, phase=rng.uniform(-3, 3))
+        i = rng.normal(0.0, 2.0, n) + sine(f0, fs, n * f0 / fs, amplitude=5.0, phase=rng.uniform(-3, 3))
+        p, q = sg.active_reactive_power(v, i, f0, fs)
+        v_mag, v_phase = sg.fundamental_phasor(v, f0, fs)
+        i_mag, i_phase = sg.fundamental_phasor(i, f0, fs)
+        shift = sg.phase_shift(v, i, f0, fs)
+        assert shift == sg.wrap_phase(v_phase - i_phase)
+        assert p == float(np.mean(v * i))
+        assert q == v_mag * i_mag * math.sin(shift)
+
+    def test_zero_fundamental_undefined(self, grid):
+        f0, fs = grid
+        v = sine(f0, fs, 12)
+        with pytest.raises(UndefinedFeatureError):
+            sg.active_reactive_power(v, np.zeros_like(v), f0, fs)
+        with pytest.raises(UndefinedFeatureError):
+            sg.active_reactive_power(np.zeros_like(v), v, f0, fs)
+
 
 class TestThd:
     def test_pure_sine(self, grid):

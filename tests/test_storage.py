@@ -85,6 +85,23 @@ class TestWaveformFile:
         with pytest.raises(FileFormatError):
             read_waveform(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.fnwv"
+        write_waveform(path, Waveform(np.zeros(10), 100.0), "VOLT")
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(FileFormatError, match="long.fnwv"):
+            read_waveform(path)
+
+    def test_huge_count_rejected_before_allocation(self, tmp_path):
+        # A corrupt count must be refused from the file size, not by a failed allocation.
+        path = tmp_path / "huge.fnwv"
+        write_waveform(path, Waveform(np.zeros(10), 100.0), "VOLT")
+        raw = bytearray(path.read_bytes())
+        raw[24:32] = (2**60).to_bytes(8, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FileFormatError, match="huge.fnwv"):
+            read_waveform(path)
+
 
 class TestScheduleFile:
     def test_round_trip(self, tmp_path):
@@ -300,3 +317,86 @@ class TestAtomicWrites:
         write_ranking(path, [("h3", 1.0)], FP)
         assert read_ranking(path) == ([("h3", 1.0)], FP)
         assert os.listdir(tmp_path) == ["ranking.txt"]
+
+
+def _schedule_with_idle_device():
+    return Schedule(
+        (
+            DeviceSchedule(
+                "ventilator#0", "ventilator", True, ((0.5, 20.25, "run"), (30.0, 45.0, "standby"))
+            ),
+            DeviceSchedule("lighting#0", "lighting", False, ()),
+        )
+    )
+
+
+def _write_sample(path, kind):
+    """A valid artifact of ``kind`` at ``path``."""
+    if kind == "schedule":
+        write_schedule(path, _schedule_with_idle_device(), FP)
+    elif kind == "ground-truth":
+        truth = GroundTruthSeries(np.arange(6, dtype=float), np.array([0, 1, 2, 1, 0, 3]))
+        write_ground_truth(path, truth, FP)
+    elif kind == "ranking":
+        write_ranking(path, [("h3", 1234.5), ("i_rms", 0.75)], FP)
+    elif kind == "dataset":
+        write_dataset(path, TestDatasetFile().make_dataset(), FP)
+    elif kind == "model":
+        write_model(path, TestModelFile().make_params(), FP)
+    else:
+        write_report_lines(path, [("format_version", "1"), ("mae_rounded", "0.25")], FP)
+
+
+_READERS = {
+    "schedule": lambda path: read_schedule(path, default_library()),
+    "ground-truth": read_ground_truth,
+    "ranking": read_ranking,
+    "dataset": read_dataset,
+    "model": read_model,
+    "report": read_report_lines,
+}
+
+# (artifact kind, appended line): a wrong field count (too few or too many),
+# then a non-numeric number. Report values are free text, so a report has
+# only the field-count case.
+_BAD_LINES = [
+    ("schedule", "ventilator#1 3.0 4.0"),
+    ("schedule", "ventilator#1 3.0 four run"),
+    ("ground-truth", "7.0 1 1"),
+    ("ground-truth", "7.0 seven"),
+    ("ranking", "thd 0.5 0.25"),
+    ("ranking", "thd high"),
+    ("dataset", "1.0,2.0,3.0"),
+    ("dataset", "1.0,2.0,x,4.0,1,1"),
+    ("model", "init_seed"),
+    ("model", "init_seed = eleven"),
+    ("report", "mae_rounded 0.25"),
+]
+
+
+class TestSharedParser:
+    @pytest.mark.parametrize("kind, line", _BAD_LINES, ids=[f"{k}:{l}" for k, l in _BAD_LINES])
+    def test_bad_line_rejected_naming_file(self, tmp_path, kind, line):
+        path = tmp_path / f"bad-{kind}.txt"
+        _write_sample(path, kind)
+        _READERS[kind](path)  # the untouched file reads
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(FileFormatError, match=f"bad-{kind}.txt"):
+            _READERS[kind](path)
+
+    @pytest.mark.parametrize("kind", ["schedule", "ground-truth", "ranking"])
+    def test_write_read_write_byte_identical(self, tmp_path, kind):
+        first = tmp_path / "a.txt"
+        second = tmp_path / "b.txt"
+        _write_sample(first, kind)
+        loaded, fingerprint = _READERS[kind](first)
+        assert fingerprint == FP
+        if kind == "schedule":
+            assert loaded == _schedule_with_idle_device()
+            write_schedule(second, loaded, fingerprint)
+        elif kind == "ground-truth":
+            write_ground_truth(second, loaded, fingerprint)
+        else:
+            write_ranking(second, loaded, fingerprint)
+        assert first.read_bytes() == second.read_bytes()
