@@ -1,9 +1,10 @@
 """Parametric steady-state appliance signatures and the harmonic synthesis kernel.
 
 ``add_harmonics`` turns summed mode phasors (``mode_phasors``) into
-samples; ``synth_device_current`` and the feeder synthesis in
-``simulate`` both use it, and ``mode_current_samples`` is the scalar
-reference it is tested against.
+samples; the feeder synthesis in ``simulate`` uses it, and
+``mode_current_samples`` is the scalar reference it is tested against.
+``characterization_vectors`` gives the repeated per-mode feature
+vectors that ``select-features`` ranks.
 
 A device class is described by named operational modes, each mode by a
 set of harmonic phasors (RMS amperes, radians, sine convention) plus a
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import Waveform, wrap_phase
+from .signals import wrap_phase
 
 __all__ = [
     "LibraryFormatError",
@@ -33,8 +34,6 @@ __all__ = [
     "mode_current_samples",
     "mode_phasors",
     "add_harmonics",
-    "synth_device_current",
-    "device_signature_features",
     "characterization_vectors",
     "default_library",
     "save_device_library",
@@ -135,32 +134,30 @@ class DeviceModel:
         return max((m.max_order for m in self.modes), default=0)
 
 
-def mode_current_samples(mode: DeviceMode, t_s: np.ndarray, f0_hz: float, phase_offset_rad: float = 0.0) -> np.ndarray:
+def mode_current_samples(mode: DeviceMode, t_s: np.ndarray, f0_hz: float) -> np.ndarray:
     """Noiseless current of ``mode`` at absolute times ``t_s`` (seconds).
 
-    i(t) = sum_h sqrt(2) * M_h * sin(2*pi*h*f0*t + phi_h + h*phase_offset)
+    i(t) = sum_h sqrt(2) * M_h * sin(2*pi*h*f0*t + phi_h)
     """
     out = np.zeros_like(t_s, dtype=np.float64)
     for h in mode.harmonics:
         if h.magnitude_rms_amps == 0.0:
             continue
         omega = 2.0 * math.pi * h.harmonic_order * f0_hz
-        total_phase = h.phase_rad + h.harmonic_order * phase_offset_rad
-        out += math.sqrt(2.0) * h.magnitude_rms_amps * np.sin(omega * t_s + total_phase)
+        out += math.sqrt(2.0) * h.magnitude_rms_amps * np.sin(omega * t_s + h.phase_rad)
     return out
 
 
-def mode_phasors(mode: DeviceMode, max_order: int, phase_offset_rad: float = 0.0) -> np.ndarray:
+def mode_phasors(mode: DeviceMode, max_order: int) -> np.ndarray:
     """Complex amplitudes of ``mode``'s current indexed by harmonic order (0..max_order).
 
-    Entry h is sqrt(2) * M_h * exp(j * (phi_h + h * phase_offset)), so the
-    current is sum_h Im(entry_h * exp(j*2*pi*h*f0*t)), as in
-    ``mode_current_samples``. Phasors of concurrent modes add.
+    Entry h is sqrt(2) * M_h * exp(j * phi_h), so the current is
+    sum_h Im(entry_h * exp(j*2*pi*h*f0*t)), as in ``mode_current_samples``.
+    Phasors of concurrent modes add.
     """
     out = np.zeros(max_order + 1, dtype=np.complex128)
     for h in mode.harmonics:
-        total_phase = h.phase_rad + h.harmonic_order * phase_offset_rad
-        out[h.harmonic_order] = math.sqrt(2.0) * h.magnitude_rms_amps * cmath.exp(1j * total_phase)
+        out[h.harmonic_order] = math.sqrt(2.0) * h.magnitude_rms_amps * cmath.exp(1j * h.phase_rad)
     return out
 
 
@@ -216,63 +213,6 @@ def _check_aliasing(mode: DeviceMode, f0_hz: float, sample_rate_hz: float) -> No
             f"mode {mode.name!r}: harmonic order {mode.max_order} aliases at "
             f"{sample_rate_hz} Hz sampling"
         )
-
-
-def synth_device_current(
-    model: DeviceModel,
-    mode_name: str,
-    duration_s: float,
-    sample_rate_hz: float,
-    f0_hz: float,
-    phase_offset_rad: float = 0.0,
-    rng_seed: int = 0,
-) -> Waveform:
-    """Synthesize one device's current in a fixed mode over ``duration_s``.
-
-    Deterministic given ``rng_seed``; the seed only drives the mode's
-    wideband noise. Raises KeyError for an unknown mode and ValueError if
-    the highest harmonic would alias.
-    """
-    mode = model.mode(mode_name)
-    _check_aliasing(mode, f0_hz, sample_rate_hz)
-    n = int(round(duration_s * sample_rate_hz))
-    if n < 1:
-        raise ValueError("duration_s too short for one sample")
-    samples = np.zeros(n, dtype=np.float64)
-    add_harmonics(samples, 0, mode_phasors(mode, mode.max_order, phase_offset_rad), sample_rate_hz, f0_hz)
-    if mode.noise_rms_amps > 0.0:
-        rng = np.random.default_rng(rng_seed)
-        samples = samples + rng.normal(0.0, mode.noise_rms_amps, n)
-    return Waveform(samples, sample_rate_hz, 0.0)
-
-
-def device_signature_features(
-    model: DeviceModel,
-    mode_name: str,
-    window_s: float,
-    sample_rate_hz: float,
-    f0_hz: float,
-    feature_spec,
-    voltage_rms: float = NOMINAL_VOLTAGE_RMS,
-) -> np.ndarray:
-    """Feature vector of one noiseless window of the mode against a nominal voltage.
-
-    Used for lab-style characterization: feature ranking and signature
-    documentation. Features that are undefined on the window (all modes
-    'off', say) are reported as 0.0.
-    """
-    from .featurize import evaluate_window  # imported lazily to avoid an import cycle
-
-    mode = model.mode(mode_name)
-    _check_aliasing(mode, feature_spec.f0_hz, sample_rate_hz)
-    n = int(round(window_s * sample_rate_hz))
-    if n < 1:
-        raise ValueError("window_s too short for one sample")
-    t = np.arange(n, dtype=np.float64) / sample_rate_hz
-    current = mode_current_samples(mode, t, f0_hz)
-    voltage = math.sqrt(2.0) * voltage_rms * np.sin(2.0 * math.pi * f0_hz * t)
-    row, _ = evaluate_window(voltage, current, feature_spec, sample_rate_hz)
-    return row
 
 
 def characterization_vectors(

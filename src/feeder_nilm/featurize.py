@@ -213,9 +213,9 @@ def featurize(
 ) -> FeatureDataset:
     """Window the aligned trace and evaluate the feature spec per window.
 
-    n_windows = floor((duration - window_s) / stride_s) + 1; window k
-    covers [k*stride_s, k*stride_s + window_s). Targets come from
-    ``window_targets`` over the same window grid.
+    Windows are ``round(window_s * fs)`` samples long, one every
+    ``round(stride_s * fs)`` samples, as many as fit in the trace.
+    Targets come from ``window_targets`` over that same sample grid.
     """
     if (
         voltage.n_samples != current.n_samples
@@ -232,7 +232,7 @@ def featurize(
         raise ValueError("window_s exceeds the trace duration")
     windows = [np.lib.stride_tricks.sliding_window_view(w.samples, window_len)[::stride_len] for w in (voltage, current)]
     n_windows = len(windows[0])
-    y = window_targets(truth, window_s, stride_s, n_windows=n_windows)
+    y = window_targets(truth, window_len / fs, stride_len / fs, n_windows=n_windows)
     X, valid = evaluate_window(*windows, spec, fs)
     t_start = voltage.start_time_s + np.arange(n_windows) * stride_len / fs
     return FeatureDataset(X, y, t_start, valid, window_s, stride_s, spec)

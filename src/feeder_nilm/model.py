@@ -106,12 +106,8 @@ def _softplus(z: np.ndarray) -> np.ndarray:
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # Numerically stable logistic; derivative of softplus.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _forward_pass(params: RegressorParams, X: np.ndarray):
@@ -180,17 +176,17 @@ def loss_and_gradient(params: RegressorParams, batch_X, batch_y, l2: float = 0.0
     # through the softplus head: d softplus(z) = sigmoid(z)
     delta = (d_yhat * _sigmoid(pre[-1])[:, 0])[:, None]
 
-    grad_w = [np.zeros_like(w) for w in params.weights]
-    grad_b = [np.zeros_like(b) for b in params.biases]
+    grad_w: list[np.ndarray] = []
+    grad_b: list[np.ndarray] = []
     for layer in range(len(params.weights) - 1, -1, -1):
-        grad_w[layer] = delta.T @ act[layer]
-        grad_b[layer] = delta.sum(axis=0)
+        gw = delta.T @ act[layer]
+        if l2 > 0.0:
+            gw += l2 * params.weights[layer]
+        grad_w.append(gw)
+        grad_b.append(delta.sum(axis=0))
         if layer > 0:
             delta = (delta @ params.weights[layer]) * (pre[layer - 1] > 0.0)
-    if l2 > 0.0:
-        for layer, w in enumerate(params.weights):
-            grad_w[layer] += l2 * w
-    return loss, grad_w, grad_b
+    return loss, grad_w[::-1], grad_b[::-1]
 
 
 def _penalty(params: RegressorParams, l2: float) -> float:
@@ -235,9 +231,8 @@ def run_epochs(params, train_set, val_set, config: TrainConfig, permutations):
             _, grad_w, grad_b = loss_and_gradient(
                 current, X_train[idx], y_train[idx], config.l2_penalty
             )
-            for w, gw in zip(current.weights, grad_w):
+            for w, b, gw, gb in zip(current.weights, current.biases, grad_w, grad_b):
                 w -= config.learning_rate * gw
-            for b, gb in zip(current.biases, grad_b):
                 b -= config.learning_rate * gb
         train_obj = _data_loss(current, X_train, y_train) + _penalty(current, config.l2_penalty)
         val_loss = _data_loss(current, X_val, y_val)

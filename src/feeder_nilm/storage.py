@@ -222,18 +222,14 @@ def write_schedule(path, schedule: Schedule, fingerprint: str = "") -> None:
     _write_text(path, lines)
 
 
-def _time_or_idle(field: str) -> float | None:
-    return None if field == "." else float(field)
-
-
 def read_schedule(path, library: dict[str, DeviceModel]) -> tuple[Schedule, str]:
     header, body = _read_tagged_lines(path, "schedule")
     per_device: dict[str, list[tuple[float, float, str]]] = {}
     for line in body:
-        device_id, start, end, mode = _fields(path, line, (str, _time_or_idle, _time_or_idle, str))
+        device_id, *interval = line.split()
         intervals = per_device.setdefault(device_id, [])
-        if start is not None:  # an idle device's '. . .' placeholder adds no interval
-            intervals.append((start, end, mode))
+        if interval != [".", ".", "."]:  # only an idle device's exact placeholder adds no interval
+            intervals.append(_fields(path, line, (str, float, float, str))[1:])
     devices = []
     for device_id, intervals in per_device.items():
         class_name = device_id.split("#", 1)[0]
@@ -243,7 +239,7 @@ def read_schedule(path, library: dict[str, DeviceModel]) -> tuple[Schedule, str]
             devices.append(
                 DeviceSchedule(device_id, class_name, library[class_name].is_medical, tuple(intervals))
             )
-        except (TypeError, ValueError) as exc:  # TypeError: an interval whose end is '.'
+        except ValueError as exc:
             raise FileFormatError(f"{path}: {exc}") from None
     return Schedule(tuple(devices)), header["fingerprint"]
 

@@ -13,7 +13,8 @@ from feeder_nilm.config import (
     scenario_fingerprint,
 )
 from feeder_nilm.config import model_fingerprint
-from feeder_nilm.storage import read_dataset, read_fingerprint, read_report_lines, read_waveform
+from feeder_nilm.simulate import window_targets
+from feeder_nilm.storage import read_dataset, read_fingerprint, read_ground_truth, read_report_lines, read_waveform
 
 SMALL_CONFIG = """
 [scenario]
@@ -220,6 +221,20 @@ class TestPipeline:
         out = str(tmp_path / "out")
         assert run("pipeline", "--config", config_path, "--out", out, "--quiet") == 0
         assert os.path.exists(os.path.join(out, "report.txt"))
+
+    def test_window_labels_use_the_feature_sample_grid(self, tmp_path):
+        # At 10 kHz a 5.00004 s window rounds to the 50 000 samples of a 5 s one: same windows, same labels.
+        smoke = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "smoke.cfg")
+        with open(smoke, encoding="utf-8") as fh:
+            text = fh.read()
+        assert "\nwindow_s = 5\nstride_s = 2.5\n" in text
+        path = tmp_path / "odd_window.cfg"
+        path.write_text(text.replace("\nwindow_s = 5\n", "\nwindow_s = 5.00004\n"))
+        out = tmp_path / "out"
+        assert run("pipeline", "--config", str(path), "--out", str(out), "--quiet") == 0
+        dataset, _ = read_dataset(out / "dataset.csv")
+        truth, _ = read_ground_truth(out / "ground_truth.txt")
+        assert np.array_equal(dataset.y, window_targets(truth, 5.0, 2.5))
 
     def test_pipeline_idempotent_when_current(self, config_path, tmp_path, capsys):
         out = str(tmp_path / "out")

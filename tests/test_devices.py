@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,15 +14,16 @@ from feeder_nilm.devices import (
     HarmonicSpec,
     LibraryFormatError,
     OFF_MODE,
+    add_harmonics,
     characterization_vectors,
     default_library,
-    device_signature_features,
     load_device_library,
     mode_current_samples,
+    mode_phasors,
     save_device_library,
-    synth_device_current,
 )
 from feeder_nilm.featurize import FEATURE_IDS, FeatureSpec
+from feeder_nilm.simulate import DeviceSchedule, ScenarioConfig, Schedule, synthesize_feeder
 
 
 def make_model(*harmonics, noise=0.0, name="widget"):
@@ -60,92 +62,77 @@ class TestValidation:
             make_model((1, 1.0)).mode("turbo")
 
 
+def kernel_current(mode, duration_s, fs, f0):
+    """Samples of ``mode`` running alone from sample 0, made by the kernel the feeder uses."""
+    out = np.zeros(int(round(duration_s * fs)))
+    add_harmonics(out, 0, mode_phasors(mode, mode.max_order), fs, f0)
+    return out
+
+
+def signature(model, spec, window_s, fs):
+    """The one characterization vector of a noiseless single-mode ``model``."""
+    (vector,) = characterization_vectors(model, spec, window_s, fs, repetitions=1)
+    return vector
+
+
 class TestSynthesis:
     def test_single_harmonic_rms(self, grid):
         f0, fs = grid
-        model = make_model((1, 2.0))
-        w = synth_device_current(model, "on", 0.5, fs, f0)
-        assert sg.rms(w.samples) == pytest.approx(2.0, abs=1e-6)
+        current = kernel_current(make_model((1, 2.0)).mode("on"), 0.5, fs, f0)
+        assert sg.rms(current) == pytest.approx(2.0, abs=1e-6)
 
     def test_off_is_silent(self, grid):
         f0, fs = grid
-        w = synth_device_current(make_model((1, 2.0)), "off", 0.25, fs, f0)
-        assert not w.samples.any()
+        current = kernel_current(make_model((1, 2.0)).mode("off"), 0.25, fs, f0)
+        assert current.size == 2500 and not current.any()
 
     def test_parseval_two_harmonics(self, grid):
         # rms^2 = 3.0^2 + 0.4^2 = 9.16 for orthogonal harmonics.
         f0, fs = grid
-        model = make_model((1, 3.0), (3, 0.4, 1.2))
-        w = synth_device_current(model, "on", 0.5, fs, f0)
-        assert sg.rms(w.samples) == pytest.approx(math.sqrt(9.16), abs=1e-4)
-
-    def test_determinism_bit_identical(self, grid):
-        f0, fs = grid
-        model = make_model((1, 1.0), noise=0.05)
-        a = synth_device_current(model, "on", 0.3, fs, f0, rng_seed=11)
-        b = synth_device_current(model, "on", 0.3, fs, f0, rng_seed=11)
-        assert np.array_equal(a.samples, b.samples)
-        c = synth_device_current(model, "on", 0.3, fs, f0, rng_seed=12)
-        assert not np.array_equal(a.samples, c.samples)
+        current = kernel_current(make_model((1, 3.0), (3, 0.4, 1.2)).mode("on"), 0.5, fs, f0)
+        assert sg.rms(current) == pytest.approx(math.sqrt(9.16), abs=1e-4)
 
     def test_linearity_in_magnitudes(self, grid):
         f0, fs = grid
-        base = make_model((1, 0.7, -0.3), (5, 0.2, 0.8))
-        scaled = make_model((1, 3.0 * 0.7, -0.3), (5, 3.0 * 0.2, 0.8))
-        a = synth_device_current(base, "on", 0.2, fs, f0)
-        b = synth_device_current(scaled, "on", 0.2, fs, f0)
-        assert np.max(np.abs(b.samples - 3.0 * a.samples)) < 1e-12
+        base = make_model((1, 0.7, -0.3), (5, 0.2, 0.8)).mode("on")
+        scaled = make_model((1, 3.0 * 0.7, -0.3), (5, 3.0 * 0.2, 0.8)).mode("on")
+        a = kernel_current(base, 0.2, fs, f0)
+        b = kernel_current(scaled, 0.2, fs, f0)
+        assert np.max(np.abs(b - 3.0 * a)) < 1e-12
 
     def test_periodicity(self, grid):
         f0, fs = grid
-        model = make_model((1, 1.5, 0.4), (3, 0.3, -1.0), (7, 0.1, 2.0))
-        w = synth_device_current(model, "on", 0.5, fs, f0)
+        mode = make_model((1, 1.5, 0.4), (3, 0.3, -1.0), (7, 0.1, 2.0)).mode("on")
+        current = kernel_current(mode, 0.5, fs, f0)
         period_samples = int(round(3 * fs / f0))  # 3 cycles land exactly on the 10 kHz grid
-        shifted = w.samples[period_samples:]
-        assert np.max(np.abs(shifted - w.samples[: shifted.size])) < 1e-9
-
-    def test_phase_offset_rotates_harmonics(self, grid):
-        # Order h rotates by h * offset, keeping the waveform a pure time shift.
-        f0, fs = grid
-        offset = 0.6
-        model = make_model((1, 1.0), (3, 0.4, 0.2))
-        w = synth_device_current(model, "on", 0.2, fs, f0, phase_offset_rad=offset)
-        _, fundamental_phase = sg.fundamental_phasor(w.samples, f0, fs)
-        _, third_phase = sg.fundamental_phasor(w.samples, 3 * f0, fs)
-        assert sg.wrap_phase(fundamental_phase - offset) == pytest.approx(0.0, abs=1e-6)
-        assert sg.wrap_phase(third_phase - (0.2 + 3 * offset)) == pytest.approx(0.0, abs=1e-6)
+        shifted = current[period_samples:]
+        assert np.max(np.abs(shifted - current[: shifted.size])) < 1e-9
 
     def test_aliasing_rejected(self):
-        model = make_model((7, 1.0))
-        with pytest.raises(ValueError):
-            synth_device_current(model, "on", 0.5, 800.0, 60.0)
-
-    def test_unknown_mode(self, grid):
-        f0, fs = grid
-        with pytest.raises(KeyError):
-            synth_device_current(make_model((1, 1.0)), "sleep", 0.5, fs, f0)
+        # The 7th harmonic of 60 Hz (420 Hz) is above the 400 Hz Nyquist frequency of 800 Hz sampling.
+        library = {"widget": make_model((7, 1.0))}
+        cfg = ScenarioConfig(duration_s=0.5, sample_rate_hz=800.0, f0_hz=60.0)
+        schedule = Schedule((DeviceSchedule("widget#0", "widget", False, ((0.0, 0.5, "on"),)),))
+        with pytest.raises(ValueError, match="aliases"):
+            synthesize_feeder(cfg, schedule, library)
 
 
 class TestSignatureFeatures:
     def test_resistive_mode_zero_phase_shift(self, grid):
         f0, fs = grid
-        spec = FeatureSpec(("phase_shift",), f0)
-        vec = device_signature_features(make_model((1, 4.0)), "on", 0.2, fs, f0, spec)
+        vec = signature(make_model((1, 4.0)), FeatureSpec(("phase_shift",), f0), 0.2, fs)
         assert vec[0] == pytest.approx(0.0, abs=1e-4)
 
     def test_fundamental_only_zero_thd(self, grid):
         f0, fs = grid
-        spec = FeatureSpec(("thd",), f0)
-        vec = device_signature_features(make_model((1, 4.0, -0.5)), "on", 0.2, fs, f0, spec)
+        vec = signature(make_model((1, 4.0, -0.5)), FeatureSpec(("thd",), f0), 0.2, fs)
         assert vec[0] == pytest.approx(0.0, abs=1e-4)
 
     def test_ventilator_run_matches_primitives(self, grid):
         # Per-primitive oracle: recompute every feature directly on the same window.
         f0, fs = grid
-        spec = FeatureSpec()
-        library = default_library()
-        vec = device_signature_features(library["ventilator"], "run", 0.5, fs, f0, spec)
-        mode = library["ventilator"].mode("run")
+        mode = replace(default_library()["ventilator"].mode("run"), noise_rms_amps=0.0)
+        vec = signature(DeviceModel("ventilator", True, (OFF_MODE, mode)), FeatureSpec(), 0.5, fs)
         n = int(round(0.5 * fs))
         t = np.arange(n) / fs
         i = mode_current_samples(mode, t, f0)

@@ -358,10 +358,12 @@ _READERS = {
 
 # (artifact kind, appended line): a wrong field count (too few or too many),
 # then a non-numeric number. Report values are free text, so a report has
-# only the field-count case.
+# only the field-count case. A schedule line is an idle device only when it
+# is the exact '. . .' placeholder.
 _BAD_LINES = [
     ("schedule", "ventilator#1 3.0 4.0"),
     ("schedule", "ventilator#1 3.0 four run"),
+    ("schedule", "ventilator#0 . 3.0 run"),
     ("ground-truth", "7.0 1 1"),
     ("ground-truth", "7.0 seven"),
     ("ranking", "thd 0.5 0.25"),
