@@ -7,9 +7,9 @@ are running behind the feeder.
 """
 
 from .devices import DeviceMode, DeviceModel, HarmonicSpec, default_library
-from .evaluate import EvalReport, baseline_report, evaluate, mae
+from .evaluate import EvalReport, evaluate, mae
 from .featurize import FeatureDataset, FeatureSpec, NormStats, featurize, rank_features
-from .model import RegressorParams, TrainConfig, init_params, forward, predict_count, train
+from .model import RegressorParams, TrainConfig, init_params, train
 from .signals import Waveform
 from .simulate import (
     GroundTruthSeries,
@@ -44,12 +44,9 @@ __all__ = [
     "RegressorParams",
     "TrainConfig",
     "init_params",
-    "forward",
-    "predict_count",
     "train",
     "EvalReport",
     "mae",
     "evaluate",
-    "baseline_report",
     "__version__",
 ]

@@ -13,8 +13,10 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import storage as st
-from .evaluate import baseline_report, evaluate, median_count
+from .evaluate import evaluate, median_count, report_from_predictions
 from .featurize import (
     FeatureDataset,
     FeatureSpec,
@@ -220,9 +222,9 @@ def stage_eval(config: RunConfig, library: Library, out: str, quiet: bool) -> No
         raise ContractError(f"{ARTIFACTS['model']} feature layout does not match {ARTIFACTS['dataset']}")
 
     train_part, _, test_part = _split_rows(config, dataset)
-    report = evaluate(params, test_part, expected_fp)
-    baseline = baseline_report(train_part.y, test_part.y)
+    report = evaluate(params, test_part)
     constant = median_count(train_part.y)
+    baseline = report_from_predictions(np.full(test_part.n_windows, constant, dtype=np.float64), test_part.y)
 
     entries: list[tuple[str, str]] = [
         ("format_version", "1"),

@@ -226,6 +226,8 @@ def load_run_config(path) -> RunConfig:
         FeatureSpec(featurize_section.features, scenario.f0_hz, featurize_section.max_harmonic)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    if featurize_section.window_s > scenario.duration_s:
+        raise ConfigError(f"{path}: [featurize] window_s exceeds the scenario duration_s")
 
     output_raw = raw.get("output", {})
     output_dir = output_raw.pop("dir", None)

@@ -15,7 +15,6 @@ __all__ = [
     "report_from_predictions",
     "evaluate",
     "median_count",
-    "baseline_report",
 ]
 
 
@@ -32,7 +31,6 @@ class EvalReport:
     mae_rounded: float
     exact_count_accuracy: float
     per_count: tuple[tuple[int, int, float], ...]  # (true count, n windows, rounded MAE)
-    fingerprint: str = ""
     continuous: np.ndarray = field(default_factory=lambda: np.zeros(0), compare=False, repr=False)
     rounded: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64), compare=False, repr=False)
 
@@ -46,14 +44,12 @@ def mae(predictions, targets) -> float:
     return float(np.mean(np.abs(p - t)))
 
 
-def report_from_predictions(
-    continuous, rounded, targets, fingerprint: str = ""
-) -> EvalReport:
-    """Assemble an EvalReport from already-computed predictions."""
+def report_from_predictions(continuous, targets) -> EvalReport:
+    """Assemble an EvalReport from continuous predictions, rounded by ``count_from_output``."""
     cont = np.asarray(continuous, dtype=np.float64).reshape(-1)
-    rnd = np.asarray(rounded, dtype=np.int64).reshape(-1)
+    rnd = count_from_output(cont)
     y = np.asarray(targets, dtype=np.int64).reshape(-1)
-    if not (cont.size == rnd.size == y.size) or y.size == 0:
+    if cont.size != y.size or y.size == 0:
         raise ValueError("predictions and targets must be non-empty and equal-length")
     rounded_err = np.abs(rnd - y)
     per_count = tuple(
@@ -66,13 +62,12 @@ def report_from_predictions(
         mae_rounded=float(np.mean(rounded_err)),
         exact_count_accuracy=float(np.mean(rounded_err == 0)),
         per_count=per_count,
-        fingerprint=fingerprint,
         continuous=cont,
         rounded=rnd,
     )
 
 
-def evaluate(params: RegressorParams, test_dataset: FeatureDataset, fingerprint: str = "") -> EvalReport:
+def evaluate(params: RegressorParams, test_dataset: FeatureDataset) -> EvalReport:
     """Evaluate a trained model on a raw (unnormalized) feature dataset.
 
     The dataset must carry the same feature layout the model's
@@ -86,28 +81,16 @@ def evaluate(params: RegressorParams, test_dataset: FeatureDataset, fingerprint:
     if subset.n_windows == 0:
         raise ValueError("no valid windows to evaluate")
     X = apply_normalization(subset.X, params.norm_stats)
-    continuous = forward_batch(params, X)
-    rounded = np.array([count_from_output(v) for v in continuous], dtype=np.int64)
-    return report_from_predictions(continuous, rounded, subset.y, fingerprint)
+    return report_from_predictions(forward_batch(params, X), subset.y)
 
 
 def median_count(train_y) -> int:
-    """Integer median of the training counts (lower middle on even length)."""
+    """Integer median of the training counts (lower middle on even length).
+
+    The median minimizes MAE among constant predictors, so predicting it
+    everywhere is the baseline any trained model must beat.
+    """
     y = np.sort(np.asarray(train_y, dtype=np.int64).reshape(-1))
     if y.size == 0:
         raise ValueError("train_y must be non-empty")
     return int(y[(y.size - 1) // 2])
-
-
-def baseline_report(train_y, test_y) -> EvalReport:
-    """Constant predict-the-training-median baseline evaluated on the test targets.
-
-    The median minimizes MAE among constant predictors, so this is the
-    floor any trained model must beat.
-    """
-    constant = median_count(train_y)
-    test = np.asarray(test_y, dtype=np.int64).reshape(-1)
-    if test.size == 0:
-        raise ValueError("test_y must be non-empty")
-    predictions = np.full(test.size, constant, dtype=np.int64)
-    return report_from_predictions(predictions.astype(np.float64), predictions, test)

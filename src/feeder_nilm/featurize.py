@@ -30,7 +30,6 @@ __all__ = [
     "rank_features",
     "fit_normalization",
     "apply_normalization",
-    "denormalize",
 ]
 
 # Windows are evaluated in blocks of rows; each signal's contiguous copy of
@@ -88,21 +87,17 @@ class FeatureSpec:
 
 def evaluate_window(
     v_window: np.ndarray, i_window: np.ndarray, spec: FeatureSpec, sample_rate_hz: float
-) -> tuple[np.ndarray, np.ndarray | bool]:
-    """Feature rows for aligned (voltage, current) windows.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Feature rows for ``(n, W)`` stacks of aligned (voltage, current) windows.
 
-    Takes one 1-D window pair (returns one row and one flag) or a pair of
-    ``(n, W)`` window stacks (returns an ``(n, n_features)`` matrix and
-    ``n`` flags). Undefined features (all-zero current, say) are reported
-    as 0.0 and flip the window's validity flag to False; the row stays
-    rectangular.
+    Returns an ``(n, n_features)`` matrix and ``n`` validity flags.
+    Undefined features (all-zero current, say) are reported as 0.0 and
+    flip the window's flag to False; the row stays rectangular.
     """
     v = np.asarray(v_window, dtype=np.float64)
     i = np.asarray(i_window, dtype=np.float64)
-    if v.shape != i.shape or v.ndim not in (1, 2) or v.size == 0:
-        raise ValueError("voltage and current windows must be equal-shape 1-D or (n, W) arrays")
-    stacked = v.ndim == 2
-    v, i = np.atleast_2d(v), np.atleast_2d(i)
+    if v.shape != i.shape or v.ndim != 2 or v.size == 0:
+        raise ValueError("voltage and current windows must be equal-shape (n, W) stacks")
     n, width = v.shape
     X, valid = np.empty((n, len(spec.features))), np.empty(n, dtype=bool)
     step = min(n, max(1, BLOCK_BYTES // (8 * width)))
@@ -114,7 +109,7 @@ def evaluate_window(
         np.copyto(v_block[:m], v[lo : lo + m])
         np.copyto(i_block[:m], i[lo : lo + m])
         X[lo : lo + m], valid[lo : lo + m] = _evaluate_block(v_block[:m], i_block[:m], work[:m], spec, sample_rate_hz)
-    return (X, valid) if stacked else (X[0], bool(valid[0]))
+    return X, valid
 
 
 def _evaluate_block(v, i, work, spec: FeatureSpec, fs: float):
@@ -215,7 +210,8 @@ def featurize(
 
     Windows are ``round(window_s * fs)`` samples long, one every
     ``round(stride_s * fs)`` samples, as many as fit in the trace.
-    Targets come from ``window_targets`` over that same sample grid.
+    Targets come from ``window_targets`` over that same sample grid, and
+    the dataset records that grid's window and stride in seconds.
     """
     if (
         voltage.n_samples != current.n_samples
@@ -235,7 +231,7 @@ def featurize(
     y = window_targets(truth, window_len / fs, stride_len / fs, n_windows=n_windows)
     X, valid = evaluate_window(*windows, spec, fs)
     t_start = voltage.start_time_s + np.arange(n_windows) * stride_len / fs
-    return FeatureDataset(X, y, t_start, valid, window_s, stride_s, spec)
+    return FeatureDataset(X, y, t_start, valid, window_len / fs, stride_len / fs, spec)
 
 
 def rank_features(
@@ -300,15 +296,6 @@ class NormStats:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "std", std)
 
-    @property
-    def kept_feature_ids(self) -> tuple[str, ...]:
-        return tuple(self.input_feature_ids[i] for i in self.kept_indices)
-
-    @property
-    def dropped_feature_ids(self) -> tuple[str, ...]:
-        kept = set(self.kept_indices)
-        return tuple(fid for i, fid in enumerate(self.input_feature_ids) if i not in kept)
-
 
 def fit_normalization(train_X: np.ndarray, feature_ids: tuple[str, ...]) -> NormStats:
     """Fit per-feature z-score statistics; drop (and warn about) constant features."""
@@ -333,11 +320,3 @@ def apply_normalization(X: np.ndarray, stats: NormStats) -> np.ndarray:
         raise ValueError("X width must match the layout the stats were fit on")
     kept = list(stats.kept_indices)
     return (arr[:, kept] - stats.mean) / stats.std
-
-
-def denormalize(X_normalized: np.ndarray, stats: NormStats) -> np.ndarray:
-    """Inverse of ``apply_normalization`` on the kept feature columns."""
-    arr = np.asarray(X_normalized, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != len(stats.kept_indices):
-        raise ValueError("X width must match the kept feature count")
-    return arr * stats.std + stats.mean

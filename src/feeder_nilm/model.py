@@ -20,14 +20,11 @@ __all__ = [
     "RegressorParams",
     "TrainConfig",
     "init_params",
-    "forward",
     "forward_batch",
     "loss_and_gradient",
     "train",
     "run_epochs",
-    "epoch_order",
     "count_from_output",
-    "predict_count",
 ]
 
 
@@ -127,10 +124,8 @@ def _forward_pass(params: RegressorParams, X: np.ndarray):
 
 def _as_batch(params: RegressorParams, X) -> np.ndarray:
     arr = np.asarray(X, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != params.layer_sizes[0]:
-        raise ValueError("input width must equal the network input size")
+        raise ValueError("input must be an (n, width) batch, width the network input size")
     return arr
 
 
@@ -138,14 +133,6 @@ def forward_batch(params: RegressorParams, X) -> np.ndarray:
     """Network outputs for a batch of feature rows; always non-negative."""
     arr = _as_batch(params, X)
     return _forward_pass(params, arr)[2]
-
-
-def forward(params: RegressorParams, x) -> float:
-    """Network output for one feature vector; softplus keeps it non-negative."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("forward expects a single 1-D feature vector")
-    return float(forward_batch(params, arr)[0])
 
 
 def _huber(residual: np.ndarray) -> np.ndarray:
@@ -195,11 +182,6 @@ def _penalty(params: RegressorParams, l2: float) -> float:
 
 def _data_loss(params: RegressorParams, X: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(_huber(forward_batch(params, X) - np.asarray(y, dtype=np.float64))))
-
-
-def epoch_order(n_rows: int, rng: np.random.Generator) -> np.ndarray:
-    """Shuffled index sequence defining the epoch's batches."""
-    return rng.permutation(n_rows)
 
 
 def run_epochs(params, train_set, val_set, config: TrainConfig, permutations):
@@ -255,15 +237,14 @@ def train(params: RegressorParams, train_set, val_set, config: TrainConfig):
     """
     n_rows = np.asarray(train_set[0]).shape[0]
     rng = np.random.default_rng(config.shuffle_seed)
-    permutations = (epoch_order(n_rows, rng) for _ in range(config.epochs))
+    permutations = (rng.permutation(n_rows) for _ in range(config.epochs))
     return run_epochs(params, train_set, val_set, config, permutations)
 
 
-def count_from_output(y_hat: float) -> int:
-    """Half-up rounding floored at zero: 0.49 -> 0, 0.5 -> 1, 3.2 -> 3."""
-    return max(0, int(math.floor(y_hat + 0.5)))
+def count_from_output(y_hat) -> np.ndarray:
+    """Device counts from network outputs, elementwise: half-up rounding floored at zero.
 
-
-def predict_count(params: RegressorParams, x) -> int:
-    """Predicted number of running medical devices for one feature vector."""
-    return count_from_output(forward(params, x))
+    0.49 -> 0, 0.5 -> 1, 2.5 -> 3, 3.2 -> 3; this is the one place a
+    continuous prediction becomes a count.
+    """
+    return np.maximum(np.floor(np.asarray(y_hat, dtype=np.float64) + 0.5), 0.0).astype(np.int64)

@@ -209,6 +209,18 @@ class TestStages:
             err = capsys.readouterr().err
             assert err.startswith("config error:") and message in err
 
+    def test_window_longer_than_scenario_exits_2(self, tmp_path, capsys):
+        # A 61 s window cannot be cut from a 60 s trace: refused when the config loads.
+        path = tmp_path / "long_window.cfg"
+        path.write_text(SMALL_CONFIG.replace("\nwindow_s = 5\n", "\nwindow_s = 61\n"))
+        with pytest.raises(ConfigError, match="duration_s"):
+            load_run_config(path)
+        assert run("pipeline", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "window_s" in err
+        path.write_text(SMALL_CONFIG.replace("\nwindow_s = 5\n", "\nwindow_s = 60\n"))
+        assert load_run_config(path).featurize.window_s == 60.0
+
     def test_env_var_out_dir(self, config_path, tmp_path, monkeypatch):
         out = str(tmp_path / "envout")
         monkeypatch.setenv("FEEDER_NILM_OUT", out)
@@ -284,7 +296,7 @@ class TestPipeline:
         _, _, test = cli._split_rows(config, dataset)
         continuous = forward_batch(params, apply_normalization(test.X, params.norm_stats))
         expected = tmp_path / "expected.csv"
-        write_residuals(expected, test.t_start_s, test.y, continuous, [count_from_output(v) for v in continuous], fp)
+        write_residuals(expected, test.t_start_s, test.y, continuous, count_from_output(continuous), fp)
         with open(os.path.join(out, "residuals.csv"), "rb") as fh:
             assert fh.read() == expected.read_bytes()
 

@@ -9,12 +9,9 @@ from feeder_nilm import model as model_module
 from feeder_nilm.model import (
     TrainConfig,
     count_from_output,
-    epoch_order,
-    forward,
     forward_batch,
     init_params,
     loss_and_gradient,
-    predict_count,
     run_epochs,
     train,
 )
@@ -81,7 +78,7 @@ class TestInit:
 class TestForward:
     def test_all_zero_network_gives_ln2(self):
         params = zero_params((3, 4, 1))
-        assert forward(params, np.zeros(3)) == pytest.approx(math.log(2.0), abs=1e-12)
+        assert forward_batch(params, np.zeros((1, 3)))[0] == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_hand_computed_1_1_1(self):
         # x=1 -> z1 = 2*1 + 0.5 = 2.5 -> relu -> z2 = -1.5*2.5 + 0.3 = -3.45
@@ -91,7 +88,7 @@ class TestForward:
         params.weights[1][0, 0] = -1.5
         params.biases[1][0] = 0.3
         expected = math.log1p(math.exp(-3.45))
-        assert forward(params, np.array([1.0])) == pytest.approx(expected, abs=1e-12)
+        assert forward_batch(params, np.array([[1.0]]))[0] == pytest.approx(expected, abs=1e-12)
 
     @given(
         seed=strat.integers(min_value=0, max_value=1000),
@@ -100,12 +97,14 @@ class TestForward:
     @settings(max_examples=50, deadline=None)
     def test_output_non_negative(self, seed, x):
         params = init_params((3, 6, 1), seed=seed)
-        assert forward(params, np.asarray(x)) >= 0.0
+        assert forward_batch(params, np.asarray(x)[None])[0] >= 0.0
 
     def test_dimension_mismatch(self):
         params = init_params((3, 4, 1), seed=0)
         with pytest.raises(ValueError):
-            forward(params, np.zeros(5))
+            forward_batch(params, np.zeros((1, 5)))
+        with pytest.raises(ValueError):
+            forward_batch(params, np.zeros(3))  # a bare row is not a batch
 
 
 class TestLossAndGradient:
@@ -249,18 +248,15 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(params, (np.zeros((0, 3)), np.zeros(0)), (X, y), TrainConfig())
 
-    def test_epoch_order_is_permutation(self):
-        order = epoch_order(50, np.random.default_rng(0))
-        assert sorted(order) == list(range(50))
-
 
 class TestPredictCount:
     def test_rounding_rule(self):
-        assert count_from_output(0.49) == 0
-        assert count_from_output(0.50) == 1
-        assert count_from_output(3.2) == 3
+        # Half-up, floored at zero: np.rint / np.round (half to even) would give 0 and 2 for 0.5 and 2.5.
+        counts = count_from_output(np.array([-0.7, 0.0, 0.49, 0.5, 1.5, 2.5, 3.2]))
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [0, 0, 0, 1, 2, 3, 3]
 
     def test_zero_network_predicts_one(self):
         # forward = ln 2 ~ 0.693, rounds up to 1.
         params = zero_params((2, 3, 1))
-        assert predict_count(params, np.zeros(2)) == 1
+        assert count_from_output(forward_batch(params, np.zeros((1, 2)))).tolist() == [1]
