@@ -12,7 +12,6 @@ from .featurize import FeatureDataset, FeatureSpec, NormStats, featurize, rank_f
 from .model import RegressorParams, TrainConfig, init_params, train
 from .signals import Waveform
 from .simulate import (
-    GroundTruthSeries,
     ScenarioConfig,
     Schedule,
     generate_schedule,
@@ -31,7 +30,6 @@ __all__ = [
     "default_library",
     "ScenarioConfig",
     "Schedule",
-    "GroundTruthSeries",
     "generate_schedule",
     "synthesize_feeder",
     "ground_truth_counts",

@@ -76,24 +76,13 @@ def _say(quiet: bool, message: str) -> None:
         print(message)
 
 
-def _fingerprint_matches(path, found: str, expected: str) -> bool:
-    # A waveform header stores the first 16 bytes (32 hex digits) of the fingerprint.
-    if str(path).endswith(".fnwv"):
-        expected = expected[:32]
-    return found == expected
-
-
 def _read_checked(out: str, name: str, reader, expected: str):
     """Artifact ``name`` read from ``out``; refused unless it carries the ``expected`` fingerprint."""
     path = os.path.join(out, ARTIFACTS[name])
-    value, *_, found = reader(path)
-    if not _fingerprint_matches(path, found, expected):
+    value, found = reader(path)
+    if found != expected:
         raise ContractError(f"{path} was produced by a different configuration; re-run the upstream stage")
     return value
-
-
-def _file_size(path) -> str:
-    return f"{os.path.getsize(path)} bytes"
 
 
 # ------------------------------------------------------------------- stages
@@ -116,7 +105,7 @@ def stage_simulate(config: RunConfig, library: Library, out: str, quiet: bool) -
         quiet,
         f"simulate: {config.scenario.duration_s:g} s at {config.scenario.sample_rate_hz:g} Hz, "
         f"{n_devices} devices ({config.scenario.n_medical_devices} medical), "
-        f"current file {_file_size(os.path.join(out, ARTIFACTS['current']))}",
+        f"current file {os.path.getsize(os.path.join(out, ARTIFACTS['current']))} bytes",
     )
 
 
@@ -136,8 +125,8 @@ def _resolve_features(config: RunConfig, library, out: str) -> FeatureSpec:
 
 def stage_featurize(config: RunConfig, library: Library, out: str, quiet: bool) -> None:
     scenario_fp = scenario_fingerprint(config, library)
-    voltage = _read_checked(out, "voltage", st.read_waveform, scenario_fp)
-    current = _read_checked(out, "current", st.read_waveform, scenario_fp)
+    voltage = _read_checked(out, "voltage", lambda path: st.read_waveform(path, "VOLT"), scenario_fp)
+    current = _read_checked(out, "current", lambda path: st.read_waveform(path, "CURR"), scenario_fp)
     truth = _read_checked(out, "truth", st.read_ground_truth, scenario_fp)
 
     spec = _resolve_features(config, library, out)
@@ -256,12 +245,12 @@ def stage_eval(config: RunConfig, library: Library, out: str, quiet: bool) -> No
 
 
 class Stage(NamedTuple):
-    """A subcommand and what it writes: (ARTIFACTS key, text tag or None for a waveform) pairs."""
+    """A subcommand and what it writes: (ARTIFACTS key, text tag or waveform channel) pairs."""
 
     name: str
     run: Callable[[RunConfig, Library, str, bool], None]
     fingerprint: Callable
-    artifacts: tuple[tuple[str, str | None], ...]
+    artifacts: tuple[tuple[str, str], ...]
     help: str
 
 
@@ -269,7 +258,7 @@ class Stage(NamedTuple):
 # rebinds the stage functions here reaches the ones `pipeline` and `main` run.
 _STAGES = (
     Stage("simulate", stage_simulate, scenario_fingerprint,
-          (("voltage", None), ("current", None), ("schedule", "schedule"), ("truth", "ground-truth")),
+          (("voltage", "VOLT"), ("current", "CURR"), ("schedule", "schedule"), ("truth", "ground-truth")),
           "synthesize waveforms, schedule, and ground truth"),
     Stage("select-features", stage_select_features, dataset_fingerprint, (("ranking", "ranking"),),
           "rank features by Fisher score over class signatures"),
@@ -281,13 +270,13 @@ _STAGES = (
 )
 
 
-def _artifact_current(out: str, name: str, tag: str | None, expected_fp: str) -> bool:
+def _artifact_current(out: str, name: str, tag: str, expected_fp: str) -> bool:
     path = os.path.join(out, ARTIFACTS[name])
     try:
-        fp = st.read_waveform(path)[2] if tag is None else st.read_fingerprint(path, tag)
+        fp = st.read_waveform(path, tag)[1] if tag in st.CHANNEL_TAGS else st.read_fingerprint(path, tag)
     except (st.FileFormatError, OSError):
         return False
-    return _fingerprint_matches(path, fp, expected_fp)
+    return fp == expected_fp
 
 
 def stage_pipeline(config: RunConfig, library: Library, out: str, quiet: bool) -> None:

@@ -36,10 +36,10 @@ defaults are the fields of its dataclass (``ModelSection`` with its
 Besides those, [scenario] takes ``device_library`` and per-class schedule
 means as ``schedule_<class> = <mean_on_s> <mean_off_s>``, [output] takes
 ``dir``, and ``stride_s`` defaults to ``window_s``. Stage artifacts carry
-a sha256 fingerprint of every field, chained over (scenario + library +
-``simulate.SYNTHESIS_VERSION``), then featurize, then model + split;
-stages reject artifacts whose fingerprint does not match the current
-configuration.
+a 128-bit fingerprint (the first 32 hex digits of a sha256) of every
+field, chained over (scenario + library + ``simulate.SYNTHESIS_VERSION``),
+then featurize, then model + split; stages reject artifacts whose
+fingerprint is not equal to the current configuration's.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass,
 from typing import get_type_hints
 
 from .devices import DeviceModel, _check_aliasing, default_library, load_device_library
-from .featurize import DEFAULT_FEATURES, FeatureSpec
+from .featurize import FEATURE_IDS, FeatureSpec
 from .model import TrainConfig
 from . import simulate
 from .simulate import ScenarioConfig
@@ -79,7 +79,7 @@ class ConfigError(ValueError):
 class FeaturizeSection:
     window_s: float = 5.0
     stride_s: float = 5.0
-    features: tuple[str, ...] = DEFAULT_FEATURES
+    features: tuple[str, ...] = FEATURE_IDS
     max_harmonic: int = 7
     top_k: int = 0  # 0 = keep all features; >0 = truncate via the Fisher ranking
 
@@ -276,9 +276,9 @@ def load_library_for(config: RunConfig) -> dict[str, DeviceModel]:
 
 
 def _digest(*parts) -> str:
-    """sha256 of a canonical JSON dump of ``parts``: every dataclass field, floats by repr."""
+    """sha256 of a canonical JSON dump of ``parts`` (dataclass fields, floats by repr), cut to 128 bits."""
     text = json.dumps(parts, sort_keys=True, default=asdict)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return hashlib.sha256(text.encode("utf-8")).digest()[:16].hex()
 
 
 def scenario_fingerprint(config: RunConfig, library: dict[str, DeviceModel]) -> str:

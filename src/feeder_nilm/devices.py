@@ -129,10 +129,6 @@ class DeviceModel:
     def non_off_modes(self) -> tuple[DeviceMode, ...]:
         return tuple(m for m in self.modes if m.name != OFF_MODE_NAME)
 
-    @property
-    def max_order(self) -> int:
-        return max((m.max_order for m in self.modes), default=0)
-
 
 def mode_current_samples(mode: DeviceMode, t_s: np.ndarray, f0_hz: float) -> np.ndarray:
     """Noiseless current of ``mode`` at absolute times ``t_s`` (seconds).

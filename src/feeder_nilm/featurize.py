@@ -17,11 +17,10 @@ import numpy as np
 
 from . import signals
 from .signals import Waveform, wrap_phase
-from .simulate import GroundTruthSeries, window_targets
+from .simulate import window_targets
 
 __all__ = [
     "FEATURE_IDS",
-    "DEFAULT_FEATURES",
     "FeatureSpec",
     "FeatureDataset",
     "NormStats",
@@ -54,14 +53,11 @@ FEATURE_IDS = (
     "h7",
 )
 
-DEFAULT_FEATURES = FEATURE_IDS
-
-
 @dataclass(frozen=True)
 class FeatureSpec:
     """Ordered feature identifiers plus the grid frequency they refer to."""
 
-    features: tuple[str, ...] = DEFAULT_FEATURES
+    features: tuple[str, ...] = FEATURE_IDS
     f0_hz: float = 60.0
     max_harmonic: int = 7
 
@@ -201,7 +197,7 @@ class FeatureDataset:
 def featurize(
     voltage: Waveform,
     current: Waveform,
-    truth: GroundTruthSeries,
+    truth: np.ndarray,
     window_s: float,
     stride_s: float,
     spec: FeatureSpec,
@@ -210,8 +206,9 @@ def featurize(
 
     Windows are ``round(window_s * fs)`` samples long, one every
     ``round(stride_s * fs)`` samples, as many as fit in the trace.
-    Targets come from ``window_targets`` over that same sample grid, and
-    the dataset records that grid's window and stride in seconds.
+    Targets come from ``window_targets`` of the per-second ``truth`` counts
+    over that same sample grid, and the dataset records that grid's window
+    and stride in seconds.
     """
     if (
         voltage.n_samples != current.n_samples
@@ -228,7 +225,7 @@ def featurize(
         raise ValueError("window_s exceeds the trace duration")
     windows = [np.lib.stride_tricks.sliding_window_view(w.samples, window_len)[::stride_len] for w in (voltage, current)]
     n_windows = len(windows[0])
-    y = window_targets(truth, window_len / fs, stride_len / fs, n_windows=n_windows)
+    y = window_targets(truth, window_len / fs, stride_len / fs, n_windows)
     X, valid = evaluate_window(*windows, spec, fs)
     t_start = voltage.start_time_s + np.arange(n_windows) * stride_len / fs
     return FeatureDataset(X, y, t_start, valid, window_len / fs, stride_len / fs, spec)

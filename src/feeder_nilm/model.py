@@ -57,7 +57,6 @@ class RegressorParams:
     layer_sizes: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    init_seed: int = 0
     norm_stats: NormStats | None = None
 
     def __post_init__(self) -> None:
@@ -80,7 +79,6 @@ class RegressorParams:
             self.layer_sizes,
             [w.copy() for w in self.weights],
             [b.copy() for b in self.biases],
-            self.init_seed,
             self.norm_stats,
         )
 
@@ -94,7 +92,7 @@ def init_params(layer_sizes, seed: int, norm_stats: NormStats | None = None) -> 
         bound = math.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out, dtype=np.float64))
-    return RegressorParams(sizes, weights, biases, init_seed=seed, norm_stats=norm_stats)
+    return RegressorParams(sizes, weights, biases, norm_stats)
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:

@@ -83,10 +83,6 @@ class Waveform:
     def n_samples(self) -> int:
         return int(self.samples.size)
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
-
 
 def _as_window(x) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)

@@ -41,7 +41,6 @@ __all__ = [
     "ScenarioConfig",
     "DeviceSchedule",
     "Schedule",
-    "GroundTruthSeries",
     "generate_schedule",
     "synthesize_feeder",
     "ground_truth_counts",
@@ -141,26 +140,6 @@ class Schedule:
         ids = [d.device_id for d in self.devices]
         if len(set(ids)) != len(ids):
             raise ValueError("device ids must be unique")
-
-
-@dataclass(frozen=True)
-class GroundTruthSeries:
-    """Number of medical devices running at each 1 Hz timestamp."""
-
-    timestamps_s: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        timestamps = np.ascontiguousarray(self.timestamps_s, dtype=np.float64)
-        counts = np.ascontiguousarray(self.counts, dtype=np.int64)
-        if timestamps.shape != counts.shape or timestamps.ndim != 1:
-            raise ValueError("timestamps and counts must be 1-D arrays of equal length")
-        if counts.size and counts.min() < 0:
-            raise ValueError("counts must be non-negative")
-        timestamps.flags.writeable = False
-        counts.flags.writeable = False
-        object.__setattr__(self, "timestamps_s", timestamps)
-        object.__setattr__(self, "counts", counts)
 
 
 def _mode_pool(config: ScenarioConfig, model: DeviceModel) -> list[str]:
@@ -293,11 +272,11 @@ def _ceil_index(time_s: float) -> int:
     return max(0, math.ceil(time_s - 1e-9))
 
 
-def ground_truth_counts(schedule: Schedule, config: ScenarioConfig) -> GroundTruthSeries:
-    """Count of medical devices in a non-off mode at each integer second.
+def ground_truth_counts(schedule: Schedule, config: ScenarioConfig) -> np.ndarray:
+    """Count of medical devices in a non-off mode at each integer second, as ``int64``.
 
-    A timestamp t is covered by an interval [start, end) when
-    start <= t < end.
+    Entry t is second t of the scenario, covered by an interval
+    [start, end) when start <= t < end.
     """
     n = math.ceil(config.duration_s)
     counts = np.zeros(n, dtype=np.int64)
@@ -311,27 +290,22 @@ def ground_truth_counts(schedule: Schedule, config: ScenarioConfig) -> GroundTru
             hi = min(_ceil_index(end), n)
             if hi > lo:
                 counts[lo:hi] += 1
-    return GroundTruthSeries(np.arange(n, dtype=np.float64), counts)
+    return counts
 
 
-def window_targets(
-    truth: GroundTruthSeries, window_s: float, stride_s: float, n_windows: int | None = None
-) -> np.ndarray:
-    """Per-window target y: the maximum instantaneous count inside each window.
+def window_targets(counts: np.ndarray, window_s: float, stride_s: float, n_windows: int) -> np.ndarray:
+    """Per-window target y: the maximum per-second count inside each of ``n_windows`` windows.
 
     Window k covers [k * stride_s, k * stride_s + window_s) on the
-    scenario clock. A device running at any point inside the window
-    counts as running within it, hence the maximum.
+    scenario clock, and ``counts[t]`` is the count at second t. A device
+    running at any point inside the window counts as running within it,
+    hence the maximum.
     """
     if window_s < 1.0:
         raise ValueError("window_s must be at least 1 second")
     if stride_s <= 0.0:
         raise ValueError("stride_s must be positive")
-    n_t = int(truth.counts.size)
-    if n_windows is None:
-        n_windows = int(math.floor((n_t - window_s) / stride_s)) + 1
-    if n_windows < 1 or window_s > n_t:
-        raise ValueError("window longer than the ground-truth series")
+    n_t = int(counts.size)
     y = np.zeros(n_windows, dtype=np.int64)
     for k in range(n_windows):
         start = k * stride_s
@@ -339,5 +313,5 @@ def window_targets(
         hi = _ceil_index(start + window_s)
         if hi > n_t or lo >= hi:
             raise ValueError("window extends past the end of the ground-truth series")
-        y[k] = int(truth.counts[lo:hi].max())
+        y[k] = int(counts[lo:hi].max())
     return y

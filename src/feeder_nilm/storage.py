@@ -9,20 +9,22 @@ Waveform files are binary with a fixed 64-byte header:
     16      8     start_time_s, f64 little-endian
     24      8     sample count, u64 little-endian
     32      4     channel tag, ASCII "VOLT" or "CURR"
-    36      16    reserved: 16-byte config-fingerprint prefix (zeros if none)
+    36      16    16-byte config fingerprint
     52      12    reserved, zeros
     64      ...   raw little-endian IEEE-754 float64 samples
 
 Samples move between file and array without intermediate copies: the
 reader checks the file size against the header count before allocating,
 then reads straight into the final array; the writer writes the array's
-own buffer.
+own buffer. The reader is told which channel it expects and refuses a
+file of the other one.
 
 Text artifacts are line-oriented. Every format begins with its format line
 ``# feeder-nilm <tag> v1``, followed by ``# key=value`` comment lines that
 carry the fingerprint (and, for a dataset, its window metadata); floats
 are rendered with 17 significant digits so a write/read/write cycle is
-byte-identical.
+byte-identical. Every writer requires a 32-hex-digit fingerprint, and
+every reader returns it beside the value for an exact comparison.
 Every artifact is written to a temp file beside it and then renamed over
 it, so an interrupted write leaves the previous artifact intact.
 """
@@ -39,7 +41,7 @@ import numpy as np
 from .devices import DeviceModel
 from .featurize import FeatureDataset, FeatureSpec, NormStats
 from .model import RegressorParams
-from .simulate import DeviceSchedule, GroundTruthSeries, Schedule
+from .simulate import DeviceSchedule, Schedule
 from .signals import Waveform
 
 __all__ = [
@@ -75,9 +77,10 @@ class FileFormatError(ValueError):
 
 
 def _fingerprint_bytes(fingerprint_hex: str) -> bytes:
-    if not fingerprint_hex:
-        return b"\x00" * 16
-    return bytes.fromhex(fingerprint_hex[:32]).ljust(16, b"\x00")
+    # Any other string would be cut, padded or re-cased on the way to 16 bytes and back.
+    if len(fingerprint_hex) != 32 or fingerprint_hex.strip("0123456789abcdef"):
+        raise ValueError(f"fingerprint must be 32 lowercase hex digits, got {fingerprint_hex!r}")
+    return bytes.fromhex(fingerprint_hex)
 
 
 def _f(x: float) -> str:
@@ -104,7 +107,7 @@ def _atomic_open(path, mode: str, **kwargs):
 # ---------------------------------------------------------------- waveforms
 
 
-def write_waveform(path, waveform: Waveform, channel: str, fingerprint_hex: str = "") -> None:
+def write_waveform(path, waveform: Waveform, channel: str, fingerprint_hex: str) -> None:
     if channel not in CHANNEL_TAGS:
         raise ValueError(f"channel must be one of {CHANNEL_TAGS}")
     header = _HEADER.pack(
@@ -121,8 +124,8 @@ def write_waveform(path, waveform: Waveform, channel: str, fingerprint_hex: str 
         fh.write(waveform.samples.astype("<f8", copy=False))
 
 
-def read_waveform(path) -> tuple[Waveform, str, str]:
-    """Returns (waveform, channel tag, fingerprint-prefix hex or '')."""
+def read_waveform(path, channel: str) -> tuple[Waveform, str]:
+    """Returns (waveform, fingerprint hex); refuses a file whose channel tag is not ``channel``."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -132,20 +135,19 @@ def read_waveform(path) -> tuple[Waveform, str, str]:
             raise FileFormatError(f"{path}: not a waveform file (bad magic)")
         if version != WAVEFORM_VERSION:
             raise FileFormatError(f"{path}: unsupported waveform version {version}")
-        channel = tag.decode("latin-1")  # never fails; a non-ASCII tag is not in CHANNEL_TAGS
-        if channel not in CHANNEL_TAGS:
-            raise FileFormatError(f"{path}: unknown channel tag {channel!r}")
+        tag = tag.decode("latin-1")  # never fails; a corrupt tag is refused by the comparison
+        if tag != channel:
+            raise FileFormatError(f"{path}: channel {tag!r}, expected {channel!r}")
         if os.fstat(fh.fileno()).st_size != _HEADER.size + 8 * count:
             raise FileFormatError(f"{path}: sample payload does not match header count")
         samples = np.empty(count, dtype="<f8")
         if fh.readinto(samples) != samples.nbytes:
             raise FileFormatError(f"{path}: sample payload does not match header count")
-    fingerprint = "" if fp == b"\x00" * 16 else fp.hex()
     try:
         waveform = Waveform(samples, rate, start)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from None
-    return waveform, channel, fingerprint
+    return waveform, fp.hex()
 
 
 # ------------------------------------------------------------- text helpers
@@ -162,8 +164,8 @@ def _read_tagged_lines(path, tag: str) -> tuple[dict[str, str], list[str]]:
     """Returns (header values, non-comment lines); validates the format line.
 
     Header values are the ``key=value`` words of the comment lines after
-    the format line: the fingerprint ('' if absent), and for a dataset its
-    window metadata.
+    the format line: the fingerprint, which must be there, and for a
+    dataset its window metadata.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -172,13 +174,15 @@ def _read_tagged_lines(path, tag: str) -> tuple[dict[str, str], list[str]]:
         raise FileFormatError(f"{path}: not a text artifact") from None
     if not raw or raw[0] != f"# feeder-nilm {tag} v1":
         raise FileFormatError(f"{path}: missing '# feeder-nilm {tag} v1' header")
-    header = {"fingerprint": ""}
+    header: dict[str, str] = {}
     body: list[str] = []
     for line in raw[1:]:
         if line.startswith("#"):
             header.update(word.split("=", 1) for word in line[1:].split() if "=" in word)
         elif line.strip():
             body.append(line)
+    if "fingerprint" not in header:
+        raise FileFormatError(f"{path}: missing '# fingerprint=' line")
     return header, body
 
 
@@ -189,7 +193,7 @@ def _fields(path, line: str, types: tuple, sep: str | None = None) -> tuple:
         raise FileFormatError(f"{path}: expected {len(types)} fields, got {len(fields)} in {line!r}")
     try:
         return tuple(convert(field) for convert, field in zip(types, fields))
-    except ValueError:
+    except (ValueError, OverflowError):
         raise FileFormatError(f"{path}: bad value in line {line!r}") from None
 
 
@@ -201,6 +205,7 @@ def _entries(path, body: list[str]) -> list[tuple[str, str]]:
 
 
 def _header_lines(tag: str, fingerprint: str) -> list[str]:
+    _fingerprint_bytes(fingerprint)  # the same width as a waveform header's
     return [f"# feeder-nilm {tag} v1", f"# fingerprint={fingerprint}"]
 
 
@@ -212,7 +217,7 @@ def read_fingerprint(path, tag: str) -> str:
 # ---------------------------------------------------------------- schedules
 
 
-def write_schedule(path, schedule: Schedule, fingerprint: str = "") -> None:
+def write_schedule(path, schedule: Schedule, fingerprint: str) -> None:
     lines = _header_lines("schedule", fingerprint)
     for device in schedule.devices:
         if not device.intervals:
@@ -247,27 +252,29 @@ def read_schedule(path, library: dict[str, DeviceModel]) -> tuple[Schedule, str]
 # ------------------------------------------------------------- ground truth
 
 
-def write_ground_truth(path, truth: GroundTruthSeries, fingerprint: str = "") -> None:
+def write_ground_truth(path, counts: np.ndarray, fingerprint: str) -> None:
+    """One ``second count`` line per scenario second, from second 0."""
     lines = _header_lines("ground-truth", fingerprint)
-    for t, c in zip(truth.timestamps_s, truth.counts):
-        lines.append(f"{_f(t)} {int(c)}")
+    lines += [f"{second} {int(count)}" for second, count in enumerate(counts)]
     _write_text(path, lines)
 
 
-def read_ground_truth(path) -> tuple[GroundTruthSeries, str]:
+def read_ground_truth(path) -> tuple[np.ndarray, str]:
+    """The per-second ``int64`` counts; line k must be second k, with a count of at least 0."""
     header, body = _read_tagged_lines(path, "ground-truth")
-    rows = [_fields(path, line, (float, int)) for line in body]
-    try:
-        truth = GroundTruthSeries(np.asarray([t for t, _ in rows]), np.asarray([c for _, c in rows]))
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from None
-    return truth, header["fingerprint"]
+    rows = np.array([_fields(path, line, (np.int64, np.int64)) for line in body], dtype=np.int64).reshape(-1, 2)
+    misplaced = np.flatnonzero(rows[:, 0] != np.arange(len(rows)))
+    if misplaced.size:
+        raise FileFormatError(f"{path}: line {misplaced[0]} of the counts is second {rows[misplaced[0], 0]}")
+    if (rows[:, 1] < 0).any():
+        raise FileFormatError(f"{path}: negative count")
+    return np.ascontiguousarray(rows[:, 1]), header["fingerprint"]
 
 
 # ------------------------------------------------------------------ dataset
 
 
-def write_dataset(path, dataset: FeatureDataset, fingerprint: str = "") -> None:
+def write_dataset(path, dataset: FeatureDataset, fingerprint: str) -> None:
     lines = _header_lines("dataset", fingerprint)
     spec = dataset.feature_spec
     lines.append(
@@ -306,14 +313,13 @@ def read_dataset(path) -> tuple[FeatureDataset, str]:
 # -------------------------------------------------------------------- model
 
 
-def write_model(path, params: RegressorParams, fingerprint: str = "") -> None:
+def write_model(path, params: RegressorParams, fingerprint: str) -> None:
     if params.norm_stats is None:
         raise ValueError("model file requires normalization statistics")
     stats = params.norm_stats
     lines = _header_lines("model", fingerprint)
     lines.append("format_version = 1")
     lines.append("layer_sizes = " + " ".join(str(s) for s in params.layer_sizes))
-    lines.append(f"init_seed = {params.init_seed}")
     lines.append("input_features = " + " ".join(stats.input_feature_ids))
     lines.append("kept_indices = " + " ".join(str(i) for i in stats.kept_indices))
     lines.append("norm_mean = " + " ".join(_f(x) for x in stats.mean))
@@ -345,7 +351,7 @@ def read_model(path) -> tuple[RegressorParams, str]:
         for layer, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
             weights.append(floats(f"W{layer}").reshape(fan_out, fan_in))
             biases.append(floats(f"b{layer}"))
-        params = RegressorParams(sizes, weights, biases, int(values["init_seed"]), stats)
+        params = RegressorParams(sizes, weights, biases, stats)
     except (KeyError, ValueError) as exc:
         raise FileFormatError(f"{path}: bad model file ({exc})") from None
     return params, header["fingerprint"]
@@ -354,7 +360,7 @@ def read_model(path) -> tuple[RegressorParams, str]:
 # ------------------------------------------------------------------- report
 
 
-def write_report_lines(path, entries: list[tuple[str, str]], fingerprint: str = "") -> None:
+def write_report_lines(path, entries: list[tuple[str, str]], fingerprint: str) -> None:
     """Write an ordered key = value report."""
     lines = _header_lines("report", fingerprint)
     for key, value in entries:
@@ -367,7 +373,7 @@ def read_report_lines(path) -> tuple[list[tuple[str, str]], str]:
     return _entries(path, body), header["fingerprint"]
 
 
-def write_residuals(path, t_start_s, y_true, y_continuous, y_rounded, fingerprint: str = "") -> None:
+def write_residuals(path, t_start_s, y_true, y_continuous, y_rounded, fingerprint: str) -> None:
     """Write one CSV row per test window: truth, continuous and rounded prediction, rounded error."""
     lines = _header_lines("residuals", fingerprint)
     lines.append("window_index,t_start_s,y_true,y_continuous,y_rounded,abs_error_rounded")
@@ -379,7 +385,7 @@ def write_residuals(path, t_start_s, y_true, y_continuous, y_rounded, fingerprin
 # ------------------------------------------------------------------ ranking
 
 
-def write_ranking(path, ranking: list[tuple[str, float]], fingerprint: str = "") -> None:
+def write_ranking(path, ranking: list[tuple[str, float]], fingerprint: str) -> None:
     lines = _header_lines("ranking", fingerprint)
     for feature_id, score in ranking:
         lines.append(f"{feature_id} {_f(score)}")

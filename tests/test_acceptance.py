@@ -242,9 +242,9 @@ def test_criterion_8_round_trip_persistence(smoke_run, tmp_path):
     with criterion(8, "round-trip persistence"):
         # Waveform: write -> read -> write must be byte-identical.
         src = os.path.join(smoke_run, "current.fnwv")
-        wave, channel, fp = read_waveform(src)
+        wave, fp = read_waveform(src, "CURR")
         copy = tmp_path / "current.fnwv"
-        write_waveform(copy, wave, channel, fp)
+        write_waveform(copy, wave, "CURR", fp)
         assert copy.read_bytes() == open(src, "rb").read()
 
         src = os.path.join(smoke_run, "dataset.csv")

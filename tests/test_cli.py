@@ -108,8 +108,7 @@ class TestStages:
     def test_simulate_outputs(self, config_path, tmp_path, capsys):
         out = str(tmp_path / "out")
         assert run("simulate", "--config", config_path, "--out", out) == 0
-        current, channel, _ = read_waveform(os.path.join(out, "current.fnwv"))
-        assert channel == "CURR"
+        current, _ = read_waveform(os.path.join(out, "current.fnwv"), "CURR")
         assert current.n_samples == 120_000  # 60 s at 2 kHz
         assert os.path.exists(os.path.join(out, "voltage.fnwv"))
         assert os.path.exists(os.path.join(out, "schedule.txt"))
@@ -130,9 +129,9 @@ class TestStages:
         assert run("simulate", "--config", str(path), "--out", out, "--quiet") == 0
         from feeder_nilm.storage import read_ground_truth
 
-        truth, _ = read_ground_truth(os.path.join(out, "ground_truth.txt"))
-        assert truth.counts.size == 60
-        assert (truth.counts == 2).all()
+        counts, _ = read_ground_truth(os.path.join(out, "ground_truth.txt"))
+        assert counts.size == 60
+        assert (counts == 2).all()
 
     def test_simulate_rerun_byte_identical(self, config_path, tmp_path):
         out_a = str(tmp_path / "a")
@@ -175,6 +174,20 @@ class TestStages:
             fh.write(b"CORRUPTED!")
         assert run("featurize", "--config", config_path, "--out", out) == 3
         assert "current.fnwv" in capsys.readouterr().err
+
+    def test_swapped_waveforms_are_refused(self, config_path, tmp_path, capsys):
+        # Both files carry the scenario fingerprint; only the channel tells voltage from current.
+        out = tmp_path / "out"
+        assert run("simulate", "--config", config_path, "--out", str(out), "--quiet") == 0
+        voltage, current = out / "voltage.fnwv", out / "current.fnwv"
+        voltage_bytes = voltage.read_bytes()
+        voltage.write_bytes(current.read_bytes())
+        current.write_bytes(voltage_bytes)
+        assert run("featurize", "--config", config_path, "--out", str(out)) == 3
+        assert "voltage.fnwv" in capsys.readouterr().err
+        assert run("pipeline", "--config", config_path, "--out", str(out)) == 0
+        assert "simulate: up to date" not in capsys.readouterr().out
+        assert voltage.read_bytes() == voltage_bytes
 
     def test_stale_fingerprint_is_contract_error(self, config_path, tmp_path, capsys):
         out = str(tmp_path / "out")
@@ -245,8 +258,8 @@ class TestPipeline:
         out = tmp_path / "out"
         assert run("pipeline", "--config", str(path), "--out", str(out), "--quiet") == 0
         dataset, _ = read_dataset(out / "dataset.csv")
-        truth, _ = read_ground_truth(out / "ground_truth.txt")
-        assert np.array_equal(dataset.y, window_targets(truth, 5.0, 2.5))
+        counts, _ = read_ground_truth(out / "ground_truth.txt")
+        assert np.array_equal(dataset.y, window_targets(counts, 5.0, 2.5, dataset.n_windows))
 
     def test_pipeline_idempotent_when_current(self, config_path, tmp_path, capsys):
         out = str(tmp_path / "out")
@@ -337,8 +350,8 @@ class TestPipeline:
         out_b = str(tmp_path / "b")
         assert run("pipeline", "--config", config_path, "--out", out_a, "--quiet", "--seed", "77") == 0
         assert run("pipeline", "--config", config_path, "--out", out_b, "--quiet") == 0
-        wave_a, _, _ = read_waveform(os.path.join(out_a, "current.fnwv"))
-        wave_b, _, _ = read_waveform(os.path.join(out_b, "current.fnwv"))
+        wave_a, _ = read_waveform(os.path.join(out_a, "current.fnwv"), "CURR")
+        wave_b, _ = read_waveform(os.path.join(out_b, "current.fnwv"), "CURR")
         assert not np.array_equal(wave_a.samples, wave_b.samples)
 
 

@@ -21,7 +21,7 @@ from feeder_nilm.config import (
     scenario_fingerprint,
 )
 from feeder_nilm.devices import default_library, load_device_library
-from feeder_nilm.featurize import DEFAULT_FEATURES
+from feeder_nilm.featurize import FEATURE_IDS
 from feeder_nilm.model import TrainConfig
 from feeder_nilm.simulate import ScenarioConfig
 
@@ -51,7 +51,7 @@ KEYS = {
     ("scenario", "device_library"): ("device_library_path", None, LIBRARY, LIBRARY),
     ("featurize", "window_s"): ("featurize.window_s", 5.0, "4", 4.0),
     ("featurize", "stride_s"): ("featurize.stride_s", 5.0, "2.5", 2.5),
-    ("featurize", "features"): ("featurize.features", DEFAULT_FEATURES, "i_rms thd", ("i_rms", "thd")),
+    ("featurize", "features"): ("featurize.features", FEATURE_IDS, "i_rms thd", ("i_rms", "thd")),
     ("featurize", "max_harmonic"): ("featurize.max_harmonic", 7, "9", 9),
     ("featurize", "top_k"): ("featurize.top_k", 0, "3", 3),
     ("model", "hidden_layers"): ("model.hidden_layers", (32, 16), "8 4", (8, 4)),

@@ -107,7 +107,7 @@ class TestFeaturize:
         _, voltage, current, truth = small_trace()
         dataset = featurize(voltage, current, truth, 5.0, 5.0, FeatureSpec())
         assert np.array_equal(dataset.t_start_s, np.arange(12) * 5.0)
-        assert dataset.t_start_s[-1] + dataset.window_s <= voltage.duration_s + 1e-9
+        assert dataset.t_start_s[-1] + dataset.window_s <= voltage.n_samples / voltage.sample_rate_hz + 1e-9
 
     def test_dataset_records_the_cut_grid(self, tmp_path):
         # At 2 kHz a 5.0002 s window is 10 000 samples and a 2.50024 s stride 5 000:
@@ -117,7 +117,7 @@ class TestFeaturize:
         _, voltage, current, truth = small_trace()
         dataset = featurize(voltage, current, truth, 5.0002, 2.50024, FeatureSpec())
         assert (dataset.window_s, dataset.stride_s) == (5.0, 2.5)
-        write_dataset(tmp_path / "dataset.csv", dataset)
+        write_dataset(tmp_path / "dataset.csv", dataset, "0" * 32)
         assert "# window_s=5 stride_s=2.5 " in (tmp_path / "dataset.csv").read_text()
 
     def test_misaligned_inputs_rejected(self):

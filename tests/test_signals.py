@@ -28,7 +28,7 @@ class TestWaveform:
     def test_basic_container(self):
         w = Waveform(np.ones(10), 100.0, 2.0)
         assert w.n_samples == 10
-        assert w.duration_s == pytest.approx(0.1)
+        assert w.n_samples / w.sample_rate_hz == pytest.approx(0.1)
         assert not w.samples.flags.writeable
 
     def test_rejects_bad_inputs(self):

@@ -5,7 +5,6 @@ from feeder_nilm import signals as sg
 from feeder_nilm.devices import default_library, mode_current_samples
 from feeder_nilm.simulate import (
     DeviceSchedule,
-    GroundTruthSeries,
     Schedule,
     ScenarioConfig,
     generate_schedule,
@@ -206,14 +205,15 @@ class TestGroundTruth:
                 for k in range(3)
             )
         )
-        truth = ground_truth_counts(schedule, cfg)
-        assert truth.counts.size == 10
-        assert (truth.counts == 3).all()
+        counts = ground_truth_counts(schedule, cfg)
+        assert counts.dtype == np.int64
+        assert counts.size == 10
+        assert (counts == 3).all()
 
     def test_no_medical_devices(self):
         cfg = scenario(background_population=(("resistive_heater", 4),))
         schedule = generate_schedule(cfg, LIBRARY)
-        assert not ground_truth_counts(schedule, cfg).counts.any()
+        assert not ground_truth_counts(schedule, cfg).any()
 
     def test_interval_membership(self):
         # Interval-membership oracle: [10, 20) covers exactly timestamps 10..19.
@@ -221,56 +221,56 @@ class TestGroundTruth:
         schedule = Schedule(
             (DeviceSchedule("ventilator#0", "ventilator", True, ((10.0, 20.0, "run"),)),)
         )
-        truth = ground_truth_counts(schedule, cfg)
         expected = np.zeros(30, dtype=int)
         expected[10:20] = 1
-        assert np.array_equal(truth.counts, expected)
+        assert np.array_equal(ground_truth_counts(schedule, cfg), expected)
 
     def test_background_devices_not_counted(self):
         cfg = scenario(background_population=(("resistive_heater", 1),))
         schedule = Schedule(
             (always_on("resistive_heater#0", "resistive_heater", "on", cfg.duration_s),)
         )
-        assert not ground_truth_counts(schedule, cfg).counts.any()
+        assert not ground_truth_counts(schedule, cfg).any()
 
 
 class TestWindowTargets:
     def make_truth(self, counts):
-        counts = np.asarray(counts)
-        return GroundTruthSeries(np.arange(counts.size, dtype=float), counts)
+        return np.asarray(counts, dtype=np.int64)
 
     def test_constant_counts(self):
         truth = self.make_truth([2] * 30)
-        assert (window_targets(truth, 5.0, 5.0) == 2).all()
+        assert (window_targets(truth, 5.0, 5.0, 6) == 2).all()
 
     def test_all_zero(self):
         truth = self.make_truth([0] * 30)
-        y = window_targets(truth, 5.0, 5.0)
+        y = window_targets(truth, 5.0, 5.0, 6)
         assert y.size == 6
         assert not y.any()
+        with pytest.raises(ValueError):  # a seventh window would run past the 30 s series
+            window_targets(truth, 5.0, 5.0, 7)
 
     def test_step_mid_window_takes_max(self):
         # Max-over-window oracle: step 1 -> 2 inside the third window.
         counts = np.array([1] * 12 + [2] * 8)
         truth = self.make_truth(counts)
-        y = window_targets(truth, 5.0, 5.0)
+        y = window_targets(truth, 5.0, 5.0, 4)
         expected = [counts[5 * k : 5 * k + 5].max() for k in range(4)]
         assert list(y) == expected
         assert y[2] == 2
 
     def test_window_longer_than_series(self):
         with pytest.raises(ValueError):
-            window_targets(self.make_truth([1, 1, 1]), 5.0, 5.0)
+            window_targets(self.make_truth([1, 1, 1]), 5.0, 5.0, 1)
 
     def test_sub_second_window_rejected(self):
         with pytest.raises(ValueError):
-            window_targets(self.make_truth([1] * 10), 0.5, 0.5)
+            window_targets(self.make_truth([1] * 10), 0.5, 0.5, 20)
 
     def test_counts_bounded_by_population(self):
         cfg = scenario(n_medical_devices=4, duration_s=600.0, rng_seed=17)
         schedule = generate_schedule(cfg, LIBRARY)
         truth = ground_truth_counts(schedule, cfg)
-        y = window_targets(truth, 5.0, 5.0)
+        y = window_targets(truth, 5.0, 5.0, 120)
         assert y.min() >= 0
         assert y.max() <= 4
 

@@ -10,7 +10,7 @@ from feeder_nilm.devices import default_library
 from feeder_nilm.featurize import FeatureDataset, FeatureSpec, NormStats
 from feeder_nilm.model import init_params
 from feeder_nilm.signals import Waveform
-from feeder_nilm.simulate import DeviceSchedule, GroundTruthSeries, Schedule
+from feeder_nilm.simulate import DeviceSchedule, Schedule
 from feeder_nilm.storage import (
     FileFormatError,
     read_dataset,
@@ -29,7 +29,7 @@ from feeder_nilm.storage import (
     write_waveform,
 )
 
-FP = "ab" * 32  # 64 hex chars, arbitrary
+FP = "ab" * 16  # 32 hex digits, arbitrary
 
 
 def random_waveform(seed=0, n=5000):
@@ -46,9 +46,8 @@ class TestWaveformFile:
         path = tmp_path / "w.fnwv"
         original = random_waveform()
         write_waveform(path, original, "CURR", FP)
-        loaded, channel, fingerprint = read_waveform(path)
-        assert channel == "CURR"
-        assert fingerprint == FP[:32]
+        loaded, fingerprint = read_waveform(path, "CURR")
+        assert fingerprint == FP
         assert loaded.sample_rate_hz == original.sample_rate_hz
         assert loaded.start_time_s == original.start_time_s
         assert np.array_equal(loaded.samples, original.samples)
@@ -57,50 +56,78 @@ class TestWaveformFile:
         first = tmp_path / "a.fnwv"
         second = tmp_path / "b.fnwv"
         write_waveform(first, random_waveform(), "VOLT", FP)
-        loaded, channel, fingerprint = read_waveform(first)
-        write_waveform(second, loaded, channel, fingerprint)
+        loaded, fingerprint = read_waveform(first, "VOLT")
+        write_waveform(second, loaded, "VOLT", fingerprint)
         assert first.read_bytes() == second.read_bytes()
 
     def test_header_is_64_bytes(self, tmp_path):
         path = tmp_path / "w.fnwv"
         w = Waveform(np.zeros(10), 100.0)
-        write_waveform(path, w, "VOLT")
+        write_waveform(path, w, "VOLT", FP)
         raw = path.read_bytes()
         assert len(raw) == 64 + 10 * 8
         assert raw[:4] == b"FNWV"
+        assert raw[36:52] == bytes.fromhex(FP)  # the whole fingerprint
+
+    @pytest.mark.parametrize(
+        "fingerprint",
+        ["ab" * 32, "ab" * 15, "", "AB" * 16, "zz" * 16],
+        ids=["64-digits", "30-digits", "empty", "upper-case", "non-hex"],
+    )
+    def test_fingerprint_must_be_32_hex_digits(self, tmp_path, fingerprint):
+        # The header holds 16 bytes: a longer fingerprint would be cut, a shorter one padded.
+        path = tmp_path / "w.fnwv"
+        with pytest.raises(ValueError, match="32"):
+            write_waveform(path, Waveform(np.zeros(10), 100.0), "VOLT", fingerprint)
+        assert not path.exists()
+
+    def test_other_channel_refused_naming_file(self, tmp_path):
+        path = tmp_path / "voltage.fnwv"
+        write_waveform(path, Waveform(np.zeros(10), 100.0), "CURR", FP)
+        with pytest.raises(FileFormatError, match="voltage.fnwv: channel 'CURR', expected 'VOLT'"):
+            read_waveform(path, "VOLT")
+
+    def test_unknown_channel_tag_rejected(self, tmp_path):
+        path = tmp_path / "odd.fnwv"
+        write_waveform(path, Waveform(np.zeros(10), 100.0), "VOLT", FP)
+        raw = bytearray(path.read_bytes())
+        raw[32:36] = b"\xffOLT"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FileFormatError, match="odd.fnwv"):
+            read_waveform(path, "VOLT")
 
     def test_corrupt_magic_names_file(self, tmp_path):
         path = tmp_path / "bad.fnwv"
-        write_waveform(path, Waveform(np.zeros(10), 100.0), "VOLT")
+        write_waveform(path, Waveform(np.zeros(10), 100.0), "VOLT", FP)
         raw = bytearray(path.read_bytes())
         raw[:4] = b"XXXX"
         path.write_bytes(bytes(raw))
         with pytest.raises(FileFormatError, match="bad.fnwv"):
-            read_waveform(path)
+            read_waveform(path, "VOLT")
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "short.fnwv"
-        write_waveform(path, Waveform(np.zeros(10), 100.0), "VOLT")
+        write_waveform(path, Waveform(np.zeros(10), 100.0), "VOLT", FP)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(FileFormatError):
-            read_waveform(path)
+            read_waveform(path, "VOLT")
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "long.fnwv"
-        write_waveform(path, Waveform(np.zeros(10), 100.0), "VOLT")
+        write_waveform(path, Waveform(np.zeros(10), 100.0), "VOLT", FP)
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(FileFormatError, match="long.fnwv"):
-            read_waveform(path)
+            read_waveform(path, "VOLT")
 
     def test_huge_count_rejected_before_allocation(self, tmp_path):
         # A corrupt count must be refused from the file size, not by a failed allocation.
         path = tmp_path / "huge.fnwv"
-        write_waveform(path, Waveform(np.zeros(10), 100.0), "VOLT")
+        write_waveform(path, Waveform(np.zeros(10), 100.0), "VOLT", FP)
         raw = bytearray(path.read_bytes())
         raw[24:32] = (2**60).to_bytes(8, "little")
         path.write_bytes(bytes(raw))
         with pytest.raises(FileFormatError, match="huge.fnwv"):
-            read_waveform(path)
+            read_waveform(path, "VOLT")
 
 
 class TestScheduleFile:
@@ -132,13 +159,37 @@ class TestScheduleFile:
 
 class TestGroundTruthFile:
     def test_round_trip(self, tmp_path):
-        truth = GroundTruthSeries(np.arange(20, dtype=float), np.tile([0, 1, 2, 1], 5))
+        counts = np.tile([0, 1, 2, 1], 5)
         path = tmp_path / "truth.txt"
-        write_ground_truth(path, truth, FP)
+        write_ground_truth(path, counts, FP)
         loaded, fingerprint = read_ground_truth(path)
         assert fingerprint == FP
-        assert np.array_equal(loaded.timestamps_s, truth.timestamps_s)
-        assert np.array_equal(loaded.counts, truth.counts)
+        assert loaded.dtype == np.int64
+        assert np.array_equal(loaded, counts)
+        assert path.read_text().splitlines()[2:5] == ["0 0", "1 1", "2 2"]  # one 'second count' line per second
+
+    @pytest.mark.parametrize(
+        "body", ["0 1\n2 1\n3 1\n", "0 1\n2 1\n1 1\n", "1 1\n2 1\n"], ids=["gapped", "shuffled", "late-start"]
+    )
+    def test_seconds_must_be_the_line_index(self, tmp_path, body):
+        # Counts are read by position, so a line whose second is not its index would be misplaced.
+        path = tmp_path / "truth.txt"
+        path.write_text(f"# feeder-nilm ground-truth v1\n# fingerprint={FP}\n{body}")
+        with pytest.raises(FileFormatError, match="truth.txt"):
+            read_ground_truth(path)
+
+    @pytest.mark.parametrize("count", ["-1", "99999999999999999999"], ids=["negative", "beyond-int64"])
+    def test_count_out_of_range_rejected(self, tmp_path, count):
+        path = tmp_path / "truth.txt"
+        path.write_text(f"# feeder-nilm ground-truth v1\n# fingerprint={FP}\n0 1\n1 {count}\n")
+        with pytest.raises(FileFormatError, match="truth.txt"):
+            read_ground_truth(path)
+
+    def test_missing_fingerprint_rejected(self, tmp_path):
+        path = tmp_path / "truth.txt"
+        path.write_text("# feeder-nilm ground-truth v1\n0 1\n1 1\n")
+        with pytest.raises(FileFormatError, match="fingerprint"):
+            read_ground_truth(path)
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "truth.txt"
@@ -212,7 +263,6 @@ class TestModelFile:
         loaded, fingerprint = read_model(path)
         assert fingerprint == FP
         assert loaded.layer_sizes == params.layer_sizes
-        assert loaded.init_seed == params.init_seed
         for wa, wb in zip(loaded.weights, params.weights):
             assert np.array_equal(wa, wb)
         for ba, bb in zip(loaded.biases, params.biases):
@@ -230,13 +280,13 @@ class TestModelFile:
         assert first.read_bytes() == second.read_bytes()
 
     def test_model_written_before_activation_removal_still_reads(self, tmp_path):
-        # Files from before the format dropped the fixed activation lines still load.
+        # Files from before the format dropped the fixed activation and init_seed lines still load.
         path = tmp_path / "model.txt"
         write_model(path, self.make_params(), FP)
         lines = path.read_text().splitlines()
-        assert not any("activation" in line for line in lines)
+        assert not any("activation" in line or "init_seed" in line for line in lines)
         at = lines.index("format_version = 1") + 2
-        lines[at:at] = ["hidden_activation = relu", "output_activation = softplus"]
+        lines[at:at] = ["init_seed = 11", "hidden_activation = relu", "output_activation = softplus"]
         path.write_text("\n".join(lines) + "\n")
         loaded, fingerprint = read_model(path)
         assert fingerprint == FP
@@ -311,6 +361,12 @@ class TestAtomicWrites:
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["current.fnwv"]
 
+    def test_text_writer_refuses_other_fingerprint_widths(self, tmp_path):
+        path = tmp_path / "ranking.txt"
+        with pytest.raises(ValueError, match="32"):
+            write_ranking(path, [("thd", 2.0)], "ab" * 32)
+        assert os.listdir(tmp_path) == []
+
     def test_write_replaces_existing_artifact(self, tmp_path):
         path = tmp_path / "ranking.txt"
         write_ranking(path, [("thd", 2.0)], FP)
@@ -335,8 +391,7 @@ def _write_sample(path, kind):
     if kind == "schedule":
         write_schedule(path, _schedule_with_idle_device(), FP)
     elif kind == "ground-truth":
-        truth = GroundTruthSeries(np.arange(6, dtype=float), np.array([0, 1, 2, 1, 0, 3]))
-        write_ground_truth(path, truth, FP)
+        write_ground_truth(path, np.array([0, 1, 2, 1, 0, 3]), FP)
     elif kind == "ranking":
         write_ranking(path, [("h3", 1234.5), ("i_rms", 0.75)], FP)
     elif kind == "dataset":
@@ -371,7 +426,7 @@ _BAD_LINES = [
     ("dataset", "1.0,2.0,3.0"),
     ("dataset", "1.0,2.0,x,4.0,1,1"),
     ("model", "init_seed"),
-    ("model", "init_seed = eleven"),
+    ("model", "W0 = x"),
     ("report", "mae_rounded 0.25"),
 ]
 
