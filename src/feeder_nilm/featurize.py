@@ -5,6 +5,10 @@ dataset: one row of window features x_t next to the integer target y_t
 (number of medical devices running within the window). Feature columns
 follow the order given in the FeatureSpec and that order is frozen into
 dataset files.
+
+Windows start on the stride grid, so the trace is cut into blocks of
+gcd(window, stride) samples; every per-sample quantity a feature needs is
+reduced once per block, and each window is built from its blocks.
 """
 
 from __future__ import annotations
@@ -31,10 +35,10 @@ __all__ = [
     "apply_normalization",
 ]
 
-# Windows are evaluated in blocks of rows; each signal's contiguous copy of
-# a block stays near this size, so a strided view of a long trace is never
-# copied whole.
-BLOCK_BYTES = 4 << 20
+# Windows are evaluated in chunks: the samples of a chunk's blocks, and the
+# block series its windows gather, stay near this size, so elementwise
+# temporaries never span the trace.
+CHUNK_BYTES = 4 << 20
 
 # Harmonic-magnitude features cover orders 2..7 of the grid frequency.
 FEATURE_IDS = (
@@ -82,37 +86,70 @@ class FeatureSpec:
 
 
 def evaluate_window(
-    v_window: np.ndarray, i_window: np.ndarray, spec: FeatureSpec, sample_rate_hz: float
+    v_blocks: np.ndarray,
+    i_blocks: np.ndarray,
+    spec: FeatureSpec,
+    sample_rate_hz: float,
+    k: int = 1,
+    s: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Feature rows for ``(n, W)`` stacks of aligned (voltage, current) windows.
+    """Feature rows for windows made of consecutive blocks of aligned (voltage, current) samples.
 
-    Returns an ``(n, n_features)`` matrix and ``n`` validity flags.
-    Undefined features (all-zero current, say) are reported as 0.0 and
-    flip the window's flag to False; the row stays rectangular.
+    Rows of the equal ``(n_blocks, B)`` stacks are consecutive blocks of B
+    samples, and window j covers blocks ``j*s ... j*s + k - 1``; with
+    ``k = s = 1`` each row is one window. Sums of squares, of ``|i|`` and
+    of ``v*i``, the peak ``|i|`` and the single-bin projections are taken
+    once per block and combined per window, so windows that overlap share
+    the work.
+
+    Returns an ``(n_windows, n_features)`` matrix and ``n_windows``
+    validity flags. Undefined features (all-zero current, say) are
+    reported as 0.0 and flip the window's flag to False; the row stays
+    rectangular.
     """
-    v = np.asarray(v_window, dtype=np.float64)
-    i = np.asarray(i_window, dtype=np.float64)
+    v = np.asarray(v_blocks, dtype=np.float64)
+    i = np.asarray(i_blocks, dtype=np.float64)
     if v.shape != i.shape or v.ndim != 2 or v.size == 0:
-        raise ValueError("voltage and current windows must be equal-shape (n, W) stacks")
-    n, width = v.shape
+        raise ValueError("voltage and current blocks must be equal-shape (n_blocks, B) stacks")
+    if k < 1 or s < 1:
+        raise ValueError("k and s must be positive")
+    n_blocks, width = v.shape
+    if n_blocks < k:
+        raise ValueError("the stacks hold fewer blocks than one window covers")
+    n = (n_blocks - k) // s + 1
+    # Gapped windows (s > k) read only their own blocks, so a chunk's windows are adjacent.
+    step_blocks = min(s, k)
     X, valid = np.empty((n, len(spec.features))), np.empty(n, dtype=bool)
-    step = min(n, max(1, BLOCK_BYTES // (8 * width)))
-    # Block buffers are reused: filling fresh memory for every block costs
-    # more than the projections themselves.
-    v_block, i_block, work = (np.empty((step, width)) for _ in range(3))
-    for lo in range(0, n, step):
-        m = min(step, n - lo)
-        np.copyto(v_block[:m], v[lo : lo + m])
-        np.copyto(i_block[:m], i[lo : lo + m])
-        X[lo : lo + m], valid[lo : lo + m] = _evaluate_block(v_block[:m], i_block[:m], work[:m], spec, sample_rate_hz)
+    gathered = k if width == 1 else 2 * k  # block sums a window gathers per frequency
+    per_chunk = min(n, max(1, CHUNK_BYTES // (8 * (step_blocks * width + gathered))))
+    # The buffer is reused: filling fresh memory for every chunk costs more than the work.
+    work = np.empty(((per_chunk - 1) * step_blocks + k, width))
+    for lo in range(0, n, per_chunk):
+        m = min(per_chunk, n - lo)
+        if s > k:
+            rows = ((lo + np.arange(m))[:, None] * s + np.arange(k)).reshape(-1)
+        else:
+            rows = slice(lo * s, (lo + m - 1) * s + k)
+        v_rows, i_rows = (np.ascontiguousarray(x[rows]) for x in (v, i))
+        X[lo : lo + m], valid[lo : lo + m] = _evaluate_chunk(
+            v_rows, i_rows, work[: len(i_rows)], spec, sample_rate_hz, k, step_blocks
+        )
     return X, valid
 
 
-def _evaluate_block(v, i, work, spec: FeatureSpec, fs: float):
-    never = np.zeros(len(i), dtype=bool)
-    # Row reductions run along the contiguous axis, as the scalar signals
-    # functions do, so they match those bit for bit.
-    i_rms = np.sqrt(np.mean(np.multiply(i, i, out=work), axis=1))
+def _evaluate_chunk(v, i, work, spec: FeatureSpec, fs: float, k: int, s: int):
+    width = k * v.shape[1]
+
+    def per_window(block_values, reduce=np.add.reduce):
+        # Window j combines blocks j*s ... j*s + k - 1; a one-block window is its block.
+        if k == 1:
+            return block_values
+        return reduce(np.lib.stride_tricks.sliding_window_view(block_values, k)[::s], axis=1)
+
+    # Block sums are pairwise row reductions along the contiguous axis, as the
+    # scalar signals functions take them, so one-block windows match those bit for bit.
+    i_rms = np.sqrt(per_window(np.sum(np.multiply(i, i, out=work), axis=1)) / width)
+    never = np.zeros(len(i_rms), dtype=bool)
     # Project the current only on the harmonic orders the spec needs.
     names = set(spec.features)
     orders = {int(name[1:]) for name in names if name[1:].isdigit()}
@@ -120,19 +157,23 @@ def _evaluate_block(v, i, work, spec: FeatureSpec, fs: float):
         orders.update(range(2, spec.max_harmonic + 1))
     if orders or names & {"phase_shift", "reactive_power"}:
         orders.add(1)  # its projection also rejects windows shorter than one grid period
-    i_phasors = {h: signals.fundamental_phasor(i, h * spec.f0_hz, fs) for h in sorted(orders)}
+    orders = sorted(orders)
+    i_phasors = {}
+    if orders:
+        magnitudes, phases = signals.fundamental_phasor(i, [h * spec.f0_hz for h in orders], fs, k, s)
+        i_phasors = {h: (magnitudes[row], phases[row]) for row, h in enumerate(orders)}
     # feature -> (column, undefined mask)
     table = {f"h{h}": (magnitude, never) for h, (magnitude, _) in i_phasors.items()}
     table["i_rms"] = (i_rms, never)
-    table["active_power"] = (np.mean(np.multiply(v, i, out=work), axis=1), never)
+    table["active_power"] = (per_window(np.sum(np.multiply(v, i, out=work), axis=1)) / width, never)
     abs_i = np.abs(i, out=work)
-    table["i_form_factor"] = _ratio(i_rms, np.mean(abs_i, axis=1))
-    table["i_crest_factor"] = _ratio(np.max(abs_i, axis=1), i_rms)
+    table["i_form_factor"] = _ratio(i_rms, per_window(np.sum(abs_i, axis=1)) / width)
+    table["i_crest_factor"] = _ratio(per_window(np.max(abs_i, axis=1), np.maximum.reduce), i_rms)
     if "thd" in names:
         energy = sum(i_phasors[h][0] ** 2 for h in range(2, spec.max_harmonic + 1))
         table["thd"] = _ratio(np.sqrt(energy), i_phasors[1][0])
     if names & {"phase_shift", "reactive_power"}:
-        v_mag, v_phase = signals.fundamental_phasor(v, spec.f0_hz, fs)
+        v_mag, v_phase = signals.fundamental_phasor(v, spec.f0_hz, fs, k, s)
         i_mag, i_phase = i_phasors[1]
         no_shift = (v_mag == 0.0) | (i_mag == 0.0)
         shift = np.where(no_shift, 0.0, wrap_phase(v_phase - i_phase))
@@ -205,7 +246,9 @@ def featurize(
     """Window the aligned trace and evaluate the feature spec per window.
 
     Windows are ``round(window_s * fs)`` samples long, one every
-    ``round(stride_s * fs)`` samples, as many as fit in the trace.
+    ``round(stride_s * fs)`` samples, as many as fit in the trace. The
+    trace is viewed, without a copy, as blocks of the greatest common
+    divisor of the two, which ``evaluate_window`` combines into windows.
     Targets come from ``window_targets`` of the per-second ``truth`` counts
     over that same sample grid, and the dataset records that grid's window
     and stride in seconds.
@@ -223,10 +266,15 @@ def featurize(
         raise ValueError("window_s and stride_s must cover at least one sample")
     if window_len > voltage.n_samples:
         raise ValueError("window_s exceeds the trace duration")
-    windows = [np.lib.stride_tricks.sliding_window_view(w.samples, window_len)[::stride_len] for w in (voltage, current)]
-    n_windows = len(windows[0])
+    # Every window starts on the stride grid, so both are whole numbers of
+    # B = gcd(window, stride) samples: window j covers blocks j*s ... j*s + k - 1.
+    block_len = math.gcd(window_len, stride_len)
+    k, s = window_len // block_len, stride_len // block_len
+    n_windows = (voltage.n_samples - window_len) // stride_len + 1
+    n_blocks = (n_windows - 1) * s + k
+    blocks = [w.samples[: n_blocks * block_len].reshape(n_blocks, block_len) for w in (voltage, current)]
     y = window_targets(truth, window_len / fs, stride_len / fs, n_windows)
-    X, valid = evaluate_window(*windows, spec, fs)
+    X, valid = evaluate_window(*blocks, spec, fs, k, s)
     t_start = voltage.start_time_s + np.arange(n_windows) * stride_len / fs
     return FeatureDataset(X, y, t_start, valid, window_len / fs, stride_len / fs, spec)
 

@@ -6,6 +6,12 @@ windows of any length work and there is no FFT bin ambiguity. Windows
 covering a non-integer number of periods carry a small spectral-leakage
 bias (below 0.1 percent for multi-second windows at grid frequency).
 
+``fundamental_phasor`` also projects many windows at once: given a stack
+of consecutive blocks, it projects each block once, phased from the block
+start, and builds each window's projection from its blocks' by rotating
+them to the window start. The scalar functions here work on one window
+and are the reference the featurizer is tested against.
+
 All arithmetic is float64. Every function here is a pure function of its
 inputs; waveforms are immutable after construction and safe to share
 across threads.
@@ -93,13 +99,50 @@ def _as_window(x) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _projection_basis(n: int, freq_hz: float, sample_rate_hz: float) -> np.ndarray:
-    # Cached per (length, frequency, rate); every window of a trace shares one shape.
-    # Rows are sin and cos, so a stack of windows projects on both in one product.
+    # Cached per (length, frequency, rate); every block of a trace shares one shape.
+    # Rows are sin and cos, so a stack of blocks projects on both in one product.
     t = np.arange(n, dtype=np.float64) / sample_rate_hz
     omega = 2.0 * math.pi * freq_hz
     basis = np.stack([np.sin(omega * t), np.cos(omega * t)])
     basis.flags.writeable = False
     return basis
+
+
+@lru_cache(maxsize=16)
+def _block_rotation(k: int, block_len: int, freqs_hz: tuple, sample_rate_hz: float) -> np.ndarray:
+    # Takes the (sin, cos) sums of k consecutive blocks, each phased from its
+    # own start, to their window's sums, phased from the window start: block
+    # d starts 2*pi*f*d*B/fs into the window. With an integer frequency and
+    # rate that phase is reduced exactly in integers, as (f*d*B mod fs)/fs
+    # turns, as devices.add_harmonics does.
+    d = np.arange(k, dtype=np.int64)
+    fs = int(sample_rate_hz) if float(sample_rate_hz).is_integer() else None
+    turns = np.empty((len(freqs_hz), k))
+    for row, freq in zip(turns, freqs_hz):
+        if fs is not None and float(freq).is_integer():
+            row[:] = (int(freq) * block_len % fs) * d % fs / fs
+        else:
+            row[:] = d * (freq * block_len / sample_rate_hz)
+            row -= np.floor(row)
+    theta = np.multiply(turns, 2.0 * math.pi, out=turns)
+    cos, sin = np.cos(theta), np.sin(theta, out=theta)
+    if block_len == 1:
+        # A one-sample block's sine sum is x*sin(0) = 0 and its cosine sum is x,
+        # so each frequency takes the samples themselves to the window's sums by
+        # (sin, cos) of their phase, side by side: (k, 2F).
+        rotation = np.stack([sin.T, cos.T], axis=-1).reshape(k, -1)
+    else:
+        # sin(wt + phi) = sin(wt)cos(phi) + cos(wt)sin(phi); cos(wt + phi) = cos(wt)cos(phi) - sin(wt)sin(phi).
+        # Per frequency, row 2d + c takes block d's sum c (sin, cos) to the window's (sin, cos).
+        rotation = np.stack([np.stack([cos, -sin], axis=-1), np.stack([sin, cos], axis=-1)], axis=-2)
+        rotation = rotation.reshape(len(freqs_hz), 2 * k, 2)
+    rotation.flags.writeable = False
+    return rotation
+
+
+def _gather(series: np.ndarray, width: int, step: int) -> np.ndarray:
+    """Contiguous rows ``series[j*step : j*step + width]``, one per window."""
+    return np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(series, width)[::step])
 
 
 def rms(window) -> float:
@@ -134,39 +177,73 @@ def crest_factor(window) -> float:
     return float(np.max(np.abs(arr))) / r
 
 
-def fundamental_phasor(window, freq_hz: float, sample_rate_hz: float):
-    """Single-bin Fourier projection of the window at ``freq_hz``.
+def fundamental_phasor(blocks, freq_hz, sample_rate_hz: float, k: int = 1, s: int = 1):
+    """Single-bin Fourier projection of each window at ``freq_hz``.
 
     Returns ``(magnitude_rms, phase_rad)`` in the sine convention
     ``x(t) = sqrt(2) * magnitude_rms * sin(2*pi*freq_hz*t + phase)`` with
     the phase referenced to the window start and wrapped to (-pi, pi].
-    A zero signal yields magnitude 0.0 and phase 0.0. A ``(..., W)`` stack
-    of windows yields arrays of shape ``(...)``, one entry per window.
+    A zero signal yields magnitude 0.0 and phase 0.0.
+
+    A 1-D array is one window and yields two floats. The rows of an
+    ``(n_blocks, B)`` stack are consecutive blocks of B samples, and
+    window j covers blocks ``j*s ... j*s + k - 1`` (k*B samples); the
+    result holds one array entry per window. Each block is projected
+    once, with its phase measured from the block start, and a window's
+    sums are its k block sums rotated to the window start, so windows
+    that share blocks share their projection. With ``k = s = 1`` every
+    row is one window, projected as a whole. A stack may be projected on
+    a sequence of frequencies at once; the result then has one row per
+    frequency.
 
     Raises:
-        ValueError: if the window covers less than one period of
-            ``freq_hz`` or ``freq_hz`` is not below Nyquist.
+        ValueError: if a window covers less than one period of a
+            frequency, a frequency is not below Nyquist, or the stack
+            holds fewer than k blocks.
     """
-    arr = np.asarray(window, dtype=np.float64)
-    if arr.ndim == 0 or arr.size == 0:
-        raise ValueError("window must be a non-empty sample array")
-    n = arr.shape[-1]
-    if not (freq_hz > 0.0 and sample_rate_hz > 0.0):
+    arr = np.asarray(blocks, dtype=np.float64)
+    one_freq = np.ndim(freq_hz) == 0
+    freqs = tuple(float(f) for f in np.atleast_1d(freq_hz))
+    if arr.ndim not in (1, 2) or arr.size == 0 or not freqs:
+        raise ValueError("need a non-empty 1-D window or 2-D stack of blocks, and a frequency")
+    if k < 1 or s < 1 or (arr.ndim == 1 and (k, s, one_freq) != (1, 1, True)):
+        raise ValueError("k and s must be positive; a single window takes one frequency and k = s = 1")
+    block_len = arr.shape[-1]
+    n = k * block_len
+    if not (min(freqs) > 0.0 and sample_rate_hz > 0.0):
         raise ValueError("freq_hz and sample_rate_hz must be positive")
-    if freq_hz >= 0.5 * sample_rate_hz:
+    if max(freqs) >= 0.5 * sample_rate_hz:
         raise ValueError("freq_hz must lie below the Nyquist frequency")
-    if n * freq_hz < sample_rate_hz * (1.0 - 1e-12):
+    if n * min(freqs) < sample_rate_hz * (1.0 - 1e-12):
         raise ValueError("window shorter than one period of freq_hz")
-    basis = _projection_basis(n, freq_hz, sample_rate_hz)
-    if arr.ndim > 1:
-        in_phase, quadrature = np.moveaxis(2.0 * (arr @ basis.T) / n, -1, 0)
-        return np.hypot(in_phase, quadrature) / math.sqrt(2.0), wrap_phase(np.arctan2(quadrature, in_phase))
-    sin_basis, cos_basis = basis
-    in_phase = 2.0 * float(arr @ sin_basis) / n
-    quadrature = 2.0 * float(arr @ cos_basis) / n
-    magnitude_rms = math.hypot(in_phase, quadrature) / math.sqrt(2.0)
-    phase = wrap_phase(math.atan2(quadrature, in_phase))
-    return magnitude_rms, phase
+    bases = [_projection_basis(block_len, freq, sample_rate_hz) for freq in freqs]
+    if arr.ndim == 1:
+        sin_basis, cos_basis = bases[0]
+        in_phase = 2.0 * float(arr @ sin_basis) / n
+        quadrature = 2.0 * float(arr @ cos_basis) / n
+        magnitude_rms = math.hypot(in_phase, quadrature) / math.sqrt(2.0)
+        phase = wrap_phase(math.atan2(quadrature, in_phase))
+        return magnitude_rms, phase
+    if len(arr) < k:
+        raise ValueError("the stack holds fewer blocks than one window covers")
+    n_windows = (len(arr) - k) // s + 1
+    # sums[f, j] = (sin, cos) sums of window j at frequency f
+    if k == 1:
+        sums = np.stack([arr[::s] @ basis.T for basis in bases])
+    else:
+        used = arr[: (n_windows - 1) * s + k]
+        rotation = _block_rotation(k, block_len, freqs, sample_rate_hz)
+        if block_len == 1:
+            sums = (_gather(used[:, 0], k, s) @ rotation).reshape(n_windows, -1, 2).transpose(1, 0, 2)
+        else:
+            # Per frequency, window j's row holds its k blocks' interleaved (sin, cos) sums.
+            sums = np.stack(
+                [_gather((used @ basis.T).reshape(-1), 2 * k, 2 * s) @ r for basis, r in zip(bases, rotation)]
+            )
+    in_phase, quadrature = np.moveaxis(2.0 * sums / n, -1, 0)
+    magnitude = np.hypot(in_phase, quadrature) / math.sqrt(2.0)
+    phase = wrap_phase(np.arctan2(quadrature, in_phase))
+    return (magnitude[0], phase[0]) if one_freq else (magnitude, phase)
 
 
 def harmonic_magnitude(window, harmonic: int, base_freq_hz: float, sample_rate_hz: float) -> float:

@@ -174,13 +174,14 @@ def _read_tagged_lines(path, tag: str) -> tuple[dict[str, str], list[str]]:
         raise FileFormatError(f"{path}: not a text artifact") from None
     if not raw or raw[0] != f"# feeder-nilm {tag} v1":
         raise FileFormatError(f"{path}: missing '# feeder-nilm {tag} v1' header")
-    header: dict[str, str] = {}
+    words: list[tuple[str, str]] = []
     body: list[str] = []
     for line in raw[1:]:
         if line.startswith("#"):
-            header.update(word.split("=", 1) for word in line[1:].split() if "=" in word)
+            words += [tuple(word.split("=", 1)) for word in line[1:].split() if "=" in word]
         elif line.strip():
             body.append(line)
+    header = _unique(path, words)
     if "fingerprint" not in header:
         raise FileFormatError(f"{path}: missing '# fingerprint=' line")
     return header, body
@@ -197,11 +198,21 @@ def _fields(path, line: str, types: tuple, sep: str | None = None) -> tuple:
         raise FileFormatError(f"{path}: bad value in line {line!r}") from None
 
 
-def _entries(path, body: list[str]) -> list[tuple[str, str]]:
-    """``key = value`` lines, each split on its first '='."""
+def _unique(path, pairs: list[tuple[str, str]]) -> dict[str, str]:
+    """``pairs`` as a dict; a key given twice is refused, not overridden by its last value."""
+    values: dict[str, str] = {}
+    for key, value in pairs:
+        if key in values:
+            raise FileFormatError(f"{path}: repeated key {key!r}")
+        values[key] = value
+    return values
+
+
+def _entries(path, body: list[str]) -> dict[str, str]:
+    """``key = value`` lines, each split on its first '=', in file order; each key once."""
     if any("=" not in line for line in body):
         raise FileFormatError(f"{path}: expected 'key = value' lines")
-    return [tuple(part.strip() for part in line.split("=", 1)) for line in body]
+    return _unique(path, [tuple(part.strip() for part in line.split("=", 1)) for line in body])
 
 
 def _header_lines(tag: str, fingerprint: str) -> list[str]:
@@ -332,7 +343,7 @@ def write_model(path, params: RegressorParams, fingerprint: str) -> None:
 
 def read_model(path) -> tuple[RegressorParams, str]:
     header, body = _read_tagged_lines(path, "model")
-    values = dict(_entries(path, body))
+    values = _entries(path, body)
 
     def floats(key: str) -> np.ndarray:
         return np.asarray([float(x) for x in values[key].split()], dtype=np.float64)
@@ -370,7 +381,7 @@ def write_report_lines(path, entries: list[tuple[str, str]], fingerprint: str) -
 
 def read_report_lines(path) -> tuple[list[tuple[str, str]], str]:
     header, body = _read_tagged_lines(path, "report")
-    return _entries(path, body), header["fingerprint"]
+    return list(_entries(path, body).items()), header["fingerprint"]
 
 
 def write_residuals(path, t_start_s, y_true, y_continuous, y_rounded, fingerprint: str) -> None:

@@ -4,10 +4,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as strat
 
 from feeder_nilm import signals as sg
+from feeder_nilm.signals import Waveform
 from feeder_nilm.devices import default_library
 from feeder_nilm.featurize import (
     FEATURE_IDS,
@@ -301,7 +302,7 @@ class TestEvaluateWindowStack:
         v = rng.uniform(50, 200, (n_rows, 1)) * np.sin(2 * np.pi * 60.0 * t + rng.uniform(-3, 3, (n_rows, 1)))
         i = rng.normal(0.0, rng.uniform(0.01, 5.0), (n_rows, width)) + 0.3 * v / 100.0
         i[np.array(zero_rows[:n_rows])] = 0.0
-        with mock.patch.object(FEATURIZE_MODULE, "BLOCK_BYTES", 8 * width * block_rows):
+        with mock.patch.object(FEATURIZE_MODULE, "CHUNK_BYTES", 8 * (width + 2) * block_rows):
             X, valid = evaluate_window(v, i, spec, fs)
         assert X.shape == (n_rows, len(features)) and valid.shape == (n_rows,)
         for k in range(n_rows):
@@ -337,3 +338,64 @@ class TestEvaluateWindowStack:
             evaluate_window(np.ones((2, 2, 50)), np.ones((2, 2, 50)), FeatureSpec(), 2000.0)
         with pytest.raises(ValueError):
             evaluate_window(np.ones(50), np.ones(50), FeatureSpec(), 2000.0)  # a bare window is not a stack
+
+
+class TestFeaturizeGrid:
+    """featurize on (window, stride) grids against each window cut out and run through the scalar oracle.
+
+    Windows are whole numbers of B = gcd(W, S) samples; the examples pin
+    S < W, S = W, S > W with gapped windows (s > k), S not dividing W,
+    one-block windows, B = 1, and a grid whose frequency and rate are not
+    integers.
+    """
+
+    @given(
+        grid=strat.sampled_from([(60.0, 2000.0), (59.94, 9999.5)]),
+        extra=strat.integers(0, 3000),
+        stride=strat.integers(1, 6000),
+        n_windows=strat.integers(1, 5),
+        features=strat.lists(strat.sampled_from(FEATURE_IDS), min_size=1, unique=True),
+        zero_window=strat.none() | strat.integers(0, 4),
+        chunk_bytes=strat.integers(1, 1 << 18),
+        seed=strat.integers(0, 2**32 - 1),
+    )
+    @example(grid=(60.0, 2000.0), extra=500, stride=1000, n_windows=5, features=FEATURE_IDS, zero_window=None, chunk_bytes=1 << 18, seed=1)  # S < W, S | W
+    @example(grid=(60.0, 2000.0), extra=0, stride=2000, n_windows=4, features=FEATURE_IDS, zero_window=1, chunk_bytes=1 << 18, seed=2)  # S = W
+    @example(grid=(60.0, 2000.0), extra=0, stride=5000, n_windows=4, features=FEATURE_IDS, zero_window=2, chunk_bytes=1, seed=3)  # gapped: B = 1000, k = 2, s = 5
+    @example(grid=(60.0, 2000.0), extra=0, stride=4000, n_windows=3, features=FEATURE_IDS, zero_window=None, chunk_bytes=1, seed=4)  # one-block windows, s = 2
+    @example(grid=(60.0, 2000.0), extra=0, stride=1500, n_windows=5, features=FEATURE_IDS, zero_window=None, chunk_bytes=1 << 16, seed=5)  # S does not divide W
+    @example(grid=(60.0, 2000.0), extra=1, stride=1000, n_windows=5, features=FEATURE_IDS, zero_window=3, chunk_bytes=1 << 18, seed=6)  # B = 1
+    @example(grid=(59.94, 9999.5), extra=0, stride=2500, n_windows=5, features=FEATURE_IDS, zero_window=0, chunk_bytes=1 << 18, seed=7)  # non-integer grid
+    @settings(max_examples=40, deadline=None)
+    def test_windows_match_scalar_oracle(self, grid, extra, stride, n_windows, features, zero_window, chunk_bytes, seed):
+        f0, fs = grid
+        width = math.ceil(fs) + extra  # windows of at least one second
+        rng = np.random.default_rng(seed)
+        n = width + (n_windows - 1) * stride + int(rng.integers(0, stride))  # and a partial stride at the end
+        t = np.arange(n) / fs
+        v = rng.uniform(50, 200) * np.sin(2 * np.pi * f0 * t + rng.uniform(-3, 3)) + rng.normal(0.0, 1.0, n)
+        i = rng.normal(0.0, rng.uniform(0.01, 5.0), n) + 0.3 * v / 100.0
+        if zero_window is not None and zero_window < n_windows:
+            i[zero_window * stride : zero_window * stride + width] = 0.0
+        spec = FeatureSpec(tuple(features), f0_hz=f0)
+        truth = np.zeros(math.ceil(n / fs) + 1, dtype=np.int64)
+        with mock.patch.object(FEATURIZE_MODULE, "CHUNK_BYTES", chunk_bytes):
+            dataset = featurize(Waveform(v, fs), Waveform(i, fs), truth, width / fs, stride / fs, spec)
+        assert dataset.n_windows == n_windows
+        one_block = stride % width == 0  # B = W: each window is one block, reduced as the scalar functions reduce it
+        for j in range(n_windows):
+            v_window, i_window = v[j * stride : j * stride + width], i[j * stride : j * stride + width]
+            row_valid = True
+            for col, name in enumerate(features):
+                try:
+                    want = scalar_oracle(name, v_window, i_window, spec, fs)
+                except sg.UndefinedFeatureError:
+                    want, row_valid = 0.0, False
+                got = dataset.X[j, col]
+                if one_block and name in EXACT_FEATURES:
+                    assert got == want, name
+                elif name == "phase_shift":
+                    assert abs(sg.wrap_phase(got - want)) <= 1e-9, name
+                else:
+                    assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9), name
+            assert dataset.valid[j] == row_valid

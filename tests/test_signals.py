@@ -161,6 +161,71 @@ class TestFundamentalPhasor:
         assert sg.wrap_phase(phase_d - expected) == pytest.approx(0.0, abs=1e-7)
 
 
+class TestBlockSeries:
+    """A window of k consecutive blocks equals the same samples projected as one window."""
+
+    @given(
+        grid=strat.sampled_from([(60.0, 2000.0), (59.94, 9999.5)]),
+        block_len=strat.integers(1, 60),
+        k=strat.integers(1, 12),
+        s=strat.integers(1, 14),
+        n_windows=strat.integers(1, 5),
+        orders=strat.lists(strat.integers(1, 7), min_size=1, max_size=4, unique=True),
+        seed=strat.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_windows_match_one_window_projections(self, grid, block_len, k, s, n_windows, orders, seed):
+        f0, fs = grid
+        period = math.ceil(fs / f0)
+        k = max(k, -(-period // block_len))  # a window covers at least one period
+        n_blocks = (n_windows - 1) * s + k
+        rng = np.random.default_rng(seed)
+        x = rng.normal(0.0, 1.0, n_blocks * block_len) + sine(f0, fs, n_blocks * block_len * f0 / fs, 3.0, 0.7)
+        blocks = x.reshape(n_blocks, block_len)
+        freqs = [h * f0 for h in orders]
+        magnitudes, phases = sg.fundamental_phasor(blocks, freqs, fs, k, s)
+        assert magnitudes.shape == phases.shape == (len(orders), n_windows)
+        for row, freq in enumerate(freqs):
+            one_mag, one_phase = sg.fundamental_phasor(blocks, freq, fs, k, s)
+            np.testing.assert_allclose(magnitudes[row], one_mag, rtol=1e-12, atol=1e-15)
+            for j in range(n_windows):
+                window = x[j * s * block_len : (j * s + k) * block_len]
+                want_mag, want_phase = sg.fundamental_phasor(window, freq, fs)
+                assert magnitudes[row, j] == pytest.approx(want_mag, rel=1e-9, abs=1e-12)
+                assert sg.wrap_phase(phases[row, j] - want_phase) == pytest.approx(0.0, abs=1e-9)
+
+    def test_one_block_windows_keep_the_stack_projection(self, grid):
+        f0, fs = grid
+        rng = np.random.default_rng(3)
+        stack = rng.normal(0.0, 1.0, (5, 400))
+        # The projection one window of the stack has always had, bit for bit.
+        omega_t = 2.0 * math.pi * f0 * (np.arange(400) / fs)
+        in_phase, quadrature = (2.0 * (stack @ np.stack([np.sin(omega_t), np.cos(omega_t)]).T) / 400).T
+        magnitude, phase = sg.fundamental_phasor(stack, f0, fs)
+        assert np.array_equal(magnitude, np.hypot(in_phase, quadrature) / math.sqrt(2.0))
+        assert np.array_equal(phase, sg.wrap_phase(np.arctan2(quadrature, in_phase)))
+        every_other, _ = sg.fundamental_phasor(stack, f0, fs, 1, 2)
+        assert np.array_equal(every_other, magnitude[::2])
+
+    def test_bad_block_arguments_rejected(self, grid):
+        f0, fs = grid
+        blocks = np.ones((4, 100))
+        with pytest.raises(ValueError):
+            sg.fundamental_phasor(blocks, f0, fs, 5, 1)  # fewer blocks than one window
+        with pytest.raises(ValueError):
+            sg.fundamental_phasor(blocks, f0, fs, 2, 0)
+        with pytest.raises(ValueError):
+            sg.fundamental_phasor(np.ones(400), [f0, 2 * f0], fs)  # one window takes one frequency
+        with pytest.raises(ValueError):
+            sg.fundamental_phasor(np.ones(400), f0, fs, 2, 1)
+        with pytest.raises(ValueError):
+            sg.fundamental_phasor(np.ones((2, 2, 100)), f0, fs)
+        with pytest.raises(ValueError):
+            sg.fundamental_phasor(blocks, [f0, 0.6 * fs], fs, 2, 1)  # above Nyquist
+        with pytest.raises(ValueError):
+            sg.fundamental_phasor(blocks, f0, fs)  # 100 samples < one period at 60 Hz
+
+
 class TestPhaseShift:
     def test_resistive(self, grid):
         f0, fs = grid

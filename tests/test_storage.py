@@ -431,6 +431,16 @@ _BAD_LINES = [
 ]
 
 
+# (artifact kind, appended line, repeated key): each line reads on its own,
+# but repeats a header key or a ``key = value`` key the file already has.
+_REPEATED_KEYS = [
+    ("ranking", f"# fingerprint={'cd' * 16}", "fingerprint"),
+    ("dataset", "# max_harmonic=7", "max_harmonic"),
+    ("model", "b1 = 0.5", "b1"),
+    ("report", "mae_rounded = 0.5", "mae_rounded"),
+]
+
+
 class TestSharedParser:
     @pytest.mark.parametrize("kind, line", _BAD_LINES, ids=[f"{k}:{l}" for k, l in _BAD_LINES])
     def test_bad_line_rejected_naming_file(self, tmp_path, kind, line):
@@ -440,6 +450,17 @@ class TestSharedParser:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
         with pytest.raises(FileFormatError, match=f"bad-{kind}.txt"):
+            _READERS[kind](path)
+
+    @pytest.mark.parametrize(
+        "kind, line, key", _REPEATED_KEYS, ids=[f"{k}:{key}" for k, _, key in _REPEATED_KEYS]
+    )
+    def test_repeated_key_rejected_naming_file_and_key(self, tmp_path, kind, line, key):
+        path = tmp_path / f"bad-{kind}.txt"
+        _write_sample(path, kind)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(FileFormatError, match=f"bad-{kind}.txt: repeated key {key!r}"):
             _READERS[kind](path)
 
     @pytest.mark.parametrize("kind", ["schedule", "ground-truth", "ranking"])
