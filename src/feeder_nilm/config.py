@@ -223,9 +223,15 @@ def load_run_config(path) -> RunConfig:
     if "stride_s" not in featurize_raw:  # the stride defaults to the window
         featurize_section = replace(featurize_section, stride_s=featurize_section.window_s)
     try:
-        FeatureSpec(featurize_section.features, scenario.f0_hz, featurize_section.max_harmonic)
+        spec = FeatureSpec(featurize_section.features, scenario.f0_hz, featurize_section.max_harmonic)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    highest = max(spec.harmonic_orders, default=0)
+    if highest * scenario.f0_hz >= scenario.sample_rate_hz / 2.0:
+        raise ConfigError(
+            f"{path}: [featurize] features project harmonic order {highest} ({highest * scenario.f0_hz:g} Hz), "
+            f"which aliases at {scenario.sample_rate_hz:g} Hz sampling: not below the Nyquist frequency"
+        )
     if featurize_section.window_s > scenario.duration_s:
         raise ConfigError(f"{path}: [featurize] window_s exceeds the scenario duration_s")
 
@@ -268,10 +274,10 @@ def load_library_for(config: RunConfig) -> dict[str, DeviceModel]:
     if scenario.n_medical_devices > 0:
         if not library[medical].is_medical:
             raise ConfigError(f"device class {medical!r} is not flagged is_medical in the library")
-        modes = [mode.name for mode in library[medical].non_off_modes]
+        modes = [mode.name for mode in library[medical].modes]
         for mode_name in scenario.medical_modes:
             if mode_name not in modes:
-                raise ConfigError(f"medical_modes: device {medical!r} has no non-off mode {mode_name!r}")
+                raise ConfigError(f"medical_modes: device {medical!r} has no mode {mode_name!r}")
     return library
 
 

@@ -8,7 +8,9 @@ vectors that ``select-features`` ranks.
 
 A device class is described by named operational modes, each mode by a
 set of harmonic phasors (RMS amperes, radians, sine convention) plus a
-wideband current-noise level. The shipped signatures are synthetic
+wideband current-noise level. A mode is a state in which the device
+draws current; a device is off whenever no schedule interval covers the
+time, so there is no off mode. The shipped signatures are synthetic
 stand-ins with distinct harmonic and phase profiles per class; they are
 not lab measurements and every one of them can be overridden through a
 device library file (see ``save_device_library`` for the schema).
@@ -30,7 +32,6 @@ __all__ = [
     "HarmonicSpec",
     "DeviceMode",
     "DeviceModel",
-    "OFF_MODE_NAME",
     "mode_current_samples",
     "mode_phasors",
     "add_harmonics",
@@ -39,8 +40,6 @@ __all__ = [
     "save_device_library",
     "load_device_library",
 ]
-
-OFF_MODE_NAME = "off"
 
 LIBRARY_FORMAT_VERSION = 1
 
@@ -86,7 +85,7 @@ class DeviceMode:
             raise ValueError(f"mode {self.name!r} repeats a harmonic order")
         if not (math.isfinite(self.noise_rms_amps) and self.noise_rms_amps >= 0.0):
             raise ValueError("noise_rms_amps must be finite and non-negative")
-        if self.name != OFF_MODE_NAME and not any(h.magnitude_rms_amps > 0.0 for h in self.harmonics):
+        if not any(h.magnitude_rms_amps > 0.0 for h in self.harmonics):
             raise ValueError(f"mode {self.name!r} must have at least one non-zero harmonic")
 
     @property
@@ -94,12 +93,9 @@ class DeviceMode:
         return max((h.harmonic_order for h in self.harmonics), default=0)
 
 
-OFF_MODE = DeviceMode(OFF_MODE_NAME)
-
-
 @dataclass(frozen=True)
 class DeviceModel:
-    """An appliance class: its modes, and whether it is the medical device of interest."""
+    """An appliance class: the modes it draws current in, and whether it is the medical device of interest."""
 
     class_name: str
     is_medical: bool
@@ -112,22 +108,14 @@ class DeviceModel:
         names = [m.name for m in self.modes]
         if len(set(names)) != len(names):
             raise ValueError(f"device {self.class_name!r} repeats a mode name")
-        off_modes = [m for m in self.modes if m.name == OFF_MODE_NAME]
-        if len(off_modes) != 1:
-            raise ValueError(f"device {self.class_name!r} must define exactly one 'off' mode")
-        off = off_modes[0]
-        if off.harmonics or off.noise_rms_amps != 0.0:
-            raise ValueError(f"device {self.class_name!r}: the 'off' mode must be silent")
+        if not self.modes:
+            raise ValueError(f"device {self.class_name!r} has no modes")
 
     def mode(self, name: str) -> DeviceMode:
         for m in self.modes:
             if m.name == name:
                 return m
         raise KeyError(f"device {self.class_name!r} has no mode {name!r}")
-
-    @property
-    def non_off_modes(self) -> tuple[DeviceMode, ...]:
-        return tuple(m for m in self.modes if m.name != OFF_MODE_NAME)
 
 
 def mode_current_samples(mode: DeviceMode, t_s: np.ndarray, f0_hz: float) -> np.ndarray:
@@ -204,7 +192,7 @@ def add_harmonics(out: np.ndarray, start: int, phasors: np.ndarray, sample_rate_
 
 
 def _check_aliasing(mode: DeviceMode, f0_hz: float, sample_rate_hz: float) -> None:
-    if mode.max_order and sample_rate_hz <= 2.0 * f0_hz * mode.max_order:
+    if sample_rate_hz <= 2.0 * f0_hz * mode.max_order:
         raise ValueError(
             f"mode {mode.name!r}: harmonic order {mode.max_order} aliases at "
             f"{sample_rate_hz} Hz sampling"
@@ -220,7 +208,7 @@ def characterization_vectors(
     rng_seed: int = 0,
     voltage_rms: float = NOMINAL_VOLTAGE_RMS,
 ) -> list[np.ndarray]:
-    """Noisy signature vectors across all non-off modes of ``model``.
+    """Noisy signature vectors across all modes of ``model``.
 
     Emulates repeated lab measurements: per mode, ``repetitions`` windows
     with the mode's own noise level, deterministically seeded.
@@ -236,7 +224,7 @@ def characterization_vectors(
     t = np.arange(n, dtype=np.float64) / sample_rate_hz
     voltage = math.sqrt(2.0) * voltage_rms * np.sin(2.0 * math.pi * f0 * t)
     vectors: list[np.ndarray] = []
-    for mode in model.non_off_modes:
+    for mode in model.modes:
         _check_aliasing(mode, f0, sample_rate_hz)
         rng = np.random.default_rng(_stable_seed(rng_seed, model.class_name, mode.name, "characterize"))
         current = mode_current_samples(mode, t, f0) + rng.normal(0.0, mode.noise_rms_amps, (repetitions, n))
@@ -265,7 +253,6 @@ def default_library() -> dict[str, DeviceModel]:
         "ventilator",
         is_medical=True,
         modes=(
-            OFF_MODE,
             DeviceMode("standby", (HarmonicSpec(1, 0.10, -0.35),), noise_rms_amps=0.003),
             DeviceMode(
                 "run",
@@ -291,13 +278,12 @@ def default_library() -> dict[str, DeviceModel]:
         DeviceModel(
             "resistive_heater",
             is_medical=False,
-            modes=(OFF_MODE, DeviceMode("on", (HarmonicSpec(1, 8.0, 0.0),), noise_rms_amps=0.010)),
+            modes=(DeviceMode("on", (HarmonicSpec(1, 8.0, 0.0),), noise_rms_amps=0.010),),
         ),
         DeviceModel(
             "induction_motor",
             is_medical=False,
             modes=(
-                OFF_MODE,
                 DeviceMode(
                     "on",
                     (HarmonicSpec(1, 5.0, -0.65), HarmonicSpec(5, 0.05, 1.40)),
@@ -309,7 +295,6 @@ def default_library() -> dict[str, DeviceModel]:
             "smps",
             is_medical=False,
             modes=(
-                OFF_MODE,
                 DeviceMode(
                     "on",
                     (
@@ -326,7 +311,6 @@ def default_library() -> dict[str, DeviceModel]:
             "lighting",
             is_medical=False,
             modes=(
-                OFF_MODE,
                 DeviceMode(
                     "on",
                     (
@@ -343,7 +327,6 @@ def default_library() -> dict[str, DeviceModel]:
             "refrigerator",
             is_medical=False,
             modes=(
-                OFF_MODE,
                 DeviceMode(
                     "compressor",
                     (HarmonicSpec(1, 1.60, -0.50), HarmonicSpec(3, 0.08, 1.90), HarmonicSpec(5, 0.04, -2.30)),
@@ -377,7 +360,8 @@ def save_device_library(library: dict[str, DeviceModel], path) -> None:
         noise_rms_amps = <float>
         h<order> = <magnitude_rms_amps> <phase_rad>
 
-    The 'off' mode is implicit and must not be listed.
+    Every class lists at least one mode, and every mode at least one
+    non-zero harmonic.
     """
     lines = ["[library]", f"format_version = {LIBRARY_FORMAT_VERSION}", ""]
     for class_name in library:
@@ -385,7 +369,7 @@ def save_device_library(library: dict[str, DeviceModel], path) -> None:
         lines.append(f"[device.{class_name}]")
         lines.append(f"is_medical = {'true' if model.is_medical else 'false'}")
         lines.append("")
-        for mode in model.non_off_modes:
+        for mode in model.modes:
             lines.append(f"[device.{class_name}.mode.{mode.name}]")
             lines.append(f"noise_rms_amps = {_format_float(mode.noise_rms_amps)}")
             for h in mode.harmonics:
@@ -425,8 +409,6 @@ def load_device_library(path) -> dict[str, DeviceModel]:
             entry["is_medical"] = flag == "true"
         elif len(parts) == 4 and parts[0] == "device" and parts[2] == "mode":
             class_name, mode_name = parts[1], parts[3]
-            if mode_name == OFF_MODE_NAME:
-                raise LibraryFormatError(f"device library {path}: 'off' mode must not be listed")
             entry = classes.setdefault(class_name, {"is_medical": False, "modes": []})
             harmonics = []
             noise = 0.0
@@ -458,9 +440,7 @@ def load_device_library(path) -> dict[str, DeviceModel]:
     library: dict[str, DeviceModel] = {}
     for class_name, entry in classes.items():
         try:
-            library[class_name] = DeviceModel(
-                class_name, entry["is_medical"], (OFF_MODE, *entry["modes"])
-            )
+            library[class_name] = DeviceModel(class_name, entry["is_medical"], entry["modes"])
         except ValueError as exc:
             raise LibraryFormatError(f"device library {path}: {exc}") from None
     if not library:

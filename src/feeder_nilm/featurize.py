@@ -84,6 +84,21 @@ class FeatureSpec:
     def __len__(self) -> int:
         return len(self.features)
 
+    @property
+    def harmonic_orders(self) -> tuple[int, ...]:
+        """The orders of ``f0_hz`` the features project the current on, ascending.
+
+        ``h<n>`` needs order n and ``thd`` orders 1 to ``max_harmonic``;
+        the fundamental also serves ``phase_shift`` and ``reactive_power``.
+        """
+        names = set(self.features)
+        orders = {int(name[1:]) for name in names if name[1:].isdigit()}
+        if "thd" in names:
+            orders.update(range(2, self.max_harmonic + 1))
+        if orders or names & {"phase_shift", "reactive_power"}:
+            orders.add(1)  # its projection also rejects windows shorter than one grid period
+        return tuple(sorted(orders))
+
 
 def evaluate_window(
     v_blocks: np.ndarray,
@@ -152,12 +167,7 @@ def _evaluate_chunk(v, i, work, spec: FeatureSpec, fs: float, k: int, s: int):
     never = np.zeros(len(i_rms), dtype=bool)
     # Project the current only on the harmonic orders the spec needs.
     names = set(spec.features)
-    orders = {int(name[1:]) for name in names if name[1:].isdigit()}
-    if "thd" in names:
-        orders.update(range(2, spec.max_harmonic + 1))
-    if orders or names & {"phase_shift", "reactive_power"}:
-        orders.add(1)  # its projection also rejects windows shorter than one grid period
-    orders = sorted(orders)
+    orders = spec.harmonic_orders
     i_phasors = {}
     if orders:
         magnitudes, phases = signals.fundamental_phasor(i, [h * spec.f0_hz for h in orders], fs, k, s)
@@ -253,11 +263,7 @@ def featurize(
     over that same sample grid, and the dataset records that grid's window
     and stride in seconds.
     """
-    if (
-        voltage.n_samples != current.n_samples
-        or voltage.sample_rate_hz != current.sample_rate_hz
-        or voltage.start_time_s != current.start_time_s
-    ):
+    if voltage.n_samples != current.n_samples or voltage.sample_rate_hz != current.sample_rate_hz:
         raise ValueError("voltage and current waveforms must be aligned")
     fs = voltage.sample_rate_hz
     window_len = int(round(window_s * fs))
@@ -275,7 +281,7 @@ def featurize(
     blocks = [w.samples[: n_blocks * block_len].reshape(n_blocks, block_len) for w in (voltage, current)]
     y = window_targets(truth, window_len / fs, stride_len / fs, n_windows)
     X, valid = evaluate_window(*blocks, spec, fs, k, s)
-    t_start = voltage.start_time_s + np.arange(n_windows) * stride_len / fs
+    t_start = np.arange(n_windows) * stride_len / fs
     return FeatureDataset(X, y, t_start, valid, window_len / fs, stride_len / fs, spec)
 
 

@@ -62,13 +62,12 @@ def wrap_phase(angle_rad):
 class Waveform:
     """Uniformly sampled real-valued signal on the scenario clock.
 
-    ``samples`` are coerced to a read-only float64 array. ``start_time_s``
-    anchors the first sample on the scenario clock.
+    ``samples`` are coerced to a read-only float64 array; the first one is
+    taken at scenario second 0.
     """
 
     samples: np.ndarray
     sample_rate_hz: float
-    start_time_s: float = 0.0
 
     def __post_init__(self) -> None:
         samples = np.ascontiguousarray(self.samples, dtype=np.float64)
@@ -80,8 +79,6 @@ class Waveform:
             raise ValueError("samples must all be finite")
         if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0.0):
             raise ValueError("sample_rate_hz must be positive and finite")
-        if not math.isfinite(self.start_time_s):
-            raise ValueError("start_time_s must be finite")
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
 

@@ -26,15 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .devices import (
-    OFF_MODE_NAME,
-    DeviceMode,
-    DeviceModel,
-    _check_aliasing,
-    _stable_seed,
-    add_harmonics,
-    mode_phasors,
-)
+from .devices import DeviceMode, DeviceModel, _check_aliasing, _stable_seed, add_harmonics, mode_phasors
 from .signals import Waveform
 
 __all__ = [
@@ -59,8 +51,8 @@ class ScenarioConfig:
     """Everything needed to synthesize one feeder scenario deterministically.
 
     ``schedule_params`` maps a device class to (mean_on_s, mean_off_s).
-    ``medical_modes`` restricts which non-off modes medical devices pick
-    at each on-interval; empty means all non-off modes, chosen uniformly.
+    ``medical_modes`` restricts which modes medical devices pick at each
+    on-interval; empty means all modes, chosen uniformly.
     """
 
     duration_s: float
@@ -111,7 +103,7 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class DeviceSchedule:
-    """On-intervals of one device instance; off periods are implicit."""
+    """On-intervals of one device instance; the device is off wherever none covers the time."""
 
     device_id: str
     class_name: str
@@ -144,15 +136,8 @@ class Schedule:
 
 def _mode_pool(config: ScenarioConfig, model: DeviceModel) -> list[str]:
     if model.is_medical and config.medical_modes:
-        pool = list(config.medical_modes)
-        for name in pool:
-            if model.mode(name).name == OFF_MODE_NAME:
-                raise ValueError("medical_modes must not include 'off'")
-        return pool
-    pool = [m.name for m in model.non_off_modes]
-    if not pool:
-        raise ValueError(f"device class {model.class_name!r} has no non-off modes to schedule")
-    return pool
+        return [model.mode(name).name for name in config.medical_modes]
+    return [m.name for m in model.modes]
 
 
 def generate_schedule(config: ScenarioConfig, library: dict[str, DeviceModel]) -> Schedule:
@@ -264,7 +249,7 @@ def synthesize_feeder(
     amplitude = math.sqrt(2.0) * config.voltage_rms
     voltage = np.zeros(n, dtype=np.float64)
     add_harmonics(voltage, 0, np.array([0.0, amplitude, 0.0, amplitude * config.voltage_thd]), fs, f0)
-    return Waveform(voltage, fs, 0.0), Waveform(current, fs, 0.0)
+    return Waveform(voltage, fs), Waveform(current, fs)
 
 
 def _ceil_index(time_s: float) -> int:
@@ -273,7 +258,7 @@ def _ceil_index(time_s: float) -> int:
 
 
 def ground_truth_counts(schedule: Schedule, config: ScenarioConfig) -> np.ndarray:
-    """Count of medical devices in a non-off mode at each integer second, as ``int64``.
+    """Count of medical devices running at each integer second, as ``int64``.
 
     Entry t is second t of the scenario, covered by an interval
     [start, end) when start <= t < end.
@@ -283,9 +268,7 @@ def ground_truth_counts(schedule: Schedule, config: ScenarioConfig) -> np.ndarra
     for device in schedule.devices:
         if not device.is_medical:
             continue
-        for start, end, mode_name in device.intervals:
-            if mode_name == OFF_MODE_NAME:
-                continue
+        for start, end, _mode in device.intervals:
             lo = _ceil_index(start)
             hi = min(_ceil_index(end), n)
             if hi > lo:

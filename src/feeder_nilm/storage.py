@@ -6,7 +6,7 @@ Waveform files are binary with a fixed 64-byte header:
     0       4     magic "FNWV"
     4       4     format version, u32 little-endian (currently 1)
     8       8     sample_rate_hz, f64 little-endian
-    16      8     start_time_s, f64 little-endian
+    16      8     start time in seconds, f64 little-endian; always 0.0
     24      8     sample count, u64 little-endian
     32      4     channel tag, ASCII "VOLT" or "CURR"
     36      16    16-byte config fingerprint
@@ -17,7 +17,8 @@ Samples move between file and array without intermediate copies: the
 reader checks the file size against the header count before allocating,
 then reads straight into the final array; the writer writes the array's
 own buffer. The reader is told which channel it expects and refuses a
-file of the other one.
+file of the other one. Every trace starts at scenario second 0, so the
+reader also refuses a header whose start time is not 0.0.
 
 Text artifacts are line-oriented. Every format begins with its format line
 ``# feeder-nilm <tag> v1``, followed by ``# key=value`` comment lines that
@@ -114,7 +115,7 @@ def write_waveform(path, waveform: Waveform, channel: str, fingerprint_hex: str)
         WAVEFORM_MAGIC,
         WAVEFORM_VERSION,
         waveform.sample_rate_hz,
-        waveform.start_time_s,
+        0.0,
         waveform.n_samples,
         channel.encode("ascii"),
         _fingerprint_bytes(fingerprint_hex),
@@ -138,13 +139,15 @@ def read_waveform(path, channel: str) -> tuple[Waveform, str]:
         tag = tag.decode("latin-1")  # never fails; a corrupt tag is refused by the comparison
         if tag != channel:
             raise FileFormatError(f"{path}: channel {tag!r}, expected {channel!r}")
+        if start != 0.0:
+            raise FileFormatError(f"{path}: start time {start!r}, expected 0.0")
         if os.fstat(fh.fileno()).st_size != _HEADER.size + 8 * count:
             raise FileFormatError(f"{path}: sample payload does not match header count")
         samples = np.empty(count, dtype="<f8")
         if fh.readinto(samples) != samples.nbytes:
             raise FileFormatError(f"{path}: sample payload does not match header count")
     try:
-        waveform = Waveform(samples, rate, start)
+        waveform = Waveform(samples, rate)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from None
     return waveform, fp.hex()

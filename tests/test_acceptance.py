@@ -218,7 +218,7 @@ def test_criterion_7_fisher_ranking_property():
             signatures = {}
             for offset, (name, model) in enumerate(library.items()):
                 vectors = []
-                for mode in model.non_off_modes:
+                for mode in model.modes:
                     n = int(round(0.2 * fs))
                     t = np.arange(n) / fs
                     base = mode_current_samples(mode, t, f0)

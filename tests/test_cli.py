@@ -1,5 +1,6 @@
 import argparse
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from feeder_nilm.config import (
     scenario_fingerprint,
 )
 from feeder_nilm.config import model_fingerprint
+from feeder_nilm.devices import default_library, save_device_library
 from feeder_nilm.simulate import window_targets
 from feeder_nilm.storage import read_dataset, read_fingerprint, read_ground_truth, read_report_lines, read_waveform
 
@@ -189,6 +191,19 @@ class TestStages:
         assert "simulate: up to date" not in capsys.readouterr().out
         assert voltage.read_bytes() == voltage_bytes
 
+    def test_nonzero_start_time_is_file_error(self, config_path, tmp_path, capsys):
+        # Both headers claim a start of 3 s and keep their fingerprint: the windows would be
+        # stamped 3, 8, ... while their features and labels are those of 0, 5, ...
+        out = tmp_path / "out"
+        assert run("simulate", "--config", config_path, "--out", str(out), "--quiet") == 0
+        for name in ("voltage.fnwv", "current.fnwv"):
+            raw = bytearray((out / name).read_bytes())
+            raw[16:24] = struct.pack("<d", 3.0)
+            (out / name).write_bytes(bytes(raw))
+        assert run("featurize", "--config", config_path, "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("file error:") and "voltage.fnwv" in err
+
     def test_stale_fingerprint_is_contract_error(self, config_path, tmp_path, capsys):
         out = str(tmp_path / "out")
         assert run("simulate", "--config", config_path, "--out", out, "--quiet") == 0
@@ -221,6 +236,41 @@ class TestStages:
             assert run(command, "--config", str(path), "--out", str(tmp_path / "o")) == 2
             err = capsys.readouterr().err
             assert err.startswith("config error:") and message in err
+
+    def test_library_class_without_modes_exits_2(self, tmp_path, capsys):
+        # A class with a [device.<class>] section and no mode has nothing to draw when scheduled.
+        library = tmp_path / "library.cfg"
+        save_device_library(default_library(), library)
+        with open(library, "a", encoding="utf-8") as fh:
+            fh.write("\n[device.widget]\nis_medical = false\n")
+        path = tmp_path / "widget.cfg"
+        text = SMALL_CONFIG.replace("lighting:1", "lighting:1 widget:1")
+        path.write_text(text.replace("rng_seed = 11", "rng_seed = 11\nschedule_widget = 10 10\ndevice_library = library.cfg"))
+        for command in ("simulate", "pipeline"):
+            assert run(command, "--config", str(path), "--out", str(tmp_path / "o")) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "'widget'" in err
+
+    def test_harmonic_order_at_nyquist_exits_2(self, tmp_path, capsys):
+        # thd projects orders up to max_harmonic: 17 * 60 Hz is above the 1 kHz Nyquist frequency of 2 kHz sampling.
+        path = tmp_path / "nyquist.cfg"
+        path.write_text(SMALL_CONFIG.replace("stride_s = 5\n", "stride_s = 5\nmax_harmonic = 17\n"))
+        with pytest.raises(ConfigError, match="order 17"):
+            load_run_config(path)
+        for command in ("simulate", "pipeline"):
+            assert run(command, "--config", str(path), "--out", str(tmp_path / "o")) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "Nyquist" in err
+
+    def test_library_harmonic_aliasing_exits_2(self, tmp_path, capsys):
+        # Features that project no harmonic pass at 500 Hz; the ventilator's 5th harmonic (300 Hz) does not.
+        path = tmp_path / "aliasing.cfg"
+        text = SMALL_CONFIG.replace("sample_rate_hz = 2000", "sample_rate_hz = 500")
+        path.write_text(text.replace("stride_s = 5\n", "stride_s = 5\nfeatures = i_rms active_power\n"))
+        load_run_config(path)
+        assert run("simulate", "--config", str(path), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: device class 'ventilator'") and "aliases" in err
 
     def test_window_longer_than_scenario_exits_2(self, tmp_path, capsys):
         # A 61 s window cannot be cut from a 60 s trace: refused when the config loads.

@@ -171,6 +171,26 @@ class TestSchema:
             load(tmp_path, (key, value))
 
 
+class TestNyquist:
+    """Every harmonic order the features project must lie below the Nyquist frequency."""
+
+    def test_thd_projects_up_to_max_harmonic(self, tmp_path):
+        # 100 * 60 Hz is above the 5 kHz Nyquist frequency of the default 10 kHz sampling.
+        with pytest.raises(ConfigError, match="order 100 .*Nyquist"):
+            load(tmp_path, (("featurize", "max_harmonic"), "100"))
+        # Without thd, max_harmonic projects nothing; h7 is the highest order.
+        config = load(tmp_path, (("featurize", "max_harmonic"), "100"), (("featurize", "features"), "i_rms h7"))
+        assert config.featurize.max_harmonic == 100
+
+    def test_order_exactly_at_nyquist_refused(self, tmp_path):
+        # h7 of 60 Hz is 420 Hz, the Nyquist frequency of 840 Hz sampling.
+        settings = [(("scenario", "sample_rate_hz"), "840"), (("featurize", "features"), "i_rms h7")]
+        with pytest.raises(ConfigError, match="order 7 .*Nyquist"):
+            load(tmp_path, *settings)
+        settings[0] = (("scenario", "sample_rate_hz"), "841")
+        assert load(tmp_path, *settings).scenario.sample_rate_hz == 841.0
+
+
 class TestFingerprints:
     @pytest.mark.parametrize("key", sorted(KEYS), ids="-".join)
     def test_key_changes_own_and_later_stages_only(self, tmp_path, key):

@@ -13,7 +13,6 @@ from feeder_nilm.devices import (
     DeviceModel,
     HarmonicSpec,
     LibraryFormatError,
-    OFF_MODE,
     add_harmonics,
     characterization_vectors,
     default_library,
@@ -30,7 +29,7 @@ def make_model(*harmonics, noise=0.0, name="widget"):
     return DeviceModel(
         name,
         is_medical=False,
-        modes=(OFF_MODE, DeviceMode("on", tuple(HarmonicSpec(*h) for h in harmonics), noise)),
+        modes=(DeviceMode("on", tuple(HarmonicSpec(*h) for h in harmonics), noise),),
     )
 
 
@@ -47,15 +46,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             DeviceMode("on", (HarmonicSpec(1, 1.0), HarmonicSpec(1, 2.0)))
 
-    def test_model_requires_single_silent_off(self):
-        with pytest.raises(ValueError):
-            DeviceModel("x", False, (DeviceMode("on", (HarmonicSpec(1, 1.0),)),))
-        with pytest.raises(ValueError):
-            DeviceModel(
-                "x",
-                False,
-                (DeviceMode("off", (), noise_rms_amps=0.1), DeviceMode("on", (HarmonicSpec(1, 1.0),))),
-            )
+    def test_model_requires_a_mode(self):
+        with pytest.raises(ValueError, match="'x' has no modes"):
+            DeviceModel("x", False, ())
+        assert DeviceModel("x", False, (DeviceMode("on", (HarmonicSpec(1, 1.0),)),)).modes[0].name == "on"
+
+    def test_every_mode_draws_current_whatever_its_name(self):
+        with pytest.raises(ValueError, match="non-zero harmonic"):
+            DeviceMode("off", (), noise_rms_amps=0.1)
+        assert DeviceMode("off", (HarmonicSpec(1, 1.0),)).max_order == 1
 
     def test_unknown_mode_is_keyerror(self):
         with pytest.raises(KeyError):
@@ -81,10 +80,15 @@ class TestSynthesis:
         current = kernel_current(make_model((1, 2.0)).mode("on"), 0.5, fs, f0)
         assert sg.rms(current) == pytest.approx(2.0, abs=1e-6)
 
-    def test_off_is_silent(self, grid):
+    def test_device_is_silent_where_no_interval_covers_it(self, grid):
         f0, fs = grid
-        current = kernel_current(make_model((1, 2.0)).mode("off"), 0.25, fs, f0)
-        assert current.size == 2500 and not current.any()
+        cfg = ScenarioConfig(duration_s=0.25, sample_rate_hz=fs, f0_hz=f0)
+        schedule = Schedule((DeviceSchedule("widget#0", "widget", False, ((0.1, 0.2, "on"),)),))
+        _, current = synthesize_feeder(cfg, schedule, {"widget": make_model((1, 2.0))})
+        on = np.zeros(current.n_samples, dtype=bool)
+        on[1000:2000] = True
+        assert current.n_samples == 2500 and not current.samples[~on].any()
+        assert sg.rms(current.samples[on]) == pytest.approx(2.0, abs=1e-6)
 
     def test_parseval_two_harmonics(self, grid):
         # rms^2 = 3.0^2 + 0.4^2 = 9.16 for orthogonal harmonics.
@@ -132,7 +136,7 @@ class TestSignatureFeatures:
         # Per-primitive oracle: recompute every feature directly on the same window.
         f0, fs = grid
         mode = replace(default_library()["ventilator"].mode("run"), noise_rms_amps=0.0)
-        vec = signature(DeviceModel("ventilator", True, (OFF_MODE, mode)), FeatureSpec(), 0.5, fs)
+        vec = signature(DeviceModel("ventilator", True, (mode,)), FeatureSpec(), 0.5, fs)
         n = int(round(0.5 * fs))
         t = np.arange(n) / fs
         i = mode_current_samples(mode, t, f0)
@@ -164,7 +168,7 @@ class TestSignatureFeatures:
         f0, fs = grid
         spec = FeatureSpec()
         vectors = characterization_vectors(default_library()["smps"], spec, 0.2, fs, repetitions=3)
-        assert len(vectors) == 3  # one non-off mode, three repetitions
+        assert len(vectors) == 3  # one mode, three repetitions
         assert all(v.shape == (len(spec.features),) for v in vectors)
 
 
@@ -174,7 +178,7 @@ class TestDefaultLibrary:
         assert library["ventilator"].is_medical
         assert sum(1 for m in library.values() if not m.is_medical) == 5
         vent = library["ventilator"]
-        assert {m.name for m in vent.modes} == {"off", "standby", "run", "humidifier-run"}
+        assert {m.name for m in vent.modes} == {"standby", "run", "humidifier-run"}
 
     def test_humidifier_adds_resistive_fundamental(self):
         # Fundamental phasor of humidifier-run equals run's plus 0.8 A at phase 0.
@@ -202,11 +206,25 @@ class TestLibraryFile:
             load_device_library(path)
 
     def test_off_mode_rejected(self, tmp_path):
+        # A silent mode is refused whatever its name: every mode needs a non-zero harmonic.
         path = tmp_path / "library.cfg"
         path.write_text(
             "[library]\nformat_version = 1\n\n[device.x.mode.off]\nnoise_rms_amps = 0\n"
         )
         with pytest.raises(LibraryFormatError):
+            load_device_library(path)
+
+    def test_no_mode_name_is_reserved(self, tmp_path):
+        path = tmp_path / "library.cfg"
+        path.write_text("[library]\nformat_version = 1\n\n[device.x.mode.off]\nh1 = 1 0\n")
+        assert [m.name for m in load_device_library(path)["x"].modes] == ["off"]
+
+    def test_class_without_modes_rejected_naming_it(self, tmp_path):
+        path = tmp_path / "library.cfg"
+        save_device_library(default_library(), path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n[device.widget]\nis_medical = true\n")
+        with pytest.raises(LibraryFormatError, match="'widget' has no modes"):
             load_device_library(path)
 
     def test_garbage_rejected(self, tmp_path):

@@ -57,6 +57,19 @@ class TestFeatureSpec:
         with pytest.raises(ValueError):
             FeatureSpec(("h7",), max_harmonic=5)
 
+    @pytest.mark.parametrize(
+        "features, orders",
+        [
+            (("i_rms", "i_crest_factor", "active_power"), ()),
+            (("phase_shift",), (1,)),
+            (("i_rms", "h3", "h7"), (1, 3, 7)),
+            (("thd", "h2"), tuple(range(1, 10))),
+        ],
+    )
+    def test_harmonic_orders(self, features, orders):
+        # thd projects every order up to max_harmonic; an h<n> feature only its own.
+        assert FeatureSpec(features, max_harmonic=9).harmonic_orders == orders
+
 
 class TestFeaturize:
     def test_window_count(self):

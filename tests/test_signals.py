@@ -26,7 +26,7 @@ def lstsq_harmonic_fit(x, freq_hz, sample_rate_hz):
 
 class TestWaveform:
     def test_basic_container(self):
-        w = Waveform(np.ones(10), 100.0, 2.0)
+        w = Waveform(np.ones(10), 100.0)
         assert w.n_samples == 10
         assert w.n_samples / w.sample_rate_hz == pytest.approx(0.1)
         assert not w.samples.flags.writeable

@@ -354,7 +354,7 @@ class TestPeriodicTableSynthesis:
         noisy = dict(LIBRARY)
         for name, sigma in (("resistive_heater", 0.03), ("lighting", 0.04)):
             model = LIBRARY[name]
-            noisy[name] = replace(model, modes=(model.mode("off"), replace(model.mode("on"), noise_rms_amps=sigma)))
+            noisy[name] = replace(model, modes=(replace(model.mode("on"), noise_rms_amps=sigma),))
         schedule = Schedule(
             (
                 always_on("resistive_heater#0", "resistive_heater", "on", 4.0),

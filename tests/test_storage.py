@@ -1,4 +1,5 @@
 import os
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -38,7 +39,7 @@ def random_waveform(seed=0, n=5000):
     samples[0] = 0.0
     samples[1] = -0.0
     samples[2] = 1e-300  # subnormal territory must survive the trip
-    return Waveform(samples, 12_345.5, 2.25)
+    return Waveform(samples, 12_345.5)
 
 
 class TestWaveformFile:
@@ -49,7 +50,6 @@ class TestWaveformFile:
         loaded, fingerprint = read_waveform(path, "CURR")
         assert fingerprint == FP
         assert loaded.sample_rate_hz == original.sample_rate_hz
-        assert loaded.start_time_s == original.start_time_s
         assert np.array_equal(loaded.samples, original.samples)
 
     def test_write_read_write_byte_identical(self, tmp_path):
@@ -67,6 +67,7 @@ class TestWaveformFile:
         raw = path.read_bytes()
         assert len(raw) == 64 + 10 * 8
         assert raw[:4] == b"FNWV"
+        assert raw[16:24] == struct.pack("<d", 0.0)  # every trace starts at scenario second 0
         assert raw[36:52] == bytes.fromhex(FP)  # the whole fingerprint
 
     @pytest.mark.parametrize(
@@ -80,6 +81,16 @@ class TestWaveformFile:
         with pytest.raises(ValueError, match="32"):
             write_waveform(path, Waveform(np.zeros(10), 100.0), "VOLT", fingerprint)
         assert not path.exists()
+
+    def test_nonzero_start_time_refused_naming_file(self, tmp_path):
+        # Every trace starts at scenario second 0: another start would shift every window's time stamp.
+        path = tmp_path / "voltage.fnwv"
+        write_waveform(path, Waveform(np.zeros(10), 100.0), "VOLT", FP)
+        raw = bytearray(path.read_bytes())
+        raw[16:24] = struct.pack("<d", 3.0)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FileFormatError, match="voltage.fnwv: start time 3.0, expected 0.0"):
+            read_waveform(path, "VOLT")
 
     def test_other_channel_refused_naming_file(self, tmp_path):
         path = tmp_path / "voltage.fnwv"
@@ -355,7 +366,7 @@ class TestAtomicWrites:
         path = tmp_path / "current.fnwv"
         write_waveform(path, random_waveform(), "CURR", FP)
         before = path.read_bytes()
-        broken = SimpleNamespace(sample_rate_hz=100.0, start_time_s=0.0, n_samples=10, samples=_Exploding())
+        broken = SimpleNamespace(sample_rate_hz=100.0, n_samples=10, samples=_Exploding())
         with pytest.raises(RuntimeError):
             write_waveform(path, broken, "CURR", FP)
         assert path.read_bytes() == before
