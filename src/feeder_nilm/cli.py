@@ -125,8 +125,9 @@ def _resolve_features(config: RunConfig, library, out: str) -> FeatureSpec:
 
 def stage_featurize(config: RunConfig, library: Library, out: str, quiet: bool) -> None:
     scenario_fp = scenario_fingerprint(config, library)
-    voltage = _read_checked(out, "voltage", lambda path: st.read_waveform(path, "VOLT"), scenario_fp)
-    current = _read_checked(out, "current", lambda path: st.read_waveform(path, "CURR"), scenario_fp)
+    rate = config.scenario.sample_rate_hz
+    voltage = _read_checked(out, "voltage", lambda path: st.read_waveform(path, "VOLT", rate), scenario_fp)
+    current = _read_checked(out, "current", lambda path: st.read_waveform(path, "CURR", rate), scenario_fp)
     truth = _read_checked(out, "truth", st.read_ground_truth, scenario_fp)
 
     spec = _resolve_features(config, library, out)
@@ -270,10 +271,11 @@ _STAGES = (
 )
 
 
-def _artifact_current(out: str, name: str, tag: str, expected_fp: str) -> bool:
+def _artifact_current(config: RunConfig, out: str, name: str, tag: str, expected_fp: str) -> bool:
     path = os.path.join(out, ARTIFACTS[name])
+    rate = config.scenario.sample_rate_hz
     try:
-        fp = st.read_waveform(path, tag)[1] if tag in st.CHANNEL_TAGS else st.read_fingerprint(path, tag)
+        fp = st.read_waveform(path, tag, rate)[1] if tag in st.CHANNEL_TAGS else st.read_fingerprint(path, tag)
     except (st.FileFormatError, OSError):
         return False
     return fp == expected_fp
@@ -287,7 +289,7 @@ def stage_pipeline(config: RunConfig, library: Library, out: str, quiet: bool) -
             _say(quiet, f"{stage.name}: skipped (single device class, top_k unset)")
             continue
         expected = stage.fingerprint(config, library)
-        if all(_artifact_current(out, name, tag, expected) for name, tag in stage.artifacts):
+        if all(_artifact_current(config, out, name, tag, expected) for name, tag in stage.artifacts):
             _say(quiet, f"{stage.name}: up to date")
             continue
         stage.run(config, library, out, quiet)

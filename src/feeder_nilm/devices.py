@@ -1,8 +1,9 @@
 """Parametric steady-state appliance signatures and the harmonic synthesis kernel.
 
 ``add_harmonics`` turns summed mode phasors (``mode_phasors``) into
-samples; the feeder synthesis in ``simulate`` uses it, and
-``mode_current_samples`` is the scalar reference it is tested against.
+samples at a whole-hertz rate and grid frequency; the feeder synthesis in
+``simulate`` uses it, and ``mode_current_samples`` is the scalar
+reference it is tested against.
 ``characterization_vectors`` gives the repeated per-mode feature
 vectors that ``select-features`` ranks.
 
@@ -145,45 +146,34 @@ def mode_phasors(mode: DeviceMode, max_order: int) -> np.ndarray:
     return out
 
 
-# Samples per block when harmonics are evaluated sample by sample.
-_DIRECT_BLOCK = 1 << 16
-
-
-def _harmonic_values(phasors: np.ndarray, orders: np.ndarray, turns: np.ndarray) -> np.ndarray:
-    # sum_h Im(A_h * exp(j*2*pi*turns_h)); ``turns`` has one row per order.
-    theta = 2.0 * math.pi * turns
-    a = phasors[orders]
-    return (a.real[:, None] * np.sin(theta) + a.imag[:, None] * np.cos(theta)).sum(axis=0)
-
-
 def add_harmonics(out: np.ndarray, start: int, phasors: np.ndarray, sample_rate_hz: float, f0_hz: float) -> None:
     """Add the harmonic sum of ``phasors`` (see ``mode_phasors``) into ``out`` in place.
 
     ``out[k]`` gains sum_h Im(phasors[h] * exp(j*2*pi*h*f0*(start + k)/fs)):
     ``out`` holds the contiguous samples from absolute index ``start`` on,
-    so the result is phase-locked to the scenario clock. At integer rates
-    the sum repeats every fs / gcd(fs, f0) samples (500 at 10 kHz and
-    60 Hz): one period is evaluated, each phase reduced exactly in
-    integers as (h*f0*k mod fs) / fs turns, and tiled over ``out``. At
-    other rates the same phasors are evaluated on each sample's index.
+    so the result is phase-locked to the scenario clock. With a whole-hertz
+    rate and f0 the sum repeats every fs / gcd(fs, f0) samples (500 at
+    10 kHz and 60 Hz): one period is evaluated, each phase reduced exactly
+    in integers as (h*f0*k mod fs) / fs turns, and tiled over ``out``.
+
+    Raises:
+        ValueError: if ``sample_rate_hz`` or ``f0_hz`` is not a whole number of hertz.
     """
+    if not (float(sample_rate_hz).is_integer() and float(f0_hz).is_integer()):
+        raise ValueError("add_harmonics needs whole-hertz sample_rate_hz and f0_hz")
     orders = np.flatnonzero(phasors)
     n = out.size
     if orders.size == 0 or n == 0:
         return
     if not out.flags.c_contiguous:
         raise ValueError("out must be contiguous")
-    if not (float(sample_rate_hz).is_integer() and float(f0_hz).is_integer()):
-        step = orders[:, None] * (f0_hz / sample_rate_hz)
-        for lo in range(0, n, _DIRECT_BLOCK):
-            turns = step * np.arange(start + lo, start + min(lo + _DIRECT_BLOCK, n), dtype=np.float64)
-            block = _harmonic_values(phasors, orders, turns - np.floor(turns))
-            out[lo : lo + block.size] += block
-        return
     fs, f0 = int(sample_rate_hz), int(f0_hz)
     period = fs // math.gcd(fs, f0)
     k = (start + np.arange(min(period, n), dtype=np.int64)) % period
-    table = _harmonic_values(phasors, orders, (orders[:, None] * f0 * k) % fs / fs)
+    # sum_h Im(A_h * exp(j*theta_h)) over one period, one row of theta per order.
+    theta = 2.0 * math.pi * ((orders[:, None] * f0 * k) % fs / fs)
+    a = phasors[orders]
+    table = (a.real[:, None] * np.sin(theta) + a.imag[:, None] * np.cos(theta)).sum(axis=0)
     full, rest = divmod(n, period)
     if full:
         tiles = out[: full * period].reshape(full, period)
@@ -410,7 +400,7 @@ def load_device_library(path) -> dict[str, DeviceModel]:
         elif len(parts) == 4 and parts[0] == "device" and parts[2] == "mode":
             class_name, mode_name = parts[1], parts[3]
             entry = classes.setdefault(class_name, {"is_medical": False, "modes": []})
-            harmonics = []
+            harmonics = []  # (order, magnitude, phase), checked by HarmonicSpec below
             noise = 0.0
             for key, value in parser.items(section):
                 if key == "noise_rms_amps":
@@ -421,17 +411,13 @@ def load_device_library(path) -> dict[str, DeviceModel]:
                         raise LibraryFormatError(
                             f"device library {path}: [{section}] {key} needs '<magnitude> <phase>'"
                         )
-                    harmonics.append(
-                        HarmonicSpec(
-                            int(key[1:]),
-                            _parse_float(path, section, key, fields[0]),
-                            _parse_float(path, section, key, fields[1]),
-                        )
-                    )
+                    magnitude, phase = (_parse_float(path, section, key, field) for field in fields)
+                    harmonics.append((int(key[1:]), magnitude, phase))
                 else:
                     raise LibraryFormatError(f"device library {path}: unknown key {key!r} in [{section}]")
             try:
-                entry["modes"].append(DeviceMode(mode_name, tuple(harmonics), noise))
+                specs = tuple(HarmonicSpec(*harmonic) for harmonic in harmonics)
+                entry["modes"].append(DeviceMode(mode_name, specs, noise))
             except ValueError as exc:
                 raise LibraryFormatError(f"device library {path}: {exc}") from None
         else:

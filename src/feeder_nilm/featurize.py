@@ -115,7 +115,9 @@ def evaluate_window(
     ``k = s = 1`` each row is one window. Sums of squares, of ``|i|`` and
     of ``v*i``, the peak ``|i|`` and the single-bin projections are taken
     once per block and combined per window, so windows that overlap share
-    the work.
+    the work. Windows are evaluated in chunks of one contiguous block
+    range each, so a gapped grid (s > k) reduces its gap blocks too. The
+    projections take whole-hertz ``spec.f0_hz`` and ``sample_rate_hz``.
 
     Returns an ``(n_windows, n_features)`` matrix and ``n_windows``
     validity flags. Undefined features (all-zero current, say) are
@@ -132,22 +134,17 @@ def evaluate_window(
     if n_blocks < k:
         raise ValueError("the stacks hold fewer blocks than one window covers")
     n = (n_blocks - k) // s + 1
-    # Gapped windows (s > k) read only their own blocks, so a chunk's windows are adjacent.
-    step_blocks = min(s, k)
     X, valid = np.empty((n, len(spec.features))), np.empty(n, dtype=bool)
-    gathered = k if width == 1 else 2 * k  # block sums a window gathers per frequency
-    per_chunk = min(n, max(1, CHUNK_BYTES // (8 * (step_blocks * width + gathered))))
+    # A window steps s blocks of samples and gathers 2k block sums per frequency.
+    per_chunk = min(n, max(1, CHUNK_BYTES // (8 * (s * width + 2 * k))))
     # The buffer is reused: filling fresh memory for every chunk costs more than the work.
-    work = np.empty(((per_chunk - 1) * step_blocks + k, width))
+    work = np.empty(((per_chunk - 1) * s + k, width))
     for lo in range(0, n, per_chunk):
         m = min(per_chunk, n - lo)
-        if s > k:
-            rows = ((lo + np.arange(m))[:, None] * s + np.arange(k)).reshape(-1)
-        else:
-            rows = slice(lo * s, (lo + m - 1) * s + k)
+        rows = slice(lo * s, (lo + m - 1) * s + k)
         v_rows, i_rows = (np.ascontiguousarray(x[rows]) for x in (v, i))
         X[lo : lo + m], valid[lo : lo + m] = _evaluate_chunk(
-            v_rows, i_rows, work[: len(i_rows)], spec, sample_rate_hz, k, step_blocks
+            v_rows, i_rows, work[: len(i_rows)], spec, sample_rate_hz, k, s
         )
     return X, valid
 
@@ -158,7 +155,7 @@ def _evaluate_chunk(v, i, work, spec: FeatureSpec, fs: float, k: int, s: int):
     def per_window(block_values, reduce=np.add.reduce):
         # Window j combines blocks j*s ... j*s + k - 1; a one-block window is its block.
         if k == 1:
-            return block_values
+            return block_values[::s]
         return reduce(np.lib.stride_tricks.sliding_window_view(block_values, k)[::s], axis=1)
 
     # Block sums are pairwise row reductions along the contiguous axis, as the

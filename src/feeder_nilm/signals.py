@@ -9,8 +9,10 @@ bias (below 0.1 percent for multi-second windows at grid frequency).
 ``fundamental_phasor`` also projects many windows at once: given a stack
 of consecutive blocks, it projects each block once, phased from the block
 start, and builds each window's projection from its blocks' by rotating
-them to the window start. The scalar functions here work on one window
-and are the reference the featurizer is tested against.
+them to the window start. The rotations are reduced exactly in integers,
+so a stack is projected at whole-hertz frequencies and rates only, as
+every scenario samples. The scalar functions here work on one window at
+any rate and are the reference the featurizer is tested against.
 
 All arithmetic is float64. Every function here is a pure function of its
 inputs; waveforms are immutable after construction and safe to share
@@ -45,17 +47,13 @@ class UndefinedFeatureError(ValueError):
 
 
 def wrap_phase(angle_rad):
-    """Wrap an angle, or an array of angles, to the interval (-pi, pi]."""
-    if np.ndim(angle_rad):
-        # fmod is exact, and the one-period correction is exact too (Sterbenz),
-        # so arrays wrap to the same bits as math.remainder gives scalars.
-        wrapped = np.fmod(angle_rad, 2.0 * math.pi)
-        wrapped = np.where(wrapped > math.pi, wrapped - 2.0 * math.pi, wrapped)
-        return np.where(wrapped <= -math.pi, wrapped + 2.0 * math.pi, wrapped)
-    wrapped = math.remainder(angle_rad, 2.0 * math.pi)
-    if wrapped <= -math.pi:
-        wrapped += 2.0 * math.pi
-    return wrapped
+    """Wrap an angle to the interval (-pi, pi]: an array elementwise, a scalar to a float."""
+    # fmod is exact, and the one-period correction is exact too (Sterbenz),
+    # so every angle wraps to the same bits as the exact IEEE remainder.
+    wrapped = np.fmod(angle_rad, 2.0 * math.pi)
+    wrapped = np.where(wrapped > math.pi, wrapped - 2.0 * math.pi, wrapped)
+    wrapped = np.where(wrapped <= -math.pi, wrapped + 2.0 * math.pi, wrapped)
+    return wrapped if np.ndim(angle_rad) else float(wrapped)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,30 +107,17 @@ def _projection_basis(n: int, freq_hz: float, sample_rate_hz: float) -> np.ndarr
 def _block_rotation(k: int, block_len: int, freqs_hz: tuple, sample_rate_hz: float) -> np.ndarray:
     # Takes the (sin, cos) sums of k consecutive blocks, each phased from its
     # own start, to their window's sums, phased from the window start: block
-    # d starts 2*pi*f*d*B/fs into the window. With an integer frequency and
-    # rate that phase is reduced exactly in integers, as (f*d*B mod fs)/fs
-    # turns, as devices.add_harmonics does.
+    # d starts 2*pi*f*d*B/fs into the window, reduced exactly in integers as
+    # (f*d*B mod fs)/fs turns, as devices.add_harmonics does.
     d = np.arange(k, dtype=np.int64)
-    fs = int(sample_rate_hz) if float(sample_rate_hz).is_integer() else None
-    turns = np.empty((len(freqs_hz), k))
-    for row, freq in zip(turns, freqs_hz):
-        if fs is not None and float(freq).is_integer():
-            row[:] = (int(freq) * block_len % fs) * d % fs / fs
-        else:
-            row[:] = d * (freq * block_len / sample_rate_hz)
-            row -= np.floor(row)
+    fs = int(sample_rate_hz)
+    turns = np.array([(int(freq) * block_len % fs) * d % fs for freq in freqs_hz]) / fs
     theta = np.multiply(turns, 2.0 * math.pi, out=turns)
     cos, sin = np.cos(theta), np.sin(theta, out=theta)
-    if block_len == 1:
-        # A one-sample block's sine sum is x*sin(0) = 0 and its cosine sum is x,
-        # so each frequency takes the samples themselves to the window's sums by
-        # (sin, cos) of their phase, side by side: (k, 2F).
-        rotation = np.stack([sin.T, cos.T], axis=-1).reshape(k, -1)
-    else:
-        # sin(wt + phi) = sin(wt)cos(phi) + cos(wt)sin(phi); cos(wt + phi) = cos(wt)cos(phi) - sin(wt)sin(phi).
-        # Per frequency, row 2d + c takes block d's sum c (sin, cos) to the window's (sin, cos).
-        rotation = np.stack([np.stack([cos, -sin], axis=-1), np.stack([sin, cos], axis=-1)], axis=-2)
-        rotation = rotation.reshape(len(freqs_hz), 2 * k, 2)
+    # sin(wt + phi) = sin(wt)cos(phi) + cos(wt)sin(phi); cos(wt + phi) = cos(wt)cos(phi) - sin(wt)sin(phi).
+    # Per frequency, row 2d + c takes block d's sum c (sin, cos) to the window's (sin, cos).
+    rotation = np.stack([np.stack([cos, -sin], axis=-1), np.stack([sin, cos], axis=-1)], axis=-2)
+    rotation = rotation.reshape(len(freqs_hz), 2 * k, 2)
     rotation.flags.writeable = False
     return rotation
 
@@ -189,14 +174,14 @@ def fundamental_phasor(blocks, freq_hz, sample_rate_hz: float, k: int = 1, s: in
     once, with its phase measured from the block start, and a window's
     sums are its k block sums rotated to the window start, so windows
     that share blocks share their projection. With ``k = s = 1`` every
-    row is one window, projected as a whole. A stack may be projected on
-    a sequence of frequencies at once; the result then has one row per
-    frequency.
+    row is one window. A stack may be projected on a sequence of
+    frequencies at once; the result then has one row per frequency.
 
     Raises:
         ValueError: if a window covers less than one period of a
-            frequency, a frequency is not below Nyquist, or the stack
-            holds fewer than k blocks.
+            frequency, a frequency is not below Nyquist, the stack holds
+            fewer than k blocks, or a stack's frequencies or rate are not
+            whole numbers of hertz.
     """
     arr = np.asarray(blocks, dtype=np.float64)
     one_freq = np.ndim(freq_hz) == 0
@@ -213,6 +198,8 @@ def fundamental_phasor(blocks, freq_hz, sample_rate_hz: float, k: int = 1, s: in
         raise ValueError("freq_hz must lie below the Nyquist frequency")
     if n * min(freqs) < sample_rate_hz * (1.0 - 1e-12):
         raise ValueError("window shorter than one period of freq_hz")
+    if arr.ndim == 2 and not all(float(x).is_integer() for x in (*freqs, sample_rate_hz)):
+        raise ValueError("a stack is projected at whole-hertz frequencies and sample rates only")
     bases = [_projection_basis(block_len, freq, sample_rate_hz) for freq in freqs]
     if arr.ndim == 1:
         sin_basis, cos_basis = bases[0]
@@ -224,19 +211,11 @@ def fundamental_phasor(blocks, freq_hz, sample_rate_hz: float, k: int = 1, s: in
     if len(arr) < k:
         raise ValueError("the stack holds fewer blocks than one window covers")
     n_windows = (len(arr) - k) // s + 1
-    # sums[f, j] = (sin, cos) sums of window j at frequency f
-    if k == 1:
-        sums = np.stack([arr[::s] @ basis.T for basis in bases])
-    else:
-        used = arr[: (n_windows - 1) * s + k]
-        rotation = _block_rotation(k, block_len, freqs, sample_rate_hz)
-        if block_len == 1:
-            sums = (_gather(used[:, 0], k, s) @ rotation).reshape(n_windows, -1, 2).transpose(1, 0, 2)
-        else:
-            # Per frequency, window j's row holds its k blocks' interleaved (sin, cos) sums.
-            sums = np.stack(
-                [_gather((used @ basis.T).reshape(-1), 2 * k, 2 * s) @ r for basis, r in zip(bases, rotation)]
-            )
+    used = arr[: (n_windows - 1) * s + k]
+    rotation = _block_rotation(k, block_len, freqs, sample_rate_hz)
+    # sums[f, j] = (sin, cos) sums of window j at frequency f; per frequency,
+    # window j's row holds its k blocks' interleaved (sin, cos) sums.
+    sums = np.stack([_gather((used @ basis.T).reshape(-1), 2 * k, 2 * s) @ r for basis, r in zip(bases, rotation)])
     in_phase, quadrature = np.moveaxis(2.0 * sums / n, -1, 0)
     magnitude = np.hypot(in_phase, quadrature) / math.sqrt(2.0)
     phase = wrap_phase(np.arctan2(quadrature, in_phase))

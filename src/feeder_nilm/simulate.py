@@ -53,6 +53,8 @@ class ScenarioConfig:
     ``schedule_params`` maps a device class to (mean_on_s, mean_off_s).
     ``medical_modes`` restricts which modes medical devices pick at each
     on-interval; empty means all modes, chosen uniformly.
+    ``sample_rate_hz`` and ``f0_hz`` are whole numbers of hertz: synthesis
+    and the featurizer reduce every phase exactly in integers.
     """
 
     duration_s: float
@@ -76,6 +78,9 @@ class ScenarioConfig:
             raise ValueError("duration_s must be positive")
         if not (self.sample_rate_hz > 0.0 and self.f0_hz > 0.0):
             raise ValueError("sample_rate_hz and f0_hz must be positive")
+        for key in ("sample_rate_hz", "f0_hz"):
+            if not float(getattr(self, key)).is_integer():
+                raise ValueError(f"{key} must be a whole number of hertz, got {getattr(self, key)!r}")
         if self.voltage_rms <= 0.0:
             raise ValueError("voltage_rms must be positive")
         if self.voltage_thd < 0.0:

@@ -16,9 +16,10 @@ Waveform files are binary with a fixed 64-byte header:
 Samples move between file and array without intermediate copies: the
 reader checks the file size against the header count before allocating,
 then reads straight into the final array; the writer writes the array's
-own buffer. The reader is told which channel it expects and refuses a
-file of the other one. Every trace starts at scenario second 0, so the
-reader also refuses a header whose start time is not 0.0.
+own buffer. The reader is told which channel and sample rate it expects
+and refuses a file of the other channel or another rate. Every trace
+starts at scenario second 0, so the reader also refuses a header whose
+start time is not 0.0.
 
 Text artifacts are line-oriented. Every format begins with its format line
 ``# feeder-nilm <tag> v1``, followed by ``# key=value`` comment lines that
@@ -125,8 +126,8 @@ def write_waveform(path, waveform: Waveform, channel: str, fingerprint_hex: str)
         fh.write(waveform.samples.astype("<f8", copy=False))
 
 
-def read_waveform(path, channel: str) -> tuple[Waveform, str]:
-    """Returns (waveform, fingerprint hex); refuses a file whose channel tag is not ``channel``."""
+def read_waveform(path, channel: str, sample_rate_hz: float) -> tuple[Waveform, str]:
+    """Returns (waveform, fingerprint hex); refuses a file of another ``channel`` or ``sample_rate_hz``."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -139,6 +140,8 @@ def read_waveform(path, channel: str) -> tuple[Waveform, str]:
         tag = tag.decode("latin-1")  # never fails; a corrupt tag is refused by the comparison
         if tag != channel:
             raise FileFormatError(f"{path}: channel {tag!r}, expected {channel!r}")
+        if rate != sample_rate_hz:
+            raise FileFormatError(f"{path}: sample rate {rate!r} Hz, expected {float(sample_rate_hz)!r} Hz")
         if start != 0.0:
             raise FileFormatError(f"{path}: start time {start!r}, expected 0.0")
         if os.fstat(fh.fileno()).st_size != _HEADER.size + 8 * count:

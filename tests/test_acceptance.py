@@ -242,7 +242,7 @@ def test_criterion_8_round_trip_persistence(smoke_run, tmp_path):
     with criterion(8, "round-trip persistence"):
         # Waveform: write -> read -> write must be byte-identical.
         src = os.path.join(smoke_run, "current.fnwv")
-        wave, fp = read_waveform(src, "CURR")
+        wave, fp = read_waveform(src, "CURR", 10_000.0)  # smoke samples at 10 kHz
         copy = tmp_path / "current.fnwv"
         write_waveform(copy, wave, "CURR", fp)
         assert copy.read_bytes() == open(src, "rb").read()

@@ -110,7 +110,7 @@ class TestStages:
     def test_simulate_outputs(self, config_path, tmp_path, capsys):
         out = str(tmp_path / "out")
         assert run("simulate", "--config", config_path, "--out", out) == 0
-        current, _ = read_waveform(os.path.join(out, "current.fnwv"), "CURR")
+        current, _ = read_waveform(os.path.join(out, "current.fnwv"), "CURR", 2000.0)
         assert current.n_samples == 120_000  # 60 s at 2 kHz
         assert os.path.exists(os.path.join(out, "voltage.fnwv"))
         assert os.path.exists(os.path.join(out, "schedule.txt"))
@@ -204,6 +204,24 @@ class TestStages:
         err = capsys.readouterr().err
         assert err.startswith("file error:") and "voltage.fnwv" in err
 
+    def test_header_rate_other_than_the_scenario_is_file_error(self, tmp_path, capsys):
+        # Both smoke headers claim 20 kHz and keep their fingerprint: windowed at that rate,
+        # the 120 s trace would read as 60 s and featurize into 23 windows instead of 47.
+        smoke = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "smoke.cfg")
+        out = tmp_path / "out"
+        assert run("simulate", "--config", smoke, "--out", str(out), "--quiet") == 0
+        for name in ("voltage.fnwv", "current.fnwv"):
+            raw = bytearray((out / name).read_bytes())
+            raw[8:16] = struct.pack("<d", 20_000.0)
+            (out / name).write_bytes(bytes(raw))
+        assert run("featurize", "--config", smoke, "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("file error:") and "voltage.fnwv" in err and "20000" in err
+        assert run("pipeline", "--config", smoke, "--out", str(out)) == 0
+        assert "simulate: up to date" not in capsys.readouterr().out
+        dataset, _ = read_dataset(out / "dataset.csv")
+        assert dataset.n_windows == 47
+
     def test_stale_fingerprint_is_contract_error(self, config_path, tmp_path, capsys):
         out = str(tmp_path / "out")
         assert run("simulate", "--config", config_path, "--out", out, "--quiet") == 0
@@ -250,6 +268,45 @@ class TestStages:
             assert run(command, "--config", str(path), "--out", str(tmp_path / "o")) == 2
             err = capsys.readouterr().err
             assert err.startswith("config error:") and "'widget'" in err
+
+    @pytest.mark.parametrize(
+        "section",
+        ["[device.widget.mode.on]\nh1 = -1 0\n", "[device.widget.mode.on]\nh0 = 1 0\n"],
+        ids=["negative-magnitude", "order-zero"],
+    )
+    def test_library_bad_harmonic_exits_2(self, tmp_path, capsys, section):
+        # The bad line sits in a class the scenario does not use: the whole library is refused.
+        library = tmp_path / "library.cfg"
+        save_device_library(default_library(), library)
+        with open(library, "a", encoding="utf-8") as fh:
+            fh.write("\n" + section)
+        smoke = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "smoke.cfg")
+        with open(smoke, encoding="utf-8") as fh:
+            text = fh.read()
+        path = tmp_path / "smoke.cfg"
+        path.write_text(text.replace("rng_seed = 5\n", "rng_seed = 5\ndevice_library = library.cfg\n"))
+        for command in ("simulate", "pipeline"):
+            assert run(command, "--config", str(path), "--out", str(tmp_path / "o")) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: device library") and "library.cfg" in err
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (("sample_rate_hz = 2000", "sample_rate_hz = 9999.5"), "sample_rate_hz"),
+            (("rng_seed = 11", "rng_seed = 11\nf0_hz = 59.94"), "f0_hz"),
+        ],
+        ids=["fractional-rate", "fractional-f0"],
+    )
+    def test_fractional_hertz_exits_2(self, tmp_path, capsys, edit, key):
+        # Synthesis and the featurizer's block rotations reduce phases in whole hertz.
+        path = tmp_path / "fractional.cfg"
+        assert edit[0] in SMALL_CONFIG
+        path.write_text(SMALL_CONFIG.replace(*edit))
+        for command in ("simulate", "pipeline"):
+            assert run(command, "--config", str(path), "--out", str(tmp_path / "o")) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and key in err and "whole" in err
 
     def test_harmonic_order_at_nyquist_exits_2(self, tmp_path, capsys):
         # thd projects orders up to max_harmonic: 17 * 60 Hz is above the 1 kHz Nyquist frequency of 2 kHz sampling.
@@ -400,8 +457,8 @@ class TestPipeline:
         out_b = str(tmp_path / "b")
         assert run("pipeline", "--config", config_path, "--out", out_a, "--quiet", "--seed", "77") == 0
         assert run("pipeline", "--config", config_path, "--out", out_b, "--quiet") == 0
-        wave_a, _ = read_waveform(os.path.join(out_a, "current.fnwv"), "CURR")
-        wave_b, _ = read_waveform(os.path.join(out_b, "current.fnwv"), "CURR")
+        wave_a, _ = read_waveform(os.path.join(out_a, "current.fnwv"), "CURR", 2000.0)
+        wave_b, _ = read_waveform(os.path.join(out_b, "current.fnwv"), "CURR", 2000.0)
         assert not np.array_equal(wave_a.samples, wave_b.samples)
 
 

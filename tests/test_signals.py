@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as strat
 
 from feeder_nilm import signals as sg
@@ -165,7 +165,7 @@ class TestBlockSeries:
     """A window of k consecutive blocks equals the same samples projected as one window."""
 
     @given(
-        grid=strat.sampled_from([(60.0, 2000.0), (59.94, 9999.5)]),
+        grid=strat.sampled_from([(60.0, 2000.0), (50.0, 9999.0)]),
         block_len=strat.integers(1, 60),
         k=strat.integers(1, 12),
         s=strat.integers(1, 14),
@@ -224,6 +224,17 @@ class TestBlockSeries:
             sg.fundamental_phasor(blocks, [f0, 0.6 * fs], fs, 2, 1)  # above Nyquist
         with pytest.raises(ValueError):
             sg.fundamental_phasor(blocks, f0, fs)  # 100 samples < one period at 60 Hz
+
+    @pytest.mark.parametrize("freq, fs", [(60.0, 9999.5), (59.94, 10_000.0)], ids=["fractional-rate", "fractional-freq"])
+    def test_stack_needs_whole_hertz(self, freq, fs):
+        # Block rotations reduce each block's start phase exactly in integers.
+        blocks = np.ones((4, 400))
+        with pytest.raises(ValueError, match="whole"):
+            sg.fundamental_phasor(blocks, freq, fs, 2, 1)
+        with pytest.raises(ValueError, match="whole"):
+            sg.fundamental_phasor(blocks, [60.0, freq], fs)
+        magnitude, _ = sg.fundamental_phasor(blocks.reshape(-1), freq, fs)  # one window: any rate
+        assert math.isfinite(magnitude)
 
 
 class TestPhaseShift:
@@ -373,9 +384,22 @@ class TestScaleInvariance:
 
 
 class TestWrapPhase:
-    @given(angle=strat.floats(min_value=-1e6, max_value=1e6))
+    @given(angles=strat.lists(strat.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=16))
+    @example(angles=[math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 3 * math.pi, -3 * math.pi, 0.0, -0.0])
+    @example(angles=[math.nextafter(math.pi, 4.0), math.nextafter(-math.pi, -4.0), 1e6, -1e6])
     @settings(max_examples=100, deadline=None)
-    def test_range_and_congruence(self, angle):
-        wrapped = sg.wrap_phase(angle)
-        assert -math.pi < wrapped <= math.pi
-        assert math.remainder(wrapped - angle, 2 * math.pi) == pytest.approx(0.0, abs=1e-6)
+    def test_range_and_congruence(self, angles):
+        def remainder_form(angle):
+            # Exact IEEE remainder, with -pi moved to pi: bit for bit what every angle must wrap to.
+            wrapped = math.remainder(angle, 2 * math.pi)
+            return wrapped + 2 * math.pi if wrapped <= -math.pi else wrapped
+
+        array = sg.wrap_phase(np.array(angles))
+        assert isinstance(array, np.ndarray) and array.shape == (len(angles),)
+        for angle, from_array in zip(angles, array):
+            scalar = sg.wrap_phase(angle)
+            assert type(scalar) is float and type(sg.wrap_phase(np.float64(angle))) is float
+            assert -math.pi < scalar <= math.pi
+            assert math.remainder(scalar - angle, 2 * math.pi) == pytest.approx(0.0, abs=1e-6)
+            want = np.float64(remainder_form(angle)).tobytes()
+            assert np.float64(scalar).tobytes() == want and from_array.tobytes() == want

@@ -314,8 +314,8 @@ def hand_scenario(**overrides):
 class TestPeriodicTableSynthesis:
     @pytest.mark.parametrize(
         "fs, f0",
-        [(10_000.0, 60.0), (10_000.0, 59.94), (9_999.5, 60.0)],
-        ids=["integer-table", "non-integer-f0", "non-integer-fs"],
+        [(10_000.0, 60.0), (10_000.0, 50.0), (9_999.0, 60.0)],
+        ids=["integer-table", "f0-50-table", "fs-9999-table"],
     )
     def test_matches_scalar_oracle(self, fs, f0):
         lib = noiseless_library()
@@ -324,7 +324,7 @@ class TestPeriodicTableSynthesis:
         assert np.max(np.abs(current.samples - oracle_current(cfg, HAND_SCHEDULE, lib))) < 1e-9
 
     def test_voltage_matches_direct_sine(self):
-        cfg = hand_scenario(voltage_thd=0.03, f0_hz=59.94)
+        cfg = hand_scenario(voltage_thd=0.03, f0_hz=50.0, sample_rate_hz=9_999.0)  # a 9 999-sample period
         voltage, _ = synthesize_feeder(cfg, Schedule(()), LIBRARY)
         t = np.arange(voltage.n_samples) / cfg.sample_rate_hz
         amplitude = np.sqrt(2.0) * cfg.voltage_rms
@@ -347,6 +347,15 @@ class TestPeriodicTableSynthesis:
             t = (start + np.arange(n)) / 10_000.0
             oracle = mode_current_samples(LIBRARY["smps"].mode("on"), t, 60.0)
             assert np.max(np.abs(tiled - oracle)) < 1e-9
+
+    @pytest.mark.parametrize("fs, f0", [(9_999.5, 60.0), (10_000.0, 59.94)], ids=["fractional-fs", "fractional-f0"])
+    def test_add_harmonics_needs_whole_hertz(self, fs, f0):
+        from feeder_nilm.devices import add_harmonics, mode_phasors
+
+        out = np.zeros(100)
+        with pytest.raises(ValueError, match="whole"):
+            add_harmonics(out, 0, mode_phasors(LIBRARY["smps"].mode("on"), 7), fs, f0)
+        assert not out.any()
 
     def test_segment_noise_variance_is_sum_of_active_variances(self):
         from dataclasses import replace

@@ -47,7 +47,7 @@ class TestWaveformFile:
         path = tmp_path / "w.fnwv"
         original = random_waveform()
         write_waveform(path, original, "CURR", FP)
-        loaded, fingerprint = read_waveform(path, "CURR")
+        loaded, fingerprint = read_waveform(path, "CURR", 12_345.5)
         assert fingerprint == FP
         assert loaded.sample_rate_hz == original.sample_rate_hz
         assert np.array_equal(loaded.samples, original.samples)
@@ -56,7 +56,7 @@ class TestWaveformFile:
         first = tmp_path / "a.fnwv"
         second = tmp_path / "b.fnwv"
         write_waveform(first, random_waveform(), "VOLT", FP)
-        loaded, fingerprint = read_waveform(first, "VOLT")
+        loaded, fingerprint = read_waveform(first, "VOLT", 12_345.5)
         write_waveform(second, loaded, "VOLT", fingerprint)
         assert first.read_bytes() == second.read_bytes()
 
@@ -90,13 +90,20 @@ class TestWaveformFile:
         raw[16:24] = struct.pack("<d", 3.0)
         path.write_bytes(bytes(raw))
         with pytest.raises(FileFormatError, match="voltage.fnwv: start time 3.0, expected 0.0"):
-            read_waveform(path, "VOLT")
+            read_waveform(path, "VOLT", 100.0)
 
     def test_other_channel_refused_naming_file(self, tmp_path):
         path = tmp_path / "voltage.fnwv"
         write_waveform(path, Waveform(np.zeros(10), 100.0), "CURR", FP)
         with pytest.raises(FileFormatError, match="voltage.fnwv: channel 'CURR', expected 'VOLT'"):
-            read_waveform(path, "VOLT")
+            read_waveform(path, "VOLT", 100.0)
+
+    def test_other_rate_refused_naming_file(self, tmp_path):
+        # The scenario sets the rate: a header that claims another would re-time every window.
+        path = tmp_path / "current.fnwv"
+        write_waveform(path, Waveform(np.zeros(10), 100.0), "CURR", FP)
+        with pytest.raises(FileFormatError, match="current.fnwv: sample rate 100.0 Hz, expected 200.0 Hz"):
+            read_waveform(path, "CURR", 200.0)
 
     def test_unknown_channel_tag_rejected(self, tmp_path):
         path = tmp_path / "odd.fnwv"
@@ -105,7 +112,7 @@ class TestWaveformFile:
         raw[32:36] = b"\xffOLT"
         path.write_bytes(bytes(raw))
         with pytest.raises(FileFormatError, match="odd.fnwv"):
-            read_waveform(path, "VOLT")
+            read_waveform(path, "VOLT", 100.0)
 
     def test_corrupt_magic_names_file(self, tmp_path):
         path = tmp_path / "bad.fnwv"
@@ -114,21 +121,21 @@ class TestWaveformFile:
         raw[:4] = b"XXXX"
         path.write_bytes(bytes(raw))
         with pytest.raises(FileFormatError, match="bad.fnwv"):
-            read_waveform(path, "VOLT")
+            read_waveform(path, "VOLT", 100.0)
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "short.fnwv"
         write_waveform(path, Waveform(np.zeros(10), 100.0), "VOLT", FP)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(FileFormatError):
-            read_waveform(path, "VOLT")
+            read_waveform(path, "VOLT", 100.0)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "long.fnwv"
         write_waveform(path, Waveform(np.zeros(10), 100.0), "VOLT", FP)
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(FileFormatError, match="long.fnwv"):
-            read_waveform(path, "VOLT")
+            read_waveform(path, "VOLT", 100.0)
 
     def test_huge_count_rejected_before_allocation(self, tmp_path):
         # A corrupt count must be refused from the file size, not by a failed allocation.
@@ -138,7 +145,7 @@ class TestWaveformFile:
         raw[24:32] = (2**60).to_bytes(8, "little")
         path.write_bytes(bytes(raw))
         with pytest.raises(FileFormatError, match="huge.fnwv"):
-            read_waveform(path, "VOLT")
+            read_waveform(path, "VOLT", 100.0)
 
 
 class TestScheduleFile:
