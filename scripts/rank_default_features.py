@@ -2,9 +2,9 @@
 """Print the Fisher-score feature ranking over the built-in device library.
 
 Emulates the lab characterization step: every device class is measured in
-each of its non-off modes a few times (with its own noise level) and the
-resulting signature vectors are ranked by how well each feature separates
-the classes.
+each of its modes (every state in which it draws current) a few times,
+with its own noise level, and the resulting signature vectors are ranked
+by how well each feature separates the classes.
 
 Usage: python scripts/rank_default_features.py [--window-s W] [--reps N]
 """

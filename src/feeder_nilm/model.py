@@ -5,6 +5,13 @@ the single output, so predictions are always non-negative. Training
 minimizes a Huber loss (delta = 1) plus an L2 penalty on the weights by
 mini-batch gradient descent; MAE stays the reporting metric. Training is
 single-threaded and bit-deterministic given the seeds.
+
+``run_epochs`` gathers each epoch's permuted training rows once and takes
+its batches as slices of that copy. It calls ``loss_and_gradient`` once
+per batch, and its working copy of the parameters keeps every weight and
+bias as a view into one float64 vector, so a step is one elementwise
+``flat -= rate * gradients``. The update is elementwise, so the bits do not
+depend on that layout: they are those of one ``w -= rate * gw`` per array.
 """
 
 from __future__ import annotations
@@ -100,9 +107,10 @@ def _softplus(z: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Numerically stable logistic; derivative of softplus.
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # Numerically stable logistic; derivative of softplus. With
+    # e = exp(-|z|) it is 1/(1+e) where z >= 0 and e/(1+e) below, and
+    # exp(min(z, 0)) is exactly 1 or e there, so one division and no select.
+    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
 
 
 def _forward_pass(params: RegressorParams, X: np.ndarray):
@@ -111,11 +119,13 @@ def _forward_pass(params: RegressorParams, X: np.ndarray):
     act: list[np.ndarray] = [X]
     a = X
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        z = a @ w.T + b
+        z = a @ w.T
+        z += b
         a = np.maximum(z, 0.0)
         pre.append(z)
         act.append(a)
-    z_out = a @ params.weights[-1].T + params.biases[-1]
+    z_out = a @ params.weights[-1].T
+    z_out += params.biases[-1]
     pre.append(z_out)
     return pre, act, _softplus(z_out)[:, 0]
 
@@ -133,9 +143,16 @@ def forward_batch(params: RegressorParams, X) -> np.ndarray:
     return _forward_pass(params, arr)[2]
 
 
-def _huber(residual: np.ndarray) -> np.ndarray:
+def _huber(residual: np.ndarray) -> tuple[float, np.ndarray]:
+    """(mean Huber(delta=1) loss, min(|r|, 1)) of a non-empty residual vector.
+
+    With c = min(|r|, 1) each term is c * (|r| - c/2): r*r/2 where |r| <= 1
+    and |r| - 1/2 beyond, the same bits as either branch for every finite r.
+    The mean is the plain sum over n, as ``np.mean`` takes it.
+    """
     a = np.abs(residual)
-    return np.where(a <= 1.0, 0.5 * residual * residual, a - 0.5)
+    c = np.minimum(a, 1.0)
+    return float(np.add.reduce(c * (a - 0.5 * c))) / residual.shape[0], c
 
 
 def loss_and_gradient(params: RegressorParams, batch_X, batch_y, l2: float = 0.0):
@@ -154,12 +171,13 @@ def loss_and_gradient(params: RegressorParams, batch_X, batch_y, l2: float = 0.0
 
     pre, act, y_hat = _forward_pass(params, X)
     residual = y_hat - y
-    loss = float(np.mean(_huber(residual))) + _penalty(params, l2)
+    loss, capped = _huber(residual)
+    loss += _penalty(params, l2)
 
     # dL/dy_hat for the mean Huber: clip(residual, -1, 1) / n
-    d_yhat = np.clip(residual, -1.0, 1.0) / n
+    d_yhat = np.copysign(capped, residual) / n
     # through the softplus head: d softplus(z) = sigmoid(z)
-    delta = (d_yhat * _sigmoid(pre[-1])[:, 0])[:, None]
+    delta = (d_yhat * _sigmoid(pre[-1][:, 0]))[:, None]
 
     grad_w: list[np.ndarray] = []
     grad_b: list[np.ndarray] = []
@@ -168,18 +186,32 @@ def loss_and_gradient(params: RegressorParams, batch_X, batch_y, l2: float = 0.0
         if l2 > 0.0:
             gw += l2 * params.weights[layer]
         grad_w.append(gw)
-        grad_b.append(delta.sum(axis=0))
+        grad_b.append(np.add.reduce(delta, axis=0))
         if layer > 0:
             delta = (delta @ params.weights[layer]) * (pre[layer - 1] > 0.0)
     return loss, grad_w[::-1], grad_b[::-1]
 
 
 def _penalty(params: RegressorParams, l2: float) -> float:
-    return 0.5 * l2 * sum(float(np.sum(w * w)) for w in params.weights) if l2 > 0.0 else 0.0
+    if l2 > 0.0:
+        return 0.5 * l2 * sum(float(np.add.reduce(w * w, axis=None)) for w in params.weights)
+    return 0.0
 
 
 def _data_loss(params: RegressorParams, X: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean(_huber(forward_batch(params, X) - np.asarray(y, dtype=np.float64))))
+    return _huber(forward_batch(params, X) - np.asarray(y, dtype=np.float64))[0]
+
+
+def _flat_copy(params: RegressorParams) -> tuple[RegressorParams, np.ndarray]:
+    """A copy whose weights and biases are views into one float64 vector."""
+    arrays = (*params.weights, *params.biases)
+    flat = np.concatenate(arrays, axis=None)
+    views, offset = [], 0
+    for arr in arrays:
+        views.append(flat[offset : offset + arr.size].reshape(arr.shape))
+        offset += arr.size
+    n = len(params.weights)
+    return RegressorParams(params.layer_sizes, views[:n], views[n:], params.norm_stats), flat
 
 
 def run_epochs(params, train_set, val_set, config: TrainConfig, permutations):
@@ -200,21 +232,21 @@ def run_epochs(params, train_set, val_set, config: TrainConfig, permutations):
     if X_train.shape[0] == 0 or X_val.shape[0] == 0:
         raise ValueError("train and validation splits must be non-empty")
 
-    current = params.copy()
+    current, flat = _flat_copy(params)
     best = current.copy()
     best_val = _data_loss(current, X_val, y_val)
     history: list[tuple[int, float, float]] = []
     stale = 0
+    rate, size, l2 = config.learning_rate, config.batch_size, config.l2_penalty
     for epoch, order in enumerate(permutations):
-        for lo in range(0, len(order), config.batch_size):
-            idx = order[lo : lo + config.batch_size]
+        X_epoch, y_epoch = X_train[order], y_train[order]
+        for lo in range(0, len(order), size):
             _, grad_w, grad_b = loss_and_gradient(
-                current, X_train[idx], y_train[idx], config.l2_penalty
+                current, X_epoch[lo : lo + size], y_epoch[lo : lo + size], l2
             )
-            for w, b, gw, gb in zip(current.weights, current.biases, grad_w, grad_b):
-                w -= config.learning_rate * gw
-                b -= config.learning_rate * gb
-        train_obj = _data_loss(current, X_train, y_train) + _penalty(current, config.l2_penalty)
+            # Elementwise, so the same bits as one update per array.
+            flat -= rate * np.concatenate((*grad_w, *grad_b), axis=None)
+        train_obj = _data_loss(current, X_train, y_train) + _penalty(current, l2)
         val_loss = _data_loss(current, X_val, y_val)
         history.append((epoch, train_obj, val_loss))
         if val_loss < best_val:

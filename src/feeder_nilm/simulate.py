@@ -293,13 +293,14 @@ def window_targets(counts: np.ndarray, window_s: float, stride_s: float, n_windo
         raise ValueError("window_s must be at least 1 second")
     if stride_s <= 0.0:
         raise ValueError("stride_s must be positive")
-    n_t = int(counts.size)
-    y = np.zeros(n_windows, dtype=np.int64)
-    for k in range(n_windows):
-        start = k * stride_s
-        lo = _ceil_index(start)
-        hi = _ceil_index(start + window_s)
-        if hi > n_t or lo >= hi:
-            raise ValueError("window extends past the end of the ground-truth series")
-        y[k] = int(counts[lo:hi].max())
-    return y
+    start = np.arange(n_windows) * stride_s
+    # _ceil_index's rule, applied to every window at once.
+    lo = np.maximum(np.ceil(start - 1e-9), 0.0).astype(np.int64)
+    hi = np.maximum(np.ceil(start + window_s - 1e-9), 0.0).astype(np.int64)
+    if (hi > counts.size).any() or (lo >= hi).any():
+        raise ValueError("window extends past the end of the ground-truth series")
+    # reduceat over the interleaved bounds (lo0, hi0, lo1, hi1, ...): entry
+    # 2k is the maximum over [lo_k, hi_k); one trailing pad lets hi reach
+    # the end of the series.
+    padded = np.append(counts, 0).astype(np.int64, copy=False)
+    return np.maximum.reduceat(padded, np.stack([lo, hi], axis=1).reshape(-1))[::2]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as strat
 
 from feeder_nilm import model as model_module
@@ -48,6 +48,74 @@ def finite_difference_check(params, X, y, l2, eps=1e-6, tol=1e-4):
                 assert abs(numeric - analytic) / denom < tol, (
                     f"coordinate {idx}: analytic {analytic}, numeric {numeric}"
                 )
+
+
+def reference_forward(params, X):
+    pre, act, a = [], [X], X
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        z = a @ w.T + b
+        a = np.maximum(z, 0.0)
+        pre.append(z)
+        act.append(a)
+    z_out = a @ params.weights[-1].T + params.biases[-1]
+    pre.append(z_out)
+    return pre, act, np.logaddexp(0.0, z_out)[:, 0]
+
+
+def reference_huber(residual):
+    a = np.abs(residual)
+    return np.where(a <= 1.0, 0.5 * residual * residual, a - 0.5)
+
+
+def reference_objective(params, X, y, l2):
+    loss = float(np.mean(reference_huber(reference_forward(params, X)[2] - y)))
+    if l2 > 0.0:
+        loss += 0.5 * l2 * sum(float(np.sum(w * w)) for w in params.weights)
+    return loss
+
+
+def reference_gradients(params, X, y, l2):
+    pre, act, y_hat = reference_forward(params, X)
+    z = pre[-1]
+    e = np.exp(-np.abs(z))
+    sigmoid = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    delta = (np.clip(y_hat - y, -1.0, 1.0) / X.shape[0] * sigmoid[:, 0])[:, None]
+    grad_w, grad_b = [], []
+    for layer in range(len(params.weights) - 1, -1, -1):
+        gw = delta.T @ act[layer]
+        if l2 > 0.0:
+            gw += l2 * params.weights[layer]
+        grad_w.append(gw)
+        grad_b.append(delta.sum(axis=0))
+        if layer > 0:
+            delta = (delta @ params.weights[layer]) * (pre[layer - 1] > 0.0)
+    return grad_w[::-1], grad_b[::-1]
+
+
+def reference_run_epochs(params, train_set, val_set, config, permutations):
+    """The training loop written out plainly: a fancy-indexed copy per
+    batch, one update per parameter array, and separately computed
+    objectives. ``run_epochs`` must reproduce it bit for bit."""
+    (X, y), (X_val, y_val) = train_set, val_set
+    current = params.copy()
+    best, best_val = current.copy(), reference_objective(current, X_val, y_val, 0.0)
+    history, stale = [], 0
+    for epoch, order in enumerate(permutations):
+        for lo in range(0, len(order), config.batch_size):
+            idx = order[lo : lo + config.batch_size]
+            grad_w, grad_b = reference_gradients(current, X[idx], y[idx], config.l2_penalty)
+            for w, b, gw, gb in zip(current.weights, current.biases, grad_w, grad_b):
+                w -= config.learning_rate * gw
+                b -= config.learning_rate * gb
+        val_loss = reference_objective(current, X_val, y_val, 0.0)
+        history.append((epoch, reference_objective(current, X, y, config.l2_penalty), val_loss))
+        if val_loss < best_val:
+            best, best_val, stale = current.copy(), val_loss, 0
+        else:
+            stale += 1
+            if stale > config.patience:
+                break
+    return best, history
 
 
 class TestInit:
@@ -143,6 +211,34 @@ class TestLossAndGradient:
         params = init_params((2, 3, 1), seed=0)
         with pytest.raises(ValueError):
             loss_and_gradient(params, np.zeros((0, 2)), np.zeros(0))
+
+    @given(
+        residuals=strat.lists(
+            strat.one_of(
+                strat.sampled_from([1.0, -1.0, 0.0, -0.0, 1e6, -1e6, 1e150, -1e150]),
+                strat.floats(min_value=-1e150, max_value=1e150, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @example(residuals=[1.0, -1.0, 0.0, -0.0])
+    @example(residuals=[1e150, -1e150, 0.5, -2.5])
+    @settings(max_examples=200, deadline=None)
+    def test_huber_loss_bits_match_the_where_form(self, residuals):
+        # Zero weights and an output bias of 40 give y_hat = softplus(40) = 40.0
+        # exactly and a sigmoid of exactly 1, so y = 40 - r puts a residual of
+        # (a rounding of) r on every row; +-1 and large magnitudes land exactly.
+        params = zero_params((2, 3, 1))
+        params.biases[-1][:] = 40.0
+        X = np.zeros((len(residuals), 2))
+        y = 40.0 - np.asarray(residuals)
+        y_hat = forward_batch(params, X)
+        assert (y_hat == 40.0).all()
+        r = y_hat - y
+        loss, _, grad_b = loss_and_gradient(params, X, y, l2=0.0)
+        assert loss == float(np.mean(np.where(np.abs(r) <= 1.0, 0.5 * r * r, np.abs(r) - 0.5)))
+        assert grad_b[-1][0] == np.sum(np.clip(r, -1.0, 1.0) / len(r))
 
 
 class TestTrain:
@@ -241,6 +337,26 @@ class TestTrain:
             for b, gb in zip(stepped.biases, grad_b):
                 b -= 0.03 * gb
         assert history[0][1] == loss_and_gradient(stepped, X, y, 0.1)[0]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bits_match_the_plain_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        X, X_val = rng.normal(0, 1, (23, 4)), rng.normal(0, 1, (9, 4))
+        y = rng.integers(0, 5, 23).astype(float)
+        y_val = rng.integers(0, 5, 9).astype(float)
+        # A batch size that does not divide 23, L2 on, and a patience short
+        # enough that some seeds stop early.
+        config = TrainConfig(learning_rate=0.05, batch_size=5, epochs=12, l2_penalty=0.01, patience=4)
+        orders = [rng.permutation(23) for _ in range(config.epochs)]
+        params = init_params((4, 7, 5, 1), seed=seed)
+        fitted, history = run_epochs(params, (X, y), (X_val, y_val), config, orders)
+        want, want_history = reference_run_epochs(params, (X, y), (X_val, y_val), config, orders)
+        assert len(history) == len(want_history)
+        for row, want_row in zip(history, want_history):
+            assert row == want_row
+        for got, ref in zip(fitted.weights + fitted.biases, want.weights + want.biases):
+            assert np.array_equal(got, ref)
+            assert got.tobytes() == ref.tobytes()  # signed zeros too
 
     def test_empty_split_rejected(self):
         params = init_params((3, 6, 1), seed=0)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as strat
 
 from feeder_nilm import signals as sg
 from feeder_nilm.devices import default_library, mode_current_samples
@@ -233,7 +237,49 @@ class TestGroundTruth:
         assert not ground_truth_counts(schedule, cfg).any()
 
 
+def reference_window_targets(counts, window_s, stride_s, n_windows):
+    """One window at a time: [ceil(k*stride - 1e-9), ceil(k*stride + window - 1e-9))."""
+    y = np.zeros(n_windows, dtype=np.int64)
+    for k in range(n_windows):
+        start = k * stride_s
+        lo = max(0, math.ceil(start - 1e-9))
+        hi = max(0, math.ceil(start + window_s - 1e-9))
+        if hi > counts.size or lo >= hi:
+            raise ValueError("window extends past the end of the ground-truth series")
+        y[k] = int(counts[lo:hi].max())
+    return y
+
+
 class TestWindowTargets:
+    @given(
+        counts=strat.lists(strat.integers(min_value=0, max_value=6), min_size=0, max_size=60),
+        window_s=strat.one_of(
+            strat.sampled_from([1.0, 2.5, 5.0, 5.00004, 7.3]),
+            strat.floats(min_value=1.0, max_value=30.0),
+        ),
+        stride_s=strat.one_of(
+            strat.sampled_from([0.25, 1.0, 1.25, 2.5, 0.1, 1e-4]),
+            strat.floats(min_value=1e-3, max_value=20.0),
+        ),
+        n_windows=strat.integers(min_value=0, max_value=250),
+    )
+    @example(counts=[1] * 30, window_s=5.0, stride_s=5.0, n_windows=6)
+    @example(counts=[1] * 30, window_s=5.0, stride_s=5.0, n_windows=7)
+    @example(counts=[0, 3, 1, 2] * 10, window_s=5.0, stride_s=1.25, n_windows=29)
+    @example(counts=[2, 0, 1] * 10, window_s=1.0, stride_s=0.1, n_windows=291)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_window_loop(self, counts, window_s, stride_s, n_windows):
+        truth = self.make_truth(counts)
+        try:
+            want = reference_window_targets(truth, window_s, stride_s, n_windows)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                window_targets(truth, window_s, stride_s, n_windows)
+        else:
+            got = window_targets(truth, window_s, stride_s, n_windows)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+
     def make_truth(self, counts):
         return np.asarray(counts, dtype=np.int64)
 
