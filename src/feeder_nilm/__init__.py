@@ -8,7 +8,7 @@ are running behind the feeder.
 
 from .devices import DeviceMode, DeviceModel, HarmonicSpec, default_library
 from .evaluate import EvalReport, evaluate, mae
-from .featurize import FeatureDataset, FeatureSpec, NormStats, featurize, rank_features
+from .featurize import FeatureDataset, FeatureSpec, NormStats, featurize, rank_features, window_targets
 from .model import RegressorParams, TrainConfig, init_params, train
 from .signals import Waveform
 from .simulate import (
@@ -17,7 +17,6 @@ from .simulate import (
     generate_schedule,
     ground_truth_counts,
     synthesize_feeder,
-    window_targets,
 )
 
 __version__ = "0.1.0"

@@ -120,7 +120,7 @@ def _resolve_features(config: RunConfig, library, out: str) -> FeatureSpec:
     ranking = _read_checked(out, "ranking", st.read_ranking, dataset_fingerprint(config, library))
     chosen = {fid for fid, _ in ranking[:top_k]}
     kept = tuple(fid for fid in spec.features if fid in chosen)
-    return FeatureSpec(kept, spec.f0_hz, spec.max_harmonic)
+    return FeatureSpec(kept, spec.f0_hz)
 
 
 def stage_featurize(config: RunConfig, library: Library, out: str, quiet: bool) -> None:
@@ -145,18 +145,11 @@ def stage_featurize(config: RunConfig, library: Library, out: str, quiet: bool) 
 
 def stage_select_features(config: RunConfig, library: Library, out: str, quiet: bool) -> None:
     spec = config.feature_spec()
-    signatures = {}
-    for class_name, count in config.scenario.populations():
-        if count <= 0:
-            continue
-        signatures[class_name] = characterization_vectors(
-            library[class_name],
-            spec,
-            config.featurize.window_s,
-            config.scenario.sample_rate_hz,
-            rng_seed=config.scenario.rng_seed,
-            voltage_rms=config.scenario.voltage_rms,
-        )
+    signatures = {
+        class_name: characterization_vectors(library[class_name], spec, config.featurize.window_s, config.scenario)
+        for class_name, count in config.scenario.populations()
+        if count > 0
+    }
     if len(signatures) < 2:
         raise ConfigError("feature selection needs at least two device classes in the scenario")
     ranking = rank_features(signatures, spec.features)

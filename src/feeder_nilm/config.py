@@ -32,20 +32,22 @@ Example:
 
 Unknown keys are rejected so typos fail loudly. A section's keys and
 defaults are the fields of its dataclass (``ModelSection`` with its
-``TrainConfig`` fields inline), each value converted by the field's type.
-Besides those, [scenario] takes ``device_library`` and per-class schedule
-means as ``schedule_<class> = <mean_on_s> <mean_off_s>``, [output] takes
-``dir``, and ``stride_s`` defaults to ``window_s``. Stage artifacts carry
-a 128-bit fingerprint (the first 32 hex digits of a sha256) of every
-field, chained over (scenario + library + ``simulate.SYNTHESIS_VERSION``),
-then featurize, then model + split; stages reject artifacts whose
-fingerprint is not equal to the current configuration's.
+``TrainConfig`` fields inline), each value converted by the field's type
+(floats must be finite). Besides those, [scenario] takes ``device_library``
+and per-class means ``schedule_<class> = <mean_on_s> <mean_off_s>``,
+[output] takes ``dir``, and ``stride_s`` (at least one sample) defaults
+to ``window_s``. Stage artifacts carry a 128-bit fingerprint (the first
+32 hex digits of a sha256) of every field, chained over (scenario +
+library + ``simulate.SYNTHESIS_VERSION``), then featurize, then model +
+split; stages reject artifacts whose fingerprint is not equal to the
+current configuration's.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
@@ -80,7 +82,6 @@ class FeaturizeSection:
     window_s: float = 5.0
     stride_s: float = 5.0
     features: tuple[str, ...] = FEATURE_IDS
-    max_harmonic: int = 7
     top_k: int = 0  # 0 = keep all features; >0 = truncate via the Fisher ranking
 
     def __post_init__(self) -> None:
@@ -125,7 +126,7 @@ class RunConfig:
     output_dir: str | None = None
 
     def feature_spec(self) -> FeatureSpec:
-        return FeatureSpec(self.featurize.features, self.scenario.f0_hz, self.featurize.max_harmonic)
+        return FeatureSpec(self.featurize.features, self.scenario.f0_hz)
 
     def with_seed(self, seed: int) -> "RunConfig":
         return replace(self, scenario=replace(self.scenario, rng_seed=seed))
@@ -136,9 +137,15 @@ def _parse_population(value: str) -> tuple[tuple[str, int], ...]:
     return tuple((name, int(count)) for name, count in pairs)
 
 
+def _finite_float(value: str) -> float:
+    if not math.isfinite(float(value)):
+        raise ValueError(f"{value!r} is not finite")
+    return float(value)
+
+
 # A section field's value string is converted by the field's type.
 _CONVERTERS = {
-    float: float,
+    float: _finite_float,
     int: int,
     str: str,
     tuple[str, ...]: lambda value: tuple(value.split()),
@@ -209,9 +216,9 @@ def load_run_config(path) -> RunConfig:
     schedules: dict[str, tuple[float, float]] = {}
     for key in [key for key in scenario_raw if key.startswith("schedule_")]:
         try:
-            mean_on, mean_off = map(float, scenario_raw.pop(key).split())
+            mean_on, mean_off = map(_finite_float, scenario_raw.pop(key).split())
         except ValueError:
-            raise ConfigError(f"{path}: {key} needs '<mean_on_s> <mean_off_s>'") from None
+            raise ConfigError(f"{path}: {key} needs two finite numbers '<mean_on_s> <mean_off_s>'") from None
         schedules[key[len("schedule_") :]] = (mean_on, mean_off)
     library_path = scenario_raw.pop("device_library", None)
     if library_path is not None and not os.path.isabs(library_path):
@@ -222,8 +229,10 @@ def load_run_config(path) -> RunConfig:
     featurize_section = _section(path, "featurize", FeaturizeSection, featurize_raw)
     if "stride_s" not in featurize_raw:  # the stride defaults to the window
         featurize_section = replace(featurize_section, stride_s=featurize_section.window_s)
+    if round(featurize_section.stride_s * scenario.sample_rate_hz) < 1:
+        raise ConfigError(f"{path}: [featurize] stride_s is shorter than one sample")
     try:
-        spec = FeatureSpec(featurize_section.features, scenario.f0_hz, featurize_section.max_harmonic)
+        spec = FeatureSpec(featurize_section.features, scenario.f0_hz)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     highest = max(spec.harmonic_orders, default=0)

@@ -3,9 +3,9 @@
 ``add_harmonics`` turns summed mode phasors (``mode_phasors``) into
 samples at a whole-hertz rate and grid frequency; the feeder synthesis in
 ``simulate`` uses it, and ``mode_current_samples`` is the scalar
-reference it is tested against.
+reference it is tested against; ``supply_phasors`` gives the feeder voltage.
 ``characterization_vectors`` gives the repeated per-mode feature
-vectors that ``select-features`` ranks.
+vectors that ``select-features`` ranks, on a scenario's own supply.
 
 A device class is described by named operational modes, each mode by a
 set of harmonic phasors (RMS amperes, radians, sine convention) plus a
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .featurize import evaluate_window
 from .signals import wrap_phase
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
     "mode_current_samples",
     "mode_phasors",
     "add_harmonics",
+    "supply_phasors",
     "characterization_vectors",
     "default_library",
     "save_device_library",
@@ -44,7 +46,7 @@ __all__ = [
 
 LIBRARY_FORMAT_VERSION = 1
 
-NOMINAL_VOLTAGE_RMS = 120.0
+REPETITIONS = 8  # windows per mode in ``characterization_vectors``
 
 
 class LibraryFormatError(ValueError):
@@ -189,36 +191,34 @@ def _check_aliasing(mode: DeviceMode, f0_hz: float, sample_rate_hz: float) -> No
         )
 
 
-def characterization_vectors(
-    model: DeviceModel,
-    feature_spec,
-    window_s: float,
-    sample_rate_hz: float,
-    repetitions: int = 8,
-    rng_seed: int = 0,
-    voltage_rms: float = NOMINAL_VOLTAGE_RMS,
-) -> list[np.ndarray]:
-    """Noisy signature vectors across all modes of ``model``.
+def supply_phasors(scenario) -> np.ndarray:
+    """Phasors (as ``mode_phasors``) of the feeder voltage: ``voltage_rms``, plus ``voltage_thd`` of it at order 3."""
+    amplitude = math.sqrt(2.0) * scenario.voltage_rms
+    return np.array([0.0, amplitude, 0.0, amplitude * scenario.voltage_thd])
 
-    Emulates repeated lab measurements: per mode, ``repetitions`` windows
-    with the mode's own noise level, deterministically seeded.
+
+def characterization_vectors(model: DeviceModel, feature_spec, window_s: float, scenario) -> list[np.ndarray]:
+    """Noisy signature vectors across all modes of ``model``, measured on ``scenario``'s supply.
+
+    Emulates repeated lab measurements: per mode, ``REPETITIONS`` windows of
+    the first ``window_s`` of the scenario's feeder voltage, with the mode's
+    own noise seeded from the scenario's ``rng_seed``.
     """
-    from .featurize import evaluate_window  # imported lazily to avoid an import cycle
-
-    if repetitions < 1:
-        raise ValueError("repetitions must be positive")
-    f0 = feature_spec.f0_hz
-    n = int(round(window_s * sample_rate_hz))
+    fs, f0 = scenario.sample_rate_hz, scenario.f0_hz
+    if feature_spec.f0_hz != f0:
+        raise ValueError(f"feature spec f0_hz={feature_spec.f0_hz:g} is not the scenario's {f0:g} Hz")
+    n = int(round(window_s * fs))
     if n < 1:
         raise ValueError("window_s too short for one sample")
-    t = np.arange(n, dtype=np.float64) / sample_rate_hz
-    voltage = math.sqrt(2.0) * voltage_rms * np.sin(2.0 * math.pi * f0 * t)
+    t = np.arange(n, dtype=np.float64) / fs
+    voltage = np.zeros(n)
+    add_harmonics(voltage, 0, supply_phasors(scenario), fs, f0)
     vectors: list[np.ndarray] = []
     for mode in model.modes:
-        _check_aliasing(mode, f0, sample_rate_hz)
-        rng = np.random.default_rng(_stable_seed(rng_seed, model.class_name, mode.name, "characterize"))
-        current = mode_current_samples(mode, t, f0) + rng.normal(0.0, mode.noise_rms_amps, (repetitions, n))
-        rows, _ = evaluate_window(np.broadcast_to(voltage, current.shape), current, feature_spec, sample_rate_hz)
+        _check_aliasing(mode, f0, fs)
+        rng = np.random.default_rng(_stable_seed(scenario.rng_seed, model.class_name, mode.name, "characterize"))
+        current = mode_current_samples(mode, t, f0) + rng.normal(0.0, mode.noise_rms_amps, (REPETITIONS, n))
+        rows, _ = evaluate_window(np.broadcast_to(voltage, current.shape), current, feature_spec, fs)
         vectors.extend(rows)
     return vectors
 

@@ -21,14 +21,15 @@ import numpy as np
 
 from . import signals
 from .signals import Waveform, wrap_phase
-from .simulate import window_targets
 
 __all__ = [
     "FEATURE_IDS",
+    "THD_ORDERS",
     "FeatureSpec",
     "FeatureDataset",
     "NormStats",
     "evaluate_window",
+    "window_targets",
     "featurize",
     "rank_features",
     "fit_normalization",
@@ -40,7 +41,8 @@ __all__ = [
 # temporaries never span the trace.
 CHUNK_BYTES = 4 << 20
 
-# Harmonic-magnitude features cover orders 2..7 of the grid frequency.
+# The harmonic-magnitude features h2..h7 cover orders 2..7 of the grid frequency; thd sums the same orders.
+THD_ORDERS = range(2, 8)
 FEATURE_IDS = (
     "i_rms",
     "i_form_factor",
@@ -63,7 +65,6 @@ class FeatureSpec:
 
     features: tuple[str, ...] = FEATURE_IDS
     f0_hz: float = 60.0
-    max_harmonic: int = 7
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "features", tuple(self.features))
@@ -73,28 +74,21 @@ class FeatureSpec:
             raise ValueError("feature identifiers must be unique")
         if not self.f0_hz > 0.0:
             raise ValueError("f0_hz must be positive")
-        if self.max_harmonic < 2:
-            raise ValueError("max_harmonic must be at least 2")
         for name in self.features:
             if name not in FEATURE_IDS:
                 raise ValueError(f"unknown feature identifier {name!r}")
-            if name.startswith("h") and name[1:].isdigit() and int(name[1:]) > self.max_harmonic:
-                raise ValueError(f"feature {name!r} exceeds max_harmonic={self.max_harmonic}")
-
-    def __len__(self) -> int:
-        return len(self.features)
 
     @property
     def harmonic_orders(self) -> tuple[int, ...]:
         """The orders of ``f0_hz`` the features project the current on, ascending.
 
-        ``h<n>`` needs order n and ``thd`` orders 1 to ``max_harmonic``;
+        ``h<n>`` needs order n and ``thd`` orders 1 and ``THD_ORDERS``;
         the fundamental also serves ``phase_shift`` and ``reactive_power``.
         """
         names = set(self.features)
         orders = {int(name[1:]) for name in names if name[1:].isdigit()}
         if "thd" in names:
-            orders.update(range(2, self.max_harmonic + 1))
+            orders.update(THD_ORDERS)
         if orders or names & {"phase_shift", "reactive_power"}:
             orders.add(1)  # its projection also rejects windows shorter than one grid period
         return tuple(sorted(orders))
@@ -177,7 +171,7 @@ def _evaluate_chunk(v, i, work, spec: FeatureSpec, fs: float, k: int, s: int):
     table["i_form_factor"] = _ratio(i_rms, per_window(np.sum(abs_i, axis=1)) / width)
     table["i_crest_factor"] = _ratio(per_window(np.max(abs_i, axis=1), np.maximum.reduce), i_rms)
     if "thd" in names:
-        energy = sum(i_phasors[h][0] ** 2 for h in range(2, spec.max_harmonic + 1))
+        energy = sum(i_phasors[h][0] ** 2 for h in THD_ORDERS)
         table["thd"] = _ratio(np.sqrt(energy), i_phasors[1][0])
     if names & {"phase_shift", "reactive_power"}:
         v_mag, v_phase = signals.fundamental_phasor(v, spec.f0_hz, fs, k, s)
@@ -240,6 +234,31 @@ class FeatureDataset:
             self.stride_s,
             self.feature_spec,
         )
+
+
+def window_targets(counts: np.ndarray, window_s: float, stride_s: float, n_windows: int) -> np.ndarray:
+    """Per-window target y: the maximum per-second count inside each of ``n_windows`` windows.
+
+    Window k covers [k * stride_s, k * stride_s + window_s) on the
+    scenario clock, and ``counts[t]`` is the count at second t. A device
+    running at any point inside the window counts as running within it,
+    hence the maximum.
+    """
+    if window_s < 1.0:
+        raise ValueError("window_s must be at least 1 second")
+    if stride_s <= 0.0:
+        raise ValueError("stride_s must be positive")
+    start = np.arange(n_windows) * stride_s
+    # ground_truth_counts' rule for an interval end, applied to every window at once.
+    lo = np.maximum(np.ceil(start - 1e-9), 0.0).astype(np.int64)
+    hi = np.maximum(np.ceil(start + window_s - 1e-9), 0.0).astype(np.int64)
+    if (hi > counts.size).any() or (lo >= hi).any():
+        raise ValueError("window extends past the end of the ground-truth series")
+    # reduceat over the interleaved bounds (lo0, hi0, lo1, hi1, ...): entry
+    # 2k is the maximum over [lo_k, hi_k); one trailing pad lets hi reach
+    # the end of the series.
+    padded = np.append(counts, 0).astype(np.int64, copy=False)
+    return np.maximum.reduceat(padded, np.stack([lo, hi], axis=1).reshape(-1))[::2]
 
 
 def featurize(

@@ -5,9 +5,9 @@ single-phase feeder. Each instance follows an alternating-renewal
 schedule (exponential on and off durations, stationary initial state)
 and the feeder current is the sum of the scheduled per-device currents
 plus wideband noise: each mode's own noise level and the optional feeder
-noise. The feeder voltage is stiff: a fixed sinusoid with an optional
-third-harmonic distortion term, unaffected by load. Both waveforms come
-from the same harmonic kernel, ``devices.add_harmonics``.
+noise. The feeder voltage is stiff: ``devices.supply_phasors``, a fixed
+sinusoid with an optional third-harmonic term, unaffected by load. Both
+waveforms come from the same harmonic kernel, ``devices.add_harmonics``.
 
 Determinism: schedules are drawn with ``random.Random`` seeded per
 (scenario seed, class name, instance index), so merging scenarios with
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .devices import DeviceMode, DeviceModel, _check_aliasing, _stable_seed, add_harmonics, mode_phasors
+from .devices import DeviceMode, DeviceModel, _check_aliasing, _stable_seed, add_harmonics, mode_phasors, supply_phasors
 from .signals import Waveform
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "generate_schedule",
     "synthesize_feeder",
     "ground_truth_counts",
-    "window_targets",
     "SYNTHESIS_VERSION",
 ]
 
@@ -251,9 +250,8 @@ def synthesize_feeder(
             out *= sigma
         add_harmonics(out, int(a), segment, fs, f0)
 
-    amplitude = math.sqrt(2.0) * config.voltage_rms
     voltage = np.zeros(n, dtype=np.float64)
-    add_harmonics(voltage, 0, np.array([0.0, amplitude, 0.0, amplitude * config.voltage_thd]), fs, f0)
+    add_harmonics(voltage, 0, supply_phasors(config), fs, f0)
     return Waveform(voltage, fs), Waveform(current, fs)
 
 
@@ -279,28 +277,3 @@ def ground_truth_counts(schedule: Schedule, config: ScenarioConfig) -> np.ndarra
             if hi > lo:
                 counts[lo:hi] += 1
     return counts
-
-
-def window_targets(counts: np.ndarray, window_s: float, stride_s: float, n_windows: int) -> np.ndarray:
-    """Per-window target y: the maximum per-second count inside each of ``n_windows`` windows.
-
-    Window k covers [k * stride_s, k * stride_s + window_s) on the
-    scenario clock, and ``counts[t]`` is the count at second t. A device
-    running at any point inside the window counts as running within it,
-    hence the maximum.
-    """
-    if window_s < 1.0:
-        raise ValueError("window_s must be at least 1 second")
-    if stride_s <= 0.0:
-        raise ValueError("stride_s must be positive")
-    start = np.arange(n_windows) * stride_s
-    # _ceil_index's rule, applied to every window at once.
-    lo = np.maximum(np.ceil(start - 1e-9), 0.0).astype(np.int64)
-    hi = np.maximum(np.ceil(start + window_s - 1e-9), 0.0).astype(np.int64)
-    if (hi > counts.size).any() or (lo >= hi).any():
-        raise ValueError("window extends past the end of the ground-truth series")
-    # reduceat over the interleaved bounds (lo0, hi0, lo1, hi1, ...): entry
-    # 2k is the maximum over [lo_k, hi_k); one trailing pad lets hi reach
-    # the end of the series.
-    padded = np.append(counts, 0).astype(np.int64, copy=False)
-    return np.maximum.reduceat(padded, np.stack([lo, hi], axis=1).reshape(-1))[::2]

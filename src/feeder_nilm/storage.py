@@ -41,7 +41,7 @@ from typing import Iterable
 import numpy as np
 
 from .devices import DeviceModel
-from .featurize import FeatureDataset, FeatureSpec, NormStats
+from .featurize import THD_ORDERS, FeatureDataset, FeatureSpec, NormStats
 from .model import RegressorParams
 from .simulate import DeviceSchedule, Schedule
 from .signals import Waveform
@@ -296,7 +296,7 @@ def write_dataset(path, dataset: FeatureDataset, fingerprint: str) -> None:
     spec = dataset.feature_spec
     lines.append(
         f"# window_s={_f(dataset.window_s)} stride_s={_f(dataset.stride_s)} "
-        f"f0_hz={_f(spec.f0_hz)} max_harmonic={spec.max_harmonic}"
+        f"f0_hz={_f(spec.f0_hz)} max_harmonic={THD_ORDERS[-1]}"
     )
     lines.append("t_start_s," + ",".join(spec.features) + ",y,valid")
     for k in range(dataset.n_windows):
@@ -310,8 +310,10 @@ def read_dataset(path) -> tuple[FeatureDataset, str]:
     columns = (body or [""])[0].split(",")
     if columns[0] != "t_start_s" or columns[-2:] != ["y", "valid"]:
         raise FileFormatError(f"{path}: missing or bad dataset header row")
+    if meta.get("max_harmonic") != str(THD_ORDERS[-1]):  # thd's highest order is fixed; readers of the file use it
+        raise FileFormatError(f"{path}: dataset metadata needs max_harmonic={THD_ORDERS[-1]}")
     try:
-        spec = FeatureSpec(tuple(columns[1:-2]), float(meta["f0_hz"]), int(meta["max_harmonic"]))
+        spec = FeatureSpec(tuple(columns[1:-2]), float(meta["f0_hz"]))
         window_s, stride_s = float(meta["window_s"]), float(meta["stride_s"])
     except (KeyError, ValueError) as exc:
         raise FileFormatError(f"{path}: bad dataset metadata ({exc})") from None
@@ -371,6 +373,10 @@ def read_model(path) -> tuple[RegressorParams, str]:
         params = RegressorParams(sizes, weights, biases, stats)
     except (KeyError, ValueError) as exc:
         raise FileFormatError(f"{path}: bad model file ({exc})") from None
+    known = {"format_version", "layer_sizes", "input_features", "kept_indices", "norm_mean", "norm_std"}
+    unknown = set(values) - known - {f"{kind}{layer}" for kind in "Wb" for layer in range(len(sizes) - 1)}
+    if unknown:
+        raise FileFormatError(f"{path}: unknown model key(s): {', '.join(sorted(unknown))}")
     return params, header["fingerprint"]
 
 

@@ -15,7 +15,7 @@ from feeder_nilm.config import (
 )
 from feeder_nilm.config import model_fingerprint
 from feeder_nilm.devices import default_library, save_device_library
-from feeder_nilm.simulate import window_targets
+from feeder_nilm.featurize import window_targets
 from feeder_nilm.storage import read_dataset, read_fingerprint, read_ground_truth, read_report_lines, read_waveform
 
 SMALL_CONFIG = """
@@ -237,6 +237,27 @@ class TestStages:
         assert run("simulate", "--config", str(path), "--out", str(tmp_path / "o")) == 2
 
     @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (("schedule_ventilator = 25 10", "schedule_ventilator = 25 inf"), "schedule_ventilator"),
+            (("feeder_noise_rms_amps = 0.02", "feeder_noise_rms_amps = inf"), "feeder_noise_rms_amps"),
+            (("rng_seed = 11", "rng_seed = 11\nvoltage_thd = nan"), "voltage_thd"),
+            (("stride_s = 5", "stride_s = inf"), "stride_s"),
+            (("learning_rate = 0.05", "learning_rate = inf"), "learning_rate"),
+            (("stride_s = 5", "stride_s = 0.0001"), "stride_s"),  # a fifth of a sample at 2 kHz
+        ],
+        ids=["infinite-schedule-mean", "infinite-noise", "nan-thd", "infinite-stride", "infinite-rate", "sub-sample-stride"],
+    )
+    def test_non_finite_or_sub_sample_setting_exits_2(self, tmp_path, capsys, edit, key):
+        path = tmp_path / "bad.cfg"
+        assert edit[0] in SMALL_CONFIG
+        path.write_text(SMALL_CONFIG.replace(*edit))
+        assert run("pipeline", "--config", str(path), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not os.path.exists(tmp_path / "o" / "voltage.fnwv")
+
+    @pytest.mark.parametrize(
         "edit, message",
         [
             (("schedule_lighting = 20 20\n", ""), "lighting"),
@@ -309,10 +330,11 @@ class TestStages:
             assert err.startswith("config error:") and key in err and "whole" in err
 
     def test_harmonic_order_at_nyquist_exits_2(self, tmp_path, capsys):
-        # thd projects orders up to max_harmonic: 17 * 60 Hz is above the 1 kHz Nyquist frequency of 2 kHz sampling.
+        # thd projects orders 2..7: 7 * 60 Hz is the Nyquist frequency of 840 Hz sampling.
         path = tmp_path / "nyquist.cfg"
-        path.write_text(SMALL_CONFIG.replace("stride_s = 5\n", "stride_s = 5\nmax_harmonic = 17\n"))
-        with pytest.raises(ConfigError, match="order 17"):
+        assert "sample_rate_hz = 2000" in SMALL_CONFIG
+        path.write_text(SMALL_CONFIG.replace("sample_rate_hz = 2000", "sample_rate_hz = 840"))
+        with pytest.raises(ConfigError, match="order 7"):
             load_run_config(path)
         for command in ("simulate", "pipeline"):
             assert run(command, "--config", str(path), "--out", str(tmp_path / "o")) == 2

@@ -52,7 +52,6 @@ KEYS = {
     ("featurize", "window_s"): ("featurize.window_s", 5.0, "4", 4.0),
     ("featurize", "stride_s"): ("featurize.stride_s", 5.0, "2.5", 2.5),
     ("featurize", "features"): ("featurize.features", FEATURE_IDS, "i_rms thd", ("i_rms", "thd")),
-    ("featurize", "max_harmonic"): ("featurize.max_harmonic", 7, "9", 9),
     ("featurize", "top_k"): ("featurize.top_k", 0, "3", 3),
     ("model", "hidden_layers"): ("model.hidden_layers", (32, 16), "8 4", (8, 4)),
     ("model", "init_seed"): ("model.init_seed", 1, "2", 2),
@@ -171,16 +170,39 @@ class TestSchema:
             load(tmp_path, (key, value))
 
 
+class TestFiniteValues:
+    """A value that is not finite, or a stride below one sample, is a config error naming its key."""
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize(
+        "key",
+        [key for key, row in sorted(KEYS.items()) if isinstance(row[1], float)] + [("scenario", "schedule_lighting")],
+        ids="-".join,
+    )
+    def test_non_finite_value_names_its_key(self, tmp_path, key, value):
+        setting = f"20 {value}" if key[1].startswith("schedule_") else value
+        with pytest.raises(ConfigError, match=key[1]):
+            load(tmp_path, (key, setting))
+
+    def test_stride_shorter_than_one_sample_refused(self, tmp_path):
+        # One sample at the default 10 kHz is 0.0001 s.
+        assert load(tmp_path, (("featurize", "stride_s"), "0.0001")).featurize.stride_s == 0.0001
+        with pytest.raises(ConfigError, match="stride_s.*one sample"):
+            load(tmp_path, (("featurize", "stride_s"), "0.00001"))
+
+
 class TestNyquist:
     """Every harmonic order the features project must lie below the Nyquist frequency."""
 
     def test_thd_projects_up_to_max_harmonic(self, tmp_path):
-        # 100 * 60 Hz is above the 5 kHz Nyquist frequency of the default 10 kHz sampling.
-        with pytest.raises(ConfigError, match="order 100 .*Nyquist"):
-            load(tmp_path, (("featurize", "max_harmonic"), "100"))
-        # Without thd, max_harmonic projects nothing; h7 is the highest order.
-        config = load(tmp_path, (("featurize", "max_harmonic"), "100"), (("featurize", "features"), "i_rms h7"))
-        assert config.featurize.max_harmonic == 100
+        # thd spans orders 2..7, the orders of h2..h7: 7 * 60 Hz is the Nyquist frequency of 840 Hz sampling.
+        with pytest.raises(ConfigError, match="order 7 .*Nyquist"):
+            load(tmp_path, (("scenario", "sample_rate_hz"), "840"), (("featurize", "features"), "thd"))
+        config = load(tmp_path, (("scenario", "sample_rate_hz"), "841"), (("featurize", "features"), "thd"))
+        assert config.feature_spec().harmonic_orders == tuple(range(1, 8))
+        # The highest order is no longer a setting.
+        with pytest.raises(ConfigError, match="max_harmonic"):
+            load(tmp_path, (("featurize", "max_harmonic"), "9"))
 
     def test_order_exactly_at_nyquist_refused(self, tmp_path):
         # h7 of 60 Hz is 420 Hz, the Nyquist frequency of 840 Hz sampling.

@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +6,7 @@ import pytest
 
 from feeder_nilm import signals as sg
 from feeder_nilm.devices import (
+    REPETITIONS,
     DeviceMode,
     DeviceModel,
     HarmonicSpec,
@@ -20,8 +18,9 @@ from feeder_nilm.devices import (
     mode_current_samples,
     mode_phasors,
     save_device_library,
+    supply_phasors,
 )
-from feeder_nilm.featurize import FEATURE_IDS, FeatureSpec
+from feeder_nilm.featurize import FeatureSpec, evaluate_window
 from feeder_nilm.simulate import DeviceSchedule, ScenarioConfig, Schedule, synthesize_feeder
 
 
@@ -68,10 +67,16 @@ def kernel_current(mode, duration_s, fs, f0):
     return out
 
 
-def signature(model, spec, window_s, fs):
-    """The one characterization vector of a noiseless single-mode ``model``."""
-    (vector,) = characterization_vectors(model, spec, window_s, fs, repetitions=1)
-    return vector
+def supply(f0, fs, **settings):
+    """A scenario that only sets the supply: its grid, rate, voltage and seed."""
+    return ScenarioConfig(duration_s=1.0, sample_rate_hz=fs, f0_hz=f0, **settings)
+
+
+def signature(model, spec, window_s, scenario):
+    """The characterization vector of a noiseless single-mode ``model``: every repetition is this one."""
+    first, *rest = characterization_vectors(model, spec, window_s, scenario)
+    assert rest and all(np.array_equal(first, vector) for vector in rest)
+    return first
 
 
 class TestSynthesis:
@@ -124,23 +129,24 @@ class TestSynthesis:
 class TestSignatureFeatures:
     def test_resistive_mode_zero_phase_shift(self, grid):
         f0, fs = grid
-        vec = signature(make_model((1, 4.0)), FeatureSpec(("phase_shift",), f0), 0.2, fs)
+        vec = signature(make_model((1, 4.0)), FeatureSpec(("phase_shift",), f0), 0.2, supply(f0, fs))
         assert vec[0] == pytest.approx(0.0, abs=1e-4)
 
     def test_fundamental_only_zero_thd(self, grid):
         f0, fs = grid
-        vec = signature(make_model((1, 4.0, -0.5)), FeatureSpec(("thd",), f0), 0.2, fs)
+        vec = signature(make_model((1, 4.0, -0.5)), FeatureSpec(("thd",), f0), 0.2, supply(f0, fs))
         assert vec[0] == pytest.approx(0.0, abs=1e-4)
 
     def test_ventilator_run_matches_primitives(self, grid):
-        # Per-primitive oracle: recompute every feature directly on the same window.
+        # Per-primitive oracle: recompute every feature directly on the same window,
+        # driven by the voltage the feeder synthesis makes for a distorted supply.
         f0, fs = grid
+        scenario = supply(f0, fs, voltage_thd=0.05)
         mode = replace(default_library()["ventilator"].mode("run"), noise_rms_amps=0.0)
-        vec = signature(DeviceModel("ventilator", True, (mode,)), FeatureSpec(), 0.5, fs)
+        vec = signature(DeviceModel("ventilator", True, (mode,)), FeatureSpec(), 0.5, scenario)
         n = int(round(0.5 * fs))
-        t = np.arange(n) / fs
-        i = mode_current_samples(mode, t, f0)
-        v = math.sqrt(2.0) * 120.0 * np.sin(2 * np.pi * f0 * t)
+        v = synthesize_feeder(scenario, Schedule(()), {})[0].samples[:n]
+        i = mode_current_samples(mode, np.arange(n) / fs, f0)
         expected = [
             sg.rms(i),
             sg.form_factor(i),
@@ -152,24 +158,34 @@ class TestSignatureFeatures:
         ] + [sg.harmonic_magnitude(i, h, f0, fs) for h in range(2, 8)]
         assert vec == pytest.approx(expected, abs=1e-9)
 
-    def test_rank_default_features_script(self):
-        script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "rank_default_features.py")
-        result = subprocess.run(
-            [sys.executable, script, "--window-s", "0.2", "--reps", "2"],
-            capture_output=True, text=True, timeout=120, check=True,
-        )
-        rows = [line.split() for line in result.stdout.splitlines()[1:]]
-        assert [int(rank) for rank, _, _ in rows] == list(range(1, 14))
-        assert sorted(name for _, name, _ in rows) == sorted(FEATURE_IDS)
-        scores = [float(score) for _, _, score in rows]
-        assert scores == sorted(scores, reverse=True)
+    def test_supply_is_the_feeder_voltage_bit_for_bit(self, grid):
+        # Characterization and synthesis share one supply: no drift between the two.
+        f0, fs = grid
+        scenario = supply(f0, fs, voltage_rms=230.0, voltage_thd=0.05)
+        voltage = synthesize_feeder(scenario, Schedule(()), {})[0].samples
+        samples = np.zeros(voltage.size)
+        add_harmonics(samples, 0, supply_phasors(scenario), fs, f0)
+        assert samples.tobytes() == voltage.tobytes()
+        # The characterization window is the first n samples of that voltage,
+        # evaluated in one stack of REPETITIONS rows (projections depend on the stack height in the last bits).
+        model = make_model((1, 2.0, -0.4), (3, 0.5, 1.0))
+        n = int(round(0.2 * fs))
+        current = mode_current_samples(model.mode("on"), np.arange(n) / fs, f0)
+        stack = (REPETITIONS, n)
+        rows, _ = evaluate_window(np.broadcast_to(voltage[:n], stack), np.broadcast_to(current, stack), FeatureSpec(), fs)
+        assert signature(model, FeatureSpec(), 0.2, scenario).tobytes() == rows[0].tobytes()
 
     def test_characterization_vectors_shape(self, grid):
         f0, fs = grid
         spec = FeatureSpec()
-        vectors = characterization_vectors(default_library()["smps"], spec, 0.2, fs, repetitions=3)
-        assert len(vectors) == 3  # one mode, three repetitions
+        vectors = characterization_vectors(default_library()["smps"], spec, 0.2, supply(f0, fs))
+        assert len(vectors) == 8  # one mode, eight repetitions
         assert all(v.shape == (len(spec.features),) for v in vectors)
+
+    def test_spec_on_another_grid_frequency_refused(self, grid):
+        f0, fs = grid
+        with pytest.raises(ValueError, match="f0_hz"):
+            characterization_vectors(default_library()["smps"], FeatureSpec(f0_hz=50.0), 0.2, supply(f0, fs))
 
 
 class TestDefaultLibrary:

@@ -46,7 +46,7 @@ def small_trace(n_medical=2, duration=60.0, seed=42, **overrides):
 class TestFeatureSpec:
     def test_defaults(self):
         spec = FeatureSpec()
-        assert len(spec) == 13
+        assert len(spec.features) == 13
         assert spec.features[0] == "i_rms"
 
     def test_rejects_unknown_or_duplicate(self):
@@ -54,8 +54,6 @@ class TestFeatureSpec:
             FeatureSpec(("i_rms", "i_rms"))
         with pytest.raises(ValueError):
             FeatureSpec(("zero_crossings",))
-        with pytest.raises(ValueError):
-            FeatureSpec(("h7",), max_harmonic=5)
 
     @pytest.mark.parametrize(
         "features, orders",
@@ -63,12 +61,12 @@ class TestFeatureSpec:
             (("i_rms", "i_crest_factor", "active_power"), ()),
             (("phase_shift",), (1,)),
             (("i_rms", "h3", "h7"), (1, 3, 7)),
-            (("thd", "h2"), tuple(range(1, 10))),
+            (("thd", "h2"), tuple(range(1, 8))),
         ],
     )
     def test_harmonic_orders(self, features, orders):
-        # thd projects every order up to max_harmonic; an h<n> feature only its own.
-        assert FeatureSpec(features, max_harmonic=9).harmonic_orders == orders
+        # thd projects the fundamental and orders 2..7; an h<n> feature only its own.
+        assert FeatureSpec(features).harmonic_orders == orders
 
 
 class TestFeaturize:
@@ -287,7 +285,7 @@ def scalar_oracle(name, v, i, spec, fs):
     if name == "reactive_power":
         return sg.active_reactive_power(v, i, f0, fs)[1]
     if name == "thd":
-        return sg.thd(i, f0, fs, spec.max_harmonic)
+        return sg.thd(i, f0, fs, 7)
     return sg.harmonic_magnitude(i, int(name[1:]), f0, fs)
 
 

@@ -11,7 +11,7 @@ import os
 import pytest
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
-TREES = ("src", "tests", "perfbench", "scripts")
+TREES = ("src", "tests", "perfbench")
 
 # module -> names it gained after 3.10; None: the whole module is newer.
 NEWER_THAN_FLOOR = {"tomllib": None, "typing": {"Self"}, "enum": {"StrEnum"}}

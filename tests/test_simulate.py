@@ -7,6 +7,7 @@ from hypothesis import strategies as strat
 
 from feeder_nilm import signals as sg
 from feeder_nilm.devices import default_library, mode_current_samples
+from feeder_nilm.featurize import window_targets
 from feeder_nilm.simulate import (
     DeviceSchedule,
     Schedule,
@@ -14,7 +15,6 @@ from feeder_nilm.simulate import (
     generate_schedule,
     ground_truth_counts,
     synthesize_feeder,
-    window_targets,
 )
 
 

@@ -297,18 +297,16 @@ class TestModelFile:
         write_model(second, loaded, fingerprint)
         assert first.read_bytes() == second.read_bytes()
 
-    def test_model_written_before_activation_removal_still_reads(self, tmp_path):
-        # Files from before the format dropped the fixed activation and init_seed lines still load.
+    def test_unknown_key_rejected(self, tmp_path):
+        # Lines of an older format (a fixed activation, an init seed) are refused, not skipped.
         path = tmp_path / "model.txt"
         write_model(path, self.make_params(), FP)
         lines = path.read_text().splitlines()
-        assert not any("activation" in line or "init_seed" in line for line in lines)
         at = lines.index("format_version = 1") + 2
-        lines[at:at] = ["init_seed = 11", "hidden_activation = relu", "output_activation = softplus"]
+        lines[at:at] = ["init_seed = 11", "hidden_activation = relu"]
         path.write_text("\n".join(lines) + "\n")
-        loaded, fingerprint = read_model(path)
-        assert fingerprint == FP
-        assert np.array_equal(loaded.weights[0], self.make_params().weights[0])
+        with pytest.raises(FileFormatError, match="unknown model key.*hidden_activation, init_seed"):
+            read_model(path)
 
     def test_missing_layer_rejected(self, tmp_path):
         path = tmp_path / "model.txt"
