@@ -1,4 +1,4 @@
-"""Command-line pipeline: simulate, featurize, select-features, train, eval.
+"""Command-line pipeline: simulate, select-features, featurize, train, eval.
 
 Every command takes ``--config <path>`` and ``--out <dir>`` (default from
 FEEDER_NILM_OUT, then the config [output] section, then ./out). Exit
@@ -265,13 +265,18 @@ _STAGES = (
 
 
 def _artifact_current(config: RunConfig, out: str, name: str, tag: str, expected_fp: str) -> bool:
+    """Whether the artifact carries ``expected_fp`` and reads without error; a waveform's every sample is read."""
     path = os.path.join(out, ARTIFACTS[name])
-    rate = config.scenario.sample_rate_hz
     try:
-        fp = st.read_waveform(path, tag, rate)[1] if tag in st.CHANNEL_TAGS else st.read_fingerprint(path, tag)
+        if tag not in st.CHANNEL_TAGS:
+            return st.read_fingerprint(path, tag) == expected_fp
+        waveform, fp = st.read_waveform(path, tag, config.scenario.sample_rate_hz)
+        if fp != expected_fp:
+            return False
+        waveform.skip(waveform.n_samples)
     except (st.FileFormatError, OSError):
         return False
-    return fp == expected_fp
+    return True
 
 
 def stage_pipeline(config: RunConfig, library: Library, out: str, quiet: bool) -> None:

@@ -32,8 +32,9 @@ Example:
 
 Unknown keys are rejected so typos fail loudly. A section's keys and
 defaults are the fields of its dataclass (``ModelSection`` with its
-``TrainConfig`` fields inline), each value converted by the field's type
-(floats must be finite). Besides those, [scenario] takes ``device_library``
+``TrainConfig`` fields inline), each value converted by the field's type;
+every rule on a value, such as that a float is finite, lives in the
+dataclass. Besides those, [scenario] takes ``device_library``
 and per-class means ``schedule_<class> = <mean_on_s> <mean_off_s>``,
 [output] takes ``dir``, and ``stride_s`` (at least one sample) defaults
 to ``window_s``. Stage artifacts carry a 128-bit fingerprint (the first
@@ -77,6 +78,12 @@ class ConfigError(ValueError):
     """A run configuration file is missing, malformed, or inconsistent."""
 
 
+def _require_finite(section, *keys: str) -> None:
+    for key in keys:
+        if not math.isfinite(getattr(section, key)):
+            raise ConfigError(f"{key} must be finite, got {getattr(section, key)!r}")
+
+
 @dataclass(frozen=True)
 class FeaturizeSection:
     window_s: float = 5.0
@@ -85,6 +92,7 @@ class FeaturizeSection:
     top_k: int = 0  # 0 = keep all features; >0 = truncate via the Fisher ranking
 
     def __post_init__(self) -> None:
+        _require_finite(self, "window_s", "stride_s")
         if not (self.window_s >= 1.0 and self.stride_s > 0.0):
             raise ConfigError("window_s must be >= 1 and stride_s positive")
         if self.top_k < 0:
@@ -109,6 +117,7 @@ class SplitSection:
     test_fraction: float = 0.2
 
     def __post_init__(self) -> None:
+        _require_finite(self, "train_fraction", "val_fraction", "test_fraction")
         fractions = (self.train_fraction, self.val_fraction, self.test_fraction)
         if any(f <= 0.0 for f in fractions):
             raise ConfigError("split fractions must be positive")
@@ -137,15 +146,9 @@ def _parse_population(value: str) -> tuple[tuple[str, int], ...]:
     return tuple((name, int(count)) for name, count in pairs)
 
 
-def _finite_float(value: str) -> float:
-    if not math.isfinite(float(value)):
-        raise ValueError(f"{value!r} is not finite")
-    return float(value)
-
-
 # A section field's value string is converted by the field's type.
 _CONVERTERS = {
-    float: _finite_float,
+    float: float,
     int: int,
     str: str,
     tuple[str, ...]: lambda value: tuple(value.split()),
@@ -216,9 +219,9 @@ def load_run_config(path) -> RunConfig:
     schedules: dict[str, tuple[float, float]] = {}
     for key in [key for key in scenario_raw if key.startswith("schedule_")]:
         try:
-            mean_on, mean_off = map(_finite_float, scenario_raw.pop(key).split())
+            mean_on, mean_off = map(float, scenario_raw.pop(key).split())
         except ValueError:
-            raise ConfigError(f"{path}: {key} needs two finite numbers '<mean_on_s> <mean_off_s>'") from None
+            raise ConfigError(f"{path}: {key} needs two numbers '<mean_on_s> <mean_off_s>'") from None
         schedules[key[len("schedule_") :]] = (mean_on, mean_off)
     library_path = scenario_raw.pop("device_library", None)
     if library_path is not None and not os.path.isabs(library_path):

@@ -8,7 +8,9 @@ dataset files.
 
 Windows start on the stride grid, so the trace is cut into blocks of
 gcd(window, stride) samples; every per-sample quantity a feature needs is
-reduced once per block, and each window is built from its blocks.
+reduced once per block, and each window is built from its blocks. The
+blocks are read from the waveforms one chunk of windows at a time, so
+memory does not grow with the trace.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import signals
-from .signals import Waveform, wrap_phase
+from .signals import CHUNK_BYTES, Waveform, wrap_phase
 
 __all__ = [
     "FEATURE_IDS",
@@ -36,10 +38,6 @@ __all__ = [
     "apply_normalization",
 ]
 
-# Windows are evaluated in chunks: the samples of a chunk's blocks, and the
-# block series its windows gather, stay near this size, so elementwise
-# temporaries never span the trace.
-CHUNK_BYTES = 4 << 20
 
 # The harmonic-magnitude features h2..h7 cover orders 2..7 of the grid frequency; thd sums the same orders.
 THD_ORDERS = range(2, 8)
@@ -129,8 +127,7 @@ def evaluate_window(
         raise ValueError("the stacks hold fewer blocks than one window covers")
     n = (n_blocks - k) // s + 1
     X, valid = np.empty((n, len(spec.features))), np.empty(n, dtype=bool)
-    # A window steps s blocks of samples and gathers 2k block sums per frequency.
-    per_chunk = min(n, max(1, CHUNK_BYTES // (8 * (s * width + 2 * k))))
+    per_chunk = _windows_per_chunk(n, k, s, width)
     # The buffer is reused: filling fresh memory for every chunk costs more than the work.
     work = np.empty(((per_chunk - 1) * s + k, width))
     for lo in range(0, n, per_chunk):
@@ -141,6 +138,14 @@ def evaluate_window(
             v_rows, i_rows, work[: len(i_rows)], spec, sample_rate_hz, k, s
         )
     return X, valid
+
+
+def _windows_per_chunk(n_windows: int, k: int, s: int, width: int) -> int:
+    """Windows evaluated together: the samples of their blocks, and the block
+    series they gather, stay near ``CHUNK_BYTES``, so elementwise temporaries
+    never span the trace."""
+    # A window steps s blocks of samples and gathers 2k block sums per frequency.
+    return min(n_windows, max(1, CHUNK_BYTES // (8 * (s * width + 2 * k))))
 
 
 def _evaluate_chunk(v, i, work, spec: FeatureSpec, fs: float, k: int, s: int):
@@ -273,11 +278,16 @@ def featurize(
 
     Windows are ``round(window_s * fs)`` samples long, one every
     ``round(stride_s * fs)`` samples, as many as fit in the trace. The
-    trace is viewed, without a copy, as blocks of the greatest common
-    divisor of the two, which ``evaluate_window`` combines into windows.
-    Targets come from ``window_targets`` of the per-second ``truth`` counts
-    over that same sample grid, and the dataset records that grid's window
-    and stride in seconds.
+    trace is cut into blocks of the greatest common divisor of the two,
+    which ``evaluate_window`` combines into windows. Both waveforms are
+    read once, front to back, into block buffers of one chunk of windows
+    (see ``_windows_per_chunk``): the blocks the next chunk shares with
+    this one are carried over, the blocks between two chunks of gapped
+    windows are read past, and so are the samples after the last window,
+    so every sample passes its source's checks. Targets come from
+    ``window_targets`` of the per-second ``truth`` counts over that same
+    sample grid, and the dataset records that grid's window and stride in
+    seconds.
     """
     if voltage.n_samples != current.n_samples or voltage.sample_rate_hz != current.sample_rate_hz:
         raise ValueError("voltage and current waveforms must be aligned")
@@ -293,10 +303,27 @@ def featurize(
     block_len = math.gcd(window_len, stride_len)
     k, s = window_len // block_len, stride_len // block_len
     n_windows = (voltage.n_samples - window_len) // stride_len + 1
-    n_blocks = (n_windows - 1) * s + k
-    blocks = [w.samples[: n_blocks * block_len].reshape(n_blocks, block_len) for w in (voltage, current)]
     y = window_targets(truth, window_len / fs, stride_len / fs, n_windows)
-    X, valid = evaluate_window(*blocks, spec, fs, k, s)
+
+    per_chunk = _windows_per_chunk(n_windows, k, s, block_len)
+    blocks = [np.empty(((per_chunk - 1) * s + k, block_len)) for _ in range(2)]
+    X, valid = np.empty((n_windows, len(spec.features))), np.empty(n_windows, dtype=bool)
+    carried = 0  # leading blocks of the buffers the previous chunk already read
+    for lo in range(0, n_windows, per_chunk):
+        m = min(per_chunk, n_windows - lo)
+        used = (m - 1) * s + k
+        for waveform, buffer in zip((voltage, current), blocks):
+            waveform.readinto(buffer[carried:used].reshape(-1))
+        X[lo : lo + m], valid[lo : lo + m] = evaluate_window(*(b[:used] for b in blocks), spec, fs, k, s)
+        # The next chunk starts per_chunk * s blocks into this one.
+        carried = max(0, used - per_chunk * s)
+        for waveform, buffer in zip((voltage, current), blocks):
+            buffer[:carried] = buffer[used - carried : used]
+            if lo + per_chunk < n_windows:
+                waveform.skip((per_chunk * s - used + carried) * block_len)
+    read = ((n_windows - 1) * s + k) * block_len
+    for waveform in (voltage, current):
+        waveform.skip(waveform.n_samples - read)
     t_start = np.arange(n_windows) * stride_len / fs
     return FeatureDataset(X, y, t_start, valid, window_len / fs, stride_len / fs, spec)
 

@@ -45,6 +45,9 @@ class TrainConfig:
     patience: int = 60  # epochs without validation improvement before stopping
 
     def __post_init__(self) -> None:
+        for key in ("learning_rate", "l2_penalty"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)!r}")
         if not self.learning_rate >= 0.0:
             raise ValueError("learning_rate must be non-negative")
         if self.batch_size < 1:

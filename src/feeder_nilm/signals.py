@@ -14,20 +14,25 @@ so a stack is projected at whole-hertz frequencies and rates only, as
 every scenario samples. The scalar functions here work on one window at
 any rate and are the reference the featurizer is tested against.
 
+A ``Waveform`` is a trace that is read once, front to back, a bounded
+piece at a time: it never holds the whole trace, so memory does not grow
+with the scenario. A file or the feeder synthesizer supplies its
+samples.
+
 All arithmetic is float64. Every function here is a pure function of its
-inputs; waveforms are immutable after construction and safe to share
-across threads.
+inputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, Iterator
 
 import numpy as np
 
 __all__ = [
+    "CHUNK_BYTES",
     "UndefinedFeatureError",
     "Waveform",
     "wrap_phase",
@@ -40,6 +45,10 @@ __all__ = [
     "active_reactive_power",
     "thd",
 ]
+
+
+# Waveforms move between producer and consumer in pieces of at most this many bytes.
+CHUNK_BYTES = 4 << 20
 
 
 class UndefinedFeatureError(ValueError):
@@ -56,33 +65,51 @@ def wrap_phase(angle_rad):
     return wrapped if np.ndim(angle_rad) else float(wrapped)
 
 
-@dataclass(frozen=True, eq=False)
 class Waveform:
-    """Uniformly sampled real-valued signal on the scenario clock.
+    """``n_samples`` float64 samples at ``sample_rate_hz``, the first at scenario second 0, read once in order.
 
-    ``samples`` are coerced to a read-only float64 array; the first one is
-    taken at scenario second 0.
+    ``readinto(out)`` fills ``out`` with the next ``out.size`` samples, so a
+    consumer holds only the piece it is working on. The samples come from
+    ``fill(out, start)``, which writes samples ``start ... start +
+    out.size - 1`` into ``out``; each call starts where the previous one
+    stopped, so a source may carry state, such as a noise stream. A file
+    reads its samples and checks them as they arrive (``storage``), and
+    the feeder synthesizer generates them (``simulate``).
     """
 
-    samples: np.ndarray
-    sample_rate_hz: float
+    __slots__ = ("n_samples", "sample_rate_hz", "_fill", "_next")
 
-    def __post_init__(self) -> None:
-        samples = np.ascontiguousarray(self.samples, dtype=np.float64)
-        if samples.ndim != 1:
-            raise ValueError("samples must be one-dimensional")
-        if samples.size == 0:
+    def __init__(self, n_samples: int, sample_rate_hz: float, fill: Callable[[np.ndarray, int], None]) -> None:
+        if n_samples < 1:
             raise ValueError("samples must be non-empty")
-        if not np.isfinite(samples).all():
-            raise ValueError("samples must all be finite")
-        if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0.0):
+        if not (math.isfinite(sample_rate_hz) and sample_rate_hz > 0.0):
             raise ValueError("sample_rate_hz must be positive and finite")
-        samples.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
+        self.n_samples = int(n_samples)
+        self.sample_rate_hz = sample_rate_hz
+        self._fill = fill
+        self._next = 0
 
-    @property
-    def n_samples(self) -> int:
-        return int(self.samples.size)
+    def readinto(self, out: np.ndarray) -> None:
+        """Fill the contiguous float64 ``out`` with the next ``out.size`` samples."""
+        if out.dtype != np.float64 or out.ndim != 1 or not out.flags.c_contiguous:
+            raise ValueError("out must be a contiguous 1-D float64 array")
+        if out.size > self.n_samples - self._next:
+            raise ValueError(f"read past the end of a waveform of {self.n_samples} samples")
+        self._fill(out, self._next)
+        self._next += out.size
+
+    def chunks(self, n_samples: int) -> Iterator[np.ndarray]:
+        """The next ``n_samples`` in order, as successive views of one buffer of at most ``CHUNK_BYTES``."""
+        buffer = np.empty(max(1, min(n_samples, CHUNK_BYTES // 8)))
+        for start in range(0, n_samples, buffer.size):
+            part = buffer[: min(buffer.size, n_samples - start)]
+            self.readinto(part)
+            yield part
+
+    def skip(self, n_samples: int) -> None:
+        """Read past the next ``n_samples``; the source still checks every one of them."""
+        for _ in self.chunks(n_samples):
+            pass
 
 
 def _as_window(x) -> np.ndarray:

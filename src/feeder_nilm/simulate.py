@@ -73,7 +73,11 @@ class ScenarioConfig:
         object.__setattr__(self, "background_population", tuple((str(c), int(n)) for c, n in self.background_population))
         object.__setattr__(self, "schedule_params", dict(self.schedule_params))
         object.__setattr__(self, "medical_modes", tuple(self.medical_modes))
-        if not (math.isfinite(self.duration_s) and self.duration_s > 0.0):
+        floats = ("duration_s", "sample_rate_hz", "f0_hz", "voltage_rms", "voltage_thd", "feeder_noise_rms_amps")
+        for key in floats:
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)!r}")
+        if not self.duration_s > 0.0:
             raise ValueError("duration_s must be positive")
         if not (self.sample_rate_hz > 0.0 and self.f0_hz > 0.0):
             raise ValueError("sample_rate_hz and f0_hz must be positive")
@@ -89,8 +93,8 @@ class ScenarioConfig:
         if any(n < 0 for _, n in self.background_population):
             raise ValueError("background device counts must be non-negative")
         for cls, (mean_on, mean_off) in self.schedule_params.items():
-            if not (mean_on > 0.0 and mean_off > 0.0):
-                raise ValueError(f"schedule means for {cls!r} must be positive")
+            if not (0.0 < mean_on < math.inf and 0.0 < mean_off < math.inf):
+                raise ValueError(f"schedule_{cls}: means must be positive and finite, got {mean_on!r} {mean_off!r}")
         if self.feeder_noise_rms_amps < 0.0:
             raise ValueError("feeder_noise_rms_amps must be non-negative")
         if any(cls == self.medical_class for cls, _ in self.background_population):
@@ -190,15 +194,18 @@ def synthesize_feeder(
 ) -> tuple[Waveform, Waveform]:
     """Aggregate feeder (voltage, current) waveforms for a scheduled scenario.
 
-    One sweep over the schedule's change points (the sample indices where
-    any interval starts or ends). Between two of them the active modes are
-    fixed, so the noiseless current is their merged phasors, counted with
-    multiplicity and evaluated by ``add_harmonics`` phase-locked to the
-    scenario clock. Noise is one stream for the whole feeder: each segment
-    draws standard normals scaled by sqrt(feeder sigma^2 + sum of the
-    active modes' sigma^2), which has the distribution of independent
-    per-device noise plus feeder noise. Deterministic given the config and
-    schedule.
+    The schedule is checked and reduced to segments here; the samples are
+    generated as each waveform is read, one buffer at a time, so no trace
+    is ever whole in memory. The segments lie between the schedule's change
+    points (the sample indices where any interval starts or ends). Within
+    one the active modes are fixed, so the noiseless current is their
+    merged phasors, counted with multiplicity and evaluated by
+    ``add_harmonics`` phase-locked to the scenario clock. Noise is one
+    stream for the whole feeder: each segment draws standard normals
+    scaled by sqrt(feeder sigma^2 + sum of the active modes' sigma^2),
+    which has the distribution of independent per-device noise plus feeder
+    noise. Deterministic given the config and schedule, whatever the
+    buffer sizes the samples are read in.
     """
     fs, f0 = config.sample_rate_hz, config.f0_hz
     n = int(round(config.duration_s * fs))
@@ -241,18 +248,32 @@ def synthesize_feeder(
     segment_phasors = (counts[:, :, None] * phasors[None]).sum(axis=1)
     segment_sigma = np.sqrt(config.feeder_noise_rms_amps**2 + (counts * variances).sum(axis=1))
 
-    current = np.zeros(n, dtype=np.float64)
     noise_rng = np.random.default_rng(_stable_seed(config.rng_seed, "feeder", "noise"))
-    for a, b, segment, sigma in zip(bounds[:-1], bounds[1:], segment_phasors, segment_sigma):
-        out = current[a:b]
-        if sigma > 0.0:
-            noise_rng.standard_normal(out=out)
-            out *= sigma
-        add_harmonics(out, int(a), segment, fs, f0)
 
-    voltage = np.zeros(n, dtype=np.float64)
-    add_harmonics(voltage, 0, supply_phasors(config), fs, f0)
-    return Waveform(voltage, fs), Waveform(current, fs)
+    def fill_current(out: np.ndarray, start: int) -> None:
+        # The segments that meet [start, start + out.size), each cut at the
+        # buffer's edges: the noise stream runs on from the previous buffer,
+        # and add_harmonics is phase-locked to the absolute sample index.
+        stop = start + out.size
+        for s in range(np.searchsorted(bounds, start, side="right") - 1, len(bounds) - 1):
+            a, b = max(int(bounds[s]), start), min(int(bounds[s + 1]), stop)
+            if a >= b:
+                break
+            piece = out[a - start : b - start]
+            if segment_sigma[s] > 0.0:
+                noise_rng.standard_normal(out=piece)
+                piece *= segment_sigma[s]
+            else:
+                piece.fill(0.0)
+            add_harmonics(piece, a, segment_phasors[s], fs, f0)
+
+    supply = supply_phasors(config)
+
+    def fill_voltage(out: np.ndarray, start: int) -> None:
+        out.fill(0.0)
+        add_harmonics(out, start, supply, fs, f0)
+
+    return Waveform(n, fs, fill_voltage), Waveform(n, fs, fill_current)
 
 
 def _ceil_index(time_s: float) -> int:

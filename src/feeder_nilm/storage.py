@@ -13,13 +13,16 @@ Waveform files are binary with a fixed 64-byte header:
     52      12    reserved, zeros
     64      ...   raw little-endian IEEE-754 float64 samples
 
-Samples move between file and array without intermediate copies: the
-reader checks the file size against the header count before allocating,
-then reads straight into the final array; the writer writes the array's
-own buffer. The reader is told which channel and sample rate it expects
-and refuses a file of the other channel or another rate. Every trace
-starts at scenario second 0, so the reader also refuses a header whose
-start time is not 0.0.
+Samples stream in chunks of at most ``signals.CHUNK_BYTES``, so no trace
+is ever whole in memory. The writer fills one buffer at a time from its
+``Waveform`` and writes it to the temp file. The reader checks the header
+and the file size against the header count before it allocates anything,
+and returns a ``Waveform`` that reads the samples into its consumer's
+buffers, checking every one finite as it arrives; a non-finite sample is a
+``FileFormatError`` naming the file. The reader is told which channel and
+sample rate it expects and refuses a file of the other channel or another
+rate. Every trace starts at scenario second 0, so the reader also refuses
+a header whose start time is not 0.0.
 
 Text artifacts are line-oriented. Every format begins with its format line
 ``# feeder-nilm <tag> v1``, followed by ``# key=value`` comment lines that
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import os
 import struct
+import sys
 from contextlib import contextmanager
 from typing import Iterable
 
@@ -110,6 +114,7 @@ def _atomic_open(path, mode: str, **kwargs):
 
 
 def write_waveform(path, waveform: Waveform, channel: str, fingerprint_hex: str) -> None:
+    """Write every sample of the unread ``waveform``, one chunk at a time, then rename the file into place."""
     if channel not in CHANNEL_TAGS:
         raise ValueError(f"channel must be one of {CHANNEL_TAGS}")
     header = _HEADER.pack(
@@ -123,11 +128,17 @@ def write_waveform(path, waveform: Waveform, channel: str, fingerprint_hex: str)
     )
     with _atomic_open(path, "wb") as fh:
         fh.write(header)
-        fh.write(waveform.samples.astype("<f8", copy=False))
+        for part in waveform.chunks(waveform.n_samples):
+            fh.write(part.astype("<f8", copy=False))
 
 
 def read_waveform(path, channel: str, sample_rate_hz: float) -> tuple[Waveform, str]:
-    """Returns (waveform, fingerprint hex); refuses a file of another ``channel`` or ``sample_rate_hz``."""
+    """Returns (waveform, fingerprint hex); refuses a file of another ``channel`` or ``sample_rate_hz``.
+
+    The header is checked here; the samples are read, and checked finite,
+    as the waveform is read. A file replaced or resized in between is
+    refused then.
+    """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -144,16 +155,33 @@ def read_waveform(path, channel: str, sample_rate_hz: float) -> tuple[Waveform, 
             raise FileFormatError(f"{path}: sample rate {rate!r} Hz, expected {float(sample_rate_hz)!r} Hz")
         if start != 0.0:
             raise FileFormatError(f"{path}: start time {start!r}, expected 0.0")
-        if os.fstat(fh.fileno()).st_size != _HEADER.size + 8 * count:
+        identity = _file_identity(fh)
+        if identity[-1] != _HEADER.size + 8 * count:
             raise FileFormatError(f"{path}: sample payload does not match header count")
-        samples = np.empty(count, dtype="<f8")
-        if fh.readinto(samples) != samples.nbytes:
-            raise FileFormatError(f"{path}: sample payload does not match header count")
+
+    def fill(out: np.ndarray, first: int) -> None:
+        with open(path, "rb") as fh:
+            if _file_identity(fh) != identity:
+                raise FileFormatError(f"{path}: file changed while its samples were read")
+            fh.seek(_HEADER.size + 8 * first)
+            if fh.readinto(out) != out.nbytes:
+                raise FileFormatError(f"{path}: sample payload does not match header count")
+        if sys.byteorder != "little":
+            out.byteswap(inplace=True)
+        if not np.isfinite(out).all():
+            raise FileFormatError(f"{path}: samples must all be finite")
+
     try:
-        waveform = Waveform(samples, rate)
+        waveform = Waveform(count, rate, fill)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from None
     return waveform, fp.hex()
+
+
+def _file_identity(fh) -> tuple[int, int, int, int]:
+    """(device, inode, modification time, size) of an open file: a replaced or rewritten file differs."""
+    stat = os.fstat(fh.fileno())
+    return stat.st_dev, stat.st_ino, stat.st_mtime_ns, stat.st_size
 
 
 # ------------------------------------------------------------- text helpers

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import samples_of
 
 from feeder_nilm import cli
 from feeder_nilm import signals as sg
@@ -113,7 +114,7 @@ def test_criterion_2_feeder_additivity():
                 lo = int(round(start * config.sample_rate_hz))
                 hi = min(int(round(end * config.sample_rate_hz)), feeder.n_samples)
                 total[lo:hi] += mode_current_samples(model.mode(mode_name), t[lo:hi], config.f0_hz)
-        assert np.max(np.abs(feeder.samples - total)) < 1e-9
+        assert np.max(np.abs(samples_of(feeder) - total)) < 1e-9
 
 
 def test_criterion_3_gradient_check():

@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from conftest import samples_of
 
 from feeder_nilm import cli
 from feeder_nilm.config import (
@@ -474,6 +475,28 @@ class TestPipeline:
         with open(dataset_path, encoding="utf-8") as fh:
             assert full in fh.read().splitlines(keepends=True)
 
+    @pytest.mark.parametrize("index", [0, -1], ids=["first-chunk", "last-chunk"])
+    def test_non_finite_sample_is_file_error_and_resimulated(self, tmp_path, capsys, index):
+        # One NaN sample, header and fingerprint kept: at the front of current.fnwv,
+        # or as its very last sample, in the last chunk a reader fills.
+        smoke = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "smoke.cfg")
+        fresh, out = tmp_path / "fresh", tmp_path / "out"
+        assert run("pipeline", "--config", smoke, "--out", str(fresh), "--quiet") == 0
+        assert run("pipeline", "--config", smoke, "--out", str(out), "--quiet") == 0
+        current = out / "current.fnwv"
+        raw = bytearray(current.read_bytes())
+        offset = 64 + 8 * (index % ((len(raw) - 64) // 8))
+        raw[offset : offset + 8] = struct.pack("<d", float("nan"))
+        current.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert run("featurize", "--config", smoke, "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("file error:") and "current.fnwv" in err
+        assert run("pipeline", "--config", smoke, "--out", str(out)) == 0
+        assert "simulate: up to date" not in capsys.readouterr().out
+        for name in sorted(os.listdir(fresh)):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+
     def test_seed_override_propagates(self, config_path, tmp_path):
         out_a = str(tmp_path / "a")
         out_b = str(tmp_path / "b")
@@ -481,7 +504,7 @@ class TestPipeline:
         assert run("pipeline", "--config", config_path, "--out", out_b, "--quiet") == 0
         wave_a, _ = read_waveform(os.path.join(out_a, "current.fnwv"), "CURR", 2000.0)
         wave_b, _ = read_waveform(os.path.join(out_b, "current.fnwv"), "CURR", 2000.0)
-        assert not np.array_equal(wave_a.samples, wave_b.samples)
+        assert not np.array_equal(samples_of(wave_a), samples_of(wave_b))
 
 
 class TestStageRegistry:

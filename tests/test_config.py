@@ -184,6 +184,27 @@ class TestFiniteValues:
         with pytest.raises(ConfigError, match=key[1]):
             load(tmp_path, (key, setting))
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")], ids=str)
+    @pytest.mark.parametrize(
+        "cls, key",
+        [(ScenarioConfig, name) for name in ("duration_s", "sample_rate_hz", "f0_hz", "voltage_rms", "voltage_thd",
+                                             "feeder_noise_rms_amps")]
+        + [(TrainConfig, "learning_rate"), (TrainConfig, "l2_penalty")]
+        + [(FeaturizeSection, "window_s"), (FeaturizeSection, "stride_s")]
+        + [(SplitSection, name) for name in ("train_fraction", "val_fraction", "test_fraction")],
+        ids=lambda v: v if isinstance(v, str) else v.__name__,
+    )
+    def test_dataclass_refuses_non_finite_value_naming_its_field(self, cls, key, value):
+        # The rule lives in the dataclass, so a library caller meets it as the parser does.
+        given = {"duration_s": 1.0} if cls is ScenarioConfig else {}
+        with pytest.raises(ValueError, match=key):
+            cls(**{**given, key: value})
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=str)
+    def test_scenario_refuses_non_finite_schedule_mean(self, value):
+        with pytest.raises(ValueError, match="lighting"):
+            ScenarioConfig(duration_s=1.0, schedule_params={"lighting": (20.0, value)})
+
     def test_stride_shorter_than_one_sample_refused(self, tmp_path):
         # One sample at the default 10 kHz is 0.0001 s.
         assert load(tmp_path, (("featurize", "stride_s"), "0.0001")).featurize.stride_s == 0.0001

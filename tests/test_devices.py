@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import samples_of
 
 from feeder_nilm import signals as sg
 from feeder_nilm.devices import (
@@ -89,11 +90,11 @@ class TestSynthesis:
         f0, fs = grid
         cfg = ScenarioConfig(duration_s=0.25, sample_rate_hz=fs, f0_hz=f0)
         schedule = Schedule((DeviceSchedule("widget#0", "widget", False, ((0.1, 0.2, "on"),)),))
-        _, current = synthesize_feeder(cfg, schedule, {"widget": make_model((1, 2.0))})
-        on = np.zeros(current.n_samples, dtype=bool)
+        current = samples_of(synthesize_feeder(cfg, schedule, {"widget": make_model((1, 2.0))})[1])
+        on = np.zeros(current.size, dtype=bool)
         on[1000:2000] = True
-        assert current.n_samples == 2500 and not current.samples[~on].any()
-        assert sg.rms(current.samples[on]) == pytest.approx(2.0, abs=1e-6)
+        assert current.size == 2500 and not current[~on].any()
+        assert sg.rms(current[on]) == pytest.approx(2.0, abs=1e-6)
 
     def test_parseval_two_harmonics(self, grid):
         # rms^2 = 3.0^2 + 0.4^2 = 9.16 for orthogonal harmonics.
@@ -145,7 +146,7 @@ class TestSignatureFeatures:
         mode = replace(default_library()["ventilator"].mode("run"), noise_rms_amps=0.0)
         vec = signature(DeviceModel("ventilator", True, (mode,)), FeatureSpec(), 0.5, scenario)
         n = int(round(0.5 * fs))
-        v = synthesize_feeder(scenario, Schedule(()), {})[0].samples[:n]
+        v = samples_of(synthesize_feeder(scenario, Schedule(()), {})[0])[:n]
         i = mode_current_samples(mode, np.arange(n) / fs, f0)
         expected = [
             sg.rms(i),
@@ -162,7 +163,7 @@ class TestSignatureFeatures:
         # Characterization and synthesis share one supply: no drift between the two.
         f0, fs = grid
         scenario = supply(f0, fs, voltage_rms=230.0, voltage_thd=0.05)
-        voltage = synthesize_feeder(scenario, Schedule(()), {})[0].samples
+        voltage = samples_of(synthesize_feeder(scenario, Schedule(()), {})[0])
         samples = np.zeros(voltage.size)
         add_harmonics(samples, 0, supply_phasors(scenario), fs, f0)
         assert samples.tobytes() == voltage.tobytes()

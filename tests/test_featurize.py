@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as strat
+from conftest import samples_of, waveform_of
 
 from feeder_nilm import signals as sg
-from feeder_nilm.signals import Waveform
 from feeder_nilm.devices import default_library
 from feeder_nilm.featurize import (
     FEATURE_IDS,
@@ -99,7 +99,7 @@ class TestFeaturize:
         fs = cfg.sample_rate_hz
         lo = int(round(k * 5.0 * fs))
         hi = lo + int(round(5.0 * fs))
-        v, i = voltage.samples[lo:hi], current.samples[lo:hi]
+        v, i = (samples_of(w)[lo:hi] for w in small_trace()[1:3])  # the synthesis is deterministic
         expected = np.array(
             [
                 sg.rms(i),
@@ -134,9 +134,7 @@ class TestFeaturize:
 
     def test_misaligned_inputs_rejected(self):
         _, voltage, current, truth = small_trace()
-        from feeder_nilm.signals import Waveform
-
-        shorter = Waveform(current.samples[:-10], current.sample_rate_hz)
+        shorter = waveform_of(samples_of(current)[:-10], current.sample_rate_hz)
         with pytest.raises(ValueError):
             featurize(voltage, shorter, truth, 5.0, 5.0, FeatureSpec())
 
@@ -391,8 +389,13 @@ class TestFeaturizeGrid:
         spec = FeatureSpec(tuple(features), f0_hz=f0)
         truth = np.zeros(math.ceil(n / fs) + 1, dtype=np.int64)
         with mock.patch.object(FEATURIZE_MODULE, "CHUNK_BYTES", chunk_bytes):
-            dataset = featurize(Waveform(v, fs), Waveform(i, fs), truth, width / fs, stride / fs, spec)
+            voltage, current = waveform_of(v, fs), waveform_of(i, fs)
+            dataset = featurize(voltage, current, truth, width / fs, stride / fs, spec)
         assert dataset.n_windows == n_windows
+        # Both are read to the end: past any gap blocks and the samples after the last window.
+        for waveform in (voltage, current):
+            with pytest.raises(ValueError, match="past the end"):
+                waveform.readinto(np.empty(1))
         one_block = stride % width == 0  # B = W: each window is one block, reduced as the scalar functions reduce it
         for j in range(n_windows):
             v_window, i_window = v[j * stride : j * stride + width], i[j * stride : j * stride + width]

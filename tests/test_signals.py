@@ -26,18 +26,53 @@ def lstsq_harmonic_fit(x, freq_hz, sample_rate_hz):
 
 class TestWaveform:
     def test_basic_container(self):
-        w = Waveform(np.ones(10), 100.0)
+        # Read once, in order, in pieces of any size; each fill starts where the last one stopped.
+        fills = []
+
+        def fill(out, start):
+            fills.append((start, out.size))
+            out[:] = np.arange(start, start + out.size)
+
+        w = Waveform(10, 100.0, fill)
         assert w.n_samples == 10
         assert w.n_samples / w.sample_rate_hz == pytest.approx(0.1)
-        assert not w.samples.flags.writeable
+        out = np.empty(10)
+        for lo, hi in ((0, 3), (3, 3), (3, 7), (7, 10)):
+            w.readinto(out[lo:hi])
+        assert out.tolist() == list(range(10))
+        assert fills == [(0, 3), (3, 0), (3, 4), (7, 3)]
+        with pytest.raises(ValueError, match="past the end"):
+            w.readinto(np.empty(1))
 
     def test_rejects_bad_inputs(self):
+        def fill(out, start):
+            out[:] = 1.0
+
         with pytest.raises(ValueError):
-            Waveform(np.array([]), 100.0)
-        with pytest.raises(ValueError):
-            Waveform(np.ones(4), 0.0)
-        with pytest.raises(ValueError):
-            Waveform(np.array([1.0, np.nan]), 100.0)
+            Waveform(0, 100.0, fill)
+        for rate in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                Waveform(4, rate, fill)
+        w = Waveform(4, 100.0, fill)
+        for out in (np.empty(2, dtype=np.float32), np.empty(4)[::2], np.empty((1, 2))):
+            with pytest.raises(ValueError, match="contiguous 1-D float64"):
+                w.readinto(out)
+        with pytest.raises(ValueError, match="past the end"):
+            w.readinto(np.empty(5))
+
+    def test_chunks_and_skip_read_in_bounded_pieces(self, monkeypatch):
+        monkeypatch.setattr(sg, "CHUNK_BYTES", 8 * 4)  # four samples a chunk
+        filled = []
+
+        def fill(out, start):
+            filled.append((start, out.size))
+            out[:] = np.arange(start, start + out.size)
+
+        w = Waveform(11, 100.0, fill)
+        parts = [part.copy() for part in w.chunks(6)]
+        w.skip(5)
+        assert [p.tolist() for p in parts] == [[0, 1, 2, 3], [4, 5]]
+        assert filled == [(0, 4), (4, 2), (6, 4), (10, 1)]
 
 
 class TestRms:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as strat
+from conftest import samples_of
 
 from feeder_nilm import signals as sg
 from feeder_nilm.devices import default_library, mode_current_samples
@@ -137,8 +138,8 @@ class TestSynthesizeFeeder:
     def test_no_devices_zero_current(self):
         cfg = scenario()
         voltage, current = synthesize_feeder(cfg, Schedule(()), LIBRARY)
-        assert not current.samples.any()
-        assert sg.rms(voltage.samples) == pytest.approx(120.0, abs=1e-2)
+        assert not samples_of(current).any()
+        assert sg.rms(samples_of(voltage)) == pytest.approx(120.0, abs=1e-2)
 
     def test_five_device_additivity(self):
         # Additivity oracle: feeder current equals the masked per-device sum.
@@ -161,7 +162,7 @@ class TestSynthesizeFeeder:
                 i0 = int(round(start * cfg.sample_rate_hz))
                 i1 = min(int(round(end * cfg.sample_rate_hz)), n)
                 total[i0:i1] += mode_current_samples(model.mode(mode_name), t[i0:i1], cfg.f0_hz)
-        assert np.max(np.abs(current.samples - total)) < 1e-9
+        assert np.max(np.abs(samples_of(current) - total)) < 1e-9
 
     def test_superposition_of_disjoint_populations(self):
         lib = noiseless_library()
@@ -173,20 +174,20 @@ class TestSynthesizeFeeder:
         _, i_a = synthesize_feeder(cfg_a, generate_schedule(cfg_a, lib), lib)
         _, i_b = synthesize_feeder(cfg_b, generate_schedule(cfg_b, lib), lib)
         _, i_ab = synthesize_feeder(cfg_ab, generate_schedule(cfg_ab, lib), lib)
-        assert np.max(np.abs(i_ab.samples - (i_a.samples + i_b.samples))) < 1e-9
+        assert np.max(np.abs(samples_of(i_ab) - (samples_of(i_a) + samples_of(i_b)))) < 1e-9
 
     def test_waveform_determinism(self):
         cfg = scenario(n_medical_devices=1, feeder_noise_rms_amps=0.1, rng_seed=21)
         schedule = generate_schedule(cfg, LIBRARY)
         v1, i1 = synthesize_feeder(cfg, schedule, LIBRARY)
         v2, i2 = synthesize_feeder(cfg, schedule, LIBRARY)
-        assert np.array_equal(v1.samples, v2.samples)
-        assert np.array_equal(i1.samples, i2.samples)
+        assert np.array_equal(samples_of(v1), samples_of(v2))
+        assert np.array_equal(samples_of(i1), samples_of(i2))
 
     def test_voltage_thd_knob(self):
         cfg = scenario(voltage_thd=0.04)
         voltage, _ = synthesize_feeder(cfg, Schedule(()), LIBRARY)
-        assert sg.thd(voltage.samples, cfg.f0_hz, cfg.sample_rate_hz, 7) == pytest.approx(
+        assert sg.thd(samples_of(voltage), cfg.f0_hz, cfg.sample_rate_hz, 7) == pytest.approx(
             0.04, abs=1e-4
         )
 
@@ -367,7 +368,7 @@ class TestPeriodicTableSynthesis:
         lib = noiseless_library()
         cfg = hand_scenario(sample_rate_hz=fs, f0_hz=f0)
         _, current = synthesize_feeder(cfg, HAND_SCHEDULE, lib)
-        assert np.max(np.abs(current.samples - oracle_current(cfg, HAND_SCHEDULE, lib))) < 1e-9
+        assert np.max(np.abs(samples_of(current) - oracle_current(cfg, HAND_SCHEDULE, lib))) < 1e-9
 
     def test_voltage_matches_direct_sine(self):
         cfg = hand_scenario(voltage_thd=0.03, f0_hz=50.0, sample_rate_hz=9_999.0)  # a 9 999-sample period
@@ -375,7 +376,7 @@ class TestPeriodicTableSynthesis:
         t = np.arange(voltage.n_samples) / cfg.sample_rate_hz
         amplitude = np.sqrt(2.0) * cfg.voltage_rms
         direct = amplitude * np.sin(2 * np.pi * cfg.f0_hz * t) + 0.03 * amplitude * np.sin(6 * np.pi * cfg.f0_hz * t)
-        assert np.max(np.abs(voltage.samples - direct)) < 1e-9
+        assert np.max(np.abs(samples_of(voltage) - direct)) < 1e-9
 
     def test_add_harmonics_table_equals_direct_evaluation(self):
         # Tiling one period is exact: every tile equals the samples evaluated at their own index.
@@ -421,7 +422,7 @@ class TestPeriodicTableSynthesis:
         cfg = hand_scenario(feeder_noise_rms_amps=feeder_sigma)
         _, current = synthesize_feeder(cfg, schedule, noisy)
         _, clean = synthesize_feeder(replace(cfg, feeder_noise_rms_amps=0.0), schedule, noiseless_library())
-        noise = current.samples - clean.samples
+        noise = samples_of(current) - samples_of(clean)
         expected = {  # segment in samples -> feeder sigma^2 + sum of active sigma^2
             (0, 20_000): feeder_sigma**2 + 2 * 0.03**2,
             (20_000, 40_000): feeder_sigma**2 + 2 * 0.03**2 + 0.04**2,
@@ -444,5 +445,27 @@ class TestPeriodicTableSynthesis:
         )
         schedule = generate_schedule(cfg, LIBRARY)
         runs = [synthesize_feeder(cfg, schedule, LIBRARY) for _ in range(2)]
-        assert runs[0][0].samples.tobytes() == runs[1][0].samples.tobytes()
-        assert runs[0][1].samples.tobytes() == runs[1][1].samples.tobytes()
+        assert samples_of(runs[0][0]).tobytes() == samples_of(runs[1][0]).tobytes()
+        assert samples_of(runs[0][1]).tobytes() == samples_of(runs[1][1]).tobytes()
+
+    @given(cuts=strat.lists(strat.integers(0, 60_000), max_size=6), seed=strat.integers(0, 50))
+    @settings(max_examples=15, deadline=None)
+    def test_any_buffer_sizes_give_the_same_bits(self, cuts, seed):
+        # The samples are generated as they are read: a segment cut at any buffer
+        # edge continues its noise stream and its harmonic phase across the cut.
+        cfg = scenario(
+            n_medical_devices=2,
+            background_population=(("resistive_heater", 1), ("lighting", 1)),
+            schedule_params={"ventilator": (3.0, 2.0), "resistive_heater": (4.0, 1.0), "lighting": (2.0, 2.0)},
+            feeder_noise_rms_amps=0.05,
+            duration_s=30.0,  # 60 000 samples at 2 kHz, in dozens of segments
+            rng_seed=seed,
+        )
+        schedule = generate_schedule(cfg, LIBRARY)
+        whole = [samples_of(w) for w in synthesize_feeder(cfg, schedule, LIBRARY)]
+        edges = sorted({0, *cuts, whole[0].size})
+        for waveform, expected in zip(synthesize_feeder(cfg, schedule, LIBRARY), whole):
+            out = np.empty(waveform.n_samples)
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                waveform.readinto(out[lo:hi])
+            assert out.tobytes() == expected.tobytes()

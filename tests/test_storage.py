@@ -1,11 +1,11 @@
 import os
 import struct
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import samples_of, waveform_of
 
-from feeder_nilm import storage
+from feeder_nilm import signals, storage
 
 from feeder_nilm.devices import default_library
 from feeder_nilm.featurize import FeatureDataset, FeatureSpec, NormStats
@@ -33,24 +33,65 @@ from feeder_nilm.storage import (
 FP = "ab" * 16  # 32 hex digits, arbitrary
 
 
-def random_waveform(seed=0, n=5000):
+def random_samples(seed=0, n=5000):
     rng = np.random.default_rng(seed)
     samples = rng.normal(0, 3, n)
     samples[0] = 0.0
     samples[1] = -0.0
     samples[2] = 1e-300  # subnormal territory must survive the trip
-    return Waveform(samples, 12_345.5)
+    return samples
+
+
+def random_waveform(seed=0, n=5000):
+    return waveform_of(random_samples(seed, n), 12_345.5)
 
 
 class TestWaveformFile:
     def test_round_trip_bit_exact(self, tmp_path):
         path = tmp_path / "w.fnwv"
-        original = random_waveform()
-        write_waveform(path, original, "CURR", FP)
+        write_waveform(path, random_waveform(), "CURR", FP)
         loaded, fingerprint = read_waveform(path, "CURR", 12_345.5)
         assert fingerprint == FP
-        assert loaded.sample_rate_hz == original.sample_rate_hz
-        assert np.array_equal(loaded.samples, original.samples)
+        assert loaded.sample_rate_hz == 12_345.5
+        assert samples_of(loaded).tobytes() == random_samples().tobytes()
+
+    def test_samples_stream_through_bounded_chunks(self, tmp_path, monkeypatch):
+        # Four-sample chunks: the writer and the reader each hold one chunk at a time,
+        # and the file is the same as one written in a single piece.
+        whole = tmp_path / "whole.fnwv"
+        write_waveform(whole, random_waveform(n=11), "CURR", FP)
+        monkeypatch.setattr(signals, "CHUNK_BYTES", 8 * 4)
+        chunked = tmp_path / "chunked.fnwv"
+        write_waveform(chunked, random_waveform(n=11), "CURR", FP)
+        assert chunked.read_bytes() == whole.read_bytes()
+        loaded, _ = read_waveform(chunked, "CURR", 12_345.5)
+        parts = [part.tolist() for part in loaded.chunks(loaded.n_samples)]
+        assert [len(part) for part in parts] == [4, 4, 3]
+        assert sum(parts, []) == random_samples(n=11).tolist()
+
+    @pytest.mark.parametrize("index", [0, 4_999], ids=["first", "last"])
+    def test_non_finite_sample_refused_naming_file_when_read(self, tmp_path, index):
+        path = tmp_path / "current.fnwv"
+        write_waveform(path, random_waveform(), "CURR", FP)
+        raw = bytearray(path.read_bytes())
+        raw[64 + 8 * index : 72 + 8 * index] = struct.pack("<d", float("inf"))
+        path.write_bytes(bytes(raw))
+        loaded, fingerprint = read_waveform(path, "CURR", 12_345.5)  # the header alone is sound
+        assert fingerprint == FP
+        with pytest.raises(FileFormatError, match="current.fnwv: samples must all be finite"):
+            loaded.skip(loaded.n_samples)
+
+    @pytest.mark.parametrize("change", ["replaced", "truncated"])
+    def test_file_changed_after_its_header_was_read_is_refused(self, tmp_path, change):
+        path = tmp_path / "current.fnwv"
+        write_waveform(path, random_waveform(), "CURR", FP)
+        loaded, _ = read_waveform(path, "CURR", 12_345.5)
+        if change == "replaced":
+            write_waveform(path, random_waveform(seed=1), "CURR", FP)
+        else:
+            path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(FileFormatError, match="current.fnwv"):
+            samples_of(loaded)
 
     def test_write_read_write_byte_identical(self, tmp_path):
         first = tmp_path / "a.fnwv"
@@ -62,7 +103,7 @@ class TestWaveformFile:
 
     def test_header_is_64_bytes(self, tmp_path):
         path = tmp_path / "w.fnwv"
-        w = Waveform(np.zeros(10), 100.0)
+        w = waveform_of(np.zeros(10), 100.0)
         write_waveform(path, w, "VOLT", FP)
         raw = path.read_bytes()
         assert len(raw) == 64 + 10 * 8
@@ -79,13 +120,13 @@ class TestWaveformFile:
         # The header holds 16 bytes: a longer fingerprint would be cut, a shorter one padded.
         path = tmp_path / "w.fnwv"
         with pytest.raises(ValueError, match="32"):
-            write_waveform(path, Waveform(np.zeros(10), 100.0), "VOLT", fingerprint)
+            write_waveform(path, waveform_of(np.zeros(10), 100.0), "VOLT", fingerprint)
         assert not path.exists()
 
     def test_nonzero_start_time_refused_naming_file(self, tmp_path):
         # Every trace starts at scenario second 0: another start would shift every window's time stamp.
         path = tmp_path / "voltage.fnwv"
-        write_waveform(path, Waveform(np.zeros(10), 100.0), "VOLT", FP)
+        write_waveform(path, waveform_of(np.zeros(10), 100.0), "VOLT", FP)
         raw = bytearray(path.read_bytes())
         raw[16:24] = struct.pack("<d", 3.0)
         path.write_bytes(bytes(raw))
@@ -94,20 +135,20 @@ class TestWaveformFile:
 
     def test_other_channel_refused_naming_file(self, tmp_path):
         path = tmp_path / "voltage.fnwv"
-        write_waveform(path, Waveform(np.zeros(10), 100.0), "CURR", FP)
+        write_waveform(path, waveform_of(np.zeros(10), 100.0), "CURR", FP)
         with pytest.raises(FileFormatError, match="voltage.fnwv: channel 'CURR', expected 'VOLT'"):
             read_waveform(path, "VOLT", 100.0)
 
     def test_other_rate_refused_naming_file(self, tmp_path):
         # The scenario sets the rate: a header that claims another would re-time every window.
         path = tmp_path / "current.fnwv"
-        write_waveform(path, Waveform(np.zeros(10), 100.0), "CURR", FP)
+        write_waveform(path, waveform_of(np.zeros(10), 100.0), "CURR", FP)
         with pytest.raises(FileFormatError, match="current.fnwv: sample rate 100.0 Hz, expected 200.0 Hz"):
             read_waveform(path, "CURR", 200.0)
 
     def test_unknown_channel_tag_rejected(self, tmp_path):
         path = tmp_path / "odd.fnwv"
-        write_waveform(path, Waveform(np.zeros(10), 100.0), "VOLT", FP)
+        write_waveform(path, waveform_of(np.zeros(10), 100.0), "VOLT", FP)
         raw = bytearray(path.read_bytes())
         raw[32:36] = b"\xffOLT"
         path.write_bytes(bytes(raw))
@@ -116,7 +157,7 @@ class TestWaveformFile:
 
     def test_corrupt_magic_names_file(self, tmp_path):
         path = tmp_path / "bad.fnwv"
-        write_waveform(path, Waveform(np.zeros(10), 100.0), "VOLT", FP)
+        write_waveform(path, waveform_of(np.zeros(10), 100.0), "VOLT", FP)
         raw = bytearray(path.read_bytes())
         raw[:4] = b"XXXX"
         path.write_bytes(bytes(raw))
@@ -125,14 +166,14 @@ class TestWaveformFile:
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "short.fnwv"
-        write_waveform(path, Waveform(np.zeros(10), 100.0), "VOLT", FP)
+        write_waveform(path, waveform_of(np.zeros(10), 100.0), "VOLT", FP)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(FileFormatError):
             read_waveform(path, "VOLT", 100.0)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "long.fnwv"
-        write_waveform(path, Waveform(np.zeros(10), 100.0), "VOLT", FP)
+        write_waveform(path, waveform_of(np.zeros(10), 100.0), "VOLT", FP)
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(FileFormatError, match="long.fnwv"):
             read_waveform(path, "VOLT", 100.0)
@@ -140,7 +181,7 @@ class TestWaveformFile:
     def test_huge_count_rejected_before_allocation(self, tmp_path):
         # A corrupt count must be refused from the file size, not by a failed allocation.
         path = tmp_path / "huge.fnwv"
-        write_waveform(path, Waveform(np.zeros(10), 100.0), "VOLT", FP)
+        write_waveform(path, waveform_of(np.zeros(10), 100.0), "VOLT", FP)
         raw = bytearray(path.read_bytes())
         raw[24:32] = (2**60).to_bytes(8, "little")
         path.write_bytes(bytes(raw))
@@ -345,13 +386,6 @@ class TestRankingFile:
         assert loaded[0][1] == float("inf")
 
 
-class _Exploding:
-    """Stands in for a sample array whose serialisation fails after the header is out."""
-
-    def astype(self, *args, **kwargs):
-        raise RuntimeError("disk full")
-
-
 class TestAtomicWrites:
     def test_failed_text_write_keeps_previous_artifact(self, tmp_path):
         path = tmp_path / "ranking.txt"
@@ -371,9 +405,32 @@ class TestAtomicWrites:
         path = tmp_path / "current.fnwv"
         write_waveform(path, random_waveform(), "CURR", FP)
         before = path.read_bytes()
-        broken = SimpleNamespace(sample_rate_hz=100.0, n_samples=10, samples=_Exploding())
-        with pytest.raises(RuntimeError):
-            write_waveform(path, broken, "CURR", FP)
+
+        def fill(out, start):  # fails once the header is out
+            raise RuntimeError("disk full")
+
+        with pytest.raises(RuntimeError, match="disk full"):
+            write_waveform(path, Waveform(10, 100.0, fill), "CURR", FP)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["current.fnwv"]
+
+    def test_source_failing_after_its_first_chunk_keeps_previous_artifact(self, tmp_path, monkeypatch):
+        # The header and the first chunk are already in the temp file when the source fails.
+        path = tmp_path / "current.fnwv"
+        write_waveform(path, random_waveform(), "CURR", FP)
+        before = path.read_bytes()
+        monkeypatch.setattr(signals, "CHUNK_BYTES", 8 * 4)
+        filled = []
+
+        def fill(out, start):
+            if filled:
+                raise RuntimeError("source failed")
+            filled.append(start)
+            out[:] = 1.0
+
+        with pytest.raises(RuntimeError, match="source failed"):
+            write_waveform(path, Waveform(10, 100.0, fill), "CURR", FP)
+        assert filled == [0]
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["current.fnwv"]
 
