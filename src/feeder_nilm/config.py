@@ -39,14 +39,15 @@ and per-class means ``schedule_<class> = <mean_on_s> <mean_off_s>``,
 [output] takes ``dir``, and ``stride_s`` (at least one sample) defaults
 to ``window_s``. Stage artifacts carry a 128-bit fingerprint (the first
 32 hex digits of a sha256) of every field, chained over (scenario +
-library + ``simulate.SYNTHESIS_VERSION``), then featurize, then model +
-split; stages reject artifacts whose fingerprint is not equal to the
-current configuration's.
+library + ``simulate.SYNTHESIS_VERSION``), then (featurize +
+``featurize.FEATURIZE_VERSION``), then model + split; stages reject
+artifacts whose fingerprint is not equal to the current configuration's.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -59,6 +60,9 @@ from .featurize import FEATURE_IDS, FeatureSpec
 from .model import TrainConfig
 from . import simulate
 from .simulate import ScenarioConfig
+
+# The package binds the name ``featurize`` to the function, so the module is imported by its full name.
+_featurize_module = importlib.import_module(".featurize", __package__)
 
 __all__ = [
     "ConfigError",
@@ -305,7 +309,8 @@ def scenario_fingerprint(config: RunConfig, library: dict[str, DeviceModel]) -> 
 
 
 def dataset_fingerprint(config: RunConfig, library: dict[str, DeviceModel]) -> str:
-    return _digest(scenario_fingerprint(config, library), config.featurize)
+    # Read at call time, as the synthesis version is: a dataset or ranking made by another featurizer is stale.
+    return _digest(scenario_fingerprint(config, library), config.featurize, _featurize_module.FEATURIZE_VERSION)
 
 
 def model_fingerprint(config: RunConfig, library: dict[str, DeviceModel]) -> str:

@@ -25,6 +25,7 @@ from . import signals
 from .signals import CHUNK_BYTES, Waveform, wrap_phase
 
 __all__ = [
+    "FEATURIZE_VERSION",
     "FEATURE_IDS",
     "THD_ORDERS",
     "FeatureSpec",
@@ -38,6 +39,12 @@ __all__ = [
     "apply_normalization",
 ]
 
+
+# Bumped whenever featurize or select-features writes different values for
+# the same inputs; part of the dataset fingerprint, so older datasets,
+# rankings and everything trained on them re-run.
+# 2: every block is folded onto one period of a sin/cos table and projected without BLAS.
+FEATURIZE_VERSION = 2
 
 # The harmonic-magnitude features h2..h7 cover orders 2..7 of the grid frequency; thd sums the same orders.
 THD_ORDERS = range(2, 8)

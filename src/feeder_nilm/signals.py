@@ -9,10 +9,17 @@ bias (below 0.1 percent for multi-second windows at grid frequency).
 ``fundamental_phasor`` also projects many windows at once: given a stack
 of consecutive blocks, it projects each block once, phased from the block
 start, and builds each window's projection from its blocks' by rotating
-them to the window start. The rotations are reduced exactly in integers,
-so a stack is projected at whole-hertz frequencies and rates only, as
-every scenario samples. The scalar functions here work on one window at
-any rate and are the reference the featurizer is tested against.
+them to the window start. A stack is projected at whole-hertz frequencies
+and rates only, as every scenario samples, so every sin and cos it needs
+repeats every ``P = fs / gcd(fs, *freqs)`` samples (500 at 10 kHz and
+60 Hz). One cached table holds them over one period, for all the
+frequencies at once, with each phase reduced exactly in integers, as are
+the block rotations. Each block is folded onto that period (its whole
+periods summed column by column, its tail added to the first columns)
+and contracted with the table by ``einsum``, without BLAS: a window's
+projection is the same bits in a stack of any height and under any BLAS
+thread count. The scalar functions here work on one window at any rate
+and are the reference the featurizer is tested against, to rounding.
 
 A ``Waveform`` is a trace that is read once, front to back, a bounded
 piece at a time: it never holds the whole trace, so memory does not grow
@@ -121,13 +128,26 @@ def _as_window(x) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _projection_basis(n: int, freq_hz: float, sample_rate_hz: float) -> np.ndarray:
-    # Cached per (length, frequency, rate); every block of a trace shares one shape.
-    # Rows are sin and cos, so a stack of blocks projects on both in one product.
+    # The sin and cos rows one window of n samples is projected on, cached per (length, frequency, rate).
     t = np.arange(n, dtype=np.float64) / sample_rate_hz
     omega = 2.0 * math.pi * freq_hz
     basis = np.stack([np.sin(omega * t), np.cos(omega * t)])
     basis.flags.writeable = False
     return basis
+
+
+@lru_cache(maxsize=16)
+def _period_table(freqs_hz: tuple, sample_rate_hz: float) -> np.ndarray:
+    # Every whole-hertz frequency repeats its sin and cos every P = fs / gcd(fs, *freqs)
+    # samples. Rows 2f and 2f + 1 are sin and cos of frequency f at t = p/fs for
+    # p = 0 ... P - 1, the phase reduced exactly in integers as (f*p mod fs)/fs turns.
+    fs = int(sample_rate_hz)
+    freqs = [int(freq) for freq in freqs_hz]
+    p = np.arange(fs // math.gcd(fs, *freqs), dtype=np.int64)
+    theta = np.array([freq * p % fs for freq in freqs]) / fs * (2.0 * math.pi)
+    table = np.stack([np.sin(theta), np.cos(theta)], axis=1).reshape(2 * len(freqs), -1)
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=16)
@@ -142,16 +162,37 @@ def _block_rotation(k: int, block_len: int, freqs_hz: tuple, sample_rate_hz: flo
     theta = np.multiply(turns, 2.0 * math.pi, out=turns)
     cos, sin = np.cos(theta), np.sin(theta, out=theta)
     # sin(wt + phi) = sin(wt)cos(phi) + cos(wt)sin(phi); cos(wt + phi) = cos(wt)cos(phi) - sin(wt)sin(phi).
-    # Per frequency, row 2d + c takes block d's sum c (sin, cos) to the window's (sin, cos).
-    rotation = np.stack([np.stack([cos, -sin], axis=-1), np.stack([sin, cos], axis=-1)], axis=-2)
-    rotation = rotation.reshape(len(freqs_hz), 2 * k, 2)
+    # Per frequency, row c (sin, cos) weighs block d's (sin, cos) sums in columns 2d and 2d + 1.
+    rotation = np.stack([np.stack([cos, sin], axis=-1), np.stack([-sin, cos], axis=-1)], axis=1)
+    rotation = rotation.reshape(len(freqs_hz), 2, 2 * k)
     rotation.flags.writeable = False
     return rotation
 
 
+def _block_sums(blocks: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``(n_blocks, 2F)`` sin and cos sums of each block against the period table's rows.
+
+    A block of B = qP + r samples is folded onto one period first: its q
+    whole periods are summed column by column, and its r tail samples
+    are added to the first r columns. A block shorter than a period meets
+    the table's first B columns. Each block's sums are then taken on its
+    own, without BLAS, so they are the same bits in any stack and under
+    any thread count.
+    """
+    n_blocks, block_len = blocks.shape
+    period = table.shape[1]
+    whole, tail = divmod(block_len, period)
+    if whole:
+        folded = np.add.reduce(blocks[:, : whole * period].reshape(n_blocks, whole, period), axis=1)
+        folded[:, :tail] += blocks[:, whole * period :]
+    else:
+        folded, table = blocks, table[:, :block_len]
+    return np.einsum("bp,kp->bk", folded, table)
+
+
 def _gather(series: np.ndarray, width: int, step: int) -> np.ndarray:
-    """Contiguous rows ``series[j*step : j*step + width]``, one per window."""
-    return np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(series, width)[::step])
+    """Contiguous rows ``series[..., j*step : j*step + width]``, one per window, along the last axis."""
+    return np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(series, width, axis=-1)[..., ::step, :])
 
 
 def rms(window) -> float:
@@ -200,9 +241,10 @@ def fundamental_phasor(blocks, freq_hz, sample_rate_hz: float, k: int = 1, s: in
     result holds one array entry per window. Each block is projected
     once, with its phase measured from the block start, and a window's
     sums are its k block sums rotated to the window start, so windows
-    that share blocks share their projection. With ``k = s = 1`` every
-    row is one window. A stack may be projected on a sequence of
-    frequencies at once; the result then has one row per frequency.
+    that share blocks share their projection, and each window's result
+    depends on its own blocks only. With ``k = s = 1`` every row is one
+    window. A stack may be projected on a sequence of frequencies at
+    once; the result then has one row per frequency.
 
     Raises:
         ValueError: if a window covers less than one period of a
@@ -227,9 +269,8 @@ def fundamental_phasor(blocks, freq_hz, sample_rate_hz: float, k: int = 1, s: in
         raise ValueError("window shorter than one period of freq_hz")
     if arr.ndim == 2 and not all(float(x).is_integer() for x in (*freqs, sample_rate_hz)):
         raise ValueError("a stack is projected at whole-hertz frequencies and sample rates only")
-    bases = [_projection_basis(block_len, freq, sample_rate_hz) for freq in freqs]
     if arr.ndim == 1:
-        sin_basis, cos_basis = bases[0]
+        sin_basis, cos_basis = _projection_basis(n, freqs[0], sample_rate_hz)
         in_phase = 2.0 * float(arr @ sin_basis) / n
         quadrature = 2.0 * float(arr @ cos_basis) / n
         magnitude_rms = math.hypot(in_phase, quadrature) / math.sqrt(2.0)
@@ -239,10 +280,12 @@ def fundamental_phasor(blocks, freq_hz, sample_rate_hz: float, k: int = 1, s: in
         raise ValueError("the stack holds fewer blocks than one window covers")
     n_windows = (len(arr) - k) // s + 1
     used = arr[: (n_windows - 1) * s + k]
+    block_sums = _block_sums(used, _period_table(freqs, sample_rate_hz))
+    # Per frequency, the blocks' interleaved (sin, cos) sums in block order; window j's
+    # row gathers its k blocks' sums, which the rotation takes to the window start.
+    series = block_sums.reshape(len(used), len(freqs), 2).transpose(1, 0, 2).reshape(len(freqs), -1)
     rotation = _block_rotation(k, block_len, freqs, sample_rate_hz)
-    # sums[f, j] = (sin, cos) sums of window j at frequency f; per frequency,
-    # window j's row holds its k blocks' interleaved (sin, cos) sums.
-    sums = np.stack([_gather((used @ basis.T).reshape(-1), 2 * k, 2 * s) @ r for basis, r in zip(bases, rotation)])
+    sums = np.einsum("fwj,fcj->fwc", _gather(series, 2 * k, 2 * s), rotation)
     in_phase, quadrature = np.moveaxis(2.0 * sums / n, -1, 0)
     magnitude = np.hypot(in_phase, quadrature) / math.sqrt(2.0)
     phase = wrap_phase(np.arctan2(quadrature, in_phase))

@@ -327,9 +327,10 @@ def write_dataset(path, dataset: FeatureDataset, fingerprint: str) -> None:
         f"f0_hz={_f(spec.f0_hz)} max_harmonic={THD_ORDERS[-1]}"
     )
     lines.append("t_start_s," + ",".join(spec.features) + ",y,valid")
-    for k in range(dataset.n_windows):
-        row = ",".join(_f(x) for x in dataset.X[k])
-        lines.append(f"{_f(dataset.t_start_s[k])},{row},{int(dataset.y[k])},{int(dataset.valid[k])}")
+    # One template per row; "%.17g" renders a float exactly as _f does.
+    row = "%.17g," * (1 + len(spec.features)) + "%d,%d"
+    columns = zip(dataset.t_start_s.tolist(), dataset.X.tolist(), dataset.y.tolist(), dataset.valid.tolist())
+    lines.extend(row % (t, *x, y, valid) for t, x, y, valid in columns)
     _write_text(path, lines)
 
 

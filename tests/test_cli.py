@@ -405,6 +405,24 @@ class TestPipeline:
             with open(os.path.join(out, name), "rb") as fh:
                 assert fh.read() == blob, name
 
+    def test_featurize_version_reruns_every_stage_after_simulate(self, tmp_path, capsys, monkeypatch):
+        # Outputs of another featurizer are stale: the waveforms are kept, everything derived re-runs.
+        import importlib
+
+        smoke = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "smoke.cfg")
+        out = str(tmp_path / "out")
+        assert run("pipeline", "--config", smoke, "--out", out, "--quiet") == 0
+        featurize_module = importlib.import_module("feeder_nilm.featurize")
+        monkeypatch.setattr(featurize_module, "FEATURIZE_VERSION", featurize_module.FEATURIZE_VERSION + 1)
+        capsys.readouterr()
+        assert run("pipeline", "--config", smoke, "--out", out) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if "up to date" in line] == ["simulate: up to date"]
+        for stage in ("select-features", "featurize", "train", "eval"):
+            assert any(line.startswith(f"{stage}: ") for line in lines), stage
+        config = load_run_config(smoke)
+        assert read_fingerprint(os.path.join(out, "dataset.csv"), "dataset") == dataset_fingerprint(config, load_library_for(config))
+
     def test_pipeline_determinism_across_dirs(self, config_path, tmp_path):
         out_a = str(tmp_path / "a")
         out_b = str(tmp_path / "b")

@@ -1,6 +1,7 @@
 """Config schema: every section key, its default, its parsing and its fingerprint."""
 
 import dataclasses
+import importlib
 import os
 import textwrap
 from functools import reduce
@@ -260,6 +261,16 @@ class TestFingerprints:
         base = fingerprints(config)
         monkeypatch.setattr(simulate, "SYNTHESIS_VERSION", simulate.SYNTHESIS_VERSION + 1)
         assert all(a != b for a, b in zip(fingerprints(config), base))
+
+    def test_featurize_version_changes_dataset_and_model_only(self, tmp_path, monkeypatch):
+        # A dataset or ranking from another featurizer must not pass as current; the waveforms still do.
+        featurize_module = importlib.import_module("feeder_nilm.featurize")
+        config = load(tmp_path)
+        base = fingerprints(config)
+        monkeypatch.setattr(featurize_module, "FEATURIZE_VERSION", featurize_module.FEATURIZE_VERSION + 1)
+        altered = fingerprints(config)
+        assert altered[0] == base[0]
+        assert altered[1] != base[1] and altered[2] != base[2]
 
 
 class TestDocstringExample:

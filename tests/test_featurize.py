@@ -1,5 +1,6 @@
 import importlib
 import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as strat
 from conftest import samples_of, waveform_of
 
+from feeder_nilm import cli
 from feeder_nilm import signals as sg
+from feeder_nilm.config import load_run_config
 from feeder_nilm.devices import default_library
 from feeder_nilm.featurize import (
     FEATURE_IDS,
@@ -20,10 +23,12 @@ from feeder_nilm.featurize import (
     rank_features,
 )
 from feeder_nilm.simulate import Schedule, ScenarioConfig, generate_schedule, ground_truth_counts, synthesize_feeder
+from feeder_nilm.storage import read_ground_truth, read_waveform
 
 LIBRARY = default_library()
 # The package re-exports the featurize function under the module's name.
 FEATURIZE_MODULE = importlib.import_module("feeder_nilm.featurize")
+SMOKE = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "smoke.cfg")
 
 
 def small_trace(n_medical=2, duration=60.0, seed=42, **overrides):
@@ -288,8 +293,8 @@ def scalar_oracle(name, v, i, spec, fs):
 
 
 # Reductions over samples run in the scalar order, so these match exactly.
-# Stacked projections are matrix products and may differ in the last bits;
-# the absolute tolerance covers phase shifts near zero.
+# Stacked projections fold each block onto one period first and may differ
+# in the last bits; the absolute tolerance covers phase shifts near zero.
 EXACT_FEATURES = ("i_rms", "i_form_factor", "i_crest_factor", "active_power")
 
 
@@ -339,6 +344,40 @@ class TestEvaluateWindowStack:
             np.testing.assert_allclose(row[0], X[k], rtol=1e-12, atol=1e-12)
             assert row_valid[0] == valid[k]
         assert valid.tolist() == [False, True]
+
+    @given(
+        grid=strat.sampled_from([(60.0, 2000.0), (50.0, 9999.0)]),
+        block_len=strat.integers(1, 350),
+        k=strat.integers(1, 12),
+        s=strat.integers(1, 6),
+        n_windows=strat.integers(1, 6),
+        features=strat.lists(strat.sampled_from(FEATURE_IDS), min_size=1, unique=True),
+        zero_window=strat.none() | strat.integers(0, 5),
+        chunk_bytes=strat.integers(1, 1 << 16),
+        seed=strat.integers(0, 2**32 - 1),
+    )
+    @example(grid=(60.0, 2000.0), block_len=250, k=2, s=1, n_windows=6, features=FEATURE_IDS, zero_window=None, chunk_bytes=1, seed=1)  # blocks with a tail
+    @example(grid=(50.0, 9999.0), block_len=2500, k=4, s=2, n_windows=4, features=FEATURE_IDS, zero_window=1, chunk_bytes=1 << 16, seed=2)  # blocks shorter than P
+    @settings(max_examples=40, deadline=None)
+    def test_a_window_is_the_same_bits_in_any_stack(self, grid, block_len, k, s, n_windows, features, zero_window, chunk_bytes, seed):
+        # Row j of a stack, evaluated in chunks of any size, is what window j's own k blocks give alone.
+        f0, fs = grid
+        k = max(k, -(-math.ceil(fs / f0) // block_len))  # a window covers at least one grid period
+        n_blocks = (n_windows - 1) * s + k
+        rng = np.random.default_rng(seed)
+        t = np.arange(n_blocks * block_len) / fs
+        v = rng.uniform(50, 200) * np.sin(2 * np.pi * f0 * t + rng.uniform(-3, 3)) + rng.normal(0.0, 1.0, t.size)
+        i = rng.normal(0.0, rng.uniform(0.01, 5.0), t.size) + 0.3 * v / 100.0
+        v, i = v.reshape(n_blocks, block_len), i.reshape(n_blocks, block_len)
+        if zero_window is not None and zero_window < n_windows:
+            i[zero_window * s : zero_window * s + k] = 0.0
+        spec = FeatureSpec(tuple(features), f0_hz=f0)
+        with mock.patch.object(FEATURIZE_MODULE, "CHUNK_BYTES", chunk_bytes):
+            X, valid = evaluate_window(v, i, spec, fs, k, s)
+        for j in range(n_windows):
+            blocks = slice(j * s, j * s + k)
+            row, row_valid = evaluate_window(v[blocks], i[blocks], spec, fs, k, s)
+            assert np.array_equal(row[0], X[j]) and row_valid[0] == valid[j]
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):
@@ -413,3 +452,34 @@ class TestFeaturizeGrid:
                 else:
                     assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9), name
             assert dataset.valid[j] == row_valid
+
+
+class TestFeaturizeChunks:
+    """The smoke dataset has the same bits whether its windows are evaluated in 4 MiB chunks or one at a time."""
+
+    @pytest.fixture(scope="class")
+    def smoke(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("smoke")
+        assert cli.main(["simulate", "--config", SMOKE, "--out", str(out), "--quiet"]) == 0
+        return out
+
+    @pytest.mark.parametrize("stride_s", [1.25, 0.25])
+    def test_dataset_does_not_depend_on_the_chunk_size(self, smoke, stride_s):
+        config = load_run_config(SMOKE)
+        fs = config.scenario.sample_rate_hz
+        truth, _ = read_ground_truth(smoke / "ground_truth.txt")
+
+        def dataset():
+            voltage, _ = read_waveform(smoke / "voltage.fnwv", "VOLT", fs)
+            current, _ = read_waveform(smoke / "current.fnwv", "CURR", fs)
+            return featurize(voltage, current, truth, config.featurize.window_s, stride_s, config.feature_spec())
+
+        default = dataset()
+        window, stride = round(config.featurize.window_s * fs), round(stride_s * fs)
+        block_len = math.gcd(window, stride)
+        with mock.patch.object(FEATURIZE_MODULE, "CHUNK_BYTES", 4 << 10):
+            assert FEATURIZE_MODULE._windows_per_chunk(default.n_windows, window // block_len, stride // block_len, block_len) == 1
+            one_by_one = dataset()
+        for name in ("X", "y", "t_start_s", "valid"):
+            assert np.array_equal(getattr(one_by_one, name), getattr(default, name)), name
+        assert (one_by_one.window_s, one_by_one.stride_s) == (default.window_s, default.stride_s)

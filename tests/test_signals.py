@@ -229,18 +229,32 @@ class TestBlockSeries:
                 assert magnitudes[row, j] == pytest.approx(want_mag, rel=1e-9, abs=1e-12)
                 assert sg.wrap_phase(phases[row, j] - want_phase) == pytest.approx(0.0, abs=1e-9)
 
-    def test_one_block_windows_keep_the_stack_projection(self, grid):
+    @given(
+        grid=strat.sampled_from([(60.0, 2000.0), (50.0, 9999.0)]),
+        block_len=strat.integers(1, 350),
+        k=strat.integers(1, 12),
+        s=strat.integers(1, 14),
+        n_windows=strat.integers(1, 6),
+        orders=strat.lists(strat.integers(1, 7), min_size=1, max_size=4, unique=True),
+        seed=strat.integers(0, 2**32 - 1),
+    )
+    # With the fundamental among the orders, the table repeats every 100 samples at 2 kHz and every 9 999 at 9 999 Hz.
+    @example(grid=(60.0, 2000.0), block_len=250, k=1, s=1, n_windows=6, orders=[1, 3], seed=1)  # 2 periods and a tail
+    @example(grid=(60.0, 2000.0), block_len=300, k=2, s=3, n_windows=4, orders=[1], seed=2)  # whole periods, gapped
+    @example(grid=(50.0, 9999.0), block_len=2500, k=4, s=1, n_windows=5, orders=[1, 2, 7], seed=3)  # blocks shorter than P
+    @settings(max_examples=60, deadline=None)
+    def test_a_window_is_the_same_bits_in_any_stack(self, grid, block_len, k, s, n_windows, orders, seed):
+        # Window j of a stack is projected to the bits its own k blocks give alone.
         f0, fs = grid
-        rng = np.random.default_rng(3)
-        stack = rng.normal(0.0, 1.0, (5, 400))
-        # The projection one window of the stack has always had, bit for bit.
-        omega_t = 2.0 * math.pi * f0 * (np.arange(400) / fs)
-        in_phase, quadrature = (2.0 * (stack @ np.stack([np.sin(omega_t), np.cos(omega_t)]).T) / 400).T
-        magnitude, phase = sg.fundamental_phasor(stack, f0, fs)
-        assert np.array_equal(magnitude, np.hypot(in_phase, quadrature) / math.sqrt(2.0))
-        assert np.array_equal(phase, sg.wrap_phase(np.arctan2(quadrature, in_phase)))
-        every_other, _ = sg.fundamental_phasor(stack, f0, fs, 1, 2)
-        assert np.array_equal(every_other, magnitude[::2])
+        k = max(k, -(-math.ceil(fs / f0) // block_len))  # a window covers at least one period
+        n_blocks = (n_windows - 1) * s + k
+        blocks = np.random.default_rng(seed).normal(0.0, 1.0, (n_blocks, block_len))
+        freqs = [h * f0 for h in orders]
+        magnitudes, phases = sg.fundamental_phasor(blocks, freqs, fs, k, s)
+        for j in range(n_windows):
+            magnitude, phase = sg.fundamental_phasor(blocks[j * s : j * s + k], freqs, fs, k, s)
+            assert np.array_equal(magnitude[:, 0], magnitudes[:, j])
+            assert np.array_equal(phase[:, 0], phases[:, j])
 
     def test_bad_block_arguments_rejected(self, grid):
         f0, fs = grid

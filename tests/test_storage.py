@@ -293,6 +293,21 @@ class TestDatasetFile:
         write_dataset(second, loaded, fingerprint)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_rows_render_every_value_as_the_float_writer(self, tmp_path):
+        # Each row is one template; every float cell must be _f's 17-digit rendering.
+        from feeder_nilm.storage import _f
+
+        X = np.array([[-0.0, 5e-324, 0.1], [1e300, -2.5, 123456789.123456789]])
+        dataset = FeatureDataset(X, [0, 3], [0.0, 2.5], [True, False], 5.0, 2.5, FeatureSpec(("i_rms", "thd", "h3")))
+        path = tmp_path / "dataset.csv"
+        write_dataset(path, dataset, FP)
+        rows = [line for line in path.read_text().splitlines() if not line.startswith("#")][1:]
+        assert rows == [
+            ",".join([_f(t), *map(_f, x), str(y), str(int(valid))])
+            for t, x, y, valid in zip(dataset.t_start_s, X, dataset.y, dataset.valid)
+        ]
+        assert rows[0].startswith("0,-0,4.9406564584124654e-324,0.10000000000000001,")
+
     def test_header_row_shape(self, tmp_path):
         path = tmp_path / "dataset.csv"
         write_dataset(path, self.make_dataset(), FP)
