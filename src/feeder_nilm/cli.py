@@ -9,6 +9,7 @@ codes: 0 success, 2 configuration error, 3 I/O or file-format error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -118,6 +119,8 @@ def _resolve_features(config: RunConfig, library, out: str) -> FeatureSpec:
     if not os.path.exists(ranking_path):
         raise ContractError(f"{ranking_path} is required when top_k is set; run select-features first")
     ranking = _read_checked(out, "ranking", st.read_ranking, dataset_fingerprint(config, library))
+    if sorted(fid for fid, _ in ranking) != sorted(spec.features):
+        raise st.FileFormatError(f"{ranking_path}: does not rank exactly the configured features")
     chosen = {fid for fid, _ in ranking[:top_k]}
     kept = tuple(fid for fid in spec.features if fid in chosen)
     return FeatureSpec(kept, spec.f0_hz)
@@ -129,6 +132,10 @@ def stage_featurize(config: RunConfig, library: Library, out: str, quiet: bool) 
     voltage = _read_checked(out, "voltage", lambda path: st.read_waveform(path, "VOLT", rate), scenario_fp)
     current = _read_checked(out, "current", lambda path: st.read_waveform(path, "CURR", rate), scenario_fp)
     truth = _read_checked(out, "truth", st.read_ground_truth, scenario_fp)
+    seconds = math.ceil(config.scenario.duration_s)
+    if truth.size != seconds:
+        path = os.path.join(out, ARTIFACTS["truth"])
+        raise st.FileFormatError(f"{path}: {truth.size} seconds of counts, expected the scenario's {seconds}")
 
     spec = _resolve_features(config, library, out)
     dataset = featurize(

@@ -1,7 +1,9 @@
 """Parametric steady-state appliance signatures and the harmonic synthesis kernel.
 
 ``add_harmonics`` turns summed mode phasors (``mode_phasors``) into
-samples at a whole-hertz rate and grid frequency; the feeder synthesis in
+samples at a whole-hertz rate and grid frequency, from the one-period
+sin/cos table of ``signals._period_table`` that the featurizer's block
+projection and window rotation read too; the feeder synthesis in
 ``simulate`` uses it, and ``mode_current_samples`` is the scalar
 reference it is tested against; ``supply_phasors`` gives the feeder voltage.
 ``characterization_vectors`` gives the repeated per-mode feature
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .featurize import evaluate_window
-from .signals import wrap_phase
+from .signals import _period_table, wrap_phase
 
 __all__ = [
     "LibraryFormatError",
@@ -154,33 +156,32 @@ def add_harmonics(out: np.ndarray, start: int, phasors: np.ndarray, sample_rate_
     ``out[k]`` gains sum_h Im(phasors[h] * exp(j*2*pi*h*f0*(start + k)/fs)):
     ``out`` holds the contiguous samples from absolute index ``start`` on,
     so the result is phase-locked to the scenario clock. With a whole-hertz
-    rate and f0 the sum repeats every fs / gcd(fs, f0) samples (500 at
-    10 kHz and 60 Hz): one period is evaluated, each phase reduced exactly
-    in integers as (h*f0*k mod fs) / fs turns, and tiled over ``out``.
+    rate and harmonics the sum repeats every P = fs / gcd(fs, h*f0, ...)
+    samples (500 at 10 kHz and 60 Hz): one period is weighed from the sin
+    and cos rows of ``signals._period_table``, rolled to ``start mod P``
+    and tiled over ``out``.
 
     Raises:
-        ValueError: if ``sample_rate_hz`` or ``f0_hz`` is not a whole number of hertz.
+        ValueError: if ``sample_rate_hz`` or the frequency of a non-zero
+            harmonic is not a whole number of hertz.
     """
-    if not (float(sample_rate_hz).is_integer() and float(f0_hz).is_integer()):
-        raise ValueError("add_harmonics needs whole-hertz sample_rate_hz and f0_hz")
     orders = np.flatnonzero(phasors)
     n = out.size
     if orders.size == 0 or n == 0:
         return
     if not out.flags.c_contiguous:
         raise ValueError("out must be contiguous")
-    fs, f0 = int(sample_rate_hz), int(f0_hz)
-    period = fs // math.gcd(fs, f0)
-    k = (start + np.arange(min(period, n), dtype=np.int64)) % period
-    # sum_h Im(A_h * exp(j*theta_h)) over one period, one row of theta per order.
-    theta = 2.0 * math.pi * ((orders[:, None] * f0 * k) % fs / fs)
+    table = _period_table(tuple(float(h * f0_hz) for h in orders), sample_rate_hz)
     a = phasors[orders]
-    table = (a.real[:, None] * np.sin(theta) + a.imag[:, None] * np.cos(theta)).sum(axis=0)
+    # sum_h Im(A_h * exp(j*theta_h)) over one period, then rolled to begin at sample index start.
+    wave = (a.real[:, None] * table[0::2] + a.imag[:, None] * table[1::2]).sum(axis=0)
+    period = wave.size
+    wave = np.roll(wave, -(start % period))
     full, rest = divmod(n, period)
     if full:
         tiles = out[: full * period].reshape(full, period)
-        tiles += table
-    out[full * period :] += table[:rest]
+        tiles += wave
+    out[full * period :] += wave[:rest]
 
 
 def _check_aliasing(mode: DeviceMode, f0_hz: float, sample_rate_hz: float) -> None:
@@ -217,7 +218,8 @@ def characterization_vectors(model: DeviceModel, feature_spec, window_s: float, 
     for mode in model.modes:
         _check_aliasing(mode, f0, fs)
         rng = np.random.default_rng(_stable_seed(scenario.rng_seed, model.class_name, mode.name, "characterize"))
-        current = mode_current_samples(mode, t, f0) + rng.normal(0.0, mode.noise_rms_amps, (REPETITIONS, n))
+        current = rng.normal(0.0, mode.noise_rms_amps, (REPETITIONS, n))
+        current += mode_current_samples(mode, t, f0)
         rows, _ = evaluate_window(np.broadcast_to(voltage, current.shape), current, feature_spec, fs)
         vectors.extend(rows)
     return vectors

@@ -10,7 +10,10 @@ Windows start on the stride grid, so the trace is cut into blocks of
 gcd(window, stride) samples; every per-sample quantity a feature needs is
 reduced once per block, and each window is built from its blocks. The
 blocks are read from the waveforms one chunk of windows at a time, so
-memory does not grow with the trace.
+memory does not grow with the trace. ``featurize`` alone sizes that
+chunk: ``evaluate_window`` evaluates the stack it is given in one pass.
+The projections take their sinusoids from ``signals._period_table``,
+the table the feeder synthesis is built from too.
 """
 
 from __future__ import annotations
@@ -114,9 +117,11 @@ def evaluate_window(
     ``k = s = 1`` each row is one window. Sums of squares, of ``|i|`` and
     of ``v*i``, the peak ``|i|`` and the single-bin projections are taken
     once per block and combined per window, so windows that overlap share
-    the work. Windows are evaluated in chunks of one contiguous block
-    range each, so a gapped grid (s > k) reduces its gap blocks too. The
-    projections take whole-hertz ``spec.f0_hz`` and ``sample_rate_hz``.
+    the work. The whole stack is evaluated in one pass, gap blocks of a
+    gapped grid (s > k) included, so the caller decides how much of a
+    trace is in memory: ``featurize`` passes one chunk of windows at a
+    time. The projections take whole-hertz ``spec.f0_hz`` and
+    ``sample_rate_hz``.
 
     Returns an ``(n_windows, n_features)`` matrix and ``n_windows``
     validity flags. Undefined features (all-zero current, say) are
@@ -129,34 +134,10 @@ def evaluate_window(
         raise ValueError("voltage and current blocks must be equal-shape (n_blocks, B) stacks")
     if k < 1 or s < 1:
         raise ValueError("k and s must be positive")
-    n_blocks, width = v.shape
-    if n_blocks < k:
+    if len(v) < k:
         raise ValueError("the stacks hold fewer blocks than one window covers")
-    n = (n_blocks - k) // s + 1
-    X, valid = np.empty((n, len(spec.features))), np.empty(n, dtype=bool)
-    per_chunk = _windows_per_chunk(n, k, s, width)
-    # The buffer is reused: filling fresh memory for every chunk costs more than the work.
-    work = np.empty(((per_chunk - 1) * s + k, width))
-    for lo in range(0, n, per_chunk):
-        m = min(per_chunk, n - lo)
-        rows = slice(lo * s, (lo + m - 1) * s + k)
-        v_rows, i_rows = (np.ascontiguousarray(x[rows]) for x in (v, i))
-        X[lo : lo + m], valid[lo : lo + m] = _evaluate_chunk(
-            v_rows, i_rows, work[: len(i_rows)], spec, sample_rate_hz, k, s
-        )
-    return X, valid
-
-
-def _windows_per_chunk(n_windows: int, k: int, s: int, width: int) -> int:
-    """Windows evaluated together: the samples of their blocks, and the block
-    series they gather, stay near ``CHUNK_BYTES``, so elementwise temporaries
-    never span the trace."""
-    # A window steps s blocks of samples and gathers 2k block sums per frequency.
-    return min(n_windows, max(1, CHUNK_BYTES // (8 * (s * width + 2 * k))))
-
-
-def _evaluate_chunk(v, i, work, spec: FeatureSpec, fs: float, k: int, s: int):
     width = k * v.shape[1]
+    work = np.empty(i.shape)
 
     def per_window(block_values, reduce=np.add.reduce):
         # Window j combines blocks j*s ... j*s + k - 1; a one-block window is its block.
@@ -173,7 +154,7 @@ def _evaluate_chunk(v, i, work, spec: FeatureSpec, fs: float, k: int, s: int):
     orders = spec.harmonic_orders
     i_phasors = {}
     if orders:
-        magnitudes, phases = signals.fundamental_phasor(i, [h * spec.f0_hz for h in orders], fs, k, s)
+        magnitudes, phases = signals.fundamental_phasor(i, [h * spec.f0_hz for h in orders], sample_rate_hz, k, s)
         i_phasors = {h: (magnitudes[row], phases[row]) for row, h in enumerate(orders)}
     # feature -> (column, undefined mask)
     table = {f"h{h}": (magnitude, never) for h, (magnitude, _) in i_phasors.items()}
@@ -186,7 +167,7 @@ def _evaluate_chunk(v, i, work, spec: FeatureSpec, fs: float, k: int, s: int):
         energy = sum(i_phasors[h][0] ** 2 for h in THD_ORDERS)
         table["thd"] = _ratio(np.sqrt(energy), i_phasors[1][0])
     if names & {"phase_shift", "reactive_power"}:
-        v_mag, v_phase = signals.fundamental_phasor(v, spec.f0_hz, fs, k, s)
+        v_mag, v_phase = signals.fundamental_phasor(v, spec.f0_hz, sample_rate_hz, k, s)
         i_mag, i_phase = i_phasors[1]
         no_shift = (v_mag == 0.0) | (i_mag == 0.0)
         shift = np.where(no_shift, 0.0, wrap_phase(v_phase - i_phase))
@@ -194,6 +175,14 @@ def _evaluate_chunk(v, i, work, spec: FeatureSpec, fs: float, k: int, s: int):
         table["reactive_power"] = (v_mag * i_mag * np.sin(shift), no_shift)
     values, undefined = zip(*(table[name] for name in spec.features))
     return np.column_stack(values), ~np.any(undefined, axis=0)
+
+
+def _windows_per_chunk(n_windows: int, k: int, s: int, width: int) -> int:
+    """Windows ``featurize`` reads and evaluates together: the samples of their
+    blocks, and the block series they gather, stay near ``CHUNK_BYTES``, so
+    elementwise temporaries never span the trace."""
+    # A window steps s blocks of samples and gathers 2k block sums per frequency.
+    return min(n_windows, max(1, CHUNK_BYTES // (8 * (s * width + 2 * k))))
 
 
 def _ratio(numerator: np.ndarray, denominator: np.ndarray):
@@ -386,6 +375,9 @@ class NormStats:
     def __post_init__(self) -> None:
         object.__setattr__(self, "input_feature_ids", tuple(self.input_feature_ids))
         object.__setattr__(self, "kept_indices", tuple(int(i) for i in self.kept_indices))
+        bounds = (-1, *self.kept_indices, len(self.input_feature_ids))
+        if any(a >= b for a, b in zip(bounds, bounds[1:])):
+            raise ValueError("kept_indices must be strictly increasing columns of input_feature_ids")
         mean = np.ascontiguousarray(self.mean, dtype=np.float64)
         std = np.ascontiguousarray(self.std, dtype=np.float64)
         if mean.shape != (len(self.kept_indices),) or std.shape != mean.shape:

@@ -12,14 +12,18 @@ start, and builds each window's projection from its blocks' by rotating
 them to the window start. A stack is projected at whole-hertz frequencies
 and rates only, as every scenario samples, so every sin and cos it needs
 repeats every ``P = fs / gcd(fs, *freqs)`` samples (500 at 10 kHz and
-60 Hz). One cached table holds them over one period, for all the
-frequencies at once, with each phase reduced exactly in integers, as are
-the block rotations. Each block is folded onto that period (its whole
-periods summed column by column, its tail added to the first columns)
-and contracted with the table by ``einsum``, without BLAS: a window's
-projection is the same bits in a stack of any height and under any BLAS
-thread count. The scalar functions here work on one window at any rate
-and are the reference the featurizer is tested against, to rounding.
+60 Hz). One table, ``_period_table``, holds them over one period, for all
+the frequencies at once, with each phase reduced exactly in integers; the
+block rotations are read from its columns, and the feeder synthesis
+(``devices.add_harmonics``) builds its waveforms from it too, so it is
+the one place a whole-hertz sinusoid is evaluated and the one place a
+rate or frequency that is not whole hertz is refused. Each block is
+folded onto that period (its whole periods summed column by column, its
+tail added to the first columns) and contracted with the table by
+``einsum``, without BLAS: a window's projection is the same bits in a
+stack of any height and under any BLAS thread count. The scalar
+functions here work on one window at any rate and are the reference the
+featurizer is tested against, to rounding.
 
 A ``Waveform`` is a trace that is read once, front to back, a bounded
 piece at a time: it never holds the whole trace, so memory does not grow
@@ -136,37 +140,30 @@ def _projection_basis(n: int, freq_hz: float, sample_rate_hz: float) -> np.ndarr
     return basis
 
 
-@lru_cache(maxsize=16)
 def _period_table(freqs_hz: tuple, sample_rate_hz: float) -> np.ndarray:
     # Every whole-hertz frequency repeats its sin and cos every P = fs / gcd(fs, *freqs)
     # samples. Rows 2f and 2f + 1 are sin and cos of frequency f at t = p/fs for
     # p = 0 ... P - 1, the phase reduced exactly in integers as (f*p mod fs)/fs turns.
+    # Synthesis, block projection and block rotation all take their sinusoids from here.
+    if not all(float(x).is_integer() for x in (*freqs_hz, sample_rate_hz)):
+        raise ValueError("phases are reduced in integers: frequencies and sample rates must be whole hertz")
     fs = int(sample_rate_hz)
     freqs = [int(freq) for freq in freqs_hz]
     p = np.arange(fs // math.gcd(fs, *freqs), dtype=np.int64)
     theta = np.array([freq * p % fs for freq in freqs]) / fs * (2.0 * math.pi)
-    table = np.stack([np.sin(theta), np.cos(theta)], axis=1).reshape(2 * len(freqs), -1)
-    table.flags.writeable = False
-    return table
+    return np.stack([np.sin(theta), np.cos(theta)], axis=1).reshape(2 * len(freqs), -1)
 
 
-@lru_cache(maxsize=16)
-def _block_rotation(k: int, block_len: int, freqs_hz: tuple, sample_rate_hz: float) -> np.ndarray:
+def _block_rotation(k: int, block_len: int, table: np.ndarray) -> np.ndarray:
     # Takes the (sin, cos) sums of k consecutive blocks, each phased from its
     # own start, to their window's sums, phased from the window start: block
-    # d starts 2*pi*f*d*B/fs into the window, reduced exactly in integers as
-    # (f*d*B mod fs)/fs turns, as devices.add_harmonics does.
-    d = np.arange(k, dtype=np.int64)
-    fs = int(sample_rate_hz)
-    turns = np.array([(int(freq) * block_len % fs) * d % fs for freq in freqs_hz]) / fs
-    theta = np.multiply(turns, 2.0 * math.pi, out=turns)
-    cos, sin = np.cos(theta), np.sin(theta, out=theta)
+    # d starts d*B samples into the window, at column d*B mod P of the period table.
+    phases = table[:, np.arange(k, dtype=np.int64) * block_len % table.shape[1]]
+    sin, cos = phases[0::2], phases[1::2]
     # sin(wt + phi) = sin(wt)cos(phi) + cos(wt)sin(phi); cos(wt + phi) = cos(wt)cos(phi) - sin(wt)sin(phi).
     # Per frequency, row c (sin, cos) weighs block d's (sin, cos) sums in columns 2d and 2d + 1.
     rotation = np.stack([np.stack([cos, sin], axis=-1), np.stack([-sin, cos], axis=-1)], axis=1)
-    rotation = rotation.reshape(len(freqs_hz), 2, 2 * k)
-    rotation.flags.writeable = False
-    return rotation
+    return rotation.reshape(len(sin), 2, 2 * k)
 
 
 def _block_sums(blocks: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -267,8 +264,6 @@ def fundamental_phasor(blocks, freq_hz, sample_rate_hz: float, k: int = 1, s: in
         raise ValueError("freq_hz must lie below the Nyquist frequency")
     if n * min(freqs) < sample_rate_hz * (1.0 - 1e-12):
         raise ValueError("window shorter than one period of freq_hz")
-    if arr.ndim == 2 and not all(float(x).is_integer() for x in (*freqs, sample_rate_hz)):
-        raise ValueError("a stack is projected at whole-hertz frequencies and sample rates only")
     if arr.ndim == 1:
         sin_basis, cos_basis = _projection_basis(n, freqs[0], sample_rate_hz)
         in_phase = 2.0 * float(arr @ sin_basis) / n
@@ -280,12 +275,12 @@ def fundamental_phasor(blocks, freq_hz, sample_rate_hz: float, k: int = 1, s: in
         raise ValueError("the stack holds fewer blocks than one window covers")
     n_windows = (len(arr) - k) // s + 1
     used = arr[: (n_windows - 1) * s + k]
-    block_sums = _block_sums(used, _period_table(freqs, sample_rate_hz))
+    table = _period_table(freqs, sample_rate_hz)
+    block_sums = _block_sums(used, table)
     # Per frequency, the blocks' interleaved (sin, cos) sums in block order; window j's
     # row gathers its k blocks' sums, which the rotation takes to the window start.
     series = block_sums.reshape(len(used), len(freqs), 2).transpose(1, 0, 2).reshape(len(freqs), -1)
-    rotation = _block_rotation(k, block_len, freqs, sample_rate_hz)
-    sums = np.einsum("fwj,fcj->fwc", _gather(series, 2 * k, 2 * s), rotation)
+    sums = np.einsum("fwj,fcj->fwc", _gather(series, 2 * k, 2 * s), _block_rotation(k, block_len, table))
     in_phase, quadrature = np.moveaxis(2.0 * sums / n, -1, 0)
     magnitude = np.hypot(in_phase, quadrature) / math.sqrt(2.0)
     phase = wrap_phase(np.arctan2(quadrature, in_phase))

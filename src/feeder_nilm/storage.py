@@ -45,7 +45,7 @@ from typing import Iterable
 import numpy as np
 
 from .devices import DeviceModel
-from .featurize import THD_ORDERS, FeatureDataset, FeatureSpec, NormStats
+from .featurize import FEATURE_IDS, THD_ORDERS, FeatureDataset, FeatureSpec, NormStats
 from .model import RegressorParams
 from .simulate import DeviceSchedule, Schedule
 from .signals import Waveform
@@ -395,6 +395,8 @@ def read_model(path) -> tuple[RegressorParams, str]:
             floats("norm_mean"),
             floats("norm_std"),
         )
+        if sizes[:1] != (len(stats.kept_indices),):
+            raise ValueError("layer_sizes must start with the kept feature count")
         weights, biases = [], []
         for layer, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
             weights.append(floats(f"W{layer}").reshape(fan_out, fan_in))
@@ -446,4 +448,11 @@ def write_ranking(path, ranking: list[tuple[str, float]], fingerprint: str) -> N
 
 def read_ranking(path) -> tuple[list[tuple[str, float]], str]:
     header, body = _read_tagged_lines(path, "ranking")
-    return [_fields(path, line, (str, float)) for line in body], header["fingerprint"]
+    ranking = [_fields(path, line, (str, float)) for line in body]
+    ids = [feature_id for feature_id, _ in ranking]
+    for feature_id in ids:
+        if feature_id not in FEATURE_IDS:
+            raise FileFormatError(f"{path}: unknown feature {feature_id!r}")
+    if len(set(ids)) != len(ids):
+        raise FileFormatError(f"{path}: a feature is ranked twice")
+    return ranking, header["fingerprint"]

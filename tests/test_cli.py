@@ -205,6 +205,61 @@ class TestStages:
         err = capsys.readouterr().err
         assert err.startswith("file error:") and "voltage.fnwv" in err
 
+    @pytest.mark.parametrize("command", ["featurize", "pipeline"])
+    @pytest.mark.parametrize("seconds", [50, 61], ids=["truncated", "extended"])
+    def test_ground_truth_of_another_duration_is_file_error(self, config_path, tmp_path, capsys, command, seconds):
+        # The counts keep their fingerprint but cover 50 or 61 of the scenario's 60 seconds.
+        out = tmp_path / "out"
+        assert run("simulate", "--config", config_path, "--out", str(out), "--quiet") == 0
+        truth = out / "ground_truth.txt"
+        header = [line for line in truth.read_text().splitlines() if line.startswith("#")]
+        truth.write_text("\n".join(header + [f"{second} 0" for second in range(seconds)]) + "\n")
+        assert run(command, "--config", config_path, "--out", str(out), "--quiet") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("file error:") and "ground_truth.txt" in err
+
+    @pytest.mark.parametrize("edit", ["unknown", "repeated", "outside-the-config", "truncated"])
+    def test_ranking_not_of_the_configured_features_is_file_error(self, tmp_path, capsys, edit):
+        # Edited ids keep the fingerprint: unknown ones, or known ones the config does not
+        # list, would leave top_k = 3 with no feature, a repeated or cut list with one.
+        path = tmp_path / "topk.cfg"
+        path.write_text(SMALL_CONFIG.replace("stride_s = 5", "stride_s = 5\ntop_k = 3\nfeatures = i_rms thd h3 h5"))
+        out = tmp_path / "out"
+        for command in ("simulate", "select-features"):
+            assert run(command, "--config", str(path), "--out", str(out), "--quiet") == 0
+        ranking = out / "ranking.txt"
+        lines = ranking.read_text().splitlines()
+        body = [k for k, line in enumerate(lines) if not line.startswith("#")]
+        first = lines[body[0]].split()[0]
+        for n, k in enumerate(body[:3]):
+            score = lines[k].split()[1]
+            renamed = {"unknown": f"bogus{n}", "repeated": first, "outside-the-config": f"h{2 * n + 2}"}
+            lines[k] = f"{renamed.get(edit, lines[k].split()[0])} {score}"
+        if edit == "truncated":
+            lines = lines[: body[0] + 1]
+        ranking.write_text("\n".join(lines) + "\n")
+        assert run("featurize", "--config", str(path), "--out", str(out), "--quiet") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("file error:") and "ranking.txt" in err
+
+    @pytest.mark.parametrize("edit", ["index-out-of-range", "index-dropped"])
+    def test_model_kept_indices_disagreeing_with_layout_is_file_error(self, config_path, tmp_path, capsys, edit):
+        out = tmp_path / "out"
+        for command in ("simulate", "featurize", "train"):
+            assert run(command, "--config", config_path, "--out", str(out), "--quiet") == 0, command
+        model = out / "model.txt"
+        lines = model.read_text().splitlines()
+        for k, line in enumerate(lines):
+            key, _, values = line.partition(" = ")
+            if edit == "index-out-of-range" and key == "kept_indices":
+                lines[k] = f"{key} = 99 {' '.join(values.split()[1:])}"
+            elif edit == "index-dropped" and key in ("kept_indices", "norm_mean", "norm_std"):
+                lines[k] = f"{key} = {' '.join(values.split()[:-1])}"
+        model.write_text("\n".join(lines) + "\n")
+        assert run("eval", "--config", config_path, "--out", str(out), "--quiet") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("file error:") and "model.txt" in err
+
     def test_header_rate_other_than_the_scenario_is_file_error(self, tmp_path, capsys):
         # Both smoke headers claim 20 kHz and keep their fingerprint: windowed at that rate,
         # the 120 s trace would read as 60 s and featurize into 23 windows instead of 47.

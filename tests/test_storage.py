@@ -364,6 +364,14 @@ class TestModelFile:
         with pytest.raises(FileFormatError, match="unknown model key.*hidden_activation, init_seed"):
             read_model(path)
 
+    def test_input_width_other_than_kept_count_rejected(self, tmp_path):
+        path = tmp_path / "model.txt"
+        write_model(path, self.make_params(), FP)
+        text = path.read_text().replace("kept_indices = 0 2", "kept_indices = 0")
+        path.write_text(text.replace("norm_mean = 1.5 -2.25", "norm_mean = 1.5").replace("norm_std = 0.5 3", "norm_std = 0.5"))
+        with pytest.raises(FileFormatError, match="layer_sizes"):
+            read_model(path)
+
     def test_missing_layer_rejected(self, tmp_path):
         path = tmp_path / "model.txt"
         write_model(path, self.make_params(), FP)
@@ -399,6 +407,13 @@ class TestRankingFile:
         write_ranking(path, [("h3", float("inf"))], FP)
         loaded, _ = read_ranking(path)
         assert loaded[0][1] == float("inf")
+
+    @pytest.mark.parametrize("ranking, message", [([("h3", 1.0), ("h8", 0.5)], "unknown feature 'h8'"), ([("h3", 1.0), ("h3", 0.5)], "twice")])
+    def test_unknown_or_repeated_feature_rejected(self, tmp_path, ranking, message):
+        path = tmp_path / "ranking.txt"
+        write_ranking(path, ranking, FP)
+        with pytest.raises(FileFormatError, match=message):
+            read_ranking(path)
 
 
 class TestAtomicWrites:
