@@ -126,16 +126,17 @@ def _resolve_features(config: RunConfig, library, out: str) -> FeatureSpec:
     return FeatureSpec(kept, spec.f0_hz)
 
 
+def _read_truth(config: RunConfig, path):
+    """The ground truth at ``path``, refused unless it counts every second of the scenario."""
+    return st.read_ground_truth(path, math.ceil(config.scenario.duration_s))
+
+
 def stage_featurize(config: RunConfig, library: Library, out: str, quiet: bool) -> None:
     scenario_fp = scenario_fingerprint(config, library)
     rate = config.scenario.sample_rate_hz
     voltage = _read_checked(out, "voltage", lambda path: st.read_waveform(path, "VOLT", rate), scenario_fp)
     current = _read_checked(out, "current", lambda path: st.read_waveform(path, "CURR", rate), scenario_fp)
-    truth = _read_checked(out, "truth", st.read_ground_truth, scenario_fp)
-    seconds = math.ceil(config.scenario.duration_s)
-    if truth.size != seconds:
-        path = os.path.join(out, ARTIFACTS["truth"])
-        raise st.FileFormatError(f"{path}: {truth.size} seconds of counts, expected the scenario's {seconds}")
+    truth = _read_checked(out, "truth", lambda path: _read_truth(config, path), scenario_fp)
 
     spec = _resolve_features(config, library, out)
     dataset = featurize(
@@ -272,9 +273,16 @@ _STAGES = (
 
 
 def _artifact_current(config: RunConfig, out: str, name: str, tag: str, expected_fp: str) -> bool:
-    """Whether the artifact carries ``expected_fp`` and reads without error; a waveform's every sample is read."""
+    """Whether the artifact carries ``expected_fp`` and reads without error.
+
+    A waveform's every sample is read, and the ground truth must count
+    every second of the scenario; other text artifacts are judged by
+    their fingerprint line.
+    """
     path = os.path.join(out, ARTIFACTS[name])
     try:
+        if name == "truth":
+            return _read_truth(config, path)[1] == expected_fp
         if tag not in st.CHANNEL_TAGS:
             return st.read_fingerprint(path, tag) == expected_fp
         waveform, fp = st.read_waveform(path, tag, config.scenario.sample_rate_hz)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .featurize import evaluate_window
-from .signals import _period_table, wrap_phase
+from .signals import CHUNK_BYTES, _period_table, wrap_phase
 
 __all__ = [
     "LibraryFormatError",
@@ -203,7 +203,12 @@ def characterization_vectors(model: DeviceModel, feature_spec, window_s: float, 
 
     Emulates repeated lab measurements: per mode, ``REPETITIONS`` windows of
     the first ``window_s`` of the scenario's feeder voltage, with the mode's
-    own noise seeded from the scenario's ``rng_seed``.
+    own noise seeded from the scenario's ``rng_seed``. The repetitions are
+    drawn and evaluated in groups of at most ``CHUNK_BYTES`` of samples (one
+    at a time once two windows do not fit), so memory does not grow with
+    ``REPETITIONS`` times the window. The vectors are the same bits for any
+    group size: the noise stream fills the groups' rows in the order of one
+    whole draw, and a window's features depend on that window alone.
     """
     fs, f0 = scenario.sample_rate_hz, scenario.f0_hz
     if feature_spec.f0_hz != f0:
@@ -214,14 +219,17 @@ def characterization_vectors(model: DeviceModel, feature_spec, window_s: float, 
     t = np.arange(n, dtype=np.float64) / fs
     voltage = np.zeros(n)
     add_harmonics(voltage, 0, supply_phasors(scenario), fs, f0)
+    group = max(1, CHUNK_BYTES // (8 * n))
     vectors: list[np.ndarray] = []
     for mode in model.modes:
         _check_aliasing(mode, f0, fs)
         rng = np.random.default_rng(_stable_seed(scenario.rng_seed, model.class_name, mode.name, "characterize"))
-        current = rng.normal(0.0, mode.noise_rms_amps, (REPETITIONS, n))
-        current += mode_current_samples(mode, t, f0)
-        rows, _ = evaluate_window(np.broadcast_to(voltage, current.shape), current, feature_spec, fs)
-        vectors.extend(rows)
+        clean = mode_current_samples(mode, t, f0)
+        for first in range(0, REPETITIONS, group):
+            current = rng.normal(0.0, mode.noise_rms_amps, (min(group, REPETITIONS - first), n))
+            current += clean
+            rows, _ = evaluate_window(np.broadcast_to(voltage, current.shape), current, feature_spec, fs)
+            vectors.extend(rows)
     return vectors
 
 

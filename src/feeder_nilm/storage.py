@@ -304,9 +304,15 @@ def write_ground_truth(path, counts: np.ndarray, fingerprint: str) -> None:
     _write_text(path, lines)
 
 
-def read_ground_truth(path) -> tuple[np.ndarray, str]:
-    """The per-second ``int64`` counts; line k must be second k, with a count of at least 0."""
+def read_ground_truth(path, seconds: int | None = None) -> tuple[np.ndarray, str]:
+    """The per-second ``int64`` counts; line k must be second k, with a count of at least 0.
+
+    Given ``seconds`` (a scenario's ``ceil(duration_s)``), the file must
+    hold exactly that many counts.
+    """
     header, body = _read_tagged_lines(path, "ground-truth")
+    if seconds is not None and len(body) != seconds:
+        raise FileFormatError(f"{path}: {len(body)} seconds of counts, expected the scenario's {seconds}")
     rows = np.array([_fields(path, line, (np.int64, np.int64)) for line in body], dtype=np.int64).reshape(-1, 2)
     misplaced = np.flatnonzero(rows[:, 0] != np.arange(len(rows)))
     if misplaced.size:

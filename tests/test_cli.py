@@ -205,18 +205,36 @@ class TestStages:
         err = capsys.readouterr().err
         assert err.startswith("file error:") and "voltage.fnwv" in err
 
-    @pytest.mark.parametrize("command", ["featurize", "pipeline"])
-    @pytest.mark.parametrize("seconds", [50, 61], ids=["truncated", "extended"])
-    def test_ground_truth_of_another_duration_is_file_error(self, config_path, tmp_path, capsys, command, seconds):
-        # The counts keep their fingerprint but cover 50 or 61 of the scenario's 60 seconds.
-        out = tmp_path / "out"
-        assert run("simulate", "--config", config_path, "--out", str(out), "--quiet") == 0
+    @staticmethod
+    def recount_ground_truth(out, seconds):
+        """Rewrite ``out``'s ground truth with ``seconds`` zero counts under its own header, fingerprint kept."""
         truth = out / "ground_truth.txt"
         header = [line for line in truth.read_text().splitlines() if line.startswith("#")]
         truth.write_text("\n".join(header + [f"{second} 0" for second in range(seconds)]) + "\n")
-        assert run(command, "--config", config_path, "--out", str(out), "--quiet") == 3
+
+    @pytest.mark.parametrize("seconds", [50, 61], ids=["truncated", "extended"])
+    def test_ground_truth_of_another_duration_is_file_error(self, config_path, tmp_path, capsys, seconds):
+        # The counts keep their fingerprint but cover 50 or 61 of the scenario's 60 seconds.
+        out = tmp_path / "out"
+        assert run("simulate", "--config", config_path, "--out", str(out), "--quiet") == 0
+        self.recount_ground_truth(out, seconds)
+        assert run("featurize", "--config", config_path, "--out", str(out), "--quiet") == 3
         err = capsys.readouterr().err
         assert err.startswith("file error:") and "ground_truth.txt" in err
+
+    @pytest.mark.parametrize("seconds", [50, 61], ids=["truncated", "extended"])
+    def test_pipeline_resimulates_ground_truth_of_another_duration(self, config_path, tmp_path, capsys, seconds):
+        # The freshness check reads the counts as featurize does, so the rerun regenerates them.
+        out = tmp_path / "out"
+        assert run("simulate", "--config", config_path, "--out", str(out), "--quiet") == 0
+        truth = out / "ground_truth.txt"
+        original = truth.read_bytes()
+        self.recount_ground_truth(out, seconds)
+        capsys.readouterr()
+        assert run("pipeline", "--config", config_path, "--out", str(out)) == 0
+        assert "simulate: up to date" not in capsys.readouterr().out
+        assert read_ground_truth(truth)[0].size == 60
+        assert truth.read_bytes() == original
 
     @pytest.mark.parametrize("edit", ["unknown", "repeated", "outside-the-config", "truncated"])
     def test_ranking_not_of_the_configured_features_is_file_error(self, tmp_path, capsys, edit):

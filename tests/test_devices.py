@@ -1,11 +1,14 @@
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import samples_of
 
+from feeder_nilm import devices
 from feeder_nilm import signals as sg
+from feeder_nilm.config import load_library_for, load_run_config
 from feeder_nilm.devices import (
     REPETITIONS,
     DeviceMode,
@@ -23,6 +26,8 @@ from feeder_nilm.devices import (
 )
 from feeder_nilm.featurize import FeatureSpec, evaluate_window
 from feeder_nilm.simulate import DeviceSchedule, ScenarioConfig, Schedule, synthesize_feeder
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def make_model(*harmonics, noise=0.0, name="widget"):
@@ -167,8 +172,7 @@ class TestSignatureFeatures:
         samples = np.zeros(voltage.size)
         add_harmonics(samples, 0, supply_phasors(scenario), fs, f0)
         assert samples.tobytes() == voltage.tobytes()
-        # The characterization window is the first n samples of that voltage,
-        # evaluated in one stack of REPETITIONS rows (projections depend on the stack height in the last bits).
+        # The characterization window is the first n samples of that voltage.
         model = make_model((1, 2.0, -0.4), (3, 0.5, 1.0))
         n = int(round(0.2 * fs))
         current = mode_current_samples(model.mode("on"), np.arange(n) / fs, f0)
@@ -187,6 +191,49 @@ class TestSignatureFeatures:
         f0, fs = grid
         with pytest.raises(ValueError, match="f0_hz"):
             characterization_vectors(default_library()["smps"], FeatureSpec(f0_hz=50.0), 0.2, supply(f0, fs))
+
+
+class TestCharacterizationGroups:
+    """``characterization_vectors`` draws and evaluates each mode's repetitions in chunk-sized groups."""
+
+    @pytest.fixture
+    def smoke(self):
+        config = load_run_config(os.path.join(ROOT, "configs", "smoke.cfg"))
+        return config, load_library_for(config)
+
+    @staticmethod
+    def characterize(monkeypatch, config, model, chunk_bytes=None):
+        """(vectors, rows of each evaluate_window stack, mode_current_samples calls), at ``chunk_bytes`` if given."""
+        if chunk_bytes is not None:
+            monkeypatch.setattr(devices, "CHUNK_BYTES", chunk_bytes)
+        stacks, modes = [], []
+
+        def counted_samples(mode, t_s, f0_hz):
+            modes.append(mode.name)
+            return mode_current_samples(mode, t_s, f0_hz)
+
+        def recorded_window(voltage, current, spec, fs):
+            stacks.append(current.shape[0])
+            return evaluate_window(voltage, current, spec, fs)
+
+        monkeypatch.setattr(devices, "mode_current_samples", counted_samples)
+        monkeypatch.setattr(devices, "evaluate_window", recorded_window)
+        vectors = characterization_vectors(model, config.feature_spec(), config.featurize.window_s, config.scenario)
+        return vectors, stacks, modes
+
+    @pytest.mark.parametrize("class_name", ["ventilator", "induction_motor"])
+    def test_one_repetition_per_group_gives_the_same_bits(self, smoke, monkeypatch, class_name):
+        config, library = smoke
+        model = library[class_name]
+        n = int(round(config.featurize.window_s * config.scenario.sample_rate_hz))
+        grouped, stacks, modes = self.characterize(monkeypatch, config, model)
+        assert len(stacks) > len(model.modes)  # smoke's 5 s windows do not fit one chunk eight at a time
+        assert max(stacks) > 1 and max(stacks) * 8 * n <= devices.CHUNK_BYTES
+        single, single_stacks, single_modes = self.characterize(monkeypatch, config, model, chunk_bytes=8 * n)
+        assert single_stacks == [1] * (REPETITIONS * len(model.modes))
+        assert [v.tobytes() for v in single] == [v.tobytes() for v in grouped]
+        # The noiseless current of a mode is made once and added to each of its groups.
+        assert modes == single_modes == [mode.name for mode in model.modes]
 
 
 class TestDefaultLibrary:

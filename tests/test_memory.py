@@ -1,11 +1,14 @@
-"""Peak memory does not grow with the scenario: every waveform moves in bounded chunks.
+"""Peak memory does not grow with the data: waveforms and repetitions move in bounded chunks.
 
 ``simulate`` and ``featurize`` run on copies of ``configs/smoke.cfg`` cut to
 60 s and to 600 s of scenario (at 10 kHz a 600 s waveform file holds 48 MB).
-Each stage runs in its own process, and a small launcher process takes its
-peak RSS (``ru_maxrss``) from ``os.wait4``. The launcher, not pytest, is
-the stage's parent because on Linux a child's ``ru_maxrss`` starts from
-the peak RSS of the process that started it.
+``select-features`` runs on copies with 5 s and 40 s windows: it
+characterizes each device mode from ``devices.REPETITIONS`` windows, drawn
+in groups of about ``signals.CHUNK_BYTES``, so eight 40 s windows (25.6 MB)
+are never held at once. Each stage runs in its own process, and a small
+launcher process takes its peak RSS (``ru_maxrss``) from ``os.wait4``. The
+launcher, not pytest, is the stage's parent because on Linux a child's
+``ru_maxrss`` starts from the peak RSS of the process that started it.
 """
 
 import os
@@ -28,6 +31,8 @@ LAUNCHER = (
 
 # The peak of a stage on 600 s may exceed its peak on 60 s by at most this much.
 GROWTH_BOUND_MB = 16.0
+# The peak of select-features with 40 s windows may exceed its peak with 5 s windows by at most this much.
+WINDOW_GROWTH_BOUND_MB = 24.0
 
 
 def stage_peak_mb(stage: str, config: str, out: str) -> float:
@@ -40,20 +45,35 @@ def stage_peak_mb(stage: str, config: str, out: str) -> float:
     return int(max_rss_kib) / 1024.0
 
 
+def smoke_with(tmp_path, key: str, value: int) -> str:
+    """A copy of ``configs/smoke.cfg`` with ``key = value``, written under ``tmp_path``; its path."""
+    with open(SMOKE, encoding="utf-8") as fh:
+        text, n = re.subn(rf"(?m)^{key}\s*=.*$", f"{key} = {value}", fh.read())
+    assert n == 1
+    config = tmp_path / f"smoke_{key}_{value}.cfg"
+    config.write_text(text)
+    return str(config)
+
+
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
 def test_peak_rss_does_not_grow_with_the_scenario(tmp_path):
-    with open(SMOKE, encoding="utf-8") as fh:
-        smoke = fh.read()
     peaks = {}
     for duration in (60, 600):
-        text, n = re.subn(r"(?m)^duration_s\s*=.*$", f"duration_s = {duration}", smoke)
-        assert n == 1
-        config = tmp_path / f"smoke_{duration}.cfg"
-        config.write_text(text)
+        config = smoke_with(tmp_path, "duration_s", duration)
         out = str(tmp_path / f"out_{duration}")
         for stage in ("simulate", "featurize"):
-            peaks[stage, duration] = stage_peak_mb(stage, str(config), out)
+            peaks[stage, duration] = stage_peak_mb(stage, config, out)
     for stage in ("simulate", "featurize"):
         growth = peaks[stage, 600] - peaks[stage, 60]
         message = f"{stage}: peak RSS {peaks[stage, 60]:.1f} MB at 60 s, {peaks[stage, 600]:.1f} MB at 600 s"
         assert growth <= GROWTH_BOUND_MB, message
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_select_features_peak_rss_does_not_grow_with_the_window(tmp_path):
+    peaks = {}
+    for window_s in (5, 40):
+        config = smoke_with(tmp_path, "window_s", window_s)
+        peaks[window_s] = stage_peak_mb("select-features", config, str(tmp_path / f"out_{window_s}"))
+    message = f"select-features: peak RSS {peaks[5]:.1f} MB with 5 s windows, {peaks[40]:.1f} MB with 40 s windows"
+    assert peaks[40] - peaks[5] <= WINDOW_GROWTH_BOUND_MB, message
