@@ -38,20 +38,9 @@ from .config import (
     scenario_fingerprint,
 )
 from .devices import DeviceModel, LibraryFormatError, characterization_vectors
+from .signals import Waveform
 
-__all__ = ["main", "ContractError", "chronological_split", "ARTIFACTS"]
-
-ARTIFACTS = {
-    "voltage": "voltage.fnwv",
-    "current": "current.fnwv",
-    "schedule": "schedule.txt",
-    "truth": "ground_truth.txt",
-    "dataset": "dataset.csv",
-    "ranking": "ranking.txt",
-    "model": "model.txt",
-    "report": "report.txt",
-    "residuals": "residuals.csv",
-}
+__all__ = ["main", "ContractError", "chronological_split"]
 
 Library = dict[str, DeviceModel]
 
@@ -77,10 +66,34 @@ def _say(quiet: bool, message: str) -> None:
         print(message)
 
 
-def _read_checked(out: str, name: str, reader, expected: str):
-    """Artifact ``name`` read from ``out``; refused unless it carries the ``expected`` fingerprint."""
-    path = os.path.join(out, ARTIFACTS[name])
-    value, found = reader(path)
+def _read_ranking(path, config: RunConfig):
+    """The ranking at ``path``, refused unless it ranks exactly the configured features."""
+    ranking, fp = st.read_ranking(path)
+    if sorted(fid for fid, _ in ranking) != sorted(config.feature_spec().features):
+        raise st.FileFormatError(f"{path}: does not rank exactly the configured features")
+    return ranking, fp
+
+
+# Every artifact file and the reader its consumer uses: (path, config, library) ->
+# (value, fingerprint). The readers are looked up on ``st`` at call time, so a
+# tracer that rebinds them there reaches these calls.
+_READERS: dict[str, Callable] = {
+    "voltage.fnwv": lambda path, config, library: st.read_waveform(path, "VOLT", config.scenario.sample_rate_hz),
+    "current.fnwv": lambda path, config, library: st.read_waveform(path, "CURR", config.scenario.sample_rate_hz),
+    "schedule.txt": lambda path, config, library: st.read_schedule(path, library),
+    "ground_truth.txt": lambda path, config, library: st.read_ground_truth(path, math.ceil(config.scenario.duration_s)),
+    "ranking.txt": lambda path, config, library: _read_ranking(path, config),
+    "dataset.csv": lambda path, config, library: st.read_dataset(path),
+    "model.txt": lambda path, config, library: st.read_model(path),
+    "report.txt": lambda path, config, library: st.read_report_lines(path),
+    "residuals.csv": lambda path, config, library: st.read_residuals(path),
+}
+
+
+def _read_checked(config: RunConfig, library: Library, out: str, name: str, expected: str):
+    """Artifact file ``name`` read from ``out`` by its reader; refused unless it carries the ``expected`` fingerprint."""
+    path = os.path.join(out, name)
+    value, found = _READERS[name](path, config, library)
     if found != expected:
         raise ContractError(f"{path} was produced by a different configuration; re-run the upstream stage")
     return value
@@ -96,17 +109,17 @@ def stage_simulate(config: RunConfig, library: Library, out: str, quiet: bool) -
     voltage, current = synthesize_feeder(config.scenario, schedule, library)
 
     os.makedirs(out, exist_ok=True)
-    st.write_waveform(os.path.join(out, ARTIFACTS["voltage"]), voltage, "VOLT", fp)
-    st.write_waveform(os.path.join(out, ARTIFACTS["current"]), current, "CURR", fp)
-    st.write_schedule(os.path.join(out, ARTIFACTS["schedule"]), schedule, fp)
-    st.write_ground_truth(os.path.join(out, ARTIFACTS["truth"]), truth, fp)
+    st.write_waveform(os.path.join(out, "voltage.fnwv"), voltage, "VOLT", fp)
+    st.write_waveform(os.path.join(out, "current.fnwv"), current, "CURR", fp)
+    st.write_schedule(os.path.join(out, "schedule.txt"), schedule, fp)
+    st.write_ground_truth(os.path.join(out, "ground_truth.txt"), truth, fp)
 
     n_devices = len(schedule.devices)
     _say(
         quiet,
         f"simulate: {config.scenario.duration_s:g} s at {config.scenario.sample_rate_hz:g} Hz, "
         f"{n_devices} devices ({config.scenario.n_medical_devices} medical), "
-        f"current file {os.path.getsize(os.path.join(out, ARTIFACTS['current']))} bytes",
+        f"current file {os.path.getsize(os.path.join(out, 'current.fnwv'))} bytes",
     )
 
 
@@ -115,35 +128,26 @@ def _resolve_features(config: RunConfig, library, out: str) -> FeatureSpec:
     top_k = config.featurize.top_k
     if top_k <= 0:
         return spec
-    ranking_path = os.path.join(out, ARTIFACTS["ranking"])
+    ranking_path = os.path.join(out, "ranking.txt")
     if not os.path.exists(ranking_path):
         raise ContractError(f"{ranking_path} is required when top_k is set; run select-features first")
-    ranking = _read_checked(out, "ranking", st.read_ranking, dataset_fingerprint(config, library))
-    if sorted(fid for fid, _ in ranking) != sorted(spec.features):
-        raise st.FileFormatError(f"{ranking_path}: does not rank exactly the configured features")
+    ranking = _read_checked(config, library, out, "ranking.txt", dataset_fingerprint(config, library))
     chosen = {fid for fid, _ in ranking[:top_k]}
     kept = tuple(fid for fid in spec.features if fid in chosen)
     return FeatureSpec(kept, spec.f0_hz)
 
 
-def _read_truth(config: RunConfig, path):
-    """The ground truth at ``path``, refused unless it counts every second of the scenario."""
-    return st.read_ground_truth(path, math.ceil(config.scenario.duration_s))
-
-
 def stage_featurize(config: RunConfig, library: Library, out: str, quiet: bool) -> None:
     scenario_fp = scenario_fingerprint(config, library)
-    rate = config.scenario.sample_rate_hz
-    voltage = _read_checked(out, "voltage", lambda path: st.read_waveform(path, "VOLT", rate), scenario_fp)
-    current = _read_checked(out, "current", lambda path: st.read_waveform(path, "CURR", rate), scenario_fp)
-    truth = _read_checked(out, "truth", lambda path: _read_truth(config, path), scenario_fp)
+    voltage = _read_checked(config, library, out, "voltage.fnwv", scenario_fp)
+    current = _read_checked(config, library, out, "current.fnwv", scenario_fp)
+    truth = _read_checked(config, library, out, "ground_truth.txt", scenario_fp)
 
     spec = _resolve_features(config, library, out)
     dataset = featurize(
         voltage, current, truth, config.featurize.window_s, config.featurize.stride_s, spec
     )
-    dataset_path = os.path.join(out, ARTIFACTS["dataset"])
-    st.write_dataset(dataset_path, dataset, dataset_fingerprint(config, library))
+    st.write_dataset(os.path.join(out, "dataset.csv"), dataset, dataset_fingerprint(config, library))
     _say(
         quiet,
         f"featurize: {dataset.n_windows} windows x {len(spec.features)} features "
@@ -162,8 +166,7 @@ def stage_select_features(config: RunConfig, library: Library, out: str, quiet: 
         raise ConfigError("feature selection needs at least two device classes in the scenario")
     ranking = rank_features(signatures, spec.features)
     os.makedirs(out, exist_ok=True)
-    ranking_path = os.path.join(out, ARTIFACTS["ranking"])
-    st.write_ranking(ranking_path, ranking, dataset_fingerprint(config, library))
+    st.write_ranking(os.path.join(out, "ranking.txt"), ranking, dataset_fingerprint(config, library))
     top = ", ".join(fid for fid, _ in ranking[:3])
     _say(quiet, f"select-features: ranked {len(ranking)} features, top: {top}")
 
@@ -183,7 +186,7 @@ def _split_rows(config: RunConfig, dataset: FeatureDataset):
 
 
 def stage_train(config: RunConfig, library: Library, out: str, quiet: bool) -> None:
-    dataset = _read_checked(out, "dataset", st.read_dataset, dataset_fingerprint(config, library))
+    dataset = _read_checked(config, library, out, "dataset.csv", dataset_fingerprint(config, library))
     train_part, val_part, _ = _split_rows(config, dataset)
 
     stats = fit_normalization(train_part.X, dataset.feature_spec.features)
@@ -195,8 +198,7 @@ def stage_train(config: RunConfig, library: Library, out: str, quiet: bool) -> N
     params, history = train(
         params, (X_train, train_part.y), (X_val, val_part.y), config.model.train
     )
-    model_path = os.path.join(out, ARTIFACTS["model"])
-    st.write_model(model_path, params, model_fingerprint(config, library))
+    st.write_model(os.path.join(out, "model.txt"), params, model_fingerprint(config, library))
     last_epoch, train_obj, _ = history[-1]
     _say(
         quiet,
@@ -206,11 +208,11 @@ def stage_train(config: RunConfig, library: Library, out: str, quiet: bool) -> N
 
 
 def stage_eval(config: RunConfig, library: Library, out: str, quiet: bool) -> None:
-    dataset = _read_checked(out, "dataset", st.read_dataset, dataset_fingerprint(config, library))
+    dataset = _read_checked(config, library, out, "dataset.csv", dataset_fingerprint(config, library))
     expected_fp = model_fingerprint(config, library)
-    params = _read_checked(out, "model", st.read_model, expected_fp)
+    params = _read_checked(config, library, out, "model.txt", expected_fp)
     if params.norm_stats is None or params.norm_stats.input_feature_ids != dataset.feature_spec.features:
-        raise ContractError(f"{ARTIFACTS['model']} feature layout does not match {ARTIFACTS['dataset']}")
+        raise ContractError("model.txt feature layout does not match dataset.csv")
 
     train_part, _, test_part = _split_rows(config, dataset)
     report = evaluate(params, test_part)
@@ -218,7 +220,6 @@ def stage_eval(config: RunConfig, library: Library, out: str, quiet: bool) -> No
     baseline = report_from_predictions(np.full(test_part.n_windows, constant, dtype=np.float64), test_part.y)
 
     entries: list[tuple[str, str]] = [
-        ("format_version", "1"),
         ("n_test_windows", str(report.n_test_windows)),
         ("mae_continuous", format(report.mae_continuous, ".17g")),
         ("mae_rounded", format(report.mae_rounded, ".17g")),
@@ -229,10 +230,10 @@ def stage_eval(config: RunConfig, library: Library, out: str, quiet: bool) -> No
     ]
     for count, n, err in report.per_count:
         entries.append((f"count_{count}", f"{n} {format(err, '.17g')}"))
-    st.write_report_lines(os.path.join(out, ARTIFACTS["report"]), entries, expected_fp)
+    st.write_report_lines(os.path.join(out, "report.txt"), entries, expected_fp)
 
     st.write_residuals(
-        os.path.join(out, ARTIFACTS["residuals"]),
+        os.path.join(out, "residuals.csv"),
         test_part.t_start_s,
         test_part.y,
         report.continuous,
@@ -247,12 +248,12 @@ def stage_eval(config: RunConfig, library: Library, out: str, quiet: bool) -> No
 
 
 class Stage(NamedTuple):
-    """A subcommand and what it writes: (ARTIFACTS key, text tag or waveform channel) pairs."""
+    """A subcommand and the artifact files it writes."""
 
     name: str
     run: Callable[[RunConfig, Library, str, bool], None]
     fingerprint: Callable
-    artifacts: tuple[tuple[str, str], ...]
+    artifacts: tuple[str, ...]
     help: str
 
 
@@ -260,36 +261,28 @@ class Stage(NamedTuple):
 # rebinds the stage functions here reaches the ones `pipeline` and `main` run.
 _STAGES = (
     Stage("simulate", stage_simulate, scenario_fingerprint,
-          (("voltage", "VOLT"), ("current", "CURR"), ("schedule", "schedule"), ("truth", "ground-truth")),
+          ("voltage.fnwv", "current.fnwv", "schedule.txt", "ground_truth.txt"),
           "synthesize waveforms, schedule, and ground truth"),
-    Stage("select-features", stage_select_features, dataset_fingerprint, (("ranking", "ranking"),),
+    Stage("select-features", stage_select_features, dataset_fingerprint, ("ranking.txt",),
           "rank features by Fisher score over class signatures"),
-    Stage("featurize", stage_featurize, dataset_fingerprint, (("dataset", "dataset"),),
+    Stage("featurize", stage_featurize, dataset_fingerprint, ("dataset.csv",),
           "window the waveforms into a feature dataset"),
-    Stage("train", stage_train, model_fingerprint, (("model", "model"),), "fit the count regressor on the dataset"),
-    Stage("eval", stage_eval, model_fingerprint, (("report", "report"), ("residuals", "residuals")),
+    Stage("train", stage_train, model_fingerprint, ("model.txt",), "fit the count regressor on the dataset"),
+    Stage("eval", stage_eval, model_fingerprint, ("report.txt", "residuals.csv"),
           "evaluate the trained model and write the report"),
 )
 
 
-def _artifact_current(config: RunConfig, out: str, name: str, tag: str, expected_fp: str) -> bool:
-    """Whether the artifact carries ``expected_fp`` and reads without error.
+def _artifact_current(config: RunConfig, library: Library, out: str, name: str, expected_fp: str) -> bool:
+    """Whether artifact file ``name`` passes the reader its consumer uses and carries ``expected_fp``.
 
-    A waveform's every sample is read, and the ground truth must count
-    every second of the scenario; other text artifacts are judged by
-    their fingerprint line.
+    A waveform's every sample is read, and checked, too.
     """
-    path = os.path.join(out, ARTIFACTS[name])
     try:
-        if name == "truth":
-            return _read_truth(config, path)[1] == expected_fp
-        if tag not in st.CHANNEL_TAGS:
-            return st.read_fingerprint(path, tag) == expected_fp
-        waveform, fp = st.read_waveform(path, tag, config.scenario.sample_rate_hz)
-        if fp != expected_fp:
-            return False
-        waveform.skip(waveform.n_samples)
-    except (st.FileFormatError, OSError):
+        value = _read_checked(config, library, out, name, expected_fp)
+        if isinstance(value, Waveform):
+            value.skip(value.n_samples)
+    except (st.FileFormatError, OSError, ContractError):
         return False
     return True
 
@@ -302,7 +295,7 @@ def stage_pipeline(config: RunConfig, library: Library, out: str, quiet: bool) -
             _say(quiet, f"{stage.name}: skipped (single device class, top_k unset)")
             continue
         expected = stage.fingerprint(config, library)
-        if all(_artifact_current(config, out, name, tag, expected) for name, tag in stage.artifacts):
+        if all(_artifact_current(config, library, out, name, expected) for name in stage.artifacts):
             _say(quiet, f"{stage.name}: up to date")
             continue
         stage.run(config, library, out, quiet)

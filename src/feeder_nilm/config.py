@@ -47,7 +47,6 @@ artifacts whose fingerprint is not equal to the current configuration's.
 from __future__ import annotations
 
 import hashlib
-import importlib
 import json
 import math
 import os
@@ -58,11 +57,8 @@ from typing import get_type_hints
 from .devices import DeviceModel, _check_aliasing, default_library, load_device_library
 from .featurize import FEATURE_IDS, FeatureSpec
 from .model import TrainConfig
-from . import simulate
+from . import featurize, simulate
 from .simulate import ScenarioConfig
-
-# The package binds the name ``featurize`` to the function, so the module is imported by its full name.
-_featurize_module = importlib.import_module(".featurize", __package__)
 
 __all__ = [
     "ConfigError",
@@ -310,7 +306,7 @@ def scenario_fingerprint(config: RunConfig, library: dict[str, DeviceModel]) -> 
 
 def dataset_fingerprint(config: RunConfig, library: dict[str, DeviceModel]) -> str:
     # Read at call time, as the synthesis version is: a dataset or ranking made by another featurizer is stale.
-    return _digest(scenario_fingerprint(config, library), config.featurize, _featurize_module.FEATURIZE_VERSION)
+    return _digest(scenario_fingerprint(config, library), config.featurize, featurize.FEATURIZE_VERSION)
 
 
 def model_fingerprint(config: RunConfig, library: dict[str, DeviceModel]) -> str:

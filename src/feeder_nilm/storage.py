@@ -30,6 +30,9 @@ carry the fingerprint (and, for a dataset, its window metadata); floats
 are rendered with 17 significant digits so a write/read/write cycle is
 byte-identical. Every writer requires a 32-hex-digit fingerprint, and
 every reader returns it beside the value for an exact comparison.
+Each format has one reader, which checks the whole file; a stage reads
+its inputs with it, and ``pipeline`` judges an artifact current only if
+it passes it, so nothing reads a fingerprint without its body.
 Every artifact is written to a temp file beside it and then renamed over
 it, so an interrupted write leaves the previous artifact intact.
 """
@@ -52,7 +55,6 @@ from .signals import Waveform
 
 __all__ = [
     "FileFormatError",
-    "read_fingerprint",
     "write_waveform",
     "read_waveform",
     "write_schedule",
@@ -66,6 +68,7 @@ __all__ = [
     "write_report_lines",
     "read_report_lines",
     "write_residuals",
+    "read_residuals",
     "write_ranking",
     "read_ranking",
 ]
@@ -254,11 +257,6 @@ def _header_lines(tag: str, fingerprint: str) -> list[str]:
     return [f"# feeder-nilm {tag} v1", f"# fingerprint={fingerprint}"]
 
 
-def read_fingerprint(path, tag: str) -> str:
-    """Fingerprint of a text artifact without parsing its body."""
-    return _read_tagged_lines(path, tag)[0]["fingerprint"]
-
-
 # ---------------------------------------------------------------- schedules
 
 
@@ -421,25 +419,48 @@ def read_model(path) -> tuple[RegressorParams, str]:
 
 
 def write_report_lines(path, entries: list[tuple[str, str]], fingerprint: str) -> None:
-    """Write an ordered key = value report."""
-    lines = _header_lines("report", fingerprint)
+    """Write an ordered key = value report after its ``format_version = 1`` line."""
+    lines = _header_lines("report", fingerprint) + ["format_version = 1"]
     for key, value in entries:
         lines.append(f"{key} = {value}")
     _write_text(path, lines)
 
 
 def read_report_lines(path) -> tuple[list[tuple[str, str]], str]:
+    """The report's entries in file order, without its format version, which must be 1."""
     header, body = _read_tagged_lines(path, "report")
-    return list(_entries(path, body).items()), header["fingerprint"]
+    values = _entries(path, body)
+    if values.pop("format_version", None) != "1":
+        raise FileFormatError(f"{path}: unsupported report format_version")
+    return list(values.items()), header["fingerprint"]
+
+
+# ---------------------------------------------------------------- residuals
+
+_RESIDUAL_COLUMNS = "window_index,t_start_s,y_true,y_continuous,y_rounded,abs_error_rounded"
 
 
 def write_residuals(path, t_start_s, y_true, y_continuous, y_rounded, fingerprint: str) -> None:
     """Write one CSV row per test window: truth, continuous and rounded prediction, rounded error."""
     lines = _header_lines("residuals", fingerprint)
-    lines.append("window_index,t_start_s,y_true,y_continuous,y_rounded,abs_error_rounded")
+    lines.append(_RESIDUAL_COLUMNS)
     for k, (t, y, cont, rounded) in enumerate(zip(t_start_s, y_true, y_continuous, y_rounded)):
         lines.append(f"{k},{_f(t)},{int(y)},{_f(cont)},{int(rounded)},{abs(int(rounded) - int(y))}")
     _write_text(path, lines)
+
+
+def read_residuals(path) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], str]:
+    """The columns ``write_residuals`` took, and the fingerprint; row k must be window k, with a consistent error."""
+    header, body = _read_tagged_lines(path, "residuals")
+    if body[:1] != [_RESIDUAL_COLUMNS]:
+        raise FileFormatError(f"{path}: missing or bad residuals header row")
+    types = (np.int64, float, np.int64, float, np.int64, np.int64)
+    rows = np.array([_fields(path, line, types, ",") for line in body[1:]], dtype=np.float64).reshape(-1, 6)
+    if (rows[:, 0] != np.arange(len(rows))).any():
+        raise FileFormatError(f"{path}: window indices must count 0, 1, 2, ...")
+    if (rows[:, 5] != np.abs(rows[:, 4] - rows[:, 2])).any():
+        raise FileFormatError(f"{path}: abs_error_rounded must be |y_rounded - y_true|")
+    return (rows[:, 1], rows[:, 2], rows[:, 3], rows[:, 4]), header["fingerprint"]
 
 
 # ------------------------------------------------------------------ ranking

@@ -17,7 +17,8 @@ from feeder_nilm.config import (
 from feeder_nilm.config import model_fingerprint
 from feeder_nilm.devices import default_library, save_device_library
 from feeder_nilm.featurize import window_targets
-from feeder_nilm.storage import read_dataset, read_fingerprint, read_ground_truth, read_report_lines, read_waveform
+from feeder_nilm import featurize as featurize_module
+from feeder_nilm.storage import read_dataset, read_ground_truth, read_report_lines, read_residuals, read_waveform
 
 SMALL_CONFIG = """
 [scenario]
@@ -480,12 +481,9 @@ class TestPipeline:
 
     def test_featurize_version_reruns_every_stage_after_simulate(self, tmp_path, capsys, monkeypatch):
         # Outputs of another featurizer are stale: the waveforms are kept, everything derived re-runs.
-        import importlib
-
         smoke = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "smoke.cfg")
         out = str(tmp_path / "out")
         assert run("pipeline", "--config", smoke, "--out", out, "--quiet") == 0
-        featurize_module = importlib.import_module("feeder_nilm.featurize")
         monkeypatch.setattr(featurize_module, "FEATURIZE_VERSION", featurize_module.FEATURIZE_VERSION + 1)
         capsys.readouterr()
         assert run("pipeline", "--config", smoke, "--out", out) == 0
@@ -494,7 +492,30 @@ class TestPipeline:
         for stage in ("select-features", "featurize", "train", "eval"):
             assert any(line.startswith(f"{stage}: ") for line in lines), stage
         config = load_run_config(smoke)
-        assert read_fingerprint(os.path.join(out, "dataset.csv"), "dataset") == dataset_fingerprint(config, load_library_for(config))
+        assert read_dataset(os.path.join(out, "dataset.csv"))[1] == dataset_fingerprint(config, load_library_for(config))
+
+    @pytest.mark.parametrize(
+        "name, stage",
+        [("schedule.txt", "simulate"), ("ranking.txt", "select-features"), ("dataset.csv", "featurize"),
+         ("model.txt", "train"), ("report.txt", "eval"), ("residuals.csv", "eval")],
+    )
+    def test_pipeline_reruns_the_writer_of_a_garbled_body_line(self, config_path, tmp_path, capsys, name, stage):
+        # The fingerprint header is kept: only the reader the file's consumer uses can tell it is broken.
+        fresh, out = tmp_path / "fresh", tmp_path / "out"
+        assert run("pipeline", "--config", config_path, "--out", str(fresh), "--quiet") == 0
+        assert run("pipeline", "--config", config_path, "--out", str(out), "--quiet") == 0
+        path = out / name
+        lines = path.read_text().splitlines()
+        separator = next(sep for sep in ("=", ",", " ") if sep in lines[-1])
+        lines[-1] = lines[-1].replace(separator, ";", 1)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("pipeline", "--config", config_path, "--out", str(out)) == 0
+        stdout = capsys.readouterr().out.splitlines()
+        assert f"{stage}: up to date" not in stdout
+        assert any(line.startswith(f"{stage}: ") for line in stdout)
+        for artifact in sorted(os.listdir(fresh)):
+            assert (out / artifact).read_bytes() == (fresh / artifact).read_bytes(), artifact
 
     def test_pipeline_determinism_across_dirs(self, config_path, tmp_path):
         out_a = str(tmp_path / "a")
@@ -514,7 +535,7 @@ class TestPipeline:
         assert "eval: up to date" not in capsys.readouterr().out
         config = load_run_config(config_path)
         expected = model_fingerprint(config, load_library_for(config))
-        assert read_fingerprint(residuals, "residuals") == expected
+        assert read_residuals(residuals)[1] == expected
 
     def test_residuals_hold_the_model_predictions(self, config_path, tmp_path):
         # Eval writes the predictions evaluate() made: one forward pass, same bytes as recomputing it.
@@ -605,8 +626,9 @@ class TestStageRegistry:
         assert set(sub.choices) == {stage.name for stage in cli._STAGES} | {"pipeline"}
 
     def test_registry_artifacts_cover_artifact_table(self):
-        written = [name for stage in cli._STAGES for name, _ in stage.artifacts]
-        assert sorted(written) == sorted(cli.ARTIFACTS)
+        # Every file a stage writes has exactly one reader, the one its consumer and the rerun check use.
+        written = [name for stage in cli._STAGES for name in stage.artifacts]
+        assert sorted(written) == sorted(cli._READERS)
 
 
 class TestTopK:

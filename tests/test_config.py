@@ -1,7 +1,6 @@
 """Config schema: every section key, its default, its parsing and its fingerprint."""
 
 import dataclasses
-import importlib
 import os
 import textwrap
 from functools import reduce
@@ -9,6 +8,7 @@ from functools import reduce
 import pytest
 
 from feeder_nilm import config as config_module
+from feeder_nilm import featurize as featurize_module
 from feeder_nilm.config import (
     ConfigError,
     FeaturizeSection,
@@ -264,7 +264,6 @@ class TestFingerprints:
 
     def test_featurize_version_changes_dataset_and_model_only(self, tmp_path, monkeypatch):
         # A dataset or ranking from another featurizer must not pass as current; the waveforms still do.
-        featurize_module = importlib.import_module("feeder_nilm.featurize")
         config = load(tmp_path)
         base = fingerprints(config)
         monkeypatch.setattr(featurize_module, "FEATURIZE_VERSION", featurize_module.FEATURIZE_VERSION + 1)

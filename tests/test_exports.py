@@ -5,6 +5,7 @@ star import, which no other test performs.
 """
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -19,3 +20,11 @@ def test_every_exported_name_resolves(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing, f"{module_name}.__all__ names missing attributes: {missing}"
+
+
+def test_package_names_its_submodules():
+    # The package re-exports nothing, so a module is never hidden behind a function of its name.
+    from feeder_nilm import evaluate, featurize
+
+    assert inspect.ismodule(featurize) and featurize.__name__ == "feeder_nilm.featurize"
+    assert inspect.ismodule(evaluate) and evaluate.__name__ == "feeder_nilm.evaluate"

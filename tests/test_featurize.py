@@ -1,4 +1,3 @@
-import importlib
 import math
 import os
 from unittest import mock
@@ -10,6 +9,7 @@ from hypothesis import strategies as strat
 from conftest import samples_of, waveform_of
 
 from feeder_nilm import cli
+from feeder_nilm import featurize as FEATURIZE_MODULE
 from feeder_nilm import signals as sg
 from feeder_nilm.config import load_run_config
 from feeder_nilm.devices import default_library
@@ -27,8 +27,6 @@ from feeder_nilm.simulate import Schedule, ScenarioConfig, generate_schedule, gr
 from feeder_nilm.storage import read_ground_truth, read_waveform
 
 LIBRARY = default_library()
-# The package re-exports the featurize function under the module's name.
-FEATURIZE_MODULE = importlib.import_module("feeder_nilm.featurize")
 SMOKE = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "smoke.cfg")
 
 

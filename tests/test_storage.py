@@ -19,6 +19,7 @@ from feeder_nilm.storage import (
     read_model,
     read_ranking,
     read_report_lines,
+    read_residuals,
     read_schedule,
     read_waveform,
     write_dataset,
@@ -26,6 +27,7 @@ from feeder_nilm.storage import (
     write_model,
     write_ranking,
     write_report_lines,
+    write_residuals,
     write_schedule,
     write_waveform,
 )
@@ -383,14 +385,43 @@ class TestModelFile:
 
 class TestReportFile:
     def test_round_trip_byte_identical(self, tmp_path):
-        entries = [("format_version", "1"), ("mae_rounded", "0.25"), ("count_0", "4 0")]
+        entries = [("mae_rounded", "0.25"), ("count_0", "4 0")]
         first = tmp_path / "a.txt"
         second = tmp_path / "b.txt"
         write_report_lines(first, entries, FP)
+        assert first.read_text().splitlines()[2] == "format_version = 1"  # written by the writer, not the caller
         loaded, fingerprint = read_report_lines(first)
         assert loaded == entries
         write_report_lines(second, loaded, fingerprint)
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("version", ["2", None], ids=["other", "missing"])
+    def test_other_format_version_rejected(self, tmp_path, version):
+        path = tmp_path / "report.txt"
+        write_report_lines(path, [("mae_rounded", "0.25")], FP)
+        lines = [line for line in path.read_text().splitlines() if line != "format_version = 1"]
+        if version is not None:
+            lines.append(f"format_version = {version}")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match="report.txt: unsupported report format_version"):
+            read_report_lines(path)
+
+
+class TestResidualsFile:
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [("1,2.5,3,", "0,2.5,3,", "window indices"), (",2,1\n", ",2,0\n", "abs_error_rounded"),
+         ("window_index,", "index,", "header row")],
+        ids=["index-repeated", "error-wrong", "header-renamed"],
+    )
+    def test_inconsistent_rows_rejected(self, tmp_path, old, new, message):
+        path = tmp_path / "residuals.csv"
+        write_residuals(path, [0.0, 2.5], [1, 3], [1.25, 1.5], [1, 2], FP)
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+        with pytest.raises(FileFormatError, match=f"residuals.csv: .*{message}"):
+            read_residuals(path)
 
 
 class TestRankingFile:
@@ -501,8 +532,10 @@ def _write_sample(path, kind):
         write_dataset(path, TestDatasetFile().make_dataset(), FP)
     elif kind == "model":
         write_model(path, TestModelFile().make_params(), FP)
+    elif kind == "report":
+        write_report_lines(path, [("mae_rounded", "0.25")], FP)
     else:
-        write_report_lines(path, [("format_version", "1"), ("mae_rounded", "0.25")], FP)
+        write_residuals(path, [0.0, 2.5, 5.0], [1, 3, 0], [1.25, 1.5, 0.0], [1, 2, 0], FP)
 
 
 _READERS = {
@@ -512,6 +545,7 @@ _READERS = {
     "dataset": read_dataset,
     "model": read_model,
     "report": read_report_lines,
+    "residuals": read_residuals,
 }
 
 # (artifact kind, appended line): a wrong field count (too few or too many),
@@ -531,6 +565,8 @@ _BAD_LINES = [
     ("model", "init_seed"),
     ("model", "W0 = x"),
     ("report", "mae_rounded 0.25"),
+    ("residuals", "3,7.5,1,1"),
+    ("residuals", "3,7.5,1,x,1,0"),
 ]
 
 
@@ -566,7 +602,7 @@ class TestSharedParser:
         with pytest.raises(FileFormatError, match=f"bad-{kind}.txt: repeated key {key!r}"):
             _READERS[kind](path)
 
-    @pytest.mark.parametrize("kind", ["schedule", "ground-truth", "ranking"])
+    @pytest.mark.parametrize("kind", ["schedule", "ground-truth", "ranking", "residuals"])
     def test_write_read_write_byte_identical(self, tmp_path, kind):
         first = tmp_path / "a.txt"
         second = tmp_path / "b.txt"
@@ -578,6 +614,8 @@ class TestSharedParser:
             write_schedule(second, loaded, fingerprint)
         elif kind == "ground-truth":
             write_ground_truth(second, loaded, fingerprint)
+        elif kind == "residuals":
+            write_residuals(second, *loaded, fingerprint)
         else:
             write_ranking(second, loaded, fingerprint)
         assert first.read_bytes() == second.read_bytes()
