@@ -66,14 +66,6 @@ def _say(quiet: bool, message: str) -> None:
         print(message)
 
 
-def _read_ranking(path, config: RunConfig):
-    """The ranking at ``path``, refused unless it ranks exactly the configured features."""
-    ranking, fp = st.read_ranking(path)
-    if sorted(fid for fid, _ in ranking) != sorted(config.feature_spec().features):
-        raise st.FileFormatError(f"{path}: does not rank exactly the configured features")
-    return ranking, fp
-
-
 # Every artifact file and the reader its consumer uses: (path, config, library) ->
 # (value, fingerprint). The readers are looked up on ``st`` at call time, so a
 # tracer that rebinds them there reaches these calls.
@@ -82,7 +74,7 @@ _READERS: dict[str, Callable] = {
     "current.fnwv": lambda path, config, library: st.read_waveform(path, "CURR", config.scenario.sample_rate_hz),
     "schedule.txt": lambda path, config, library: st.read_schedule(path, library),
     "ground_truth.txt": lambda path, config, library: st.read_ground_truth(path, math.ceil(config.scenario.duration_s)),
-    "ranking.txt": lambda path, config, library: _read_ranking(path, config),
+    "ranking.txt": lambda path, config, library: st.read_ranking(path, config.feature_spec().features),
     "dataset.csv": lambda path, config, library: st.read_dataset(path),
     "model.txt": lambda path, config, library: st.read_model(path),
     "report.txt": lambda path, config, library: st.read_report_lines(path),

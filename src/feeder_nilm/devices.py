@@ -4,8 +4,8 @@
 samples at a whole-hertz rate and grid frequency, from the one-period
 sin/cos table of ``signals._period_table`` that the featurizer's block
 projection and window rotation read too; the feeder synthesis in
-``simulate`` uses it, and ``mode_current_samples`` is the scalar
-reference it is tested against; ``supply_phasors`` gives the feeder voltage.
+``simulate`` and the characterization current (``mode_current_samples``)
+both use it, and ``supply_phasors`` gives the feeder voltage.
 ``characterization_vectors`` gives the repeated per-mode feature
 vectors that ``select-features`` ranks, on a scenario's own supply.
 
@@ -123,25 +123,11 @@ class DeviceModel:
         raise KeyError(f"device {self.class_name!r} has no mode {name!r}")
 
 
-def mode_current_samples(mode: DeviceMode, t_s: np.ndarray, f0_hz: float) -> np.ndarray:
-    """Noiseless current of ``mode`` at absolute times ``t_s`` (seconds).
-
-    i(t) = sum_h sqrt(2) * M_h * sin(2*pi*h*f0*t + phi_h)
-    """
-    out = np.zeros_like(t_s, dtype=np.float64)
-    for h in mode.harmonics:
-        if h.magnitude_rms_amps == 0.0:
-            continue
-        omega = 2.0 * math.pi * h.harmonic_order * f0_hz
-        out += math.sqrt(2.0) * h.magnitude_rms_amps * np.sin(omega * t_s + h.phase_rad)
-    return out
-
-
 def mode_phasors(mode: DeviceMode, max_order: int) -> np.ndarray:
     """Complex amplitudes of ``mode``'s current indexed by harmonic order (0..max_order).
 
     Entry h is sqrt(2) * M_h * exp(j * phi_h), so the current is
-    sum_h Im(entry_h * exp(j*2*pi*h*f0*t)), as in ``mode_current_samples``.
+    sum_h Im(entry_h * exp(j*2*pi*h*f0*t)) = sum_h sqrt(2) * M_h * sin(2*pi*h*f0*t + phi_h).
     Phasors of concurrent modes add.
     """
     out = np.zeros(max_order + 1, dtype=np.complex128)
@@ -184,6 +170,18 @@ def add_harmonics(out: np.ndarray, start: int, phasors: np.ndarray, sample_rate_
     out[full * period :] += wave[:rest]
 
 
+def mode_current_samples(mode: DeviceMode, n_samples: int, sample_rate_hz: float, f0_hz: float) -> np.ndarray:
+    """Noiseless current of ``mode`` running alone over samples 0 ... ``n_samples`` - 1, from ``add_harmonics``.
+
+    The characterization current, made by the kernel the feeder synthesis
+    uses. Its one caller is ``characterization_vectors``; it stays a
+    function of its own because ``perfbench`` traces it by name.
+    """
+    out = np.zeros(n_samples)
+    add_harmonics(out, 0, mode_phasors(mode, mode.max_order), sample_rate_hz, f0_hz)
+    return out
+
+
 def _check_aliasing(mode: DeviceMode, f0_hz: float, sample_rate_hz: float) -> None:
     if sample_rate_hz <= 2.0 * f0_hz * mode.max_order:
         raise ValueError(
@@ -216,7 +214,6 @@ def characterization_vectors(model: DeviceModel, feature_spec, window_s: float, 
     n = int(round(window_s * fs))
     if n < 1:
         raise ValueError("window_s too short for one sample")
-    t = np.arange(n, dtype=np.float64) / fs
     voltage = np.zeros(n)
     add_harmonics(voltage, 0, supply_phasors(scenario), fs, f0)
     group = max(1, CHUNK_BYTES // (8 * n))
@@ -224,7 +221,7 @@ def characterization_vectors(model: DeviceModel, feature_spec, window_s: float, 
     for mode in model.modes:
         _check_aliasing(mode, f0, fs)
         rng = np.random.default_rng(_stable_seed(scenario.rng_seed, model.class_name, mode.name, "characterize"))
-        clean = mode_current_samples(mode, t, f0)
+        clean = mode_current_samples(mode, n, fs, f0)
         for first in range(0, REPETITIONS, group):
             current = rng.normal(0.0, mode.noise_rms_amps, (min(group, REPETITIONS - first), n))
             current += clean

@@ -31,8 +31,8 @@ class EvalReport:
     mae_rounded: float
     exact_count_accuracy: float
     per_count: tuple[tuple[int, int, float], ...]  # (true count, n windows, rounded MAE)
-    continuous: np.ndarray = field(default_factory=lambda: np.zeros(0), compare=False, repr=False)
-    rounded: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64), compare=False, repr=False)
+    continuous: np.ndarray = field(compare=False, repr=False)
+    rounded: np.ndarray = field(compare=False, repr=False)
 
 
 def mae(predictions, targets) -> float:

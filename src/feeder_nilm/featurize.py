@@ -47,7 +47,8 @@ __all__ = [
 # the same inputs; part of the dataset fingerprint, so older datasets,
 # rankings and everything trained on them re-run.
 # 2: every block is folded onto one period of a sin/cos table and projected without BLAS.
-FEATURIZE_VERSION = 2
+# 3: select-features draws each mode's current from the synthesis kernel, not from float-time sines.
+FEATURIZE_VERSION = 3
 
 # The harmonic-magnitude features h2..h7 cover orders 2..7 of the grid frequency; thd sums the same orders.
 THD_ORDERS = range(2, 8)

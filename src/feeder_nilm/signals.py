@@ -15,15 +15,15 @@ repeats every ``P = fs / gcd(fs, *freqs)`` samples (500 at 10 kHz and
 60 Hz). One table, ``_period_table``, holds them over one period, for all
 the frequencies at once, with each phase reduced exactly in integers; the
 block rotations are read from its columns, and the feeder synthesis
-(``devices.add_harmonics``) builds its waveforms from it too, so it is
-the one place a whole-hertz sinusoid is evaluated and the one place a
-rate or frequency that is not whole hertz is refused. Each block is
-folded onto that period (its whole periods summed column by column, its
-tail added to the first columns) and contracted with the table by
-``einsum``, without BLAS: a window's projection is the same bits in a
-stack of any height and under any BLAS thread count. The scalar
-functions here work on one window at any rate and are the reference the
-featurizer is tested against, to rounding.
+and the characterization currents (``devices.add_harmonics``) are built
+from it too, so it is the one place a whole-hertz sinusoid is evaluated
+and the one place a rate or frequency that is not whole hertz is
+refused. Each block is folded onto that period (its whole periods summed
+column by column, its tail added to the first columns) and contracted
+with the table by ``einsum``, without BLAS: a window's projection is
+the same bits in a stack of any height and under any BLAS thread count.
+The scalar functions here work on one window at any rate and are the
+reference the featurizer is tested against, to rounding.
 
 A ``Waveform`` is a trace that is read once, front to back, a bounded
 piece at a time: it never holds the whole trace, so memory does not grow

@@ -302,16 +302,15 @@ def write_ground_truth(path, counts: np.ndarray, fingerprint: str) -> None:
     _write_text(path, lines)
 
 
-def read_ground_truth(path, seconds: int | None = None) -> tuple[np.ndarray, str]:
+def read_ground_truth(path, seconds: int) -> tuple[np.ndarray, str]:
     """The per-second ``int64`` counts; line k must be second k, with a count of at least 0.
 
-    Given ``seconds`` (a scenario's ``ceil(duration_s)``), the file must
-    hold exactly that many counts.
+    The file must hold exactly ``seconds`` counts, a scenario's ``ceil(duration_s)``.
     """
     header, body = _read_tagged_lines(path, "ground-truth")
-    if seconds is not None and len(body) != seconds:
-        raise FileFormatError(f"{path}: {len(body)} seconds of counts, expected the scenario's {seconds}")
     rows = np.array([_fields(path, line, (np.int64, np.int64)) for line in body], dtype=np.int64).reshape(-1, 2)
+    if len(rows) != seconds:
+        raise FileFormatError(f"{path}: {len(rows)} seconds of counts, expected the scenario's {seconds}")
     misplaced = np.flatnonzero(rows[:, 0] != np.arange(len(rows)))
     if misplaced.size:
         raise FileFormatError(f"{path}: line {misplaced[0]} of the counts is second {rows[misplaced[0], 0]}")
@@ -473,7 +472,8 @@ def write_ranking(path, ranking: list[tuple[str, float]], fingerprint: str) -> N
     _write_text(path, lines)
 
 
-def read_ranking(path) -> tuple[list[tuple[str, float]], str]:
+def read_ranking(path, features) -> tuple[list[tuple[str, float]], str]:
+    """The ranking and its fingerprint; refused unless it ranks each of ``features`` once, and nothing else."""
     header, body = _read_tagged_lines(path, "ranking")
     ranking = [_fields(path, line, (str, float)) for line in body]
     ids = [feature_id for feature_id, _ in ranking]
@@ -482,4 +482,6 @@ def read_ranking(path) -> tuple[list[tuple[str, float]], str]:
             raise FileFormatError(f"{path}: unknown feature {feature_id!r}")
     if len(set(ids)) != len(ids):
         raise FileFormatError(f"{path}: a feature is ranked twice")
+    if sorted(ids) != sorted(features):
+        raise FileFormatError(f"{path}: does not rank exactly the configured features")
     return ranking, header["fingerprint"]

@@ -13,11 +13,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import samples_of
+from conftest import reference_current, samples_of
 
 from feeder_nilm import cli
 from feeder_nilm import signals as sg
-from feeder_nilm.devices import default_library, mode_current_samples
+from feeder_nilm.devices import default_library
 from feeder_nilm.featurize import FeatureSpec, evaluate_window, rank_features
 from feeder_nilm.model import init_params, loss_and_gradient
 from feeder_nilm.simulate import ScenarioConfig, generate_schedule, synthesize_feeder
@@ -113,7 +113,7 @@ def test_criterion_2_feeder_additivity():
             for start, end, mode_name in device.intervals:
                 lo = int(round(start * config.sample_rate_hz))
                 hi = min(int(round(end * config.sample_rate_hz)), feeder.n_samples)
-                total[lo:hi] += mode_current_samples(model.mode(mode_name), t[lo:hi], config.f0_hz)
+                total[lo:hi] += reference_current(model.mode(mode_name), t[lo:hi], config.f0_hz)
         assert np.max(np.abs(samples_of(feeder) - total)) < 1e-9
 
 
@@ -222,7 +222,7 @@ def test_criterion_7_fisher_ranking_property():
                 for mode in model.modes:
                     n = int(round(0.2 * fs))
                     t = np.arange(n) / fs
-                    base = mode_current_samples(mode, t, f0)
+                    base = reference_current(mode, t, f0)
                     voltage = math.sqrt(2) * 120.0 * np.sin(2 * np.pi * f0 * t)
                     for _ in range(3):
                         noisy = base + rng.normal(0, 0.01, n)

@@ -133,7 +133,7 @@ class TestStages:
         assert run("simulate", "--config", str(path), "--out", out, "--quiet") == 0
         from feeder_nilm.storage import read_ground_truth
 
-        counts, _ = read_ground_truth(os.path.join(out, "ground_truth.txt"))
+        counts, _ = read_ground_truth(os.path.join(out, "ground_truth.txt"), 60)
         assert counts.size == 60
         assert (counts == 2).all()
 
@@ -234,7 +234,7 @@ class TestStages:
         capsys.readouterr()
         assert run("pipeline", "--config", config_path, "--out", str(out)) == 0
         assert "simulate: up to date" not in capsys.readouterr().out
-        assert read_ground_truth(truth)[0].size == 60
+        assert read_ground_truth(truth, 60)[0].size == 60
         assert truth.read_bytes() == original
 
     @pytest.mark.parametrize("edit", ["unknown", "repeated", "outside-the-config", "truncated"])
@@ -462,7 +462,7 @@ class TestPipeline:
         out = tmp_path / "out"
         assert run("pipeline", "--config", str(path), "--out", str(out), "--quiet") == 0
         dataset, _ = read_dataset(out / "dataset.csv")
-        counts, _ = read_ground_truth(out / "ground_truth.txt")
+        counts, _ = read_ground_truth(out / "ground_truth.txt", 120)
         assert np.array_equal(dataset.y, window_targets(counts, 5.0, 2.5, dataset.n_windows))
 
     def test_pipeline_idempotent_when_current(self, config_path, tmp_path, capsys):

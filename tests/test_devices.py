@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import samples_of
+from conftest import reference_current, samples_of
 
 from feeder_nilm import devices
 from feeder_nilm import signals as sg
@@ -132,6 +132,21 @@ class TestSynthesis:
             synthesize_feeder(cfg, schedule, library)
 
 
+class TestModeCurrent:
+    def test_is_the_feeder_kernel_from_sample_zero(self, grid):
+        # A 5 s window at 10 kHz: phases up to 2*pi*420*5 rad, where the float-phase reference drifts most.
+        f0, fs = grid
+        n = 50_000
+        t = np.arange(n) / fs
+        for model in default_library().values():
+            for mode in model.modes:
+                current = mode_current_samples(mode, n, fs, f0)
+                kernel = np.zeros(n)
+                add_harmonics(kernel, 0, mode_phasors(mode, mode.max_order), fs, f0)
+                assert current.tobytes() == kernel.tobytes()
+                assert np.max(np.abs(current - reference_current(mode, t, f0))) < 1e-9
+
+
 class TestSignatureFeatures:
     def test_resistive_mode_zero_phase_shift(self, grid):
         f0, fs = grid
@@ -152,7 +167,7 @@ class TestSignatureFeatures:
         vec = signature(DeviceModel("ventilator", True, (mode,)), FeatureSpec(), 0.5, scenario)
         n = int(round(0.5 * fs))
         v = samples_of(synthesize_feeder(scenario, Schedule(()), {})[0])[:n]
-        i = mode_current_samples(mode, np.arange(n) / fs, f0)
+        i = reference_current(mode, np.arange(n) / fs, f0)
         expected = [
             sg.rms(i),
             sg.form_factor(i),
@@ -175,7 +190,7 @@ class TestSignatureFeatures:
         # The characterization window is the first n samples of that voltage.
         model = make_model((1, 2.0, -0.4), (3, 0.5, 1.0))
         n = int(round(0.2 * fs))
-        current = mode_current_samples(model.mode("on"), np.arange(n) / fs, f0)
+        current = mode_current_samples(model.mode("on"), n, fs, f0)
         stack = (REPETITIONS, n)
         rows, _ = evaluate_window(np.broadcast_to(voltage[:n], stack), np.broadcast_to(current, stack), FeatureSpec(), fs)
         assert signature(model, FeatureSpec(), 0.2, scenario).tobytes() == rows[0].tobytes()
@@ -208,9 +223,9 @@ class TestCharacterizationGroups:
             monkeypatch.setattr(devices, "CHUNK_BYTES", chunk_bytes)
         stacks, modes = [], []
 
-        def counted_samples(mode, t_s, f0_hz):
+        def counted_samples(mode, n_samples, sample_rate_hz, f0_hz):
             modes.append(mode.name)
-            return mode_current_samples(mode, t_s, f0_hz)
+            return mode_current_samples(mode, n_samples, sample_rate_hz, f0_hz)
 
         def recorded_window(voltage, current, spec, fs):
             stacks.append(current.shape[0])

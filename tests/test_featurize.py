@@ -467,7 +467,7 @@ class TestFeaturizeChunks:
     def test_dataset_does_not_depend_on_the_chunk_size(self, smoke, stride_s):
         config = load_run_config(SMOKE)
         fs = config.scenario.sample_rate_hz
-        truth, _ = read_ground_truth(smoke / "ground_truth.txt")
+        truth, _ = read_ground_truth(smoke / "ground_truth.txt", math.ceil(config.scenario.duration_s))
 
         def dataset():
             voltage, _ = read_waveform(smoke / "voltage.fnwv", "VOLT", fs)

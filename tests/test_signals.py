@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -452,3 +454,45 @@ class TestWrapPhase:
             assert math.remainder(scalar - angle, 2 * math.pi) == pytest.approx(0.0, abs=1e-6)
             want = np.float64(remainder_form(angle)).tobytes()
             assert np.float64(scalar).tobytes() == want and from_array.tobytes() == want
+
+
+class TestSinusoidSites:
+    # Waveforms take their sinusoids from the period table alone; the scalar
+    # reference functions keep their own basis, and the featurizer's Q takes
+    # the sine of a phase shift, not of a time.
+    ALLOWED = {
+        ("signals", "_period_table"),
+        ("signals", "_projection_basis"),
+        ("signals", "active_reactive_power"),
+        ("featurize", "evaluate_window"),
+    }
+
+    @staticmethod
+    def sinusoid_sites():
+        """(module, top-level function or ``Class.method``) of every ``np``/``math`` ``sin`` or ``cos`` in the package."""
+        sites = set()
+        for path in sorted(pathlib.Path(sg.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            scopes = []
+            for node in tree.body:
+                if isinstance(node, ast.ClassDef):
+                    scopes += [(f"{node.name}.{item.name}", item) for item in node.body if isinstance(item, ast.FunctionDef)]
+                else:
+                    scopes.append((getattr(node, "name", "<module>"), node))
+            for name, scope in scopes:
+                for node in ast.walk(scope):
+                    attribute = (
+                        isinstance(node, ast.Attribute)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id in ("np", "numpy", "math")
+                        and node.attr in ("sin", "cos")
+                    )
+                    imported = isinstance(node, ast.ImportFrom) and any(a.name in ("sin", "cos") for a in node.names)
+                    if attribute or imported:
+                        sites.add((path.stem, name))
+        return sites
+
+    def test_only_the_period_table_evaluates_a_waveform_sinusoid(self):
+        sites = self.sinusoid_sites()
+        assert ("signals", "_period_table") in sites
+        assert sorted(sites - self.ALLOWED) == []

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as strat
-from conftest import samples_of
+from conftest import reference_current, samples_of
 
 from feeder_nilm import signals as sg
-from feeder_nilm.devices import default_library, mode_current_samples
+from feeder_nilm.devices import default_library
 from feeder_nilm.featurize import window_targets
 from feeder_nilm.simulate import (
     DeviceSchedule,
@@ -161,7 +161,7 @@ class TestSynthesizeFeeder:
             for start, end, mode_name in device.intervals:
                 i0 = int(round(start * cfg.sample_rate_hz))
                 i1 = min(int(round(end * cfg.sample_rate_hz)), n)
-                total[i0:i1] += mode_current_samples(model.mode(mode_name), t[i0:i1], cfg.f0_hz)
+                total[i0:i1] += reference_current(model.mode(mode_name), t[i0:i1], cfg.f0_hz)
         assert np.max(np.abs(samples_of(current) - total)) < 1e-9
 
     def test_superposition_of_disjoint_populations(self):
@@ -323,7 +323,7 @@ class TestWindowTargets:
 
 
 def oracle_current(cfg, schedule, library):
-    """Masked per-device sum of the scalar ``mode_current_samples`` on absolute time."""
+    """Masked per-device sum of the float-phase ``reference_current`` on absolute time."""
     n = int(round(cfg.duration_s * cfg.sample_rate_hz))
     t = np.arange(n) / cfg.sample_rate_hz
     total = np.zeros(n)
@@ -332,7 +332,7 @@ def oracle_current(cfg, schedule, library):
         for start, end, mode_name in device.intervals:
             i0 = int(round(start * cfg.sample_rate_hz))
             i1 = min(int(round(end * cfg.sample_rate_hz)), n)
-            total[i0:i1] += mode_current_samples(model.mode(mode_name), t[i0:i1], cfg.f0_hz)
+            total[i0:i1] += reference_current(model.mode(mode_name), t[i0:i1], cfg.f0_hz)
     return total
 
 
@@ -392,7 +392,7 @@ class TestPeriodicTableSynthesis:
                 add_harmonics(single, start + k, phasors, 10_000.0, 60.0)
                 assert tiled[k] == single[0]
             t = (start + np.arange(n)) / 10_000.0
-            oracle = mode_current_samples(LIBRARY["smps"].mode("on"), t, 60.0)
+            oracle = reference_current(LIBRARY["smps"].mode("on"), t, 60.0)
             assert np.max(np.abs(tiled - oracle)) < 1e-9
 
     @pytest.mark.parametrize("fs, f0", [(9_999.5, 60.0), (10_000.0, 59.94)], ids=["fractional-fs", "fractional-f0"])

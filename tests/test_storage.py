@@ -223,7 +223,7 @@ class TestGroundTruthFile:
         counts = np.tile([0, 1, 2, 1], 5)
         path = tmp_path / "truth.txt"
         write_ground_truth(path, counts, FP)
-        loaded, fingerprint = read_ground_truth(path)
+        loaded, fingerprint = read_ground_truth(path, 20)
         assert fingerprint == FP
         assert loaded.dtype == np.int64
         assert np.array_equal(loaded, counts)
@@ -237,26 +237,26 @@ class TestGroundTruthFile:
         path = tmp_path / "truth.txt"
         path.write_text(f"# feeder-nilm ground-truth v1\n# fingerprint={FP}\n{body}")
         with pytest.raises(FileFormatError, match="truth.txt"):
-            read_ground_truth(path)
+            read_ground_truth(path, body.count("\n"))
 
     @pytest.mark.parametrize("count", ["-1", "99999999999999999999"], ids=["negative", "beyond-int64"])
     def test_count_out_of_range_rejected(self, tmp_path, count):
         path = tmp_path / "truth.txt"
         path.write_text(f"# feeder-nilm ground-truth v1\n# fingerprint={FP}\n0 1\n1 {count}\n")
         with pytest.raises(FileFormatError, match="truth.txt"):
-            read_ground_truth(path)
+            read_ground_truth(path, 2)
 
     def test_missing_fingerprint_rejected(self, tmp_path):
         path = tmp_path / "truth.txt"
         path.write_text("# feeder-nilm ground-truth v1\n0 1\n1 1\n")
         with pytest.raises(FileFormatError, match="fingerprint"):
-            read_ground_truth(path)
+            read_ground_truth(path, 2)
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "truth.txt"
         path.write_text("# feeder-nilm dataset v1\n0 1\n")
         with pytest.raises(FileFormatError):
-            read_ground_truth(path)
+            read_ground_truth(path, 1)
 
 
 class TestDatasetFile:
@@ -429,14 +429,14 @@ class TestRankingFile:
         ranking = [("h3", 1234.5), ("i_rms", 0.75), ("thd", 0.0)]
         path = tmp_path / "ranking.txt"
         write_ranking(path, ranking, FP)
-        loaded, fingerprint = read_ranking(path)
+        loaded, fingerprint = read_ranking(path, ("i_rms", "thd", "h3"))
         assert fingerprint == FP
         assert loaded == ranking
 
     def test_infinite_scores_survive(self, tmp_path):
         path = tmp_path / "ranking.txt"
         write_ranking(path, [("h3", float("inf"))], FP)
-        loaded, _ = read_ranking(path)
+        loaded, _ = read_ranking(path, ("h3",))
         assert loaded[0][1] == float("inf")
 
     @pytest.mark.parametrize("ranking, message", [([("h3", 1.0), ("h8", 0.5)], "unknown feature 'h8'"), ([("h3", 1.0), ("h3", 0.5)], "twice")])
@@ -444,7 +444,7 @@ class TestRankingFile:
         path = tmp_path / "ranking.txt"
         write_ranking(path, ranking, FP)
         with pytest.raises(FileFormatError, match=message):
-            read_ranking(path)
+            read_ranking(path, ("h3", "h8"))
 
 
 class TestAtomicWrites:
@@ -505,7 +505,7 @@ class TestAtomicWrites:
         path = tmp_path / "ranking.txt"
         write_ranking(path, [("thd", 2.0)], FP)
         write_ranking(path, [("h3", 1.0)], FP)
-        assert read_ranking(path) == ([("h3", 1.0)], FP)
+        assert read_ranking(path, ("h3",)) == ([("h3", 1.0)], FP)
         assert os.listdir(tmp_path) == ["ranking.txt"]
 
 
@@ -540,8 +540,8 @@ def _write_sample(path, kind):
 
 _READERS = {
     "schedule": lambda path: read_schedule(path, default_library()),
-    "ground-truth": read_ground_truth,
-    "ranking": read_ranking,
+    "ground-truth": lambda path: read_ground_truth(path, 6),
+    "ranking": lambda path: read_ranking(path, ("h3", "i_rms")),
     "dataset": read_dataset,
     "model": read_model,
     "report": read_report_lines,
