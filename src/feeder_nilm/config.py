@@ -40,7 +40,8 @@ and per-class means ``schedule_<class> = <mean_on_s> <mean_off_s>``,
 to ``window_s``. Stage artifacts carry a 128-bit fingerprint (the first
 32 hex digits of a sha256) of every field, chained over (scenario +
 library + ``simulate.SYNTHESIS_VERSION``), then (featurize +
-``featurize.FEATURIZE_VERSION``), then model + split; stages reject
+``featurize.FEATURIZE_VERSION``), then (model + split +
+``model.MODEL_VERSION``); stages reject
 artifacts whose fingerprint is not equal to the current configuration's.
 """
 
@@ -57,7 +58,7 @@ from typing import get_type_hints
 from .devices import DeviceModel, _check_aliasing, default_library, load_device_library
 from .featurize import FEATURE_IDS, FeatureSpec
 from .model import TrainConfig
-from . import featurize, simulate
+from . import featurize, model, simulate
 from .simulate import ScenarioConfig
 
 __all__ = [
@@ -108,6 +109,8 @@ class ModelSection:
     def __post_init__(self) -> None:
         if any(h < 1 for h in self.hidden_layers):
             raise ConfigError("hidden layer sizes must be positive")
+        if self.init_seed < 0:
+            raise ConfigError("init_seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -238,12 +241,19 @@ def load_run_config(path) -> RunConfig:
         spec = FeatureSpec(featurize_section.features, scenario.f0_hz)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    nyquist = scenario.sample_rate_hz / 2.0
     highest = max(spec.harmonic_orders, default=0)
-    if highest * scenario.f0_hz >= scenario.sample_rate_hz / 2.0:
+    if highest * scenario.f0_hz >= nyquist:
         raise ConfigError(
             f"{path}: [featurize] features project harmonic order {highest} ({highest * scenario.f0_hz:g} Hz), "
             f"which aliases at {scenario.sample_rate_hz:g} Hz sampling: not below the Nyquist frequency"
         )
+    for order in (1, 3) if scenario.voltage_thd > 0.0 else (1,):  # the orders of devices.supply_phasors
+        if order * scenario.f0_hz >= nyquist:
+            raise ConfigError(
+                f"{path}: [scenario] the supply harmonic order {order} ({order * scenario.f0_hz:g} Hz) aliases at "
+                f"{scenario.sample_rate_hz:g} Hz sampling: not below the Nyquist frequency"
+            )
     if featurize_section.window_s > scenario.duration_s:
         raise ConfigError(f"{path}: [featurize] window_s exceeds the scenario duration_s")
 
@@ -284,8 +294,6 @@ def load_library_for(config: RunConfig) -> dict[str, DeviceModel]:
                 raise ConfigError(f"device class {class_name!r}: {exc}") from None
     medical = scenario.medical_class
     if scenario.n_medical_devices > 0:
-        if not library[medical].is_medical:
-            raise ConfigError(f"device class {medical!r} is not flagged is_medical in the library")
         modes = [mode.name for mode in library[medical].modes]
         for mode_name in scenario.medical_modes:
             if mode_name not in modes:
@@ -310,4 +318,5 @@ def dataset_fingerprint(config: RunConfig, library: dict[str, DeviceModel]) -> s
 
 
 def model_fingerprint(config: RunConfig, library: dict[str, DeviceModel]) -> str:
-    return _digest(dataset_fingerprint(config, library), config.model, config.split)
+    # Read at call time too: a model or report made by another trainer or evaluator is stale.
+    return _digest(dataset_fingerprint(config, library), config.model, config.split, model.MODEL_VERSION)

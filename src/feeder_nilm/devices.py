@@ -16,7 +16,9 @@ draws current; a device is off whenever no schedule interval covers the
 time, so there is no off mode. The shipped signatures are synthetic
 stand-ins with distinct harmonic and phase profiles per class; they are
 not lab measurements and every one of them can be overridden through a
-device library file (see ``save_device_library`` for the schema).
+device library file (see ``load_device_library`` for the schema). A
+class says nothing about being medical: a scenario's medical devices are
+the instances of its ``medical_class``, whichever class that names.
 """
 
 from __future__ import annotations
@@ -42,11 +44,13 @@ __all__ = [
     "supply_phasors",
     "characterization_vectors",
     "default_library",
-    "save_device_library",
     "load_device_library",
 ]
 
-LIBRARY_FORMAT_VERSION = 1
+# Bumped whenever a library file's schema changes; a file of another version is refused.
+# 2: a class is declared by its mode sections alone; format 1's [device.<class>] section and
+#    its medical flag are gone, since the scenario's medical_class names the medical devices.
+LIBRARY_FORMAT_VERSION = 2
 
 REPETITIONS = 8  # windows per mode in ``characterization_vectors``
 
@@ -100,10 +104,9 @@ class DeviceMode:
 
 @dataclass(frozen=True)
 class DeviceModel:
-    """An appliance class: the modes it draws current in, and whether it is the medical device of interest."""
+    """An appliance class: the modes it draws current in. A scenario's ``medical_class`` says which class is medical."""
 
     class_name: str
-    is_medical: bool
     modes: tuple[DeviceMode, ...]
 
     def __post_init__(self) -> None:
@@ -248,7 +251,6 @@ def default_library() -> dict[str, DeviceModel]:
     hum_mag, hum_phase = _phasor_sum((0.55, -0.52), (0.80, 0.0))
     ventilator = DeviceModel(
         "ventilator",
-        is_medical=True,
         modes=(
             DeviceMode("standby", (HarmonicSpec(1, 0.10, -0.35),), noise_rms_amps=0.003),
             DeviceMode(
@@ -274,12 +276,10 @@ def default_library() -> dict[str, DeviceModel]:
     background = [
         DeviceModel(
             "resistive_heater",
-            is_medical=False,
             modes=(DeviceMode("on", (HarmonicSpec(1, 8.0, 0.0),), noise_rms_amps=0.010),),
         ),
         DeviceModel(
             "induction_motor",
-            is_medical=False,
             modes=(
                 DeviceMode(
                     "on",
@@ -290,7 +290,6 @@ def default_library() -> dict[str, DeviceModel]:
         ),
         DeviceModel(
             "smps",
-            is_medical=False,
             modes=(
                 DeviceMode(
                     "on",
@@ -306,7 +305,6 @@ def default_library() -> dict[str, DeviceModel]:
         ),
         DeviceModel(
             "lighting",
-            is_medical=False,
             modes=(
                 DeviceMode(
                     "on",
@@ -322,7 +320,6 @@ def default_library() -> dict[str, DeviceModel]:
         ),
         DeviceModel(
             "refrigerator",
-            is_medical=False,
             modes=(
                 DeviceMode(
                     "compressor",
@@ -338,48 +335,22 @@ def default_library() -> dict[str, DeviceModel]:
     return library
 
 
-def _format_float(x: float) -> str:
-    return format(float(x), ".17g")
+def load_device_library(path) -> dict[str, DeviceModel]:
+    """Read a device library file.
 
-
-def save_device_library(library: dict[str, DeviceModel], path) -> None:
-    """Write a device library file.
-
-    Schema (key = value lines under nested section headers):
+    Schema (format 2; key = value lines under nested section headers):
 
         [library]
-        format_version = 1
-
-        [device.<class>]
-        is_medical = true | false
+        format_version = 2
 
         [device.<class>.mode.<mode>]
         noise_rms_amps = <float>
         h<order> = <magnitude_rms_amps> <phase_rad>
 
-    Every class lists at least one mode, and every mode at least one
-    non-zero harmonic.
+    A class is declared by its mode sections; there is no section for the
+    class itself. Every mode has at least one non-zero harmonic, and
+    ``noise_rms_amps`` defaults to 0.
     """
-    lines = ["[library]", f"format_version = {LIBRARY_FORMAT_VERSION}", ""]
-    for class_name in library:
-        model = library[class_name]
-        lines.append(f"[device.{class_name}]")
-        lines.append(f"is_medical = {'true' if model.is_medical else 'false'}")
-        lines.append("")
-        for mode in model.modes:
-            lines.append(f"[device.{class_name}.mode.{mode.name}]")
-            lines.append(f"noise_rms_amps = {_format_float(mode.noise_rms_amps)}")
-            for h in mode.harmonics:
-                lines.append(
-                    f"h{h.harmonic_order} = {_format_float(h.magnitude_rms_amps)} {_format_float(h.phase_rad)}"
-                )
-            lines.append("")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
-
-
-def load_device_library(path) -> dict[str, DeviceModel]:
-    """Read a device library file written in the ``save_device_library`` schema."""
     parser = ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
@@ -391,22 +362,19 @@ def load_device_library(path) -> dict[str, DeviceModel]:
         raise LibraryFormatError(f"device library {path}: missing [library] section")
     version = parser.get("library", "format_version", fallback=None)
     if version is None or version.strip() != str(LIBRARY_FORMAT_VERSION):
-        raise LibraryFormatError(f"device library {path}: unsupported format_version {version!r}")
+        raise LibraryFormatError(
+            f"device library {path}: unsupported format_version {version!r}; format {LIBRARY_FORMAT_VERSION} "
+            f"declares a class by its [device.<class>.mode.<mode>] sections alone: delete the [device.<class>] "
+            f"sections and set format_version = {LIBRARY_FORMAT_VERSION}"
+        )
 
-    classes: dict[str, dict] = {}
+    classes: dict[str, list[DeviceMode]] = {}  # class name -> its modes, in file order
     for section in parser.sections():
         if section == "library":
             continue
         parts = section.split(".")
-        if len(parts) == 2 and parts[0] == "device":
-            entry = classes.setdefault(parts[1], {"is_medical": False, "modes": []})
-            flag = parser.get(section, "is_medical", fallback="false").strip().lower()
-            if flag not in ("true", "false"):
-                raise LibraryFormatError(f"device library {path}: bad is_medical in [{section}]")
-            entry["is_medical"] = flag == "true"
-        elif len(parts) == 4 and parts[0] == "device" and parts[2] == "mode":
+        if len(parts) == 4 and parts[0] == "device" and parts[2] == "mode":
             class_name, mode_name = parts[1], parts[3]
-            entry = classes.setdefault(class_name, {"is_medical": False, "modes": []})
             harmonics = []  # (order, magnitude, phase), checked by HarmonicSpec below
             noise = 0.0
             for key, value in parser.items(section):
@@ -424,16 +392,16 @@ def load_device_library(path) -> dict[str, DeviceModel]:
                     raise LibraryFormatError(f"device library {path}: unknown key {key!r} in [{section}]")
             try:
                 specs = tuple(HarmonicSpec(*harmonic) for harmonic in harmonics)
-                entry["modes"].append(DeviceMode(mode_name, specs, noise))
+                classes.setdefault(class_name, []).append(DeviceMode(mode_name, specs, noise))
             except ValueError as exc:
                 raise LibraryFormatError(f"device library {path}: {exc}") from None
         else:
             raise LibraryFormatError(f"device library {path}: unexpected section [{section}]")
 
     library: dict[str, DeviceModel] = {}
-    for class_name, entry in classes.items():
+    for class_name, modes in classes.items():
         try:
-            library[class_name] = DeviceModel(class_name, entry["is_medical"], entry["modes"])
+            library[class_name] = DeviceModel(class_name, modes)
         except ValueError as exc:
             raise LibraryFormatError(f"device library {path}: {exc}") from None
     if not library:

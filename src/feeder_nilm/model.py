@@ -32,7 +32,12 @@ __all__ = [
     "train",
     "run_epochs",
     "count_from_output",
+    "MODEL_VERSION",
 ]
+
+# Bumped whenever train or eval writes other values for the same inputs; part
+# of the model fingerprint, so an older model, report and residuals re-run.
+MODEL_VERSION = 1
 
 
 @dataclass
@@ -58,6 +63,8 @@ class TrainConfig:
             raise ValueError("l2_penalty must be non-negative")
         if self.patience < 0:
             raise ValueError("patience must be non-negative")
+        if self.shuffle_seed < 0:
+            raise ValueError("shuffle_seed must be non-negative")
 
 
 @dataclass

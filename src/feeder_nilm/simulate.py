@@ -49,9 +49,12 @@ SYNTHESIS_VERSION = 2
 class ScenarioConfig:
     """Everything needed to synthesize one feeder scenario deterministically.
 
-    ``schedule_params`` maps a device class to (mean_on_s, mean_off_s).
-    ``medical_modes`` restricts which modes medical devices pick at each
-    on-interval; empty means all modes, chosen uniformly.
+    The medical devices are the ``n_medical_devices`` instances of
+    ``medical_class``, any class of the library; the ground truth counts
+    those and nothing else. ``schedule_params`` maps a device class to
+    (mean_on_s, mean_off_s). ``medical_modes`` restricts which modes the
+    medical class picks at each on-interval; empty means all modes, chosen
+    uniformly, as every other class always picks.
     ``sample_rate_hz`` and ``f0_hz`` are whole numbers of hertz: synthesis
     and the featurizer reduce every phase exactly in integers.
     """
@@ -115,7 +118,6 @@ class DeviceSchedule:
 
     device_id: str
     class_name: str
-    is_medical: bool
     intervals: tuple[tuple[float, float, str], ...]  # (start_s, end_s, mode_name)
 
     def __post_init__(self) -> None:
@@ -143,7 +145,7 @@ class Schedule:
 
 
 def _mode_pool(config: ScenarioConfig, model: DeviceModel) -> list[str]:
-    if model.is_medical and config.medical_modes:
+    if model.class_name == config.medical_class and config.medical_modes:
         return [model.mode(name).name for name in config.medical_modes]
     return [m.name for m in model.modes]
 
@@ -179,9 +181,7 @@ def generate_schedule(config: ScenarioConfig, library: dict[str, DeviceModel]) -
                     intervals.append((t, end, mode_name))
                 t = end
                 is_on = not is_on
-            devices.append(
-                DeviceSchedule(f"{class_name}#{k}", class_name, model.is_medical, tuple(intervals))
-            )
+            devices.append(DeviceSchedule(f"{class_name}#{k}", class_name, tuple(intervals)))
     return Schedule(tuple(devices))
 
 
@@ -282,7 +282,7 @@ def _ceil_index(time_s: float) -> int:
 
 
 def ground_truth_counts(schedule: Schedule, config: ScenarioConfig) -> np.ndarray:
-    """Count of medical devices running at each integer second, as ``int64``.
+    """Count of medical devices (``config.medical_class``) running at each integer second, as ``int64``.
 
     Entry t is second t of the scenario, covered by an interval
     [start, end) when start <= t < end.
@@ -290,7 +290,7 @@ def ground_truth_counts(schedule: Schedule, config: ScenarioConfig) -> np.ndarra
     n = math.ceil(config.duration_s)
     counts = np.zeros(n, dtype=np.int64)
     for device in schedule.devices:
-        if not device.is_medical:
+        if device.class_name != config.medical_class:
             continue
         for start, end, _mode in device.intervals:
             lo = _ceil_index(start)

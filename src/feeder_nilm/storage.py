@@ -284,9 +284,7 @@ def read_schedule(path, library: dict[str, DeviceModel]) -> tuple[Schedule, str]
         if class_name not in library:
             raise FileFormatError(f"{path}: schedule references unknown class {class_name!r}")
         try:
-            devices.append(
-                DeviceSchedule(device_id, class_name, library[class_name].is_medical, tuple(intervals))
-            )
+            devices.append(DeviceSchedule(device_id, class_name, tuple(intervals)))
         except ValueError as exc:
             raise FileFormatError(f"{path}: {exc}") from None
     return Schedule(tuple(devices)), header["fingerprint"]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from feeder_nilm.devices import LIBRARY_FORMAT_VERSION
 from feeder_nilm.signals import Waveform
 
 
@@ -40,3 +41,23 @@ def waveform_of(samples, sample_rate_hz: float) -> Waveform:
     """A waveform that copies its samples out of a private copy of ``samples``."""
     samples = np.array(samples, dtype=np.float64)
     return Waveform(samples.size, sample_rate_hz, lambda out, start: np.copyto(out, samples[start : start + out.size]))
+
+
+def save_device_library(library, path) -> None:
+    """Write ``library`` (class name -> ``DeviceModel``) as a device library file.
+
+    The schema is the one ``devices.load_device_library`` documents: a
+    ``[library]`` section with the format version, then one
+    ``[device.<class>.mode.<mode>]`` section per mode, floats written with
+    17 significant digits so the file reads back to the same bits.
+    """
+    lines = ["[library]", f"format_version = {LIBRARY_FORMAT_VERSION}", ""]
+    for class_name, model in library.items():
+        for mode in model.modes:
+            lines.append(f"[device.{class_name}.mode.{mode.name}]")
+            lines.append(f"noise_rms_amps = {mode.noise_rms_amps:.17g}")
+            for h in mode.harmonics:
+                lines.append(f"h{h.harmonic_order} = {h.magnitude_rms_amps:.17g} {h.phase_rad:.17g}")
+            lines.append("")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines))

@@ -1,10 +1,11 @@
 import argparse
+import math
 import os
 import struct
 
 import numpy as np
 import pytest
-from conftest import samples_of
+from conftest import samples_of, save_device_library
 
 from feeder_nilm import cli
 from feeder_nilm.config import (
@@ -15,10 +16,18 @@ from feeder_nilm.config import (
     scenario_fingerprint,
 )
 from feeder_nilm.config import model_fingerprint
-from feeder_nilm.devices import default_library, save_device_library
+from feeder_nilm.devices import default_library
 from feeder_nilm.featurize import window_targets
 from feeder_nilm import featurize as featurize_module
-from feeder_nilm.storage import read_dataset, read_ground_truth, read_report_lines, read_residuals, read_waveform
+from feeder_nilm import model as model_module
+from feeder_nilm.storage import (
+    read_dataset,
+    read_ground_truth,
+    read_report_lines,
+    read_residuals,
+    read_schedule,
+    read_waveform,
+)
 
 SMALL_CONFIG = """
 [scenario]
@@ -332,6 +341,30 @@ class TestStages:
         assert err.startswith("config error:") and key in err
         assert not os.path.exists(tmp_path / "o" / "voltage.fnwv")
 
+    @pytest.mark.parametrize("key", ["init_seed", "shuffle_seed"])
+    def test_negative_model_seed_exits_2_before_any_stage(self, tmp_path, capsys, key):
+        path = tmp_path / "bad.cfg"
+        path.write_text(SMALL_CONFIG.replace("patience = 20", f"patience = 20\n{key} = -1"))
+        assert run("pipeline", "--config", str(path), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not os.path.exists(tmp_path / "o" / "voltage.fnwv")
+
+    def test_supply_harmonic_aliasing_exits_2(self, tmp_path, capsys):
+        # Only first-order loads and features: the one harmonic that aliases at 300 Hz is the supply's 180 Hz third.
+        path = tmp_path / "supply.cfg"
+        path.write_text(
+            "[scenario]\nduration_s = 20\nsample_rate_hz = 300\nvoltage_thd = 0.02\n"
+            "background_population = resistive_heater:2\nschedule_resistive_heater = 5 5\n\n"
+            "[featurize]\nfeatures = i_rms active_power i_crest_factor\n"
+        )
+        for command in ("simulate", "pipeline"):
+            assert run(command, "--config", str(path), "--out", str(tmp_path / "o")) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "supply harmonic order 3" in err
+        path.write_text(path.read_text().replace("voltage_thd = 0.02", "voltage_thd = 0"))
+        assert run("simulate", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet") == 0
+
     @pytest.mark.parametrize(
         "edit, message",
         [
@@ -352,7 +385,7 @@ class TestStages:
             assert err.startswith("config error:") and message in err
 
     def test_library_class_without_modes_exits_2(self, tmp_path, capsys):
-        # A class with a [device.<class>] section and no mode has nothing to draw when scheduled.
+        # A class is declared by its modes: a bare [device.<class>] section is refused, naming it.
         library = tmp_path / "library.cfg"
         save_device_library(default_library(), library)
         with open(library, "a", encoding="utf-8") as fh:
@@ -363,7 +396,42 @@ class TestStages:
         for command in ("simulate", "pipeline"):
             assert run(command, "--config", str(path), "--out", str(tmp_path / "o")) == 2
             err = capsys.readouterr().err
-            assert err.startswith("config error:") and "'widget'" in err
+            assert err.startswith("config error:") and "[device.widget]" in err
+
+    def test_format_1_library_exits_2(self, tmp_path, capsys):
+        # Format 1 flagged the medical class in a [device.<class>] section; format 2 has no such section.
+        library = tmp_path / "library.cfg"
+        save_device_library(default_library(), library)
+        text = library.read_text()
+        version = text.splitlines()[1]
+        assert version.startswith("format_version = ")
+        library.write_text(text.replace(version, "format_version = 1\n\n[device.ventilator]\nis_medical = true", 1))
+        path = tmp_path / "run.cfg"
+        path.write_text(SMALL_CONFIG.replace("rng_seed = 11", "rng_seed = 11\ndevice_library = library.cfg"))
+        for command in ("simulate", "pipeline"):
+            assert run(command, "--config", str(path), "--out", str(tmp_path / "o")) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "format_version" in err
+        assert not os.path.exists(tmp_path / "o" / "voltage.fnwv")
+
+    def test_any_library_class_can_be_the_medical_class(self, tmp_path):
+        # The truth counts the scenario's medical_class: here refrigerators, among ventilators that are not counted.
+        path = tmp_path / "fridge.cfg"
+        text = SMALL_CONFIG.replace("medical_modes = run humidifier-run", "medical_class = refrigerator\nmedical_modes = compressor")
+        text = text.replace("lighting:1", "lighting:1 ventilator:2")
+        path.write_text(text.replace("schedule_ventilator = 25 10", "schedule_ventilator = 25 10\nschedule_refrigerator = 20 15"))
+        out = tmp_path / "out"
+        assert run("simulate", "--config", str(path), "--out", str(out), "--quiet") == 0
+        schedule, _ = read_schedule(out / "schedule.txt", default_library())
+        expected = np.zeros(60, dtype=np.int64)
+        for device in schedule.devices:
+            if device.class_name == "refrigerator":
+                for start, end, mode in device.intervals:
+                    assert mode == "compressor"
+                    expected[math.ceil(start) : math.ceil(end)] += 1
+        assert {d.class_name for d in schedule.devices} == {"refrigerator", "ventilator", "resistive_heater", "lighting"}
+        counts, _ = read_ground_truth(out / "ground_truth.txt", 60)
+        assert np.array_equal(counts, expected) and counts.any()
 
     @pytest.mark.parametrize(
         "section",
@@ -493,6 +561,22 @@ class TestPipeline:
             assert any(line.startswith(f"{stage}: ") for line in lines), stage
         config = load_run_config(smoke)
         assert read_dataset(os.path.join(out, "dataset.csv"))[1] == dataset_fingerprint(config, load_library_for(config))
+
+    def test_model_version_reruns_train_and_eval_only(self, config_path, tmp_path, capsys, monkeypatch):
+        # Outputs of another trainer or evaluator are stale: the waveforms, ranking and dataset are kept.
+        out = str(tmp_path / "out")
+        assert run("pipeline", "--config", config_path, "--out", out, "--quiet") == 0
+        monkeypatch.setattr(model_module, "MODEL_VERSION", model_module.MODEL_VERSION + 1)
+        capsys.readouterr()
+        assert run("pipeline", "--config", config_path, "--out", out) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if "up to date" in line] == [
+            "simulate: up to date", "select-features: up to date", "featurize: up to date"
+        ]
+        for stage in ("train", "eval"):
+            assert any(line.startswith(f"{stage}: ") and "up to date" not in line for line in lines), stage
+        config = load_run_config(config_path)
+        assert read_residuals(os.path.join(out, "residuals.csv"))[1] == model_fingerprint(config, load_library_for(config))
 
     @pytest.mark.parametrize(
         "name, stage",

@@ -9,6 +9,7 @@ import pytest
 
 from feeder_nilm import config as config_module
 from feeder_nilm import featurize as featurize_module
+from feeder_nilm import model as model_module
 from feeder_nilm.config import (
     ConfigError,
     FeaturizeSection,
@@ -147,6 +148,16 @@ class TestSchema:
         with pytest.raises(ConfigError, match=rf"\[{section}\].*bogus_knob"):
             load(tmp_path, ((section, "bogus_knob"), "1"))
 
+    @pytest.mark.parametrize("key, value", [("init_seed", "-1"), ("shuffle_seed", "-3")], ids=["init", "shuffle"])
+    def test_negative_model_seed_refused_naming_its_key(self, tmp_path, key, value):
+        # numpy refuses a negative seed only once train runs, after three stages have written their outputs.
+        assert attribute(load(tmp_path, (("model", key), "0")), KEYS[("model", key)][0]) == 0
+        with pytest.raises(ConfigError, match=f"{key} must be non-negative"):
+            load(tmp_path, (("model", key), value))
+        section = ModelSection if key == "init_seed" else TrainConfig
+        with pytest.raises(ValueError, match=key):
+            section(**{key: int(value)})
+
     def test_split_seed_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="seed"):
             load(tmp_path, (("split", "seed"), "0"))
@@ -234,6 +245,16 @@ class TestNyquist:
         settings[0] = (("scenario", "sample_rate_hz"), "841")
         assert load(tmp_path, *settings).scenario.sample_rate_hz == 841.0
 
+    @pytest.mark.parametrize("rate, order", [("300", 3), ("120", 1)])
+    def test_supply_harmonic_at_or_above_nyquist_refused(self, tmp_path, rate, order):
+        # The supply draws order 1, and order 3 when voltage_thd > 0; no feature here projects either.
+        settings = [(("scenario", "sample_rate_hz"), rate), (("featurize", "features"), "i_rms active_power i_crest_factor")]
+        thd = (("scenario", "voltage_thd"), "0.02")
+        if order == 3:
+            assert load(tmp_path, *settings).scenario.sample_rate_hz == 300.0  # no third harmonic to alias
+        with pytest.raises(ConfigError, match=rf"supply harmonic order {order} \({order * 60} Hz\).*Nyquist"):
+            load(tmp_path, *settings, thd)
+
 
 class TestFingerprints:
     @pytest.mark.parametrize("key", sorted(KEYS), ids="-".join)
@@ -270,6 +291,16 @@ class TestFingerprints:
         altered = fingerprints(config)
         assert altered[0] == base[0]
         assert altered[1] != base[1] and altered[2] != base[2]
+
+
+    def test_model_version_changes_model_only(self, tmp_path, monkeypatch):
+        # A model or report from another trainer or evaluator must not pass as current; the dataset still does.
+        config = load(tmp_path)
+        base = fingerprints(config)
+        monkeypatch.setattr(model_module, "MODEL_VERSION", model_module.MODEL_VERSION + 1)
+        altered = fingerprints(config)
+        assert altered[:2] == base[:2]
+        assert altered[2] != base[2]
 
 
 class TestDocstringExample:

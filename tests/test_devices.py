@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import reference_current, samples_of
+from conftest import reference_current, samples_of, save_device_library
 
 from feeder_nilm import devices
 from feeder_nilm import signals as sg
@@ -21,7 +21,6 @@ from feeder_nilm.devices import (
     load_device_library,
     mode_current_samples,
     mode_phasors,
-    save_device_library,
     supply_phasors,
 )
 from feeder_nilm.featurize import FeatureSpec, evaluate_window
@@ -33,7 +32,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def make_model(*harmonics, noise=0.0, name="widget"):
     return DeviceModel(
         name,
-        is_medical=False,
         modes=(DeviceMode("on", tuple(HarmonicSpec(*h) for h in harmonics), noise),),
     )
 
@@ -53,8 +51,8 @@ class TestValidation:
 
     def test_model_requires_a_mode(self):
         with pytest.raises(ValueError, match="'x' has no modes"):
-            DeviceModel("x", False, ())
-        assert DeviceModel("x", False, (DeviceMode("on", (HarmonicSpec(1, 1.0),)),)).modes[0].name == "on"
+            DeviceModel("x", ())
+        assert DeviceModel("x", (DeviceMode("on", (HarmonicSpec(1, 1.0),)),)).modes[0].name == "on"
 
     def test_every_mode_draws_current_whatever_its_name(self):
         with pytest.raises(ValueError, match="non-zero harmonic"):
@@ -94,7 +92,7 @@ class TestSynthesis:
     def test_device_is_silent_where_no_interval_covers_it(self, grid):
         f0, fs = grid
         cfg = ScenarioConfig(duration_s=0.25, sample_rate_hz=fs, f0_hz=f0)
-        schedule = Schedule((DeviceSchedule("widget#0", "widget", False, ((0.1, 0.2, "on"),)),))
+        schedule = Schedule((DeviceSchedule("widget#0", "widget", ((0.1, 0.2, "on"),)),))
         current = samples_of(synthesize_feeder(cfg, schedule, {"widget": make_model((1, 2.0))})[1])
         on = np.zeros(current.size, dtype=bool)
         on[1000:2000] = True
@@ -127,7 +125,7 @@ class TestSynthesis:
         # The 7th harmonic of 60 Hz (420 Hz) is above the 400 Hz Nyquist frequency of 800 Hz sampling.
         library = {"widget": make_model((7, 1.0))}
         cfg = ScenarioConfig(duration_s=0.5, sample_rate_hz=800.0, f0_hz=60.0)
-        schedule = Schedule((DeviceSchedule("widget#0", "widget", False, ((0.0, 0.5, "on"),)),))
+        schedule = Schedule((DeviceSchedule("widget#0", "widget", ((0.0, 0.5, "on"),)),))
         with pytest.raises(ValueError, match="aliases"):
             synthesize_feeder(cfg, schedule, library)
 
@@ -164,7 +162,7 @@ class TestSignatureFeatures:
         f0, fs = grid
         scenario = supply(f0, fs, voltage_thd=0.05)
         mode = replace(default_library()["ventilator"].mode("run"), noise_rms_amps=0.0)
-        vec = signature(DeviceModel("ventilator", True, (mode,)), FeatureSpec(), 0.5, scenario)
+        vec = signature(DeviceModel("ventilator", (mode,)), FeatureSpec(), 0.5, scenario)
         n = int(round(0.5 * fs))
         v = samples_of(synthesize_feeder(scenario, Schedule(()), {})[0])[:n]
         i = reference_current(mode, np.arange(n) / fs, f0)
@@ -254,8 +252,7 @@ class TestCharacterizationGroups:
 class TestDefaultLibrary:
     def test_composition(self):
         library = default_library()
-        assert library["ventilator"].is_medical
-        assert sum(1 for m in library.values() if not m.is_medical) == 5
+        assert set(library) == {"ventilator", "resistive_heater", "induction_motor", "smps", "lighting", "refrigerator"}
         vent = library["ventilator"]
         assert {m.name for m in vent.modes} == {"standby", "run", "humidifier-run"}
 
@@ -280,31 +277,42 @@ class TestLibraryFile:
 
     def test_bad_version_rejected(self, tmp_path):
         path = tmp_path / "library.cfg"
-        path.write_text("[library]\nformat_version = 99\n\n[device.x]\nis_medical = false\n")
+        path.write_text("[library]\nformat_version = 99\n\n[device.x.mode.on]\nh1 = 1 0\n")
         with pytest.raises(LibraryFormatError):
+            load_device_library(path)
+
+    def test_format_1_refused_saying_what_changed(self, tmp_path):
+        # Format 1 declared each class in a [device.<class>] section with an is_medical flag.
+        path = tmp_path / "library.cfg"
+        path.write_text(
+            "[library]\nformat_version = 1\n\n[device.x]\nis_medical = false\n\n[device.x.mode.on]\nh1 = 1 0\n"
+        )
+        with pytest.raises(LibraryFormatError, match=r"format_version '1'.*delete .*\[device\.<class>\].*format_version = 2"):
             load_device_library(path)
 
     def test_off_mode_rejected(self, tmp_path):
         # A silent mode is refused whatever its name: every mode needs a non-zero harmonic.
         path = tmp_path / "library.cfg"
         path.write_text(
-            "[library]\nformat_version = 1\n\n[device.x.mode.off]\nnoise_rms_amps = 0\n"
+            "[library]\nformat_version = 2\n\n[device.x.mode.off]\nnoise_rms_amps = 0\n"
         )
         with pytest.raises(LibraryFormatError):
             load_device_library(path)
 
     def test_no_mode_name_is_reserved(self, tmp_path):
         path = tmp_path / "library.cfg"
-        path.write_text("[library]\nformat_version = 1\n\n[device.x.mode.off]\nh1 = 1 0\n")
+        path.write_text("[library]\nformat_version = 2\n\n[device.x.mode.off]\nh1 = 1 0\n")
         assert [m.name for m in load_device_library(path)["x"].modes] == ["off"]
 
     def test_class_without_modes_rejected_naming_it(self, tmp_path):
-        path = tmp_path / "library.cfg"
-        save_device_library(default_library(), path)
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write("\n[device.widget]\nis_medical = true\n")
-        with pytest.raises(LibraryFormatError, match="'widget' has no modes"):
-            load_device_library(path)
+        # A class is declared by its mode sections alone: a [device.<class>] section is refused, empty or not.
+        for body in ("", "is_medical = true\n"):
+            path = tmp_path / "library.cfg"
+            save_device_library(default_library(), path)
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write("\n[device.widget]\n" + body)
+            with pytest.raises(LibraryFormatError, match=r"unexpected section \[device\.widget\]"):
+                load_device_library(path)
 
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "library.cfg"

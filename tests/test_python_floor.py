@@ -14,7 +14,22 @@ ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 TREES = ("src", "tests", "perfbench")
 
 # module -> names it gained after 3.10; None: the whole module is newer.
-NEWER_THAN_FLOOR = {"tomllib": None, "typing": {"Self"}, "enum": {"StrEnum"}}
+NEWER_THAN_FLOOR = {
+    "tomllib": None,
+    "math": {"cbrt", "exp2"},
+    "hashlib": {"file_digest"},
+    "contextlib": {"chdir"},
+    "sys": {"exception"},
+    "re": {"NOFLAG"},
+    "inspect": {"getmembers_static"},
+    "typing": {
+        "Self", "LiteralString", "Never", "assert_never", "assert_type", "reveal_type", "dataclass_transform",
+        "Required", "NotRequired", "TypeVarTuple", "Unpack",
+    },
+    "enum": {"StrEnum", "ReprEnum", "verify", "member", "nonmember", "global_enum", "EnumCheck", "FlagBoundary"},
+}
+# Builtins added after 3.10, refused as bare names.
+NEWER_BUILTINS = {"ExceptionGroup", "BaseExceptionGroup"}
 
 
 def python_files():
@@ -27,7 +42,7 @@ def python_files():
 
 
 def newer_names(module: ast.Module):
-    """(line, dotted name) of each use of a module or name from NEWER_THAN_FLOOR."""
+    """(line, dotted name) of each use of a module or name from NEWER_THAN_FLOOR, or of a NEWER_BUILTINS name."""
     for node in ast.walk(module):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -41,6 +56,8 @@ def newer_names(module: ast.Module):
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             if node.attr in (NEWER_THAN_FLOOR.get(node.value.id) or ()):
                 yield node.lineno, f"{node.value.id}.{node.attr}"
+        elif isinstance(node, ast.Name) and node.id in NEWER_BUILTINS:
+            yield node.lineno, node.id
 
 
 FILES = sorted(python_files())
@@ -66,6 +83,9 @@ def test_parses_with_the_floor_grammar_and_imports(path):
         ("import enum\nclass K(enum.StrEnum):\n    A = 'a'\n", [(2, "enum.StrEnum")]),
         ("from enum import Enum, StrEnum\n", [(1, "enum.StrEnum")]),
         ("from typing import Callable\nimport enum\n", []),
+        ("import math\nroot = math.cbrt(8.0)\n", [(2, "math.cbrt")]),
+        ("from contextlib import chdir, suppress\n", [(1, "contextlib.chdir")]),
+        ("try:\n    pass\nexcept ExceptionGroup:\n    pass\n", [(3, "ExceptionGroup")]),
     ],
 )
 def test_newer_names_are_found(source, found):

@@ -49,8 +49,20 @@ def scenario(**overrides):
     return ScenarioConfig(**base)
 
 
-def always_on(device_id, class_name, mode, duration, is_medical=False):
-    return DeviceSchedule(device_id, class_name, is_medical, ((0.0, duration, mode),))
+def always_on(device_id, class_name, mode, duration):
+    return DeviceSchedule(device_id, class_name, ((0.0, duration, mode),))
+
+
+def refrigerators_among_ventilators(**overrides):
+    """Two refrigerators are the medical class; three ventilators run in the background."""
+    return scenario(
+        duration_s=2000.0,
+        n_medical_devices=2,
+        medical_class="refrigerator",
+        background_population=(("ventilator", 3),),
+        schedule_params={"refrigerator": (60.0, 40.0), "ventilator": (50.0, 50.0)},
+        **overrides,
+    )
 
 
 class TestScenarioConfig:
@@ -123,6 +135,13 @@ class TestGenerateSchedule:
         schedule = generate_schedule(cfg, LIBRARY)
         modes = {m for d in schedule.devices for _, _, m in d.intervals}
         assert modes == {"run"}
+
+    def test_medical_modes_restrict_only_the_medical_class(self):
+        cfg = refrigerators_among_ventilators(medical_modes=("compressor",))
+        schedule = generate_schedule(cfg, LIBRARY)
+        modes = {(d.class_name, m) for d in schedule.devices for _, _, m in d.intervals}
+        assert {m for c, m in modes if c == "refrigerator"} == {"compressor"}
+        assert {m for c, m in modes if c == "ventilator"} == {m.name for m in LIBRARY["ventilator"].modes}
 
     def test_unknown_class_rejected(self):
         cfg = ScenarioConfig(
@@ -206,7 +225,7 @@ class TestGroundTruth:
         cfg = scenario(n_medical_devices=3)
         schedule = Schedule(
             tuple(
-                always_on(f"ventilator#{k}", "ventilator", "run", cfg.duration_s, is_medical=True)
+                always_on(f"ventilator#{k}", "ventilator", "run", cfg.duration_s)
                 for k in range(3)
             )
         )
@@ -224,11 +243,27 @@ class TestGroundTruth:
         # Interval-membership oracle: [10, 20) covers exactly timestamps 10..19.
         cfg = scenario(duration_s=30.0, n_medical_devices=1)
         schedule = Schedule(
-            (DeviceSchedule("ventilator#0", "ventilator", True, ((10.0, 20.0, "run"),)),)
+            (DeviceSchedule("ventilator#0", "ventilator", ((10.0, 20.0, "run"),)),)
         )
         expected = np.zeros(30, dtype=int)
         expected[10:20] = 1
         assert np.array_equal(ground_truth_counts(schedule, cfg), expected)
+
+    def test_counts_only_the_medical_class(self):
+        # The medical devices are the scenario's medical_class, whatever the class is called.
+        cfg = refrigerators_among_ventilators()
+        schedule = generate_schedule(cfg, LIBRARY)
+        expected = np.zeros(2000, dtype=np.int64)
+        running = np.zeros(2000, dtype=np.int64)
+        for device in schedule.devices:
+            for start, end, _mode in device.intervals:
+                seconds = slice(math.ceil(start), math.ceil(end))
+                if device.class_name == "refrigerator":
+                    expected[seconds] += 1
+                running[seconds] += 1
+        counts = ground_truth_counts(schedule, cfg)
+        assert np.array_equal(counts, expected)
+        assert expected.max() == 2 and (running > expected).any()  # the ventilators run too, uncounted
 
     def test_background_devices_not_counted(self):
         cfg = scenario(background_population=(("resistive_heater", 1),))
@@ -342,12 +377,12 @@ def oracle_current(cfg, schedule, library):
 # and the smps interval outlasts one 65536-sample direct-evaluation block.
 HAND_SCHEDULE = Schedule(
     (
-        DeviceSchedule("ventilator#0", "ventilator", True, ((0.0123, 2.5017, "run"), (2.9, 7.9871, "humidifier-run"))),
-        DeviceSchedule("resistive_heater#0", "resistive_heater", False, ((0.3001, 3.0411, "on"),)),
-        DeviceSchedule("resistive_heater#1", "resistive_heater", False, ((0.3001, 1.7779, "on"),)),
-        DeviceSchedule("lighting#0", "lighting", False, ((1.2345, 1.2567, "on"),)),
-        DeviceSchedule("induction_motor#0", "induction_motor", False, ((3.0462, 8.0, "on"),)),
-        DeviceSchedule("smps#0", "smps", False, ((0.0, 7.5003, "on"),)),
+        DeviceSchedule("ventilator#0", "ventilator", ((0.0123, 2.5017, "run"), (2.9, 7.9871, "humidifier-run"))),
+        DeviceSchedule("resistive_heater#0", "resistive_heater", ((0.3001, 3.0411, "on"),)),
+        DeviceSchedule("resistive_heater#1", "resistive_heater", ((0.3001, 1.7779, "on"),)),
+        DeviceSchedule("lighting#0", "lighting", ((1.2345, 1.2567, "on"),)),
+        DeviceSchedule("induction_motor#0", "induction_motor", ((3.0462, 8.0, "on"),)),
+        DeviceSchedule("smps#0", "smps", ((0.0, 7.5003, "on"),)),
     )
 )
 
@@ -415,7 +450,7 @@ class TestPeriodicTableSynthesis:
             (
                 always_on("resistive_heater#0", "resistive_heater", "on", 4.0),
                 always_on("resistive_heater#1", "resistive_heater", "on", 4.0),
-                DeviceSchedule("lighting#0", "lighting", False, ((2.0, 6.0, "on"),)),
+                DeviceSchedule("lighting#0", "lighting", ((2.0, 6.0, "on"),)),
             )
         )
         feeder_sigma = 0.002

@@ -197,10 +197,10 @@ class TestScheduleFile:
         schedule = Schedule(
             (
                 DeviceSchedule(
-                    "ventilator#0", "ventilator", True, ((0.5, 20.25, "run"), (30.0, 45.0, "standby"))
+                    "ventilator#0", "ventilator", ((0.5, 20.25, "run"), (30.0, 45.0, "standby"))
                 ),
-                DeviceSchedule("resistive_heater#0", "resistive_heater", False, ((1.0, 9.0, "on"),)),
-                DeviceSchedule("lighting#0", "lighting", False, ()),
+                DeviceSchedule("resistive_heater#0", "resistive_heater", ((1.0, 9.0, "on"),)),
+                DeviceSchedule("lighting#0", "lighting", ()),
             )
         )
         path = tmp_path / "schedule.txt"
@@ -212,7 +212,7 @@ class TestScheduleFile:
     def test_unknown_class_rejected(self, tmp_path):
         path = tmp_path / "schedule.txt"
         write_schedule(
-            path, Schedule((DeviceSchedule("toaster#0", "toaster", False, ((0.0, 1.0, "on"),)),)), FP
+            path, Schedule((DeviceSchedule("toaster#0", "toaster", ((0.0, 1.0, "on"),)),)), FP
         )
         with pytest.raises(FileFormatError):
             read_schedule(path, default_library())
@@ -513,9 +513,9 @@ def _schedule_with_idle_device():
     return Schedule(
         (
             DeviceSchedule(
-                "ventilator#0", "ventilator", True, ((0.5, 20.25, "run"), (30.0, 45.0, "standby"))
+                "ventilator#0", "ventilator", ((0.5, 20.25, "run"), (30.0, 45.0, "standby"))
             ),
-            DeviceSchedule("lighting#0", "lighting", False, ()),
+            DeviceSchedule("lighting#0", "lighting", ()),
         )
     )
 
