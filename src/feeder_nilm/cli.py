@@ -186,11 +186,11 @@ def stage_train(config: RunConfig, library: Library, out: str, quiet: bool) -> N
     X_val = apply_normalization(val_part.X, stats)
 
     layer_sizes = (len(stats.kept_indices), *config.model.hidden_layers, 1)
-    params = init_params(layer_sizes, config.model.init_seed, norm_stats=stats)
+    params = init_params(layer_sizes, config.model.init_seed)
     params, history = train(
         params, (X_train, train_part.y), (X_val, val_part.y), config.model.train
     )
-    st.write_model(os.path.join(out, "model.txt"), params, model_fingerprint(config, library))
+    st.write_model(os.path.join(out, "model.txt"), params, stats, model_fingerprint(config, library))
     last_epoch, train_obj, _ = history[-1]
     _say(
         quiet,
@@ -202,12 +202,12 @@ def stage_train(config: RunConfig, library: Library, out: str, quiet: bool) -> N
 def stage_eval(config: RunConfig, library: Library, out: str, quiet: bool) -> None:
     dataset = _read_checked(config, library, out, "dataset.csv", dataset_fingerprint(config, library))
     expected_fp = model_fingerprint(config, library)
-    params = _read_checked(config, library, out, "model.txt", expected_fp)
-    if params.norm_stats is None or params.norm_stats.input_feature_ids != dataset.feature_spec.features:
+    params, stats = _read_checked(config, library, out, "model.txt", expected_fp)
+    if stats.input_feature_ids != dataset.feature_spec.features:
         raise ContractError("model.txt feature layout does not match dataset.csv")
 
     train_part, _, test_part = _split_rows(config, dataset)
-    report = evaluate(params, test_part)
+    report = evaluate(params, stats, test_part)
     constant = median_count(train_part.y)
     baseline = report_from_predictions(np.full(test_part.n_windows, constant, dtype=np.float64), test_part.y)
 

@@ -55,7 +55,7 @@ from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from typing import get_type_hints
 
-from .devices import DeviceModel, _check_aliasing, default_library, load_device_library
+from .devices import DeviceModel, _check_aliasing, default_library, load_device_library, supply_phasors
 from .featurize import FEATURE_IDS, FeatureSpec
 from .model import TrainConfig
 from . import featurize, model, simulate
@@ -248,8 +248,8 @@ def load_run_config(path) -> RunConfig:
             f"{path}: [featurize] features project harmonic order {highest} ({highest * scenario.f0_hz:g} Hz), "
             f"which aliases at {scenario.sample_rate_hz:g} Hz sampling: not below the Nyquist frequency"
         )
-    for order in (1, 3) if scenario.voltage_thd > 0.0 else (1,):  # the orders of devices.supply_phasors
-        if order * scenario.f0_hz >= nyquist:
+    for order, amplitude in enumerate(supply_phasors(scenario).tolist()):
+        if amplitude and order * scenario.f0_hz >= nyquist:
             raise ConfigError(
                 f"{path}: [scenario] the supply harmonic order {order} ({order * scenario.f0_hz:g} Hz) aliases at "
                 f"{scenario.sample_rate_hz:g} Hz sampling: not below the Nyquist frequency"
@@ -293,11 +293,11 @@ def load_library_for(config: RunConfig) -> dict[str, DeviceModel]:
             except ValueError as exc:
                 raise ConfigError(f"device class {class_name!r}: {exc}") from None
     medical = scenario.medical_class
-    if scenario.n_medical_devices > 0:
-        modes = [mode.name for mode in library[medical].modes]
-        for mode_name in scenario.medical_modes:
-            if mode_name not in modes:
-                raise ConfigError(f"medical_modes: device {medical!r} has no mode {mode_name!r}")
+    for mode_name in scenario.medical_modes:  # checked whatever n_medical_devices is
+        if medical not in library:
+            raise ConfigError(f"medical_modes: device class {medical!r} is not in the device library")
+        if mode_name not in [mode.name for mode in library[medical].modes]:
+            raise ConfigError(f"medical_modes: device {medical!r} has no mode {mode_name!r}")
     return library
 
 

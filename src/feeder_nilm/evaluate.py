@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .featurize import FeatureDataset, apply_normalization
+from .featurize import FeatureDataset, NormStats, apply_normalization
 from .model import RegressorParams, count_from_output, forward_batch
 
 __all__ = [
@@ -67,20 +67,18 @@ def report_from_predictions(continuous, targets) -> EvalReport:
     )
 
 
-def evaluate(params: RegressorParams, test_dataset: FeatureDataset) -> EvalReport:
+def evaluate(params: RegressorParams, stats: NormStats, test_dataset: FeatureDataset) -> EvalReport:
     """Evaluate a trained model on a raw (unnormalized) feature dataset.
 
-    The dataset must carry the same feature layout the model's
-    normalization statistics were fit on; invalid windows are excluded.
+    The dataset must carry the feature layout ``stats``, the normalization
+    the model was trained under, was fit on; invalid windows are excluded.
     """
-    if params.norm_stats is None:
-        raise ValueError("model carries no normalization statistics")
-    if test_dataset.feature_spec.features != params.norm_stats.input_feature_ids:
+    if test_dataset.feature_spec.features != stats.input_feature_ids:
         raise ValueError("dataset feature layout does not match the model's feature spec")
     subset = test_dataset.rows(test_dataset.valid)
     if subset.n_windows == 0:
         raise ValueError("no valid windows to evaluate")
-    X = apply_normalization(subset.X, params.norm_stats)
+    X = apply_normalization(subset.X, stats)
     return report_from_predictions(forward_batch(params, X), subset.y)
 
 

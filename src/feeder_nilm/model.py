@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .featurize import NormStats
-
 __all__ = [
     "RegressorParams",
     "TrainConfig",
@@ -69,12 +67,11 @@ class TrainConfig:
 
 @dataclass
 class RegressorParams:
-    """Layer sizes, weights (out x in) and biases, plus normalization reference."""
+    """Layer sizes, weights (out x in) and biases."""
 
     layer_sizes: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    norm_stats: NormStats | None = None
 
     def __post_init__(self) -> None:
         self.layer_sizes = tuple(int(s) for s in self.layer_sizes)
@@ -92,15 +89,10 @@ class RegressorParams:
                 raise ValueError("parameters must be finite")
 
     def copy(self) -> "RegressorParams":
-        return RegressorParams(
-            self.layer_sizes,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.norm_stats,
-        )
+        return RegressorParams(self.layer_sizes, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
 
-def init_params(layer_sizes, seed: int, norm_stats: NormStats | None = None) -> RegressorParams:
+def init_params(layer_sizes, seed: int) -> RegressorParams:
     """Glorot-uniform weights in +-sqrt(6/(fan_in+fan_out)), zero biases."""
     sizes = tuple(int(s) for s in layer_sizes)
     rng = np.random.default_rng(seed)
@@ -109,7 +101,7 @@ def init_params(layer_sizes, seed: int, norm_stats: NormStats | None = None) -> 
         bound = math.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out, dtype=np.float64))
-    return RegressorParams(sizes, weights, biases, norm_stats)
+    return RegressorParams(sizes, weights, biases)
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
@@ -221,7 +213,7 @@ def _flat_copy(params: RegressorParams) -> tuple[RegressorParams, np.ndarray]:
         views.append(flat[offset : offset + arr.size].reshape(arr.shape))
         offset += arr.size
     n = len(params.weights)
-    return RegressorParams(params.layer_sizes, views[:n], views[n:], params.norm_stats), flat
+    return RegressorParams(params.layer_sizes, views[:n], views[n:]), flat
 
 
 def run_epochs(params, train_set, val_set, config: TrainConfig, permutations):

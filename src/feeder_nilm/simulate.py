@@ -114,11 +114,14 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class DeviceSchedule:
-    """On-intervals of one device instance; the device is off wherever none covers the time."""
+    """On-intervals of device ``<class>#<k>``, its class's k-th; it is off wherever none covers the time."""
 
     device_id: str
-    class_name: str
     intervals: tuple[tuple[float, float, str], ...]  # (start_s, end_s, mode_name)
+
+    @property
+    def class_name(self) -> str:
+        return self.device_id.split("#", 1)[0]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "intervals", tuple((float(s), float(e), str(m)) for s, e, m in self.intervals))
@@ -181,7 +184,7 @@ def generate_schedule(config: ScenarioConfig, library: dict[str, DeviceModel]) -
                     intervals.append((t, end, mode_name))
                 t = end
                 is_on = not is_on
-            devices.append(DeviceSchedule(f"{class_name}#{k}", class_name, tuple(intervals)))
+            devices.append(DeviceSchedule(f"{class_name}#{k}", tuple(intervals)))
     return Schedule(tuple(devices))
 
 

@@ -280,13 +280,16 @@ def read_schedule(path, library: dict[str, DeviceModel]) -> tuple[Schedule, str]
             intervals.append(_fields(path, line, (str, float, float, str))[1:])
     devices = []
     for device_id, intervals in per_device.items():
-        class_name = device_id.split("#", 1)[0]
-        if class_name not in library:
-            raise FileFormatError(f"{path}: schedule references unknown class {class_name!r}")
         try:
-            devices.append(DeviceSchedule(device_id, class_name, tuple(intervals)))
+            device = DeviceSchedule(device_id, tuple(intervals))
         except ValueError as exc:
             raise FileFormatError(f"{path}: {exc}") from None
+        if device.class_name not in library:
+            raise FileFormatError(f"{path}: schedule references unknown class {device.class_name!r}")
+        unknown = {m for _, _, m in device.intervals} - {mode.name for mode in library[device.class_name].modes}
+        if unknown:
+            raise FileFormatError(f"{path}: {device_id}: class {device.class_name!r} has no mode {min(unknown)!r}")
+        devices.append(device)
     return Schedule(tuple(devices)), header["fingerprint"]
 
 
@@ -362,10 +365,7 @@ def read_dataset(path) -> tuple[FeatureDataset, str]:
 # -------------------------------------------------------------------- model
 
 
-def write_model(path, params: RegressorParams, fingerprint: str) -> None:
-    if params.norm_stats is None:
-        raise ValueError("model file requires normalization statistics")
-    stats = params.norm_stats
+def write_model(path, params: RegressorParams, stats: NormStats, fingerprint: str) -> None:
     lines = _header_lines("model", fingerprint)
     lines.append("format_version = 1")
     lines.append("layer_sizes = " + " ".join(str(s) for s in params.layer_sizes))
@@ -379,7 +379,8 @@ def write_model(path, params: RegressorParams, fingerprint: str) -> None:
     _write_text(path, lines)
 
 
-def read_model(path) -> tuple[RegressorParams, str]:
+def read_model(path) -> tuple[tuple[RegressorParams, NormStats], str]:
+    """Returns ((network, normalization), fingerprint)."""
     header, body = _read_tagged_lines(path, "model")
     values = _entries(path, body)
 
@@ -402,14 +403,14 @@ def read_model(path) -> tuple[RegressorParams, str]:
         for layer, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
             weights.append(floats(f"W{layer}").reshape(fan_out, fan_in))
             biases.append(floats(f"b{layer}"))
-        params = RegressorParams(sizes, weights, biases, stats)
+        params = RegressorParams(sizes, weights, biases)
     except (KeyError, ValueError) as exc:
         raise FileFormatError(f"{path}: bad model file ({exc})") from None
     known = {"format_version", "layer_sizes", "input_features", "kept_indices", "norm_mean", "norm_std"}
     unknown = set(values) - known - {f"{kind}{layer}" for kind in "Wb" for layer in range(len(sizes) - 1)}
     if unknown:
         raise FileFormatError(f"{path}: unknown model key(s): {', '.join(sorted(unknown))}")
-    return params, header["fingerprint"]
+    return (params, stats), header["fingerprint"]
 
 
 # ------------------------------------------------------------------- report
@@ -424,11 +425,14 @@ def write_report_lines(path, entries: list[tuple[str, str]], fingerprint: str) -
 
 
 def read_report_lines(path) -> tuple[list[tuple[str, str]], str]:
-    """The report's entries in file order, without its format version, which must be 1."""
+    """The entries in file order, each one finite number (two for ``count_<c>``), without the format version 1."""
     header, body = _read_tagged_lines(path, "report")
     values = _entries(path, body)
     if values.pop("format_version", None) != "1":
         raise FileFormatError(f"{path}: unsupported report format_version")
+    for key, value in values.items():
+        if not np.isfinite(_fields(path, value, (float,) * (2 if key.startswith("count_") else 1))).all():
+            raise FileFormatError(f"{path}: {key} must be finite")
     return list(values.items()), header["fingerprint"]
 
 

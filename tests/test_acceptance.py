@@ -255,9 +255,9 @@ def test_criterion_8_round_trip_persistence(smoke_run, tmp_path):
         assert copy.read_bytes() == open(src, "rb").read()
 
         src = os.path.join(smoke_run, "model.txt")
-        params, fp = read_model(src)
+        (params, stats), fp = read_model(src)
         copy = tmp_path / "model.txt"
-        write_model(copy, params, fp)
+        write_model(copy, params, stats, fp)
         assert copy.read_bytes() == open(src, "rb").read()
 
         src = os.path.join(smoke_run, "report.txt")

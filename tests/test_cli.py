@@ -60,6 +60,21 @@ test_fraction = 0.2
 """
 
 
+# (artifact, stage that writes it, word that replaces the last line's last word):
+# None garbles the line's first separator instead. On the small config the
+# schedule's last word is a lighting mode and the report's a count_<c> error.
+_GARBLED_LAST_LINES = [
+    ("schedule.txt", "simulate", None),
+    ("ranking.txt", "select-features", None),
+    ("dataset.csv", "featurize", None),
+    ("model.txt", "train", None),
+    ("report.txt", "eval", None),
+    ("residuals.csv", "eval", None),
+    ("schedule.txt", "simulate", "bogus-mode"),
+    ("report.txt", "eval", "not-a-number"),
+]
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "run.cfg"
@@ -371,9 +386,16 @@ class TestStages:
             (("schedule_lighting = 20 20\n", ""), "lighting"),
             (("lighting:1", "lighting:1 resistive_heater:1"), "resistive_heater"),
             (("medical_modes = run humidifier-run", "medical_modes = off"), "off"),
+            (("n_medical_devices = 2\nmedical_modes = run humidifier-run", "n_medical_devices = 0\nmedical_modes = off"), "off"),
+            (
+                ("n_medical_devices = 2\nmedical_modes = run humidifier-run",
+                 "n_medical_devices = 0\nmedical_class = toaster\nmedical_modes = bogus"),
+                "'toaster' is not in the device library",
+            ),
             (("sample_rate_hz = 2000", "sample_rate_hz = 500"), "aliases"),
         ],
-        ids=["missing-schedule", "class-listed-twice", "off-medical-mode", "aliasing-rate"],
+        ids=["missing-schedule", "class-listed-twice", "off-medical-mode", "off-medical-mode-no-medical-devices",
+             "medical-modes-of-a-class-not-in-the-library", "aliasing-rate"],
     )
     def test_scenario_inconsistent_with_library_exits_2(self, tmp_path, capsys, edit, message):
         path = tmp_path / "bad.cfg"
@@ -397,6 +419,19 @@ class TestStages:
             assert run(command, "--config", str(path), "--out", str(tmp_path / "o")) == 2
             err = capsys.readouterr().err
             assert err.startswith("config error:") and "[device.widget]" in err
+
+    def test_library_without_the_medical_class_loads_with_no_medical_devices(self, tmp_path):
+        # medical_class keeps its default, ventilator, but no instance or medical mode asks for it.
+        library = tmp_path / "library.cfg"
+        save_device_library({name: model for name, model in default_library().items() if name != "ventilator"}, library)
+        text = SMALL_CONFIG.replace("n_medical_devices = 2\nmedical_modes = run humidifier-run", "n_medical_devices = 0")
+        path = tmp_path / "run.cfg"
+        path.write_text(text.replace("rng_seed = 11", "rng_seed = 11\ndevice_library = library.cfg"))
+        config = load_run_config(path)
+        assert config.scenario.medical_class == "ventilator" and "ventilator" not in load_library_for(config)
+        out = tmp_path / "o"
+        assert run("simulate", "--config", str(path), "--out", str(out), "--quiet") == 0
+        assert not read_ground_truth(out / "ground_truth.txt", 60)[0].any()
 
     def test_format_1_library_exits_2(self, tmp_path, capsys):
         # Format 1 flagged the medical class in a [device.<class>] section; format 2 has no such section.
@@ -579,19 +614,22 @@ class TestPipeline:
         assert read_residuals(os.path.join(out, "residuals.csv"))[1] == model_fingerprint(config, load_library_for(config))
 
     @pytest.mark.parametrize(
-        "name, stage",
-        [("schedule.txt", "simulate"), ("ranking.txt", "select-features"), ("dataset.csv", "featurize"),
-         ("model.txt", "train"), ("report.txt", "eval"), ("residuals.csv", "eval")],
+        "name, stage, last_word",
+        _GARBLED_LAST_LINES,
+        ids=[f"{name}-{stage}" + (f"-{word}" if word else "") for name, stage, word in _GARBLED_LAST_LINES],
     )
-    def test_pipeline_reruns_the_writer_of_a_garbled_body_line(self, config_path, tmp_path, capsys, name, stage):
+    def test_pipeline_reruns_the_writer_of_a_garbled_body_line(self, config_path, tmp_path, capsys, name, stage, last_word):
         # The fingerprint header is kept: only the reader the file's consumer uses can tell it is broken.
         fresh, out = tmp_path / "fresh", tmp_path / "out"
         assert run("pipeline", "--config", config_path, "--out", str(fresh), "--quiet") == 0
         assert run("pipeline", "--config", config_path, "--out", str(out), "--quiet") == 0
         path = out / name
         lines = path.read_text().splitlines()
-        separator = next(sep for sep in ("=", ",", " ") if sep in lines[-1])
-        lines[-1] = lines[-1].replace(separator, ";", 1)
+        if last_word is None:
+            separator = next(sep for sep in ("=", ",", " ") if sep in lines[-1])
+            lines[-1] = lines[-1].replace(separator, ";", 1)
+        else:
+            lines[-1] = lines[-1].rsplit(" ", 1)[0] + " " + last_word
         path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert run("pipeline", "--config", config_path, "--out", str(out)) == 0
@@ -631,9 +669,9 @@ class TestPipeline:
         assert run("pipeline", "--config", config_path, "--out", out, "--quiet") == 0
         config = load_run_config(config_path)
         dataset, _ = read_dataset(os.path.join(out, "dataset.csv"))
-        params, fp = read_model(os.path.join(out, "model.txt"))
+        (params, stats), fp = read_model(os.path.join(out, "model.txt"))
         _, _, test = cli._split_rows(config, dataset)
-        continuous = forward_batch(params, apply_normalization(test.X, params.norm_stats))
+        continuous = forward_batch(params, apply_normalization(test.X, stats))
         expected = tmp_path / "expected.csv"
         write_residuals(expected, test.t_start_s, test.y, continuous, count_from_output(continuous), fp)
         with open(os.path.join(out, "residuals.csv"), "rb") as fh:

@@ -92,7 +92,7 @@ class TestSynthesis:
     def test_device_is_silent_where_no_interval_covers_it(self, grid):
         f0, fs = grid
         cfg = ScenarioConfig(duration_s=0.25, sample_rate_hz=fs, f0_hz=f0)
-        schedule = Schedule((DeviceSchedule("widget#0", "widget", ((0.1, 0.2, "on"),)),))
+        schedule = Schedule((DeviceSchedule("widget#0", ((0.1, 0.2, "on"),)),))
         current = samples_of(synthesize_feeder(cfg, schedule, {"widget": make_model((1, 2.0))})[1])
         on = np.zeros(current.size, dtype=bool)
         on[1000:2000] = True
@@ -125,7 +125,7 @@ class TestSynthesis:
         # The 7th harmonic of 60 Hz (420 Hz) is above the 400 Hz Nyquist frequency of 800 Hz sampling.
         library = {"widget": make_model((7, 1.0))}
         cfg = ScenarioConfig(duration_s=0.5, sample_rate_hz=800.0, f0_hz=60.0)
-        schedule = Schedule((DeviceSchedule("widget#0", "widget", ((0.0, 0.5, "on"),)),))
+        schedule = Schedule((DeviceSchedule("widget#0", ((0.0, 0.5, "on"),)),))
         with pytest.raises(ValueError, match="aliases"):
             synthesize_feeder(cfg, schedule, library)
 

@@ -69,10 +69,9 @@ class TestReports:
         for w in params.weights:
             w[:] = 0.0
         features = ("i_rms", "thd")
-        params.norm_stats = identity_stats(features, 2)
         rng = np.random.default_rng(1)
         data = dataset_with(rng.normal(0, 1, (8, 2)), np.zeros(8, dtype=int), features)
-        report = evaluate(params, data)
+        report = evaluate(params, identity_stats(features, 2), data)
         assert report.mae_rounded == 1.0
         assert report.mae_continuous == pytest.approx(math.log(2.0), abs=1e-12)
         assert report.exact_count_accuracy == 0.0
@@ -80,21 +79,20 @@ class TestReports:
     def test_rounded_mae_is_definitionally_consistent(self):
         params = init_params((2, 4, 1), seed=3)
         features = ("i_rms", "thd")
-        params.norm_stats = identity_stats(features, 2)
+        stats = identity_stats(features, 2)
         rng = np.random.default_rng(2)
         data = dataset_with(rng.normal(0, 1, (16, 2)), rng.integers(0, 4, 16), features)
-        report = evaluate(params, data)
-        rounded = count_from_output(forward_batch(params, apply_normalization(data.X, params.norm_stats)))
+        report = evaluate(params, stats, data)
+        rounded = count_from_output(forward_batch(params, apply_normalization(data.X, stats)))
         assert np.array_equal(report.rounded, rounded)
         assert report.mae_rounded == mae(rounded, data.y)
         assert report.exact_count_accuracy == np.mean(rounded == data.y)
 
     def test_spec_mismatch_rejected(self):
         params = init_params((2, 3, 1), seed=0)
-        params.norm_stats = identity_stats(("i_rms", "thd"), 2)
         data = dataset_with(np.zeros((4, 2)), np.zeros(4, dtype=int), ("i_rms", "h3"))
         with pytest.raises(ValueError):
-            evaluate(params, data)
+            evaluate(params, identity_stats(("i_rms", "thd"), 2), data)
 
     def test_accuracy_equals_fraction_of_zero_rounded_residuals(self):
         y = np.array([0, 1, 2, 3, 3])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -49,8 +50,8 @@ def scenario(**overrides):
     return ScenarioConfig(**base)
 
 
-def always_on(device_id, class_name, mode, duration):
-    return DeviceSchedule(device_id, class_name, ((0.0, duration, mode),))
+def always_on(device_id, mode, duration):
+    return DeviceSchedule(device_id, ((0.0, duration, mode),))
 
 
 def refrigerators_among_ventilators(**overrides):
@@ -212,10 +213,10 @@ class TestSynthesizeFeeder:
 
     def test_inconsistent_schedule_rejected(self):
         cfg = scenario()
-        bad = Schedule((always_on("resistive_heater#0", "resistive_heater", "turbo", 10.0),))
+        bad = Schedule((always_on("resistive_heater#0", "turbo", 10.0),))
         with pytest.raises(ValueError):
             synthesize_feeder(cfg, bad, LIBRARY)
-        beyond = Schedule((always_on("resistive_heater#0", "resistive_heater", "on", 99.0),))
+        beyond = Schedule((always_on("resistive_heater#0", "on", 99.0),))
         with pytest.raises(ValueError):
             synthesize_feeder(cfg, beyond, LIBRARY)
 
@@ -225,7 +226,7 @@ class TestGroundTruth:
         cfg = scenario(n_medical_devices=3)
         schedule = Schedule(
             tuple(
-                always_on(f"ventilator#{k}", "ventilator", "run", cfg.duration_s)
+                always_on(f"ventilator#{k}", "run", cfg.duration_s)
                 for k in range(3)
             )
         )
@@ -233,6 +234,15 @@ class TestGroundTruth:
         assert counts.dtype == np.int64
         assert counts.size == 10
         assert (counts == 3).all()
+
+    def test_a_device_is_of_its_id_prefix_class(self):
+        # The id states the class once: a lighting#0 is counted only when lighting is the medical class.
+        device = DeviceSchedule("lighting#0", ((0.0, 5.0, "on"),))
+        assert device.class_name == "lighting"
+        assert [f.name for f in dataclasses.fields(device)] == ["device_id", "intervals"]
+        schedule = Schedule((device,))
+        assert not ground_truth_counts(schedule, scenario(duration_s=10.0)).any()
+        assert ground_truth_counts(schedule, scenario(duration_s=10.0, medical_class="lighting")).sum() == 5
 
     def test_no_medical_devices(self):
         cfg = scenario(background_population=(("resistive_heater", 4),))
@@ -242,9 +252,7 @@ class TestGroundTruth:
     def test_interval_membership(self):
         # Interval-membership oracle: [10, 20) covers exactly timestamps 10..19.
         cfg = scenario(duration_s=30.0, n_medical_devices=1)
-        schedule = Schedule(
-            (DeviceSchedule("ventilator#0", "ventilator", ((10.0, 20.0, "run"),)),)
-        )
+        schedule = Schedule((DeviceSchedule("ventilator#0", ((10.0, 20.0, "run"),)),))
         expected = np.zeros(30, dtype=int)
         expected[10:20] = 1
         assert np.array_equal(ground_truth_counts(schedule, cfg), expected)
@@ -268,7 +276,7 @@ class TestGroundTruth:
     def test_background_devices_not_counted(self):
         cfg = scenario(background_population=(("resistive_heater", 1),))
         schedule = Schedule(
-            (always_on("resistive_heater#0", "resistive_heater", "on", cfg.duration_s),)
+            (always_on("resistive_heater#0", "on", cfg.duration_s),)
         )
         assert not ground_truth_counts(schedule, cfg).any()
 
@@ -377,12 +385,12 @@ def oracle_current(cfg, schedule, library):
 # and the smps interval outlasts one 65536-sample direct-evaluation block.
 HAND_SCHEDULE = Schedule(
     (
-        DeviceSchedule("ventilator#0", "ventilator", ((0.0123, 2.5017, "run"), (2.9, 7.9871, "humidifier-run"))),
-        DeviceSchedule("resistive_heater#0", "resistive_heater", ((0.3001, 3.0411, "on"),)),
-        DeviceSchedule("resistive_heater#1", "resistive_heater", ((0.3001, 1.7779, "on"),)),
-        DeviceSchedule("lighting#0", "lighting", ((1.2345, 1.2567, "on"),)),
-        DeviceSchedule("induction_motor#0", "induction_motor", ((3.0462, 8.0, "on"),)),
-        DeviceSchedule("smps#0", "smps", ((0.0, 7.5003, "on"),)),
+        DeviceSchedule("ventilator#0", ((0.0123, 2.5017, "run"), (2.9, 7.9871, "humidifier-run"))),
+        DeviceSchedule("resistive_heater#0", ((0.3001, 3.0411, "on"),)),
+        DeviceSchedule("resistive_heater#1", ((0.3001, 1.7779, "on"),)),
+        DeviceSchedule("lighting#0", ((1.2345, 1.2567, "on"),)),
+        DeviceSchedule("induction_motor#0", ((3.0462, 8.0, "on"),)),
+        DeviceSchedule("smps#0", ((0.0, 7.5003, "on"),)),
     )
 )
 
@@ -448,9 +456,9 @@ class TestPeriodicTableSynthesis:
             noisy[name] = replace(model, modes=(replace(model.mode("on"), noise_rms_amps=sigma),))
         schedule = Schedule(
             (
-                always_on("resistive_heater#0", "resistive_heater", "on", 4.0),
-                always_on("resistive_heater#1", "resistive_heater", "on", 4.0),
-                DeviceSchedule("lighting#0", "lighting", ((2.0, 6.0, "on"),)),
+                always_on("resistive_heater#0", "on", 4.0),
+                always_on("resistive_heater#1", "on", 4.0),
+                DeviceSchedule("lighting#0", ((2.0, 6.0, "on"),)),
             )
         )
         feeder_sigma = 0.002

@@ -11,7 +11,7 @@ from feeder_nilm.devices import default_library
 from feeder_nilm.featurize import FeatureDataset, FeatureSpec, NormStats
 from feeder_nilm.model import init_params
 from feeder_nilm.signals import Waveform
-from feeder_nilm.simulate import DeviceSchedule, Schedule
+from feeder_nilm.simulate import DeviceSchedule, Schedule, ScenarioConfig, generate_schedule, ground_truth_counts
 from feeder_nilm.storage import (
     FileFormatError,
     read_dataset,
@@ -196,11 +196,9 @@ class TestScheduleFile:
         library = default_library()
         schedule = Schedule(
             (
-                DeviceSchedule(
-                    "ventilator#0", "ventilator", ((0.5, 20.25, "run"), (30.0, 45.0, "standby"))
-                ),
-                DeviceSchedule("resistive_heater#0", "resistive_heater", ((1.0, 9.0, "on"),)),
-                DeviceSchedule("lighting#0", "lighting", ()),
+                DeviceSchedule("ventilator#0", ((0.5, 20.25, "run"), (30.0, 45.0, "standby"))),
+                DeviceSchedule("resistive_heater#0", ((1.0, 9.0, "on"),)),
+                DeviceSchedule("lighting#0", ()),
             )
         )
         path = tmp_path / "schedule.txt"
@@ -211,11 +209,33 @@ class TestScheduleFile:
 
     def test_unknown_class_rejected(self, tmp_path):
         path = tmp_path / "schedule.txt"
-        write_schedule(
-            path, Schedule((DeviceSchedule("toaster#0", "toaster", ((0.0, 1.0, "on"),)),)), FP
-        )
-        with pytest.raises(FileFormatError):
+        write_schedule(path, Schedule((DeviceSchedule("toaster#0", ((0.0, 1.0, "on"),)),)), FP)
+        with pytest.raises(FileFormatError, match="unknown class 'toaster'"):
             read_schedule(path, default_library())
+
+    def test_mode_its_class_lacks_rejected(self, tmp_path):
+        # As synthesize_feeder refuses it: a heater has no "run" mode.
+        path = tmp_path / "schedule.txt"
+        write_schedule(path, Schedule((DeviceSchedule("resistive_heater#0", ((0.0, 1.0, "run"),)),)), FP)
+        with pytest.raises(FileFormatError, match="'resistive_heater' has no mode 'run'"):
+            read_schedule(path, default_library())
+
+    def test_round_trip_keeps_the_ground_truth(self, tmp_path):
+        # A device's class is its id's prefix, so no write and read moves a device to another class.
+        config = ScenarioConfig(
+            duration_s=300.0,
+            n_medical_devices=2,
+            background_population=(("lighting", 2),),
+            schedule_params={"ventilator": (40.0, 20.0), "lighting": (30.0, 30.0)},
+            rng_seed=5,
+        )
+        schedule = generate_schedule(config, default_library())
+        path = tmp_path / "schedule.txt"
+        write_schedule(path, schedule, FP)
+        loaded, _ = read_schedule(path, default_library())
+        truth = ground_truth_counts(schedule, config)
+        assert truth.max() == 2 and truth.min() < 2
+        assert np.array_equal(ground_truth_counts(loaded, config), truth)
 
 
 class TestGroundTruthFile:
@@ -327,38 +347,40 @@ class TestDatasetFile:
 
 
 class TestModelFile:
-    def make_params(self):
+    def make_model(self):
+        """(network, normalization) as ``write_model`` takes them."""
         features = ("i_rms", "thd", "h3")
         stats = NormStats(features, (0, 2), np.array([1.5, -2.25]), np.array([0.5, 3.0]))
-        return init_params((2, 4, 1), seed=11, norm_stats=stats)
+        return init_params((2, 4, 1), seed=11), stats
 
     def test_round_trip_exact(self, tmp_path):
-        params = self.make_params()
+        params, stats = self.make_model()
         path = tmp_path / "model.txt"
-        write_model(path, params, FP)
-        loaded, fingerprint = read_model(path)
+        write_model(path, params, stats, FP)
+        (loaded, loaded_stats), fingerprint = read_model(path)
         assert fingerprint == FP
         assert loaded.layer_sizes == params.layer_sizes
         for wa, wb in zip(loaded.weights, params.weights):
             assert np.array_equal(wa, wb)
         for ba, bb in zip(loaded.biases, params.biases):
             assert np.array_equal(ba, bb)
-        assert loaded.norm_stats.input_feature_ids == params.norm_stats.input_feature_ids
-        assert loaded.norm_stats.kept_indices == params.norm_stats.kept_indices
-        assert np.array_equal(loaded.norm_stats.mean, params.norm_stats.mean)
+        assert loaded_stats.input_feature_ids == stats.input_feature_ids
+        assert loaded_stats.kept_indices == stats.kept_indices
+        assert np.array_equal(loaded_stats.mean, stats.mean)
+        assert np.array_equal(loaded_stats.std, stats.std)
 
     def test_write_read_write_byte_identical(self, tmp_path):
         first = tmp_path / "a.txt"
         second = tmp_path / "b.txt"
-        write_model(first, self.make_params(), FP)
+        write_model(first, *self.make_model(), FP)
         loaded, fingerprint = read_model(first)
-        write_model(second, loaded, fingerprint)
+        write_model(second, *loaded, fingerprint)
         assert first.read_bytes() == second.read_bytes()
 
     def test_unknown_key_rejected(self, tmp_path):
         # Lines of an older format (a fixed activation, an init seed) are refused, not skipped.
         path = tmp_path / "model.txt"
-        write_model(path, self.make_params(), FP)
+        write_model(path, *self.make_model(), FP)
         lines = path.read_text().splitlines()
         at = lines.index("format_version = 1") + 2
         lines[at:at] = ["init_seed = 11", "hidden_activation = relu"]
@@ -368,7 +390,7 @@ class TestModelFile:
 
     def test_input_width_other_than_kept_count_rejected(self, tmp_path):
         path = tmp_path / "model.txt"
-        write_model(path, self.make_params(), FP)
+        write_model(path, *self.make_model(), FP)
         text = path.read_text().replace("kept_indices = 0 2", "kept_indices = 0")
         path.write_text(text.replace("norm_mean = 1.5 -2.25", "norm_mean = 1.5").replace("norm_std = 0.5 3", "norm_std = 0.5"))
         with pytest.raises(FileFormatError, match="layer_sizes"):
@@ -376,7 +398,7 @@ class TestModelFile:
 
     def test_missing_layer_rejected(self, tmp_path):
         path = tmp_path / "model.txt"
-        write_model(path, self.make_params(), FP)
+        write_model(path, *self.make_model(), FP)
         lines = [l for l in path.read_text().splitlines() if not l.startswith("W1")]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FileFormatError):
@@ -512,10 +534,8 @@ class TestAtomicWrites:
 def _schedule_with_idle_device():
     return Schedule(
         (
-            DeviceSchedule(
-                "ventilator#0", "ventilator", ((0.5, 20.25, "run"), (30.0, 45.0, "standby"))
-            ),
-            DeviceSchedule("lighting#0", "lighting", ()),
+            DeviceSchedule("ventilator#0", ((0.5, 20.25, "run"), (30.0, 45.0, "standby"))),
+            DeviceSchedule("lighting#0", ()),
         )
     )
 
@@ -531,7 +551,7 @@ def _write_sample(path, kind):
     elif kind == "dataset":
         write_dataset(path, TestDatasetFile().make_dataset(), FP)
     elif kind == "model":
-        write_model(path, TestModelFile().make_params(), FP)
+        write_model(path, *TestModelFile().make_model(), FP)
     elif kind == "report":
         write_report_lines(path, [("mae_rounded", "0.25")], FP)
     else:
@@ -549,13 +569,14 @@ _READERS = {
 }
 
 # (artifact kind, appended line): a wrong field count (too few or too many),
-# then a non-numeric number. Report values are free text, so a report has
-# only the field-count case. A schedule line is an idle device only when it
-# is the exact '. . .' placeholder.
+# then a non-numeric number. A report value is one finite number, or two on
+# a count_<c> line. A schedule line is an idle device only when it is the
+# exact '. . .' placeholder, and names a mode its class has.
 _BAD_LINES = [
     ("schedule", "ventilator#1 3.0 4.0"),
     ("schedule", "ventilator#1 3.0 four run"),
     ("schedule", "ventilator#0 . 3.0 run"),
+    ("schedule", "ventilator#1 50.0 60.0 bogus-mode"),
     ("ground-truth", "7.0 1 1"),
     ("ground-truth", "7.0 seven"),
     ("ranking", "thd 0.5 0.25"),
@@ -565,6 +586,9 @@ _BAD_LINES = [
     ("model", "init_seed"),
     ("model", "W0 = x"),
     ("report", "mae_rounded 0.25"),
+    ("report", "count_3 = 4"),
+    ("report", "mae_continuous = not-a-number"),
+    ("report", "exact_count_accuracy = nan"),
     ("residuals", "3,7.5,1,1"),
     ("residuals", "3,7.5,1,x,1,0"),
 ]
