@@ -66,15 +66,30 @@ def _say(quiet: bool, message: str) -> None:
         print(message)
 
 
+def _read_schedule(path, config: RunConfig, library: Library):
+    # The schedule and its counts are pure functions of the config and library: a file that differs is refused.
+    schedule, fingerprint = st.read_schedule(path, library)
+    if schedule != generate_schedule(config.scenario, library):
+        raise st.FileFormatError(f"{path}: not the schedule the config draws")
+    return schedule, fingerprint
+
+
+def _read_ground_truth(path, config: RunConfig, library: Library):
+    counts, fingerprint = st.read_ground_truth(path, math.ceil(config.scenario.duration_s))
+    if not np.array_equal(counts, ground_truth_counts(generate_schedule(config.scenario, library), config.scenario)):
+        raise st.FileFormatError(f"{path}: not the counts of the schedule the config draws")
+    return counts, fingerprint
+
+
 # Every artifact file and the reader its consumer uses: (path, config, library) ->
 # (value, fingerprint). The readers are looked up on ``st`` at call time, so a
 # tracer that rebinds them there reaches these calls.
 _READERS: dict[str, Callable] = {
     "voltage.fnwv": lambda path, config, library: st.read_waveform(path, "VOLT", config.scenario.sample_rate_hz),
     "current.fnwv": lambda path, config, library: st.read_waveform(path, "CURR", config.scenario.sample_rate_hz),
-    "schedule.txt": lambda path, config, library: st.read_schedule(path, library),
-    "ground_truth.txt": lambda path, config, library: st.read_ground_truth(path, math.ceil(config.scenario.duration_s)),
-    "ranking.txt": lambda path, config, library: st.read_ranking(path, config.feature_spec().features),
+    "schedule.txt": _read_schedule,
+    "ground_truth.txt": _read_ground_truth,
+    "ranking.txt": lambda path, config, library: st.read_ranking(path, config.featurize.features),
     "dataset.csv": lambda path, config, library: st.read_dataset(path),
     "model.txt": lambda path, config, library: st.read_model(path),
     "report.txt": lambda path, config, library: st.read_report_lines(path),
@@ -116,7 +131,7 @@ def stage_simulate(config: RunConfig, library: Library, out: str, quiet: bool) -
 
 
 def _resolve_features(config: RunConfig, library, out: str) -> FeatureSpec:
-    spec = config.feature_spec()
+    spec = FeatureSpec(config.featurize.features)
     top_k = config.featurize.top_k
     if top_k <= 0:
         return spec
@@ -125,8 +140,7 @@ def _resolve_features(config: RunConfig, library, out: str) -> FeatureSpec:
         raise ContractError(f"{ranking_path} is required when top_k is set; run select-features first")
     ranking = _read_checked(config, library, out, "ranking.txt", dataset_fingerprint(config, library))
     chosen = {fid for fid, _ in ranking[:top_k]}
-    kept = tuple(fid for fid in spec.features if fid in chosen)
-    return FeatureSpec(kept, spec.f0_hz)
+    return FeatureSpec(tuple(fid for fid in spec.features if fid in chosen))
 
 
 def stage_featurize(config: RunConfig, library: Library, out: str, quiet: bool) -> None:
@@ -137,7 +151,7 @@ def stage_featurize(config: RunConfig, library: Library, out: str, quiet: bool) 
 
     spec = _resolve_features(config, library, out)
     dataset = featurize(
-        voltage, current, truth, config.featurize.window_s, config.featurize.stride_s, spec
+        voltage, current, truth, config.featurize.window_s, config.featurize.stride_s, spec, config.scenario.f0_hz
     )
     st.write_dataset(os.path.join(out, "dataset.csv"), dataset, dataset_fingerprint(config, library))
     _say(
@@ -148,7 +162,7 @@ def stage_featurize(config: RunConfig, library: Library, out: str, quiet: bool) 
 
 
 def stage_select_features(config: RunConfig, library: Library, out: str, quiet: bool) -> None:
-    spec = config.feature_spec()
+    spec = FeatureSpec(config.featurize.features)
     signatures = {
         class_name: characterization_vectors(library[class_name], spec, config.featurize.window_s, config.scenario)
         for class_name, count in config.scenario.populations()
@@ -211,15 +225,9 @@ def stage_eval(config: RunConfig, library: Library, out: str, quiet: bool) -> No
     constant = median_count(train_part.y)
     baseline = report_from_predictions(np.full(test_part.n_windows, constant, dtype=np.float64), test_part.y)
 
-    entries: list[tuple[str, str]] = [
-        ("n_test_windows", str(report.n_test_windows)),
-        ("mae_continuous", format(report.mae_continuous, ".17g")),
-        ("mae_rounded", format(report.mae_rounded, ".17g")),
-        ("exact_count_accuracy", format(report.exact_count_accuracy, ".17g")),
-        ("baseline_constant", str(constant)),
-        ("baseline_mae_rounded", format(baseline.mae_rounded, ".17g")),
-        ("baseline_exact_count_accuracy", format(baseline.exact_count_accuracy, ".17g")),
-    ]
+    headline = (report.n_test_windows, report.mae_continuous, report.mae_rounded, report.exact_count_accuracy,
+                constant, baseline.mae_rounded, baseline.exact_count_accuracy)  # in the order of st.REPORT_KEYS
+    entries = [(key, format(value, ".17g")) for key, value in zip(st.REPORT_KEYS, headline)]
     for count, n, err in report.per_count:
         entries.append((f"count_{count}", f"{n} {format(err, '.17g')}"))
     st.write_report_lines(os.path.join(out, "report.txt"), entries, expected_fp)

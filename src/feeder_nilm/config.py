@@ -55,7 +55,7 @@ from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from typing import get_type_hints
 
-from .devices import DeviceModel, _check_aliasing, default_library, load_device_library, supply_phasors
+from .devices import DeviceModel, default_library, load_device_library, supply_phasors
 from .featurize import FEATURE_IDS, FeatureSpec
 from .model import TrainConfig
 from . import featurize, model, simulate
@@ -98,6 +98,7 @@ class FeaturizeSection:
             raise ConfigError("window_s must be >= 1 and stride_s positive")
         if self.top_k < 0:
             raise ConfigError("top_k must be non-negative")
+        FeatureSpec(self.features)  # known, unique feature ids
 
 
 @dataclass(frozen=True)
@@ -136,9 +137,6 @@ class RunConfig:
     split: SplitSection = field(default_factory=SplitSection)
     device_library_path: str | None = None
     output_dir: str | None = None
-
-    def feature_spec(self) -> FeatureSpec:
-        return FeatureSpec(self.featurize.features, self.scenario.f0_hz)
 
     def with_seed(self, seed: int) -> "RunConfig":
         return replace(self, scenario=replace(self.scenario, rng_seed=seed))
@@ -201,6 +199,15 @@ def _section(path, section: str, cls, raw: dict[str, str], **given):
     return _build(path, section, cls, raw, **given)
 
 
+def _refuse_aliasing(scenario: ScenarioConfig, order: int, source: str) -> None:
+    """Refuse harmonic ``order`` of the grid at or above the Nyquist frequency, naming the ``source`` of the order."""
+    if 2 * order * scenario.f0_hz >= scenario.sample_rate_hz:
+        raise ConfigError(
+            f"{source} harmonic order {order} ({order * scenario.f0_hz:g} Hz), which aliases at "
+            f"{scenario.sample_rate_hz:g} Hz sampling: not below the Nyquist frequency"
+        )
+
+
 def load_run_config(path) -> RunConfig:
     """Parse and validate a run configuration file."""
     parser = ConfigParser(interpolation=None)
@@ -237,23 +244,11 @@ def load_run_config(path) -> RunConfig:
         featurize_section = replace(featurize_section, stride_s=featurize_section.window_s)
     if round(featurize_section.stride_s * scenario.sample_rate_hz) < 1:
         raise ConfigError(f"{path}: [featurize] stride_s is shorter than one sample")
-    try:
-        spec = FeatureSpec(featurize_section.features, scenario.f0_hz)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    nyquist = scenario.sample_rate_hz / 2.0
-    highest = max(spec.harmonic_orders, default=0)
-    if highest * scenario.f0_hz >= nyquist:
-        raise ConfigError(
-            f"{path}: [featurize] features project harmonic order {highest} ({highest * scenario.f0_hz:g} Hz), "
-            f"which aliases at {scenario.sample_rate_hz:g} Hz sampling: not below the Nyquist frequency"
-        )
+    for order in FeatureSpec(featurize_section.features).harmonic_orders:
+        _refuse_aliasing(scenario, order, f"{path}: [featurize] the features project")
     for order, amplitude in enumerate(supply_phasors(scenario).tolist()):
-        if amplitude and order * scenario.f0_hz >= nyquist:
-            raise ConfigError(
-                f"{path}: [scenario] the supply harmonic order {order} ({order * scenario.f0_hz:g} Hz) aliases at "
-                f"{scenario.sample_rate_hz:g} Hz sampling: not below the Nyquist frequency"
-            )
+        if amplitude:
+            _refuse_aliasing(scenario, order, f"{path}: [scenario] the supply")
     if featurize_section.window_s > scenario.duration_s:
         raise ConfigError(f"{path}: [featurize] window_s exceeds the scenario duration_s")
 
@@ -288,10 +283,7 @@ def load_library_for(config: RunConfig) -> dict[str, DeviceModel]:
             raise ConfigError(f"device class {class_name!r} needs schedule_{class_name} = <mean_on_s> <mean_off_s>")
         if count > 0:
             highest = max(library[class_name].modes, key=lambda mode: mode.max_order)
-            try:
-                _check_aliasing(highest, scenario.f0_hz, scenario.sample_rate_hz)
-            except ValueError as exc:
-                raise ConfigError(f"device class {class_name!r}: {exc}") from None
+            _refuse_aliasing(scenario, highest.max_order, f"device class {class_name!r} mode {highest.name!r}")
     medical = scenario.medical_class
     for mode_name in scenario.medical_modes:  # checked whatever n_medical_devices is
         if medical not in library:

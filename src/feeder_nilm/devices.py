@@ -152,7 +152,8 @@ def add_harmonics(out: np.ndarray, start: int, phasors: np.ndarray, sample_rate_
 
     Raises:
         ValueError: if ``sample_rate_hz`` or the frequency of a non-zero
-            harmonic is not a whole number of hertz.
+            harmonic is not a whole number of hertz, or that frequency is
+            not below the Nyquist frequency.
     """
     orders = np.flatnonzero(phasors)
     n = out.size
@@ -185,14 +186,6 @@ def mode_current_samples(mode: DeviceMode, n_samples: int, sample_rate_hz: float
     return out
 
 
-def _check_aliasing(mode: DeviceMode, f0_hz: float, sample_rate_hz: float) -> None:
-    if sample_rate_hz <= 2.0 * f0_hz * mode.max_order:
-        raise ValueError(
-            f"mode {mode.name!r}: harmonic order {mode.max_order} aliases at "
-            f"{sample_rate_hz} Hz sampling"
-        )
-
-
 def supply_phasors(scenario) -> np.ndarray:
     """Phasors (as ``mode_phasors``) of the feeder voltage: ``voltage_rms``, plus ``voltage_thd`` of it at order 3."""
     amplitude = math.sqrt(2.0) * scenario.voltage_rms
@@ -212,8 +205,6 @@ def characterization_vectors(model: DeviceModel, feature_spec, window_s: float, 
     whole draw, and a window's features depend on that window alone.
     """
     fs, f0 = scenario.sample_rate_hz, scenario.f0_hz
-    if feature_spec.f0_hz != f0:
-        raise ValueError(f"feature spec f0_hz={feature_spec.f0_hz:g} is not the scenario's {f0:g} Hz")
     n = int(round(window_s * fs))
     if n < 1:
         raise ValueError("window_s too short for one sample")
@@ -222,13 +213,12 @@ def characterization_vectors(model: DeviceModel, feature_spec, window_s: float, 
     group = max(1, CHUNK_BYTES // (8 * n))
     vectors: list[np.ndarray] = []
     for mode in model.modes:
-        _check_aliasing(mode, f0, fs)
         rng = np.random.default_rng(_stable_seed(scenario.rng_seed, model.class_name, mode.name, "characterize"))
         clean = mode_current_samples(mode, n, fs, f0)
         for first in range(0, REPETITIONS, group):
             current = rng.normal(0.0, mode.noise_rms_amps, (min(group, REPETITIONS - first), n))
             current += clean
-            rows, _ = evaluate_window(np.broadcast_to(voltage, current.shape), current, feature_spec, fs)
+            rows, _ = evaluate_window(np.broadcast_to(voltage, current.shape), current, feature_spec, fs, f0)
             vectors.extend(rows)
     return vectors
 

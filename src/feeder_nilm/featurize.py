@@ -70,10 +70,9 @@ FEATURE_IDS = (
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """Ordered feature identifiers plus the grid frequency they refer to."""
+    """Ordered feature identifiers; the grid frequency they refer to is the scenario's ``f0_hz``."""
 
     features: tuple[str, ...] = FEATURE_IDS
-    f0_hz: float = 60.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "features", tuple(self.features))
@@ -81,15 +80,13 @@ class FeatureSpec:
             raise ValueError("feature list must be non-empty")
         if len(set(self.features)) != len(self.features):
             raise ValueError("feature identifiers must be unique")
-        if not self.f0_hz > 0.0:
-            raise ValueError("f0_hz must be positive")
         for name in self.features:
             if name not in FEATURE_IDS:
                 raise ValueError(f"unknown feature identifier {name!r}")
 
     @property
     def harmonic_orders(self) -> tuple[int, ...]:
-        """The orders of ``f0_hz`` the features project the current on, ascending.
+        """The orders of the grid frequency the features project the current on, ascending.
 
         ``h<n>`` needs order n and ``thd`` orders 1 and ``THD_ORDERS``;
         the fundamental also serves ``phase_shift`` and ``reactive_power``.
@@ -108,6 +105,7 @@ def evaluate_window(
     i_blocks: np.ndarray,
     spec: FeatureSpec,
     sample_rate_hz: float,
+    f0_hz: float,
     k: int = 1,
     s: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -121,8 +119,8 @@ def evaluate_window(
     the work. The whole stack is evaluated in one pass, gap blocks of a
     gapped grid (s > k) included, so the caller decides how much of a
     trace is in memory: ``featurize`` passes one chunk of windows at a
-    time. The projections take whole-hertz ``spec.f0_hz`` and
-    ``sample_rate_hz``.
+    time. The projections take the whole-hertz grid frequency ``f0_hz``
+    and ``sample_rate_hz``.
 
     Returns an ``(n_windows, n_features)`` matrix and ``n_windows``
     validity flags. Undefined features (all-zero current, say) are
@@ -155,7 +153,7 @@ def evaluate_window(
     orders = spec.harmonic_orders
     i_phasors = {}
     if orders:
-        magnitudes, phases = signals.fundamental_phasor(i, [h * spec.f0_hz for h in orders], sample_rate_hz, k, s)
+        magnitudes, phases = signals.fundamental_phasor(i, [h * f0_hz for h in orders], sample_rate_hz, k, s)
         i_phasors = {h: (magnitudes[row], phases[row]) for row, h in enumerate(orders)}
     # feature -> (column, undefined mask)
     table = {f"h{h}": (magnitude, never) for h, (magnitude, _) in i_phasors.items()}
@@ -168,7 +166,7 @@ def evaluate_window(
         energy = sum(i_phasors[h][0] ** 2 for h in THD_ORDERS)
         table["thd"] = _ratio(np.sqrt(energy), i_phasors[1][0])
     if names & {"phase_shift", "reactive_power"}:
-        v_mag, v_phase = signals.fundamental_phasor(v, spec.f0_hz, sample_rate_hz, k, s)
+        v_mag, v_phase = signals.fundamental_phasor(v, f0_hz, sample_rate_hz, k, s)
         i_mag, i_phase = i_phasors[1]
         no_shift = (v_mag == 0.0) | (i_mag == 0.0)
         shift = np.where(no_shift, 0.0, wrap_phase(v_phase - i_phase))
@@ -270,8 +268,9 @@ def featurize(
     window_s: float,
     stride_s: float,
     spec: FeatureSpec,
+    f0_hz: float,
 ) -> FeatureDataset:
-    """Window the aligned trace and evaluate the feature spec per window.
+    """Window the aligned trace and evaluate the feature spec per window, on the grid frequency ``f0_hz``.
 
     Windows are ``round(window_s * fs)`` samples long, one every
     ``round(stride_s * fs)`` samples, as many as fit in the trace. The
@@ -311,7 +310,7 @@ def featurize(
         used = (m - 1) * s + k
         for waveform, buffer in zip((voltage, current), blocks):
             waveform.readinto(buffer[carried:used].reshape(-1))
-        X[lo : lo + m], valid[lo : lo + m] = evaluate_window(*(b[:used] for b in blocks), spec, fs, k, s)
+        X[lo : lo + m], valid[lo : lo + m] = evaluate_window(*(b[:used] for b in blocks), spec, fs, f0_hz, k, s)
         # The next chunk starts per_chunk * s blocks into this one.
         carried = max(0, used - per_chunk * s)
         for waveform, buffer in zip((voltage, current), blocks):

@@ -17,8 +17,9 @@ the frequencies at once, with each phase reduced exactly in integers; the
 block rotations are read from its columns, and the feeder synthesis
 and the characterization currents (``devices.add_harmonics``) are built
 from it too, so it is the one place a whole-hertz sinusoid is evaluated
-and the one place a rate or frequency that is not whole hertz is
-refused. Each block is folded onto that period (its whole periods summed
+and the kernel's guard against a rate or frequency that is not whole
+hertz or not below Nyquist (a config that has one is refused at load).
+Each block is folded onto that period (its whole periods summed
 column by column, its tail added to the first columns) and contracted
 with the table by ``einsum``, without BLAS: a window's projection is
 the same bits in a stack of any height and under any BLAS thread count.
@@ -153,6 +154,8 @@ def _period_table(freqs_hz: tuple, sample_rate_hz: float) -> np.ndarray:
     # Synthesis, block projection and block rotation all take their sinusoids from here.
     if not all(float(x).is_integer() for x in (*freqs_hz, sample_rate_hz)):
         raise ValueError("phases are reduced in integers: frequencies and sample rates must be whole hertz")
+    if 2 * max(freqs_hz) >= sample_rate_hz:
+        raise ValueError(f"{max(freqs_hz):g} Hz aliases at {sample_rate_hz:g} Hz sampling: not below Nyquist")
     fs = int(sample_rate_hz)
     freqs = [int(freq) for freq in freqs_hz]
     p = np.arange(fs // math.gcd(fs, *freqs), dtype=np.int64)
@@ -347,13 +350,11 @@ def thd(window, freq_hz: float, sample_rate_hz: float, max_harmonic: int) -> flo
 
     Raises:
         UndefinedFeatureError: if the fundamental magnitude is zero.
-        ValueError: if ``max_harmonic * freq_hz`` is not below Nyquist.
+        ValueError: if ``max_harmonic * freq_hz`` is not below Nyquist, refused by its projection.
     """
     if max_harmonic < 2:
         raise ValueError("max_harmonic must be at least 2")
     arr = _as_window(window)
-    if max_harmonic * freq_hz >= 0.5 * sample_rate_hz:
-        raise ValueError("max_harmonic * freq_hz must lie below the Nyquist frequency")
     fundamental, _ = fundamental_phasor(arr, freq_hz, sample_rate_hz)
     if fundamental == 0.0:
         raise UndefinedFeatureError("THD undefined: zero fundamental component")

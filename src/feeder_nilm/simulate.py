@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .devices import DeviceMode, DeviceModel, _check_aliasing, _stable_seed, add_harmonics, mode_phasors, supply_phasors
+from .devices import DeviceMode, DeviceModel, _stable_seed, add_harmonics, mode_phasors, supply_phasors
 from .signals import Waveform
 
 __all__ = [
@@ -231,7 +231,6 @@ def synthesize_feeder(
                     mode = model.mode(mode_name)
                 except KeyError as exc:
                     raise ValueError(str(exc)) from None
-                _check_aliasing(mode, f0, fs)
                 columns[key] = len(modes)
                 modes.append(mode)
             i0 = _sample_index(start, fs, n)

@@ -65,6 +65,7 @@ __all__ = [
     "read_dataset",
     "write_model",
     "read_model",
+    "REPORT_KEYS",
     "write_report_lines",
     "read_report_lines",
     "write_residuals",
@@ -326,10 +327,7 @@ def read_ground_truth(path, seconds: int) -> tuple[np.ndarray, str]:
 def write_dataset(path, dataset: FeatureDataset, fingerprint: str) -> None:
     lines = _header_lines("dataset", fingerprint)
     spec = dataset.feature_spec
-    lines.append(
-        f"# window_s={_f(dataset.window_s)} stride_s={_f(dataset.stride_s)} "
-        f"f0_hz={_f(spec.f0_hz)} max_harmonic={THD_ORDERS[-1]}"
-    )
+    lines.append(f"# window_s={_f(dataset.window_s)} stride_s={_f(dataset.stride_s)} max_harmonic={THD_ORDERS[-1]}")
     lines.append("t_start_s," + ",".join(spec.features) + ",y,valid")
     # One template per row; "%.17g" renders a float exactly as _f does.
     row = "%.17g," * (1 + len(spec.features)) + "%d,%d"
@@ -343,12 +341,14 @@ def read_dataset(path) -> tuple[FeatureDataset, str]:
     columns = (body or [""])[0].split(",")
     if columns[0] != "t_start_s" or columns[-2:] != ["y", "valid"]:
         raise FileFormatError(f"{path}: missing or bad dataset header row")
-    if meta.get("max_harmonic") != str(THD_ORDERS[-1]):  # thd's highest order is fixed; readers of the file use it
-        raise FileFormatError(f"{path}: dataset metadata needs max_harmonic={THD_ORDERS[-1]}")
+    # thd's highest order is fixed, and readers of the file use it; the grid frequency is the scenario's.
+    highest = str(THD_ORDERS[-1])
+    if set(meta) != {"fingerprint", "window_s", "stride_s", "max_harmonic"} or meta["max_harmonic"] != highest:
+        raise FileFormatError(f"{path}: metadata must be window_s, stride_s, max_harmonic={highest}, not {meta}")
     try:
-        spec = FeatureSpec(tuple(columns[1:-2]), float(meta["f0_hz"]))
+        spec = FeatureSpec(tuple(columns[1:-2]))
         window_s, stride_s = float(meta["window_s"]), float(meta["stride_s"])
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise FileFormatError(f"{path}: bad dataset metadata ({exc})") from None
     types = (float,) * (len(columns) - 2) + (int, int)
     rows = np.array([_fields(path, line, types, ",") for line in body[1:]], dtype=np.float64)
@@ -416,6 +416,11 @@ def read_model(path) -> tuple[tuple[RegressorParams, NormStats], str]:
 # ------------------------------------------------------------------- report
 
 
+# The headline keys eval writes to every report, in its order; the only other keys are count_<c> lines.
+REPORT_KEYS = ("n_test_windows", "mae_continuous", "mae_rounded", "exact_count_accuracy",
+               "baseline_constant", "baseline_mae_rounded", "baseline_exact_count_accuracy")
+
+
 def write_report_lines(path, entries: list[tuple[str, str]], fingerprint: str) -> None:
     """Write an ordered key = value report after its ``format_version = 1`` line."""
     lines = _header_lines("report", fingerprint) + ["format_version = 1"]
@@ -425,13 +430,18 @@ def write_report_lines(path, entries: list[tuple[str, str]], fingerprint: str) -
 
 
 def read_report_lines(path) -> tuple[list[tuple[str, str]], str]:
-    """The entries in file order, each one finite number (two for ``count_<c>``), without the format version 1."""
+    """The entries without the format version: each of ``REPORT_KEYS``, and ``count_<c>`` for whole c (two values)."""
     header, body = _read_tagged_lines(path, "report")
     values = _entries(path, body)
     if values.pop("format_version", None) != "1":
         raise FileFormatError(f"{path}: unsupported report format_version")
+    counts = {key for key in values if key.startswith("count_") and key[len("count_") :].isdigit()}
+    if set(values) != set(REPORT_KEYS) | counts:
+        raise FileFormatError(
+            f"{path}: report keys must be {', '.join(REPORT_KEYS)} and count_<c> lines, got {', '.join(values)}"
+        )
     for key, value in values.items():
-        if not np.isfinite(_fields(path, value, (float,) * (2 if key.startswith("count_") else 1))).all():
+        if not np.isfinite(_fields(path, value, (float,) * (2 if key in counts else 1))).all():
             raise FileFormatError(f"{path}: {key} must be finite")
     return list(values.items()), header["fingerprint"]
 

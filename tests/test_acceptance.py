@@ -226,7 +226,7 @@ def test_criterion_7_fisher_ranking_property():
                     voltage = math.sqrt(2) * 120.0 * np.sin(2 * np.pi * f0 * t)
                     for _ in range(3):
                         noisy = base + rng.normal(0, 0.01, n)
-                        rows, _ = evaluate_window(voltage[None], noisy[None], spec, fs)
+                        rows, _ = evaluate_window(voltage[None], noisy[None], spec, fs, f0)
                         row = rows[0]
                         # Inject a perfectly separating feature and a pure-noise feature.
                         separating = 10.0 * offset + rng.normal(0, 1e-6)

@@ -61,8 +61,10 @@ test_fraction = 0.2
 
 
 # (artifact, stage that writes it, word that replaces the last line's last word):
-# None garbles the line's first separator instead. On the small config the
-# schedule's last word is a lighting mode and the report's a count_<c> error.
+# None garbles the line's first separator instead, and "without-<key>" deletes
+# the line that starts with <key> (the last line, if the key is "last-line").
+# On the small config the schedule's last word is a lighting mode and the
+# report's a count_<c> error.
 _GARBLED_LAST_LINES = [
     ("schedule.txt", "simulate", None),
     ("ranking.txt", "select-features", None),
@@ -72,6 +74,8 @@ _GARBLED_LAST_LINES = [
     ("residuals.csv", "eval", None),
     ("schedule.txt", "simulate", "bogus-mode"),
     ("report.txt", "eval", "not-a-number"),
+    ("report.txt", "eval", "without-mae_rounded"),
+    ("schedule.txt", "simulate", "without-last-line"),
 ]
 
 
@@ -246,6 +250,23 @@ class TestStages:
         assert run("featurize", "--config", config_path, "--out", str(out), "--quiet") == 3
         err = capsys.readouterr().err
         assert err.startswith("file error:") and "ground_truth.txt" in err
+
+    def test_ground_truth_not_of_the_schedule_is_file_error(self, config_path, tmp_path, capsys):
+        # One count moves from 0 to 3 under the kept fingerprint: the counts are regenerated and compared.
+        out = tmp_path / "out"
+        assert run("simulate", "--config", config_path, "--out", str(out), "--quiet") == 0
+        truth = out / "ground_truth.txt"
+        original = truth.read_bytes()
+        lines = truth.read_text().splitlines()
+        second = next(k for k, line in enumerate(lines) if line.endswith(" 0"))
+        lines[second] = lines[second][: -len("0")] + "3"
+        truth.write_text("\n".join(lines) + "\n")
+        assert run("featurize", "--config", config_path, "--out", str(out), "--quiet") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("file error:") and "ground_truth.txt" in err
+        assert run("pipeline", "--config", config_path, "--out", str(out)) == 0
+        assert "simulate: up to date" not in capsys.readouterr().out
+        assert truth.read_bytes() == original
 
     @pytest.mark.parametrize("seconds", [50, 61], ids=["truncated", "extended"])
     def test_pipeline_resimulates_ground_truth_of_another_duration(self, config_path, tmp_path, capsys, seconds):
@@ -628,6 +649,13 @@ class TestPipeline:
         if last_word is None:
             separator = next(sep for sep in ("=", ",", " ") if sep in lines[-1])
             lines[-1] = lines[-1].replace(separator, ";", 1)
+        elif last_word == "without-last-line":
+            del lines[-1]
+        elif last_word.startswith("without-"):
+            key = last_word[len("without-") :]
+            kept = [line for line in lines if not line.startswith(f"{key} = ")]
+            assert len(kept) == len(lines) - 1
+            lines = kept
         else:
             lines[-1] = lines[-1].rsplit(" ", 1)[0] + " " + last_word
         path.write_text("\n".join(lines) + "\n")
@@ -638,6 +666,23 @@ class TestPipeline:
         assert any(line.startswith(f"{stage}: ") for line in stdout)
         for artifact in sorted(os.listdir(fresh)):
             assert (out / artifact).read_bytes() == (fresh / artifact).read_bytes(), artifact
+
+    def test_dataset_recording_the_grid_frequency_is_rewritten_alone(self, config_path, tmp_path, capsys):
+        # Earlier datasets carried an f0_hz word, under the same fingerprint: the scenario's f0_hz is the only one.
+        out = tmp_path / "out"
+        assert run("pipeline", "--config", config_path, "--out", str(out), "--quiet") == 0
+        dataset = out / "dataset.csv"
+        before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        text = dataset.read_text()
+        assert text.count(" max_harmonic=7\n") == 1
+        dataset.write_text(text.replace(" max_harmonic=7\n", " f0_hz=60 max_harmonic=7\n"))
+        assert run("train", "--config", config_path, "--out", str(out), "--quiet") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("file error:") and "dataset.csv" in err and "f0_hz" in err
+        assert run("pipeline", "--config", config_path, "--out", str(out)) == 0
+        stdout = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in stdout if not line.endswith(": up to date")] == ["featurize"]
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
 
     def test_pipeline_determinism_across_dirs(self, config_path, tmp_path):
         out_a = str(tmp_path / "a")

@@ -23,7 +23,7 @@ from feeder_nilm.config import (
     scenario_fingerprint,
 )
 from feeder_nilm.devices import default_library, load_device_library
-from feeder_nilm.featurize import FEATURE_IDS
+from feeder_nilm.featurize import FEATURE_IDS, FeatureSpec
 from feeder_nilm.model import TrainConfig
 from feeder_nilm.simulate import ScenarioConfig
 
@@ -232,7 +232,7 @@ class TestNyquist:
         with pytest.raises(ConfigError, match="order 7 .*Nyquist"):
             load(tmp_path, (("scenario", "sample_rate_hz"), "840"), (("featurize", "features"), "thd"))
         config = load(tmp_path, (("scenario", "sample_rate_hz"), "841"), (("featurize", "features"), "thd"))
-        assert config.feature_spec().harmonic_orders == tuple(range(1, 8))
+        assert FeatureSpec(config.featurize.features).harmonic_orders == tuple(range(1, 8))
         # The highest order is no longer a setting.
         with pytest.raises(ConfigError, match="max_harmonic"):
             load(tmp_path, (("featurize", "max_harmonic"), "9"))

@@ -76,19 +76,19 @@ class TestFeatureSpec:
 class TestFeaturize:
     def test_window_count(self):
         _, voltage, current, truth = small_trace()
-        dataset = featurize(voltage, current, truth, 5.0, 5.0, FeatureSpec())
+        dataset = featurize(voltage, current, truth, 5.0, 5.0, FeatureSpec(), 60.0)
         assert dataset.n_windows == 12
 
     def test_overlapping_stride(self):
         _, voltage, current, truth = small_trace()
-        dataset = featurize(voltage, current, truth, 5.0, 2.5, FeatureSpec())
+        dataset = featurize(voltage, current, truth, 5.0, 2.5, FeatureSpec(), 60.0)
         assert dataset.n_windows == 23
 
     def test_zero_device_trace(self):
         cfg_quiet = ScenarioConfig(duration_s=20.0, sample_rate_hz=2000.0, rng_seed=1)
         voltage, current = synthesize_feeder(cfg_quiet, Schedule(()), LIBRARY)
         truth = ground_truth_counts(Schedule(()), cfg_quiet)
-        dataset = featurize(voltage, current, truth, 5.0, 5.0, FeatureSpec())
+        dataset = featurize(voltage, current, truth, 5.0, 5.0, FeatureSpec(), 60.0)
         i_rms_col = dataset.X[:, list(dataset.feature_spec.features).index("i_rms")]
         assert np.max(np.abs(i_rms_col)) < 1e-9
         assert not dataset.y.any()
@@ -98,7 +98,7 @@ class TestFeaturize:
         # Per-primitive oracle at 1e-12: recompute a row straight from the raw window.
         cfg, voltage, current, truth = small_trace()
         spec = FeatureSpec()
-        dataset = featurize(voltage, current, truth, 5.0, 5.0, spec)
+        dataset = featurize(voltage, current, truth, 5.0, 5.0, spec, cfg.f0_hz)
         k = 7
         fs = cfg.sample_rate_hz
         lo = int(round(k * 5.0 * fs))
@@ -121,7 +121,7 @@ class TestFeaturize:
 
     def test_t_start_bookkeeping(self):
         _, voltage, current, truth = small_trace()
-        dataset = featurize(voltage, current, truth, 5.0, 5.0, FeatureSpec())
+        dataset = featurize(voltage, current, truth, 5.0, 5.0, FeatureSpec(), 60.0)
         assert np.array_equal(dataset.t_start_s, np.arange(12) * 5.0)
         assert dataset.t_start_s[-1] + dataset.window_s <= voltage.n_samples / voltage.sample_rate_hz + 1e-9
 
@@ -131,7 +131,7 @@ class TestFeaturize:
         from feeder_nilm.storage import write_dataset
 
         _, voltage, current, truth = small_trace()
-        dataset = featurize(voltage, current, truth, 5.0002, 2.50024, FeatureSpec())
+        dataset = featurize(voltage, current, truth, 5.0002, 2.50024, FeatureSpec(), 60.0)
         assert (dataset.window_s, dataset.stride_s) == (5.0, 2.5)
         write_dataset(tmp_path / "dataset.csv", dataset, "0" * 32)
         assert "# window_s=5 stride_s=2.5 " in (tmp_path / "dataset.csv").read_text()
@@ -140,12 +140,12 @@ class TestFeaturize:
         _, voltage, current, truth = small_trace()
         shorter = waveform_of(samples_of(current)[:-10], current.sample_rate_hz)
         with pytest.raises(ValueError):
-            featurize(voltage, shorter, truth, 5.0, 5.0, FeatureSpec())
+            featurize(voltage, shorter, truth, 5.0, 5.0, FeatureSpec(), 60.0)
 
     def test_window_longer_than_trace(self):
         _, voltage, current, truth = small_trace(duration=10.0)
         with pytest.raises(ValueError):
-            featurize(voltage, current, truth, 30.0, 5.0, FeatureSpec())
+            featurize(voltage, current, truth, 30.0, 5.0, FeatureSpec(), 60.0)
 
 
 class TestRankFeatures:
@@ -258,7 +258,7 @@ class TestEvaluateWindow:
         n = int(fs)
         t = np.arange(n) / fs
         v = np.sin(2 * np.pi * f0 * t)
-        X, valid = evaluate_window(v[None], np.zeros((1, n)), FeatureSpec(), fs)
+        X, valid = evaluate_window(v[None], np.zeros((1, n)), FeatureSpec(), fs, f0)
         row = X[0]
         assert not valid[0]
         assert np.array_equal(row[1:4], np.zeros(3))  # form, crest, phase undefined
@@ -269,15 +269,14 @@ class TestEvaluateWindow:
         # no harmonic must still evaluate, and THD must still refuse.
         fs, n = 600.0, 600
         v = np.sin(2 * np.pi * 60.0 * np.arange(n) / fs)
-        X, valid = evaluate_window(v[None], 0.5 * v[None], FeatureSpec(("i_rms",)), fs)
+        X, valid = evaluate_window(v[None], 0.5 * v[None], FeatureSpec(("i_rms",)), fs, 60.0)
         assert valid[0] and X[0, 0] == sg.rms(0.5 * v)
         with pytest.raises(ValueError):
-            evaluate_window(v[None], 0.5 * v[None], FeatureSpec(("thd",)), fs)
+            evaluate_window(v[None], 0.5 * v[None], FeatureSpec(("thd",)), fs, 60.0)
 
 
-def scalar_oracle(name, v, i, spec, fs):
+def scalar_oracle(name, v, i, fs, f0):
     """One feature of one window from the scalar signals functions."""
-    f0 = spec.f0_hz
     if name == "i_rms":
         return sg.rms(i)
     if name == "i_form_factor":
@@ -319,13 +318,13 @@ class TestEvaluateWindowStack:
         v = rng.uniform(50, 200, (n_rows, 1)) * np.sin(2 * np.pi * 60.0 * t + rng.uniform(-3, 3, (n_rows, 1)))
         i = rng.normal(0.0, rng.uniform(0.01, 5.0), (n_rows, width)) + 0.3 * v / 100.0
         i[np.array(zero_rows[:n_rows])] = 0.0
-        X, valid = evaluate_window(v, i, spec, fs)
+        X, valid = evaluate_window(v, i, spec, fs, 60.0)
         assert X.shape == (n_rows, len(features)) and valid.shape == (n_rows,)
         for k in range(n_rows):
             row_valid = True
             for col, name in enumerate(features):
                 try:
-                    want = scalar_oracle(name, v[k], i[k], spec, fs)
+                    want = scalar_oracle(name, v[k], i[k], fs, 60.0)
                 except sg.UndefinedFeatureError:
                     want, row_valid = 0.0, False
                 if name in EXACT_FEATURES:
@@ -340,9 +339,9 @@ class TestEvaluateWindowStack:
         t = np.arange(2000) / fs
         v = 170.0 * np.sin(2 * np.pi * f0 * t)
         i = np.stack([np.zeros_like(t), 3.0 * np.sin(2 * np.pi * f0 * t - 0.4) + rng.normal(0, 0.1, t.size)])
-        X, valid = evaluate_window(np.stack([v, v]), i, FeatureSpec(), fs)
+        X, valid = evaluate_window(np.stack([v, v]), i, FeatureSpec(), fs, f0)
         for k in range(2):
-            row, row_valid = evaluate_window(v[None], i[k][None], FeatureSpec(), fs)
+            row, row_valid = evaluate_window(v[None], i[k][None], FeatureSpec(), fs, f0)
             np.testing.assert_allclose(row[0], X[k], rtol=1e-12, atol=1e-12)
             assert row_valid[0] == valid[k]
         assert valid.tolist() == [False, True]
@@ -372,20 +371,20 @@ class TestEvaluateWindowStack:
         v, i = v.reshape(n_blocks, block_len), i.reshape(n_blocks, block_len)
         if zero_window is not None and zero_window < n_windows:
             i[zero_window * s : zero_window * s + k] = 0.0
-        spec = FeatureSpec(tuple(features), f0_hz=f0)
-        X, valid = evaluate_window(v, i, spec, fs, k, s)
+        spec = FeatureSpec(tuple(features))
+        X, valid = evaluate_window(v, i, spec, fs, f0, k, s)
         for j in range(n_windows):
             blocks = slice(j * s, j * s + k)
-            row, row_valid = evaluate_window(v[blocks], i[blocks], spec, fs, k, s)
+            row, row_valid = evaluate_window(v[blocks], i[blocks], spec, fs, f0, k, s)
             assert np.array_equal(row[0], X[j]) and row_valid[0] == valid[j]
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_window(np.ones((2, 50)), np.ones((3, 50)), FeatureSpec(), 2000.0)
+            evaluate_window(np.ones((2, 50)), np.ones((3, 50)), FeatureSpec(), 2000.0, 60.0)
         with pytest.raises(ValueError):
-            evaluate_window(np.ones((2, 2, 50)), np.ones((2, 2, 50)), FeatureSpec(), 2000.0)
+            evaluate_window(np.ones((2, 2, 50)), np.ones((2, 2, 50)), FeatureSpec(), 2000.0, 60.0)
         with pytest.raises(ValueError):
-            evaluate_window(np.ones(50), np.ones(50), FeatureSpec(), 2000.0)  # a bare window is not a stack
+            evaluate_window(np.ones(50), np.ones(50), FeatureSpec(), 2000.0, 60.0)  # a bare window is not a stack
 
 
 class TestFeaturizeGrid:
@@ -425,11 +424,11 @@ class TestFeaturizeGrid:
         i = rng.normal(0.0, rng.uniform(0.01, 5.0), n) + 0.3 * v / 100.0
         if zero_window is not None and zero_window < n_windows:
             i[zero_window * stride : zero_window * stride + width] = 0.0
-        spec = FeatureSpec(tuple(features), f0_hz=f0)
+        spec = FeatureSpec(tuple(features))
         truth = np.zeros(math.ceil(n / fs) + 1, dtype=np.int64)
         with mock.patch.object(FEATURIZE_MODULE, "CHUNK_BYTES", chunk_bytes):
             voltage, current = waveform_of(v, fs), waveform_of(i, fs)
-            dataset = featurize(voltage, current, truth, width / fs, stride / fs, spec)
+            dataset = featurize(voltage, current, truth, width / fs, stride / fs, spec, f0)
         assert dataset.n_windows == n_windows
         # Both are read to the end: past any gap blocks and the samples after the last window.
         for waveform in (voltage, current):
@@ -441,7 +440,7 @@ class TestFeaturizeGrid:
             row_valid = True
             for col, name in enumerate(features):
                 try:
-                    want = scalar_oracle(name, v_window, i_window, spec, fs)
+                    want = scalar_oracle(name, v_window, i_window, fs, f0)
                 except sg.UndefinedFeatureError:
                     want, row_valid = 0.0, False
                 got = dataset.X[j, col]
@@ -472,7 +471,8 @@ class TestFeaturizeChunks:
         def dataset():
             voltage, _ = read_waveform(smoke / "voltage.fnwv", "VOLT", fs)
             current, _ = read_waveform(smoke / "current.fnwv", "CURR", fs)
-            return featurize(voltage, current, truth, config.featurize.window_s, stride_s, config.feature_spec())
+            spec = FeatureSpec(config.featurize.features)
+            return featurize(voltage, current, truth, config.featurize.window_s, stride_s, spec, config.scenario.f0_hz)
 
         default = dataset()
         window, stride = round(config.featurize.window_s * fs), round(stride_s * fs)

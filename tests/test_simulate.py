@@ -438,14 +438,26 @@ class TestPeriodicTableSynthesis:
             oracle = reference_current(LIBRARY["smps"].mode("on"), t, 60.0)
             assert np.max(np.abs(tiled - oracle)) < 1e-9
 
-    @pytest.mark.parametrize("fs, f0", [(9_999.5, 60.0), (10_000.0, 59.94)], ids=["fractional-fs", "fractional-f0"])
-    def test_add_harmonics_needs_whole_hertz(self, fs, f0):
-        from feeder_nilm.devices import add_harmonics, mode_phasors
+    @pytest.mark.parametrize(
+        "fs, f0, message",
+        [
+            (9_999.5, 60.0, "whole"),
+            (10_000.0, 59.94, "whole"),
+            (800.0, 60.0, "420 Hz aliases at 800 Hz sampling: not below Nyquist"),
+        ],
+        ids=["fractional-fs", "fractional-f0", "order-7-above-nyquist"],
+    )
+    def test_add_harmonics_needs_whole_hertz(self, fs, f0, message):
+        # The smps draws order 7: at 800 Hz its 420 Hz lies above the 400 Hz Nyquist frequency.
+        from feeder_nilm.devices import add_harmonics, mode_current_samples, mode_phasors
 
+        mode = LIBRARY["smps"].mode("on")
         out = np.zeros(100)
-        with pytest.raises(ValueError, match="whole"):
-            add_harmonics(out, 0, mode_phasors(LIBRARY["smps"].mode("on"), 7), fs, f0)
+        with pytest.raises(ValueError, match=message):
+            add_harmonics(out, 0, mode_phasors(mode, 7), fs, f0)
         assert not out.any()
+        with pytest.raises(ValueError, match=message):
+            mode_current_samples(mode, 100, fs, f0)
 
     def test_segment_noise_variance_is_sum_of_active_variances(self):
         from dataclasses import replace

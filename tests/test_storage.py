@@ -13,6 +13,7 @@ from feeder_nilm.model import init_params
 from feeder_nilm.signals import Waveform
 from feeder_nilm.simulate import DeviceSchedule, Schedule, ScenarioConfig, generate_schedule, ground_truth_counts
 from feeder_nilm.storage import (
+    REPORT_KEYS,
     FileFormatError,
     read_dataset,
     read_ground_truth,
@@ -33,6 +34,9 @@ from feeder_nilm.storage import (
 )
 
 FP = "ab" * 16  # 32 hex digits, arbitrary
+
+# A report as eval writes one: every headline key, then count_<c> lines.
+REPORT = [(key, "0.25") for key in REPORT_KEYS] + [("count_0", "4 0"), ("count_1", "2 0.5")]
 
 
 def random_samples(seed=0, n=5000):
@@ -345,6 +349,16 @@ class TestDatasetFile:
         with pytest.raises(FileFormatError, match="dataset.csv"):
             read_dataset(path)
 
+    def test_unknown_metadata_word_rejected(self, tmp_path):
+        # The grid frequency is the scenario's, not the dataset's: a dataset that records one is stale.
+        path = tmp_path / "dataset.csv"
+        write_dataset(path, self.make_dataset(), FP)
+        text = path.read_text()
+        assert text.splitlines()[2] == "# window_s=5 stride_s=2.5 max_harmonic=7"
+        path.write_text(text.replace(" max_harmonic=7", " f0_hz=60 max_harmonic=7"))
+        with pytest.raises(FileFormatError, match="dataset.csv: metadata must be window_s, stride_s, max_harmonic=7, not .*f0_hz"):
+            read_dataset(path)
+
 
 class TestModelFile:
     def make_model(self):
@@ -407,7 +421,7 @@ class TestModelFile:
 
 class TestReportFile:
     def test_round_trip_byte_identical(self, tmp_path):
-        entries = [("mae_rounded", "0.25"), ("count_0", "4 0")]
+        entries = REPORT
         first = tmp_path / "a.txt"
         second = tmp_path / "b.txt"
         write_report_lines(first, entries, FP)
@@ -420,12 +434,24 @@ class TestReportFile:
     @pytest.mark.parametrize("version", ["2", None], ids=["other", "missing"])
     def test_other_format_version_rejected(self, tmp_path, version):
         path = tmp_path / "report.txt"
-        write_report_lines(path, [("mae_rounded", "0.25")], FP)
+        write_report_lines(path, REPORT, FP)
         lines = [line for line in path.read_text().splitlines() if line != "format_version = 1"]
         if version is not None:
             lines.append(f"format_version = {version}")
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FileFormatError, match="report.txt: unsupported report format_version"):
+            read_report_lines(path)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [REPORT[:2] + REPORT[3:], REPORT + [("mae_median", "0.5")], REPORT + [("count_x", "1 0")], REPORT[7:]],
+        ids=["headline-key-missing", "unknown-key", "count-of-no-whole-number", "counts-alone"],
+    )
+    def test_other_key_set_rejected(self, tmp_path, entries):
+        # Every headline key eval writes is there once; any other key is a count_<c> line.
+        path = tmp_path / "report.txt"
+        write_report_lines(path, entries, FP)
+        with pytest.raises(FileFormatError, match="report.txt: report keys must be n_test_windows, "):
             read_report_lines(path)
 
 
@@ -553,7 +579,7 @@ def _write_sample(path, kind):
     elif kind == "model":
         write_model(path, *TestModelFile().make_model(), FP)
     elif kind == "report":
-        write_report_lines(path, [("mae_rounded", "0.25")], FP)
+        write_report_lines(path, REPORT, FP)
     else:
         write_residuals(path, [0.0, 2.5, 5.0], [1, 3, 0], [1.25, 1.5, 0.0], [1, 2, 0], FP)
 
