@@ -7,11 +7,13 @@ mini-batch gradient descent; MAE stays the reporting metric. Training is
 single-threaded and bit-deterministic given the seeds.
 
 ``run_epochs`` gathers each epoch's permuted training rows once and takes
-its batches as slices of that copy. It calls ``loss_and_gradient`` once
-per batch, and its working copy of the parameters keeps every weight and
-bias as a view into one float64 vector, so a step is one elementwise
-``flat -= rate * gradients``. The update is elementwise, so the bits do not
-depend on that layout: they are those of one ``w -= rate * gw`` per array.
+its batches as slices of that copy. Its working copy of the parameters
+keeps every weight and bias as a view into one float64 vector. Per batch
+it takes the data gradient from one ``loss_and_gradient`` call at l2 = 0,
+adds the weight decay ``l2 * w`` on the flat vector's weight slice and
+steps ``flat -= rate * gradients``; the best epoch is kept as a flat copy.
+Each of these is elementwise, so the bits do not depend on that layout:
+they are those of ``gw += l2 * w`` and ``w -= rate * gw`` per array.
 """
 
 from __future__ import annotations
@@ -146,15 +148,15 @@ def forward_batch(params: RegressorParams, X) -> np.ndarray:
 
 
 def _huber(residual: np.ndarray) -> tuple[float, np.ndarray]:
-    """(mean Huber(delta=1) loss, min(|r|, 1)) of a non-empty residual vector.
+    """(mean Huber(delta=1) loss, clip(r, -1, 1)) of a non-empty residual vector.
 
-    With c = min(|r|, 1) each term is c * (|r| - c/2): r*r/2 where |r| <= 1
-    and |r| - 1/2 beyond, the same bits as either branch for every finite r.
-    The mean is the plain sum over n, as ``np.mean`` takes it.
+    With g = clip(r, -1, 1) each term is g * (r - g/2): r*r/2 where |r| <= 1
+    and |r| - 1/2 beyond, the same bits as either branch for every finite r
+    (negating r negates both factors exactly). The mean is the plain sum
+    over n, as ``np.mean`` takes it.
     """
-    a = np.abs(residual)
-    c = np.minimum(a, 1.0)
-    return float(np.add.reduce(c * (a - 0.5 * c))) / residual.shape[0], c
+    g = np.minimum(np.maximum(residual, -1.0), 1.0)  # np.clip costs more on a batch this small
+    return float(np.add.reduce(g * (residual - 0.5 * g))) / residual.shape[0], g
 
 
 def loss_and_gradient(params: RegressorParams, batch_X, batch_y, l2: float = 0.0):
@@ -172,12 +174,11 @@ def loss_and_gradient(params: RegressorParams, batch_X, batch_y, l2: float = 0.0
     n = X.shape[0]
 
     pre, act, y_hat = _forward_pass(params, X)
-    residual = y_hat - y
-    loss, capped = _huber(residual)
+    loss, clipped = _huber(y_hat - y)
     loss += _penalty(params, l2)
 
     # dL/dy_hat for the mean Huber: clip(residual, -1, 1) / n
-    d_yhat = np.copysign(capped, residual) / n
+    d_yhat = clipped / n
     # through the softplus head: d softplus(z) = sigmoid(z)
     delta = (d_yhat * _sigmoid(pre[-1][:, 0]))[:, None]
 
@@ -204,16 +205,14 @@ def _data_loss(params: RegressorParams, X: np.ndarray, y: np.ndarray) -> float:
     return _huber(forward_batch(params, X) - np.asarray(y, dtype=np.float64))[0]
 
 
-def _flat_copy(params: RegressorParams) -> tuple[RegressorParams, np.ndarray]:
-    """A copy whose weights and biases are views into one float64 vector."""
-    arrays = (*params.weights, *params.biases)
-    flat = np.concatenate(arrays, axis=None)
+def _over(params: RegressorParams, flat: np.ndarray) -> RegressorParams:
+    """Parameters shaped like ``params`` whose weights, then biases, are views into ``flat``."""
     views, offset = [], 0
-    for arr in arrays:
+    for arr in (*params.weights, *params.biases):
         views.append(flat[offset : offset + arr.size].reshape(arr.shape))
         offset += arr.size
     n = len(params.weights)
-    return RegressorParams(params.layer_sizes, views[:n], views[n:]), flat
+    return RegressorParams(params.layer_sizes, views[:n], views[n:])
 
 
 def run_epochs(params, train_set, val_set, config: TrainConfig, permutations):
@@ -234,8 +233,10 @@ def run_epochs(params, train_set, val_set, config: TrainConfig, permutations):
     if X_train.shape[0] == 0 or X_val.shape[0] == 0:
         raise ValueError("train and validation splits must be non-empty")
 
-    current, flat = _flat_copy(params)
-    best = current.copy()
+    flat = np.concatenate((*params.weights, *params.biases), axis=None)
+    current = _over(params, flat)
+    weights = flat[: sum(w.size for w in params.weights)]
+    best = flat.copy()
     best_val = _data_loss(current, X_val, y_val)
     history: list[tuple[int, float, float]] = []
     stale = 0
@@ -243,23 +244,26 @@ def run_epochs(params, train_set, val_set, config: TrainConfig, permutations):
     for epoch, order in enumerate(permutations):
         X_epoch, y_epoch = X_train[order], y_train[order]
         for lo in range(0, len(order), size):
-            _, grad_w, grad_b = loss_and_gradient(
-                current, X_epoch[lo : lo + size], y_epoch[lo : lo + size], l2
-            )
-            # Elementwise, so the same bits as one update per array.
-            flat -= rate * np.concatenate((*grad_w, *grad_b), axis=None)
+            _, grad_w, grad_b = loss_and_gradient(current, X_epoch[lo : lo + size], y_epoch[lo : lo + size], 0.0)
+            # Elementwise, so the same bits as gw += l2 * w, then w -= rate * gw, per array;
+            # only for l2 > 0, as before, since adding 0.0 * w would turn a -0.0 gradient into +0.0.
+            step = np.concatenate((*grad_w, *grad_b), axis=None)
+            if l2 > 0.0:
+                step[: weights.size] += l2 * weights
+            step *= rate
+            flat -= step
         train_obj = _data_loss(current, X_train, y_train) + _penalty(current, l2)
         val_loss = _data_loss(current, X_val, y_val)
         history.append((epoch, train_obj, val_loss))
         if val_loss < best_val:
             best_val = val_loss
-            best = current.copy()
+            best[:] = flat
             stale = 0
         else:
             stale += 1
             if stale > config.patience:
                 break
-    return best, history
+    return _over(params, best), history
 
 
 def train(params: RegressorParams, train_set, val_set, config: TrainConfig):

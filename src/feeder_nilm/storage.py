@@ -198,12 +198,13 @@ def _write_text(path, lines: Iterable[str]) -> None:
             fh.write("\n")
 
 
-def _read_tagged_lines(path, tag: str) -> tuple[dict[str, str], list[str]]:
+def _read_tagged_lines(path, tag: str, keys: tuple[str, ...] = ("fingerprint",)) -> tuple[dict[str, str], list[str]]:
     """Returns (header values, non-comment lines); validates the format line.
 
     Header values are the ``key=value`` words of the comment lines after
-    the format line: the fingerprint, which must be there, and for a
-    dataset its window metadata.
+    the format line. The format declares its ``keys``: each must be there
+    once, and any other key is refused, so a stray word is no part of a
+    current file.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -220,8 +221,12 @@ def _read_tagged_lines(path, tag: str) -> tuple[dict[str, str], list[str]]:
         elif line.strip():
             body.append(line)
     header = _unique(path, words)
-    if "fingerprint" not in header:
-        raise FileFormatError(f"{path}: missing '# fingerprint=' line")
+    for key in header:
+        if key not in keys:
+            raise FileFormatError(f"{path}: unknown header key {key!r}")
+    for key in keys:
+        if key not in header:
+            raise FileFormatError(f"{path}: missing '# {key}=' header word")
     return header, body
 
 
@@ -337,14 +342,13 @@ def write_dataset(path, dataset: FeatureDataset, fingerprint: str) -> None:
 
 
 def read_dataset(path) -> tuple[FeatureDataset, str]:
-    meta, body = _read_tagged_lines(path, "dataset")
+    meta, body = _read_tagged_lines(path, "dataset", ("fingerprint", "window_s", "stride_s", "max_harmonic"))
     columns = (body or [""])[0].split(",")
     if columns[0] != "t_start_s" or columns[-2:] != ["y", "valid"]:
         raise FileFormatError(f"{path}: missing or bad dataset header row")
     # thd's highest order is fixed, and readers of the file use it; the grid frequency is the scenario's.
-    highest = str(THD_ORDERS[-1])
-    if set(meta) != {"fingerprint", "window_s", "stride_s", "max_harmonic"} or meta["max_harmonic"] != highest:
-        raise FileFormatError(f"{path}: metadata must be window_s, stride_s, max_harmonic={highest}, not {meta}")
+    if meta["max_harmonic"] != str(THD_ORDERS[-1]):
+        raise FileFormatError(f"{path}: max_harmonic must be {THD_ORDERS[-1]}, not {meta['max_harmonic']}")
     try:
         spec = FeatureSpec(tuple(columns[1:-2]))
         window_s, stride_s = float(meta["window_s"]), float(meta["stride_s"])

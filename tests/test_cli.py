@@ -76,6 +76,12 @@ _GARBLED_LAST_LINES = [
     ("report.txt", "eval", "not-a-number"),
     ("report.txt", "eval", "without-mae_rounded"),
     ("schedule.txt", "simulate", "without-last-line"),
+    ("schedule.txt", "simulate", "stray-header-word"),
+    ("ground_truth.txt", "simulate", "stray-header-word"),
+    ("ranking.txt", "select-features", "stray-header-word"),
+    ("model.txt", "train", "stray-header-word"),
+    ("report.txt", "eval", "stray-header-word"),
+    ("residuals.csv", "eval", "stray-header-word"),
 ]
 
 
@@ -651,6 +657,8 @@ class TestPipeline:
             lines[-1] = lines[-1].replace(separator, ";", 1)
         elif last_word == "without-last-line":
             del lines[-1]
+        elif last_word == "stray-header-word":
+            lines.insert(2, "# window_s=99")  # a dataset's header key, in a file whose format has no such key
         elif last_word.startswith("without-"):
             key = last_word[len("without-") :]
             kept = [line for line in lines if not line.startswith(f"{key} = ")]

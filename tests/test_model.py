@@ -338,25 +338,60 @@ class TestTrain:
                 b -= 0.03 * gb
         assert history[0][1] == loss_and_gradient(stepped, X, y, 0.1)[0]
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_bits_match_the_plain_loop(self, seed):
+    # (scenario seed, TrainConfig changes, layer sizes): the seeds keep L2 on, a batch size
+    # that does not divide 23 and a patience short enough that some stop early; the edges
+    # turn L2 off, take one row or every row per batch, stand still, or drop the hidden layers.
+    _LOOPS = [
+        (0, {}, (4, 7, 5, 1)),
+        (1, {}, (4, 7, 5, 1)),
+        (2, {}, (4, 7, 5, 1)),
+        (3, {"l2_penalty": 0.0}, (4, 7, 5, 1)),
+        (3, {"batch_size": 1}, (4, 7, 5, 1)),
+        (3, {"batch_size": 23}, (4, 7, 5, 1)),
+        (3, {"batch_size": 100}, (4, 7, 5, 1)),
+        (3, {"learning_rate": 0.0}, (4, 7, 5, 1)),
+        (3, {}, (4, 1)),
+        (3, {"l2_penalty": 0.0}, (4, 1)),
+    ]
+
+    @pytest.mark.parametrize(
+        "seed, changes, layer_sizes",
+        _LOOPS,
+        ids=["0", "1", "2", "l2-zero", "batch-1", "batch-all-rows", "batch-beyond-rows", "rate-zero",
+             "no-hidden", "no-hidden-l2-zero"],
+    )
+    def test_bits_match_the_plain_loop(self, seed, changes, layer_sizes):
         rng = np.random.default_rng(seed)
         X, X_val = rng.normal(0, 1, (23, 4)), rng.normal(0, 1, (9, 4))
         y = rng.integers(0, 5, 23).astype(float)
         y_val = rng.integers(0, 5, 9).astype(float)
-        # A batch size that does not divide 23, L2 on, and a patience short
-        # enough that some seeds stop early.
-        config = TrainConfig(learning_rate=0.05, batch_size=5, epochs=12, l2_penalty=0.01, patience=4)
+        fields = {"learning_rate": 0.05, "batch_size": 5, "epochs": 12, "l2_penalty": 0.01, "patience": 4}
+        config = TrainConfig(**{**fields, **changes})
         orders = [rng.permutation(23) for _ in range(config.epochs)]
-        params = init_params((4, 7, 5, 1), seed=seed)
+        params = init_params(layer_sizes, seed=seed)
         fitted, history = run_epochs(params, (X, y), (X_val, y_val), config, orders)
         want, want_history = reference_run_epochs(params, (X, y), (X_val, y_val), config, orders)
-        assert len(history) == len(want_history)
-        for row, want_row in zip(history, want_history):
-            assert row == want_row
-        for got, ref in zip(fitted.weights + fitted.biases, want.weights + want.biases):
-            assert np.array_equal(got, ref)
+        assert np.asarray(history).tobytes() == np.asarray(want_history).tobytes()
+        for got, ref in zip(fitted.weights + fitted.biases, want.weights + want.biases, strict=True):
+            assert got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()  # signed zeros too
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_l2_gradient_is_the_data_gradient_plus_l2_times_weights(self, seed):
+        # The loop takes the data gradient at l2 = 0 and adds l2 * w itself: the same bits.
+        rng = np.random.default_rng(seed)
+        params = init_params((4, 7, 5, 1), seed=seed)
+        for b in params.biases:
+            b[:] = rng.normal(0.0, 0.5, b.shape)
+        n = int(rng.integers(1, 20))
+        X, y = rng.normal(0, 1, (n, 4)), rng.integers(0, 5, n).astype(float)
+        l2 = float(rng.uniform(1e-4, 0.5))
+        _, grad_w, grad_b = loss_and_gradient(params, X, y, l2)
+        _, data_w, data_b = loss_and_gradient(params, X, y, 0.0)
+        for got, data, w in zip(grad_w, data_w, params.weights, strict=True):
+            assert got.tobytes() == (data + l2 * w).tobytes()
+        for got, data in zip(grad_b, data_b, strict=True):
+            assert got.tobytes() == data.tobytes()
 
     def test_empty_split_rejected(self):
         params = init_params((3, 6, 1), seed=0)

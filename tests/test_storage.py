@@ -356,7 +356,22 @@ class TestDatasetFile:
         text = path.read_text()
         assert text.splitlines()[2] == "# window_s=5 stride_s=2.5 max_harmonic=7"
         path.write_text(text.replace(" max_harmonic=7", " f0_hz=60 max_harmonic=7"))
-        with pytest.raises(FileFormatError, match="dataset.csv: metadata must be window_s, stride_s, max_harmonic=7, not .*f0_hz"):
+        with pytest.raises(FileFormatError, match="dataset.csv: unknown header key 'f0_hz'"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [(" max_harmonic=7", " max_harmonic=9", "max_harmonic must be 7, not 9"),
+         (" stride_s=2.5", "", "missing '# stride_s=' header word")],
+        ids=["other-max_harmonic", "missing-stride_s"],
+    )
+    def test_metadata_value_and_presence_checked(self, tmp_path, old, new, message):
+        path = tmp_path / "dataset.csv"
+        write_dataset(path, self.make_dataset(), FP)
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+        with pytest.raises(FileFormatError, match=f"dataset.csv: {message}"):
             read_dataset(path)
 
 
@@ -630,6 +645,18 @@ _REPEATED_KEYS = [
 ]
 
 
+# (artifact kind, header word): a ``key=value`` word its format does not declare.
+_STRAY_HEADER_WORDS = [
+    ("schedule", "window_s=99"),
+    ("ground-truth", "window_s=99"),
+    ("ranking", "window_s=99"),
+    ("dataset", "f0_hz=60"),
+    ("model", "window_s=99"),
+    ("report", "window_s=99"),
+    ("residuals", "window_s=99"),
+]
+
+
 class TestSharedParser:
     @pytest.mark.parametrize("kind, line", _BAD_LINES, ids=[f"{k}:{l}" for k, l in _BAD_LINES])
     def test_bad_line_rejected_naming_file(self, tmp_path, kind, line):
@@ -650,6 +677,18 @@ class TestSharedParser:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
         with pytest.raises(FileFormatError, match=f"bad-{kind}.txt: repeated key {key!r}"):
+            _READERS[kind](path)
+
+    @pytest.mark.parametrize("kind, word", _STRAY_HEADER_WORDS, ids=[k for k, _ in _STRAY_HEADER_WORDS])
+    def test_stray_header_word_rejected_naming_file_and_key(self, tmp_path, kind, word):
+        # Each format declares its header keys; any other comment word is refused, wherever it stands.
+        path = tmp_path / f"bad-{kind}.txt"
+        _write_sample(path, kind)
+        lines = path.read_text().splitlines()
+        lines.insert(2, f"# {word}")
+        path.write_text("\n".join(lines) + "\n")
+        key = word.split("=")[0]
+        with pytest.raises(FileFormatError, match=f"bad-{kind}.txt: unknown header key {key!r}"):
             _READERS[kind](path)
 
     @pytest.mark.parametrize("kind", ["schedule", "ground-truth", "ranking", "residuals"])
