@@ -26,7 +26,7 @@ from .featurize import (
     fit_normalization,
     rank_features,
 )
-from .model import init_params, train
+from .model import data_loss, init_params, train
 from .simulate import generate_schedule, ground_truth_counts, synthesize_feeder
 from .config import (
     ConfigError,
@@ -201,15 +201,25 @@ def stage_train(config: RunConfig, library: Library, out: str, quiet: bool) -> N
 
     layer_sizes = (len(stats.kept_indices), *config.model.hidden_layers, 1)
     params = init_params(layer_sizes, config.model.init_seed)
+    initial_val = data_loss(params, X_val, val_part.y)
     params, history = train(
         params, (X_train, train_part.y), (X_val, val_part.y), config.model.train
     )
     st.write_model(os.path.join(out, "model.txt"), params, stats, model_fingerprint(config, library))
+    # train keeps the initial parameters unless an epoch's validation loss beats theirs.
+    best_val = min(h[2] for h in history)
+    if not best_val < initial_val:
+        best_val = initial_val
+        print(
+            f"train: warning: no epoch improved on the initial parameters' val loss {initial_val:.4g}; "
+            "model.txt holds the initial parameters",
+            file=sys.stderr,
+        )
     last_epoch, train_obj, _ = history[-1]
     _say(
         quiet,
         f"train: {last_epoch + 1} epochs on {train_part.n_windows} windows, "
-        f"final train objective {train_obj:.4g}, best val loss {min(h[2] for h in history):.4g}",
+        f"final train objective {train_obj:.4g}, best val loss {best_val:.4g}",
     )
 
 

@@ -8,12 +8,15 @@ single-threaded and bit-deterministic given the seeds.
 
 ``run_epochs`` gathers each epoch's permuted training rows once and takes
 its batches as slices of that copy. Its working copy of the parameters
-keeps every weight and bias as a view into one float64 vector. Per batch
-it takes the data gradient from one ``loss_and_gradient`` call at l2 = 0,
-adds the weight decay ``l2 * w`` on the flat vector's weight slice and
-steps ``flat -= rate * gradients``; the best epoch is kept as a flat copy.
-Each of these is elementwise, so the bits do not depend on that layout:
-they are those of ``gw += l2 * w`` and ``w -= rate * gw`` per array.
+keeps every weight and bias as a view into one float64 vector, and its
+gradient buffer is a second vector laid out the same way. Per batch one
+``loss_and_gradient`` call at l2 = 0 writes the data gradient into views
+of that buffer (``out=``), so nothing is concatenated or allocated per
+array; the loop adds the weight decay ``l2 * w`` on the buffer's weight
+slice, scales it by the rate and steps ``flat -= gradient``. The best
+epoch is kept as a flat copy. Each of these is elementwise, so the bits
+do not depend on that layout: they are those of ``gw += l2 * w`` and
+``w -= rate * gw`` per array.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ __all__ = [
     "init_params",
     "forward_batch",
     "loss_and_gradient",
+    "data_loss",
     "train",
     "run_epochs",
     "count_from_output",
@@ -159,11 +163,14 @@ def _huber(residual: np.ndarray) -> tuple[float, np.ndarray]:
     return float(np.add.reduce(g * (residual - 0.5 * g))) / residual.shape[0], g
 
 
-def loss_and_gradient(params: RegressorParams, batch_X, batch_y, l2: float = 0.0):
+def loss_and_gradient(params: RegressorParams, batch_X, batch_y, l2: float = 0.0, out=None):
     """Huber(delta=1) batch loss plus l2*|W|^2/2, with reverse-mode gradients.
 
     Returns (loss, weight_gradients, bias_gradients) with gradients shaped
     exactly like the parameters. The L2 penalty covers weights only.
+    ``out`` is a (weight arrays, bias arrays) pair shaped like the
+    parameters; the gradients are written into it and it is what is
+    returned. Omitted, a zeroed pair is allocated.
     """
     X = _as_batch(params, batch_X)
     y = np.asarray(batch_y, dtype=np.float64).reshape(-1)
@@ -174,25 +181,28 @@ def loss_and_gradient(params: RegressorParams, batch_X, batch_y, l2: float = 0.0
     n = X.shape[0]
 
     pre, act, y_hat = _forward_pass(params, X)
-    loss, clipped = _huber(y_hat - y)
+    y_hat -= y  # the residual; y_hat is this call's own array
+    loss, clipped = _huber(y_hat)
     loss += _penalty(params, l2)
 
     # dL/dy_hat for the mean Huber: clip(residual, -1, 1) / n
-    d_yhat = clipped / n
-    # through the softplus head: d softplus(z) = sigmoid(z)
-    delta = (d_yhat * _sigmoid(pre[-1][:, 0]))[:, None]
+    clipped /= n
+    # through the softplus head: d softplus(z) = sigmoid(z); the product commutes bit for bit
+    delta = _sigmoid(pre[-1])
+    delta[:, 0] *= clipped
 
-    grad_w: list[np.ndarray] = []
-    grad_b: list[np.ndarray] = []
+    if out is None:
+        out = [np.zeros_like(w) for w in params.weights], [np.zeros_like(b) for b in params.biases]
+    grad_w, grad_b = out
     for layer in range(len(params.weights) - 1, -1, -1):
-        gw = delta.T @ act[layer]
+        np.matmul(delta.T, act[layer], out=grad_w[layer])
         if l2 > 0.0:
-            gw += l2 * params.weights[layer]
-        grad_w.append(gw)
-        grad_b.append(np.add.reduce(delta, axis=0))
+            grad_w[layer] += l2 * params.weights[layer]
+        np.add.reduce(delta, axis=0, out=grad_b[layer])
         if layer > 0:
-            delta = (delta @ params.weights[layer]) * (pre[layer - 1] > 0.0)
-    return loss, grad_w[::-1], grad_b[::-1]
+            delta = delta @ params.weights[layer]
+            delta *= pre[layer - 1] > 0.0
+    return loss, grad_w, grad_b
 
 
 def _penalty(params: RegressorParams, l2: float) -> float:
@@ -201,7 +211,8 @@ def _penalty(params: RegressorParams, l2: float) -> float:
     return 0.0
 
 
-def _data_loss(params: RegressorParams, X: np.ndarray, y: np.ndarray) -> float:
+def data_loss(params: RegressorParams, X, y) -> float:
+    """Mean Huber(delta=1) loss of the network on a batch, without the L2 penalty."""
     return _huber(forward_batch(params, X) - np.asarray(y, dtype=np.float64))[0]
 
 
@@ -235,25 +246,28 @@ def run_epochs(params, train_set, val_set, config: TrainConfig, permutations):
 
     flat = np.concatenate((*params.weights, *params.biases), axis=None)
     current = _over(params, flat)
-    weights = flat[: sum(w.size for w in params.weights)]
+    grad = np.zeros_like(flat)  # each batch's gradient, laid out like flat
+    grad_views = _over(params, grad)
+    out = grad_views.weights, grad_views.biases
+    n_weights = sum(w.size for w in params.weights)
+    weights, grad_weights = flat[:n_weights], grad[:n_weights]
     best = flat.copy()
-    best_val = _data_loss(current, X_val, y_val)
+    best_val = data_loss(current, X_val, y_val)
     history: list[tuple[int, float, float]] = []
     stale = 0
     rate, size, l2 = config.learning_rate, config.batch_size, config.l2_penalty
     for epoch, order in enumerate(permutations):
         X_epoch, y_epoch = X_train[order], y_train[order]
         for lo in range(0, len(order), size):
-            _, grad_w, grad_b = loss_and_gradient(current, X_epoch[lo : lo + size], y_epoch[lo : lo + size], 0.0)
+            loss_and_gradient(current, X_epoch[lo : lo + size], y_epoch[lo : lo + size], 0.0, out=out)
             # Elementwise, so the same bits as gw += l2 * w, then w -= rate * gw, per array;
             # only for l2 > 0, as before, since adding 0.0 * w would turn a -0.0 gradient into +0.0.
-            step = np.concatenate((*grad_w, *grad_b), axis=None)
             if l2 > 0.0:
-                step[: weights.size] += l2 * weights
-            step *= rate
-            flat -= step
-        train_obj = _data_loss(current, X_train, y_train) + _penalty(current, l2)
-        val_loss = _data_loss(current, X_val, y_val)
+                grad_weights += l2 * weights
+            grad *= rate
+            flat -= grad
+        train_obj = data_loss(current, X_train, y_train) + _penalty(current, l2)
+        val_loss = data_loss(current, X_val, y_val)
         history.append((epoch, train_obj, val_loss))
         if val_loss < best_val:
             best_val = val_loss

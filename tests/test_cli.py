@@ -326,6 +326,7 @@ class TestStages:
             elif edit == "index-dropped" and key in ("kept_indices", "norm_mean", "norm_std"):
                 lines[k] = f"{key} = {' '.join(values.split()[:-1])}"
         model.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()  # only what eval says; train warns on stderr that no epoch improved
         assert run("eval", "--config", config_path, "--out", str(out), "--quiet") == 3
         err = capsys.readouterr().err
         assert err.startswith("file error:") and "model.txt" in err
@@ -684,6 +685,7 @@ class TestPipeline:
         text = dataset.read_text()
         assert text.count(" max_harmonic=7\n") == 1
         dataset.write_text(text.replace(" max_harmonic=7\n", " f0_hz=60 max_harmonic=7\n"))
+        capsys.readouterr()  # only what this train says; the first one warns that no epoch improved
         assert run("train", "--config", config_path, "--out", str(out), "--quiet") == 3
         err = capsys.readouterr().err
         assert err.startswith("file error:") and "dataset.csv" in err and "f0_hz" in err
@@ -711,6 +713,44 @@ class TestPipeline:
         config = load_run_config(config_path)
         expected = model_fingerprint(config, load_library_for(config))
         assert read_residuals(residuals)[1] == expected
+
+    def test_train_summary_reports_the_written_model_when_no_epoch_improved(self, tmp_path, capsys):
+        # At learning rate 50 every epoch diverges, so train keeps the initial parameters; the
+        # summary must give their validation loss, not the best of the diverged epochs, and warn.
+        from feeder_nilm.featurize import apply_normalization
+        from feeder_nilm.model import forward_batch, init_params
+        from feeder_nilm.storage import read_model
+
+        smoke = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "smoke.cfg")
+        with open(smoke, encoding="utf-8") as fh:
+            text = fh.read()
+        assert "\nlearning_rate = 0.02\n" in text
+        path = tmp_path / "diverging.cfg"
+        path.write_text(text.replace("\nlearning_rate = 0.02\n", "\nlearning_rate = 50\n"))
+        out = str(tmp_path / "out")
+        assert run("pipeline", "--config", str(path), "--out", out) == 0
+        captured = capsys.readouterr()
+
+        config = load_run_config(str(path))
+        dataset, _ = read_dataset(os.path.join(out, "dataset.csv"))
+        (params, stats), _ = read_model(os.path.join(out, "model.txt"))
+        initial = init_params(params.layer_sizes, config.model.init_seed)
+        for got, want in zip(params.weights + params.biases, initial.weights + initial.biases, strict=True):
+            assert np.array_equal(got, want)
+        _, val, _ = cli._split_rows(config, dataset)
+        r = forward_batch(params, apply_normalization(val.X, stats)) - val.y
+        val_loss = float(np.mean(np.where(np.abs(r) <= 1.0, 0.5 * r * r, np.abs(r) - 0.5)))
+        (line,) = [line for line in captured.out.splitlines() if line.startswith("train: ")]
+        assert line.endswith(f", best val loss {val_loss:.4g}")
+        assert "no epoch improved" in captured.err
+        assert "initial parameters" in captured.err
+
+    def test_train_summary_is_silent_on_stderr_when_an_epoch_improved(self, tmp_path, capsys):
+        smoke = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "smoke.cfg")
+        assert run("pipeline", "--config", smoke, "--out", str(tmp_path / "out")) == 0
+        captured = capsys.readouterr()
+        assert "\ntrain: " in captured.out
+        assert captured.err == ""
 
     def test_residuals_hold_the_model_predictions(self, config_path, tmp_path):
         # Eval writes the predictions evaluate() made: one forward pass, same bytes as recomputing it.

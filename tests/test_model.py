@@ -303,17 +303,17 @@ class TestTrain:
         config = TrainConfig(learning_rate=0.05, epochs=60, patience=10)
         fitted, history = train(init_params((3, 6, 1), seed=5), (X, y), (X_val, y_val), config)
         best_recorded = min(h[2] for h in history)
-        from feeder_nilm.model import _data_loss
+        from feeder_nilm.model import data_loss
 
-        assert _data_loss(fitted, X_val, y_val) <= best_recorded + 1e-12
+        assert data_loss(fitted, X_val, y_val) <= best_recorded + 1e-12
 
     def test_one_gradient_per_batch(self, monkeypatch):
         # The logged train objective costs a forward pass, not a full-batch gradient.
         calls = []
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls.append(len(args[2]))
-            return loss_and_gradient(*args)
+            return loss_and_gradient(*args, **kwargs)
 
         monkeypatch.setattr(model_module, "loss_and_gradient", counting)
         X, y = self.make_data(n=10)
@@ -354,20 +354,26 @@ class TestTrain:
         (3, {"l2_penalty": 0.0}, (4, 1)),
     ]
 
+    # The batch shapes desk_scale trains with: 286 rows in batches of 16 (the last one 14 rows),
+    # a 13-24-12-1 network and its L2 penalty; 95 validation rows.
+    _DESK = (27, {"batch_size": 16, "epochs": 4, "l2_penalty": 0.0005, "learning_rate": 0.02, "patience": 60},
+             (13, 24, 12, 1), 286, 95)
+
     @pytest.mark.parametrize(
-        "seed, changes, layer_sizes",
-        _LOOPS,
+        "seed, changes, layer_sizes, n_rows, n_val",
+        [(*case, 23, 9) for case in _LOOPS] + [_DESK],
         ids=["0", "1", "2", "l2-zero", "batch-1", "batch-all-rows", "batch-beyond-rows", "rate-zero",
-             "no-hidden", "no-hidden-l2-zero"],
+             "no-hidden", "no-hidden-l2-zero", "desk-shaped"],
     )
-    def test_bits_match_the_plain_loop(self, seed, changes, layer_sizes):
+    def test_bits_match_the_plain_loop(self, seed, changes, layer_sizes, n_rows, n_val):
+        width = layer_sizes[0]
         rng = np.random.default_rng(seed)
-        X, X_val = rng.normal(0, 1, (23, 4)), rng.normal(0, 1, (9, 4))
-        y = rng.integers(0, 5, 23).astype(float)
-        y_val = rng.integers(0, 5, 9).astype(float)
+        X, X_val = rng.normal(0, 1, (n_rows, width)), rng.normal(0, 1, (n_val, width))
+        y = rng.integers(0, 5, n_rows).astype(float)
+        y_val = rng.integers(0, 5, n_val).astype(float)
         fields = {"learning_rate": 0.05, "batch_size": 5, "epochs": 12, "l2_penalty": 0.01, "patience": 4}
         config = TrainConfig(**{**fields, **changes})
-        orders = [rng.permutation(23) for _ in range(config.epochs)]
+        orders = [rng.permutation(n_rows) for _ in range(config.epochs)]
         params = init_params(layer_sizes, seed=seed)
         fitted, history = run_epochs(params, (X, y), (X_val, y_val), config, orders)
         want, want_history = reference_run_epochs(params, (X, y), (X_val, y_val), config, orders)
@@ -375,6 +381,38 @@ class TestTrain:
         for got, ref in zip(fitted.weights + fitted.biases, want.weights + want.biases, strict=True):
             assert got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()  # signed zeros too
+
+    @given(
+        seed=strat.integers(min_value=0, max_value=2**32 - 1),
+        width=strat.integers(min_value=1, max_value=13),
+        hidden=strat.lists(strat.integers(min_value=1, max_value=24), min_size=0, max_size=2),
+        n_rows=strat.one_of(strat.sampled_from([1, 14, 16, 20]), strat.integers(min_value=1, max_value=20)),
+        l2=strat.sampled_from([0.0, 1e-4, 0.0005, 0.37]),
+    )
+    @example(seed=0, width=13, hidden=[], n_rows=14, l2=0.0)
+    @example(seed=27, width=13, hidden=[24, 12], n_rows=16, l2=0.0005)
+    @example(seed=27, width=13, hidden=[24, 12], n_rows=14, l2=0.0)
+    @settings(max_examples=60, deadline=None)
+    def test_out_views_of_one_flat_vector_get_the_bits_of_a_fresh_call(self, seed, width, hidden, n_rows, l2):
+        # run_epochs passes views of one flat gradient vector as ``out``; the gradients written
+        # there must be the bits of a call that allocates, and be returned as those very views.
+        rng = np.random.default_rng(seed)
+        params = init_params((width, *hidden, 1), seed=seed)
+        for b in params.biases:
+            b[:] = rng.normal(0.0, 0.5, b.shape)
+        X, y = rng.normal(0, 1, (n_rows, width)), rng.integers(0, 5, n_rows).astype(float)
+        sizes = [a.size for a in params.weights + params.biases]
+        flat = np.full(sum(sizes), np.nan)  # stale contents must be overwritten, not added to
+        views = np.split(flat, np.cumsum(sizes)[:-1])
+        shaped = [v.reshape(a.shape) for v, a in zip(views, params.weights + params.biases, strict=True)]
+        n = len(params.weights)
+        out = shaped[:n], shaped[n:]
+        loss, grad_w, grad_b = loss_and_gradient(params, X, y, l2, out=out)
+        want_loss, want_w, want_b = loss_and_gradient(params, X, y, l2)
+        assert loss == want_loss
+        for got, want, view in zip(grad_w + grad_b, want_w + want_b, shaped, strict=True):
+            assert got is view and np.shares_memory(got, flat)
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_l2_gradient_is_the_data_gradient_plus_l2_times_weights(self, seed):
