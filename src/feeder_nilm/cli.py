@@ -9,7 +9,6 @@ codes: 0 success, 2 configuration error, 3 I/O or file-format error,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -66,34 +65,15 @@ def _say(quiet: bool, message: str) -> None:
         print(message)
 
 
-def _read_schedule(path, config: RunConfig, library: Library):
-    # The schedule and its counts are pure functions of the config and library: a file that differs is refused.
-    schedule, fingerprint = st.read_schedule(path, library)
-    if schedule != generate_schedule(config.scenario, library):
-        raise st.FileFormatError(f"{path}: not the schedule the config draws")
-    return schedule, fingerprint
-
-
-def _read_ground_truth(path, config: RunConfig, library: Library):
-    counts, fingerprint = st.read_ground_truth(path, math.ceil(config.scenario.duration_s))
-    if not np.array_equal(counts, ground_truth_counts(generate_schedule(config.scenario, library), config.scenario)):
-        raise st.FileFormatError(f"{path}: not the counts of the schedule the config draws")
-    return counts, fingerprint
-
-
-# Every artifact file and the reader its consumer uses: (path, config, library) ->
+# The artifact files a consumer reads, each with its reader: (path, config, library) ->
 # (value, fingerprint). The readers are looked up on ``st`` at call time, so a
 # tracer that rebinds them there reaches these calls.
 _READERS: dict[str, Callable] = {
     "voltage.fnwv": lambda path, config, library: st.read_waveform(path, "VOLT", config.scenario.sample_rate_hz),
     "current.fnwv": lambda path, config, library: st.read_waveform(path, "CURR", config.scenario.sample_rate_hz),
-    "schedule.txt": _read_schedule,
-    "ground_truth.txt": _read_ground_truth,
     "ranking.txt": lambda path, config, library: st.read_ranking(path, config.featurize.features),
     "dataset.csv": lambda path, config, library: st.read_dataset(path),
     "model.txt": lambda path, config, library: st.read_model(path),
-    "report.txt": lambda path, config, library: st.read_report_lines(path),
-    "residuals.csv": lambda path, config, library: st.read_residuals(path),
 }
 
 
@@ -109,17 +89,24 @@ def _read_checked(config: RunConfig, library: Library, out: str, name: str, expe
 # ------------------------------------------------------------------- stages
 
 
-def stage_simulate(config: RunConfig, library: Library, out: str, quiet: bool) -> None:
+def _simulate_texts(config: RunConfig, library: Library, out: str) -> dict[str, list[str]]:
+    """simulate's text files, by name: a function of the config and the library alone."""
     fp = scenario_fingerprint(config, library)
     schedule = generate_schedule(config.scenario, library)
     truth = ground_truth_counts(schedule, config.scenario)
+    return {"schedule.txt": st.schedule_lines(schedule, fp), "ground_truth.txt": st.ground_truth_lines(truth, fp)}
+
+
+def stage_simulate(config: RunConfig, library: Library, out: str, quiet: bool) -> None:
+    fp = scenario_fingerprint(config, library)
+    schedule = generate_schedule(config.scenario, library)
     voltage, current = synthesize_feeder(config.scenario, schedule, library)
 
     os.makedirs(out, exist_ok=True)
     st.write_waveform(os.path.join(out, "voltage.fnwv"), voltage, "VOLT", fp)
     st.write_waveform(os.path.join(out, "current.fnwv"), current, "CURR", fp)
-    st.write_schedule(os.path.join(out, "schedule.txt"), schedule, fp)
-    st.write_ground_truth(os.path.join(out, "ground_truth.txt"), truth, fp)
+    for name, lines in _simulate_texts(config, library, out).items():
+        st.write_text(os.path.join(out, name), lines)
 
     n_devices = len(schedule.devices)
     _say(
@@ -147,7 +134,7 @@ def stage_featurize(config: RunConfig, library: Library, out: str, quiet: bool) 
     scenario_fp = scenario_fingerprint(config, library)
     voltage = _read_checked(config, library, out, "voltage.fnwv", scenario_fp)
     current = _read_checked(config, library, out, "current.fnwv", scenario_fp)
-    truth = _read_checked(config, library, out, "ground_truth.txt", scenario_fp)
+    truth = ground_truth_counts(generate_schedule(config.scenario, library), config.scenario)
 
     spec = _resolve_features(config, library, out)
     dataset = featurize(
@@ -223,10 +210,11 @@ def stage_train(config: RunConfig, library: Library, out: str, quiet: bool) -> N
     )
 
 
-def stage_eval(config: RunConfig, library: Library, out: str, quiet: bool) -> None:
+def _eval_texts(config: RunConfig, library: Library, out: str) -> tuple[dict[str, list[str]], str]:
+    """eval's text files, by name, from the dataset and model in ``out``; and the summary it prints."""
     dataset = _read_checked(config, library, out, "dataset.csv", dataset_fingerprint(config, library))
-    expected_fp = model_fingerprint(config, library)
-    params, stats = _read_checked(config, library, out, "model.txt", expected_fp)
+    fp = model_fingerprint(config, library)
+    params, stats = _read_checked(config, library, out, "model.txt", fp)
     if stats.input_feature_ids != dataset.feature_spec.features:
         raise ContractError("model.txt feature layout does not match dataset.csv")
 
@@ -235,36 +223,43 @@ def stage_eval(config: RunConfig, library: Library, out: str, quiet: bool) -> No
     constant = median_count(train_part.y)
     baseline = report_from_predictions(np.full(test_part.n_windows, constant, dtype=np.float64), test_part.y)
 
-    headline = (report.n_test_windows, report.mae_continuous, report.mae_rounded, report.exact_count_accuracy,
-                constant, baseline.mae_rounded, baseline.exact_count_accuracy)  # in the order of st.REPORT_KEYS
-    entries = [(key, format(value, ".17g")) for key, value in zip(st.REPORT_KEYS, headline)]
-    for count, n, err in report.per_count:
-        entries.append((f"count_{count}", f"{n} {format(err, '.17g')}"))
-    st.write_report_lines(os.path.join(out, "report.txt"), entries, expected_fp)
-
-    st.write_residuals(
-        os.path.join(out, "residuals.csv"),
-        test_part.t_start_s,
-        test_part.y,
-        report.continuous,
-        report.rounded,
-        expected_fp,
-    )
-    _say(
-        quiet,
+    headline = [("n_test_windows", report.n_test_windows), ("mae_continuous", report.mae_continuous),
+                ("mae_rounded", report.mae_rounded), ("exact_count_accuracy", report.exact_count_accuracy),
+                ("baseline_constant", constant), ("baseline_mae_rounded", baseline.mae_rounded),
+                ("baseline_exact_count_accuracy", baseline.exact_count_accuracy)]
+    entries = [(key, format(value, ".17g")) for key, value in headline]
+    entries += [(f"count_{count}", f"{n} {format(err, '.17g')}") for count, n, err in report.per_count]
+    texts = {
+        "report.txt": st.report_lines(entries, fp),
+        "residuals.csv": st.residual_lines(test_part.t_start_s, test_part.y, report.continuous, report.rounded, fp),
+    }
+    summary = (
         f"eval: rounded MAE {report.mae_rounded:.4g} (baseline {baseline.mae_rounded:.4g}), "
-        f"exact-count accuracy {report.exact_count_accuracy:.1%} on {report.n_test_windows} test windows",
+        f"exact-count accuracy {report.exact_count_accuracy:.1%} on {report.n_test_windows} test windows"
     )
+    return texts, summary
+
+
+def stage_eval(config: RunConfig, library: Library, out: str, quiet: bool) -> None:
+    texts, summary = _eval_texts(config, library, out)
+    for name, lines in texts.items():
+        st.write_text(os.path.join(out, name), lines)
+    _say(quiet, summary)
 
 
 class Stage(NamedTuple):
-    """A subcommand and the artifact files it writes."""
+    """A subcommand and the artifact files it writes.
+
+    ``texts``, when set, renders the text files the stage writes from inputs
+    the rerun check already trusts: (config, library, out) -> {file: lines}.
+    """
 
     name: str
     run: Callable[[RunConfig, Library, str, bool], None]
     fingerprint: Callable
     artifacts: tuple[str, ...]
     help: str
+    texts: Callable[[RunConfig, Library, str], dict[str, list[str]]] | None = None
 
 
 # The stages in pipeline order: a plain module-level tuple, so a tracer that
@@ -272,26 +267,38 @@ class Stage(NamedTuple):
 _STAGES = (
     Stage("simulate", stage_simulate, scenario_fingerprint,
           ("voltage.fnwv", "current.fnwv", "schedule.txt", "ground_truth.txt"),
-          "synthesize waveforms, schedule, and ground truth"),
+          "synthesize waveforms, schedule, and ground truth", _simulate_texts),
     Stage("select-features", stage_select_features, dataset_fingerprint, ("ranking.txt",),
           "rank features by Fisher score over class signatures"),
     Stage("featurize", stage_featurize, dataset_fingerprint, ("dataset.csv",),
           "window the waveforms into a feature dataset"),
     Stage("train", stage_train, model_fingerprint, ("model.txt",), "fit the count regressor on the dataset"),
     Stage("eval", stage_eval, model_fingerprint, ("report.txt", "residuals.csv"),
-          "evaluate the trained model and write the report"),
+          "evaluate the trained model and write the report",
+          lambda config, library, out: _eval_texts(config, library, out)[0]),
 )
 
 
-def _artifact_current(config: RunConfig, library: Library, out: str, name: str, expected_fp: str) -> bool:
-    """Whether artifact file ``name`` passes the reader its consumer uses and carries ``expected_fp``.
+def _stage_current(config: RunConfig, library: Library, out: str, stage: Stage) -> bool:
+    """Whether every artifact file ``stage`` writes to ``out`` is current; nothing is written.
 
-    A waveform's every sample is read, and checked, too.
+    A file ``stage.texts`` renders is current when it holds the bytes the
+    stage would write now. Any other must pass the reader its consumer uses
+    and carry the stage's fingerprint; a waveform's every sample is read,
+    and checked, too. A missing file is stale before anything is rendered.
     """
+    if not all(os.path.isfile(os.path.join(out, name)) for name in stage.artifacts):
+        return False
+    expected = stage.fingerprint(config, library)
     try:
-        value = _read_checked(config, library, out, name, expected_fp)
-        if isinstance(value, Waveform):
-            value.skip(value.n_samples)
+        texts = stage.texts(config, library, out) if stage.texts else {}
+        if not all(st.holds_text(os.path.join(out, name), lines) for name, lines in texts.items()):
+            return False
+        for name in stage.artifacts:
+            if name not in texts:
+                value = _read_checked(config, library, out, name, expected)
+                if isinstance(value, Waveform):
+                    value.skip(value.n_samples)
     except (st.FileFormatError, OSError, ContractError):
         return False
     return True
@@ -304,8 +311,7 @@ def stage_pipeline(config: RunConfig, library: Library, out: str, quiet: bool) -
         if stage.name == "select-features" and n_classes < 2 and config.featurize.top_k == 0:
             _say(quiet, f"{stage.name}: skipped (single device class, top_k unset)")
             continue
-        expected = stage.fingerprint(config, library)
-        if all(_artifact_current(config, library, out, name, expected) for name in stage.artifacts):
+        if _stage_current(config, library, out, stage):
             _say(quiet, f"{stage.name}: up to date")
             continue
         stage.run(config, library, out, quiet)

@@ -30,9 +30,15 @@ carry the fingerprint (and, for a dataset, its window metadata); floats
 are rendered with 17 significant digits so a write/read/write cycle is
 byte-identical. Every writer requires a 32-hex-digit fingerprint, and
 every reader returns it beside the value for an exact comparison.
-Each format has one reader, which checks the whole file; a stage reads
-its inputs with it, and ``pipeline`` judges an artifact current only if
-it passes it, so nothing reads a fingerprint without its body.
+
+A format that a stage reads has one reader, which checks the whole file;
+the stage reads its inputs with it, and ``pipeline`` judges the artifact
+current only if it passes it, so nothing reads a fingerprint without its
+body. Schedules, ground truth, reports and residuals have no reader: no
+stage reads them, and each has a pure line renderer (``schedule_lines``,
+``ground_truth_lines``, ``report_lines``, ``residual_lines``) whose lines
+``write_text`` writes. Such a file is current when ``holds_text`` finds
+in it exactly the bytes its stage would write now.
 Every artifact is written to a temp file beside it and then renamed over
 it, so an interrupted write leaves the previous artifact intact.
 """
@@ -47,29 +53,25 @@ from typing import Iterable
 
 import numpy as np
 
-from .devices import DeviceModel
 from .featurize import FEATURE_IDS, THD_ORDERS, FeatureDataset, FeatureSpec, NormStats
 from .model import RegressorParams
-from .simulate import DeviceSchedule, Schedule
+from .simulate import Schedule
 from .signals import Waveform
 
 __all__ = [
     "FileFormatError",
     "write_waveform",
     "read_waveform",
-    "write_schedule",
-    "read_schedule",
-    "write_ground_truth",
-    "read_ground_truth",
+    "write_text",
+    "holds_text",
+    "schedule_lines",
+    "ground_truth_lines",
     "write_dataset",
     "read_dataset",
     "write_model",
     "read_model",
-    "REPORT_KEYS",
-    "write_report_lines",
-    "read_report_lines",
-    "write_residuals",
-    "read_residuals",
+    "report_lines",
+    "residual_lines",
     "write_ranking",
     "read_ranking",
 ]
@@ -191,11 +193,18 @@ def _file_identity(fh) -> tuple[int, int, int, int]:
 # ------------------------------------------------------------- text helpers
 
 
-def _write_text(path, lines: Iterable[str]) -> None:
+def write_text(path, lines: Iterable[str]) -> None:
+    """Write each of ``lines`` and a newline, UTF-8, then rename the file into place."""
     with _atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in lines:
             fh.write(line)
             fh.write("\n")
+
+
+def holds_text(path, lines: Iterable[str]) -> bool:
+    """Whether the file at ``path`` holds exactly the bytes ``write_text`` writes for ``lines``."""
+    with open(path, "rb") as fh:
+        return fh.read() == "".join(f"{line}\n" for line in lines).encode("utf-8")
 
 
 def _read_tagged_lines(path, tag: str, keys: tuple[str, ...] = ("fingerprint",)) -> tuple[dict[str, str], list[str]]:
@@ -263,67 +272,22 @@ def _header_lines(tag: str, fingerprint: str) -> list[str]:
     return [f"# feeder-nilm {tag} v1", f"# fingerprint={fingerprint}"]
 
 
-# ---------------------------------------------------------------- schedules
+# ------------------------------------------------- schedules and ground truth
 
 
-def write_schedule(path, schedule: Schedule, fingerprint: str) -> None:
+def schedule_lines(schedule: Schedule, fingerprint: str) -> list[str]:
     lines = _header_lines("schedule", fingerprint)
     for device in schedule.devices:
         if not device.intervals:
             lines.append(f"{device.device_id} . . .")  # placeholder keeps idle devices on file
         for start, end, mode in device.intervals:
             lines.append(f"{device.device_id} {_f(start)} {_f(end)} {mode}")
-    _write_text(path, lines)
+    return lines
 
 
-def read_schedule(path, library: dict[str, DeviceModel]) -> tuple[Schedule, str]:
-    header, body = _read_tagged_lines(path, "schedule")
-    per_device: dict[str, list[tuple[float, float, str]]] = {}
-    for line in body:
-        device_id, *interval = line.split()
-        intervals = per_device.setdefault(device_id, [])
-        if interval != [".", ".", "."]:  # only an idle device's exact placeholder adds no interval
-            intervals.append(_fields(path, line, (str, float, float, str))[1:])
-    devices = []
-    for device_id, intervals in per_device.items():
-        try:
-            device = DeviceSchedule(device_id, tuple(intervals))
-        except ValueError as exc:
-            raise FileFormatError(f"{path}: {exc}") from None
-        if device.class_name not in library:
-            raise FileFormatError(f"{path}: schedule references unknown class {device.class_name!r}")
-        unknown = {m for _, _, m in device.intervals} - {mode.name for mode in library[device.class_name].modes}
-        if unknown:
-            raise FileFormatError(f"{path}: {device_id}: class {device.class_name!r} has no mode {min(unknown)!r}")
-        devices.append(device)
-    return Schedule(tuple(devices)), header["fingerprint"]
-
-
-# ------------------------------------------------------------- ground truth
-
-
-def write_ground_truth(path, counts: np.ndarray, fingerprint: str) -> None:
+def ground_truth_lines(counts: np.ndarray, fingerprint: str) -> list[str]:
     """One ``second count`` line per scenario second, from second 0."""
-    lines = _header_lines("ground-truth", fingerprint)
-    lines += [f"{second} {int(count)}" for second, count in enumerate(counts)]
-    _write_text(path, lines)
-
-
-def read_ground_truth(path, seconds: int) -> tuple[np.ndarray, str]:
-    """The per-second ``int64`` counts; line k must be second k, with a count of at least 0.
-
-    The file must hold exactly ``seconds`` counts, a scenario's ``ceil(duration_s)``.
-    """
-    header, body = _read_tagged_lines(path, "ground-truth")
-    rows = np.array([_fields(path, line, (np.int64, np.int64)) for line in body], dtype=np.int64).reshape(-1, 2)
-    if len(rows) != seconds:
-        raise FileFormatError(f"{path}: {len(rows)} seconds of counts, expected the scenario's {seconds}")
-    misplaced = np.flatnonzero(rows[:, 0] != np.arange(len(rows)))
-    if misplaced.size:
-        raise FileFormatError(f"{path}: line {misplaced[0]} of the counts is second {rows[misplaced[0], 0]}")
-    if (rows[:, 1] < 0).any():
-        raise FileFormatError(f"{path}: negative count")
-    return np.ascontiguousarray(rows[:, 1]), header["fingerprint"]
+    return _header_lines("ground-truth", fingerprint) + [f"{second} {int(count)}" for second, count in enumerate(counts)]
 
 
 # ------------------------------------------------------------------ dataset
@@ -338,7 +302,7 @@ def write_dataset(path, dataset: FeatureDataset, fingerprint: str) -> None:
     row = "%.17g," * (1 + len(spec.features)) + "%d,%d"
     columns = zip(dataset.t_start_s.tolist(), dataset.X.tolist(), dataset.y.tolist(), dataset.valid.tolist())
     lines.extend(row % (t, *x, y, valid) for t, x, y, valid in columns)
-    _write_text(path, lines)
+    write_text(path, lines)
 
 
 def read_dataset(path) -> tuple[FeatureDataset, str]:
@@ -380,7 +344,7 @@ def write_model(path, params: RegressorParams, stats: NormStats, fingerprint: st
     for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
         lines.append(f"W{layer} = " + " ".join(_f(x) for x in w.reshape(-1)))
         lines.append(f"b{layer} = " + " ".join(_f(x) for x in b))
-    _write_text(path, lines)
+    write_text(path, lines)
 
 
 def read_model(path) -> tuple[tuple[RegressorParams, NormStats], str]:
@@ -417,65 +381,21 @@ def read_model(path) -> tuple[tuple[RegressorParams, NormStats], str]:
     return (params, stats), header["fingerprint"]
 
 
-# ------------------------------------------------------------------- report
+# ------------------------------------------------------ report and residuals
 
 
-# The headline keys eval writes to every report, in its order; the only other keys are count_<c> lines.
-REPORT_KEYS = ("n_test_windows", "mae_continuous", "mae_rounded", "exact_count_accuracy",
-               "baseline_constant", "baseline_mae_rounded", "baseline_exact_count_accuracy")
+def report_lines(entries: list[tuple[str, str]], fingerprint: str) -> list[str]:
+    """An ordered key = value report after its ``format_version = 1`` line."""
+    return _header_lines("report", fingerprint) + ["format_version = 1"] + [f"{key} = {value}" for key, value in entries]
 
 
-def write_report_lines(path, entries: list[tuple[str, str]], fingerprint: str) -> None:
-    """Write an ordered key = value report after its ``format_version = 1`` line."""
-    lines = _header_lines("report", fingerprint) + ["format_version = 1"]
-    for key, value in entries:
-        lines.append(f"{key} = {value}")
-    _write_text(path, lines)
-
-
-def read_report_lines(path) -> tuple[list[tuple[str, str]], str]:
-    """The entries without the format version: each of ``REPORT_KEYS``, and ``count_<c>`` for whole c (two values)."""
-    header, body = _read_tagged_lines(path, "report")
-    values = _entries(path, body)
-    if values.pop("format_version", None) != "1":
-        raise FileFormatError(f"{path}: unsupported report format_version")
-    counts = {key for key in values if key.startswith("count_") and key[len("count_") :].isdigit()}
-    if set(values) != set(REPORT_KEYS) | counts:
-        raise FileFormatError(
-            f"{path}: report keys must be {', '.join(REPORT_KEYS)} and count_<c> lines, got {', '.join(values)}"
-        )
-    for key, value in values.items():
-        if not np.isfinite(_fields(path, value, (float,) * (2 if key in counts else 1))).all():
-            raise FileFormatError(f"{path}: {key} must be finite")
-    return list(values.items()), header["fingerprint"]
-
-
-# ---------------------------------------------------------------- residuals
-
-_RESIDUAL_COLUMNS = "window_index,t_start_s,y_true,y_continuous,y_rounded,abs_error_rounded"
-
-
-def write_residuals(path, t_start_s, y_true, y_continuous, y_rounded, fingerprint: str) -> None:
-    """Write one CSV row per test window: truth, continuous and rounded prediction, rounded error."""
+def residual_lines(t_start_s, y_true, y_continuous, y_rounded, fingerprint: str) -> list[str]:
+    """One CSV row per test window: truth, continuous and rounded prediction, rounded error."""
     lines = _header_lines("residuals", fingerprint)
-    lines.append(_RESIDUAL_COLUMNS)
+    lines.append("window_index,t_start_s,y_true,y_continuous,y_rounded,abs_error_rounded")
     for k, (t, y, cont, rounded) in enumerate(zip(t_start_s, y_true, y_continuous, y_rounded)):
         lines.append(f"{k},{_f(t)},{int(y)},{_f(cont)},{int(rounded)},{abs(int(rounded) - int(y))}")
-    _write_text(path, lines)
-
-
-def read_residuals(path) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], str]:
-    """The columns ``write_residuals`` took, and the fingerprint; row k must be window k, with a consistent error."""
-    header, body = _read_tagged_lines(path, "residuals")
-    if body[:1] != [_RESIDUAL_COLUMNS]:
-        raise FileFormatError(f"{path}: missing or bad residuals header row")
-    types = (np.int64, float, np.int64, float, np.int64, np.int64)
-    rows = np.array([_fields(path, line, types, ",") for line in body[1:]], dtype=np.float64).reshape(-1, 6)
-    if (rows[:, 0] != np.arange(len(rows))).any():
-        raise FileFormatError(f"{path}: window indices must count 0, 1, 2, ...")
-    if (rows[:, 5] != np.abs(rows[:, 4] - rows[:, 2])).any():
-        raise FileFormatError(f"{path}: abs_error_rounded must be |y_rounded - y_true|")
-    return (rows[:, 1], rows[:, 2], rows[:, 3], rows[:, 4]), header["fingerprint"]
+    return lines
 
 
 # ------------------------------------------------------------------ ranking
@@ -485,7 +405,7 @@ def write_ranking(path, ranking: list[tuple[str, float]], fingerprint: str) -> N
     lines = _header_lines("ranking", fingerprint)
     for feature_id, score in ranking:
         lines.append(f"{feature_id} {_f(score)}")
-    _write_text(path, lines)
+    write_text(path, lines)
 
 
 def read_ranking(path, features) -> tuple[list[tuple[str, float]], str]:

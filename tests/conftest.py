@@ -61,3 +61,9 @@ def save_device_library(library, path) -> None:
             lines.append("")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
+
+
+def report_values(path) -> dict[str, str]:
+    """The ``key = value`` lines of a report file, as strings."""
+    with open(path, encoding="utf-8") as fh:
+        return dict(line.split(" = ", 1) for line in fh.read().splitlines() if " = " in line)

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import reference_current, samples_of
+from conftest import reference_current, report_values, samples_of
 
 from feeder_nilm import cli
 from feeder_nilm import signals as sg
@@ -22,13 +22,13 @@ from feeder_nilm.featurize import FeatureSpec, evaluate_window, rank_features
 from feeder_nilm.model import init_params, loss_and_gradient
 from feeder_nilm.simulate import ScenarioConfig, generate_schedule, synthesize_feeder
 from feeder_nilm.storage import (
+    holds_text,
     read_dataset,
     read_model,
-    read_report_lines,
     read_waveform,
+    report_lines,
     write_dataset,
     write_model,
-    write_report_lines,
     write_waveform,
 )
 
@@ -55,8 +55,7 @@ def run_pipeline(config_name: str, out_dir: str) -> None:
 
 
 def read_report_values(out_dir: str) -> dict:
-    entries, _ = read_report_lines(os.path.join(out_dir, "report.txt"))
-    return dict(entries)
+    return report_values(os.path.join(out_dir, "report.txt"))
 
 
 @pytest.fixture(scope="module")
@@ -260,8 +259,7 @@ def test_criterion_8_round_trip_persistence(smoke_run, tmp_path):
         write_model(copy, params, stats, fp)
         assert copy.read_bytes() == open(src, "rb").read()
 
-        src = os.path.join(smoke_run, "report.txt")
-        entries, fp = read_report_lines(src)
-        copy = tmp_path / "report.txt"
-        write_report_lines(copy, entries, fp)
-        assert copy.read_bytes() == open(src, "rb").read()
+        # Report: its key = value lines, rendered again under the model's fingerprint, are its bytes.
+        values = read_report_values(smoke_run)
+        assert values.pop("format_version") == "1"
+        assert holds_text(os.path.join(smoke_run, "report.txt"), report_lines(list(values.items()), fp))

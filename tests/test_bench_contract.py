@@ -52,7 +52,7 @@ def test_storage_io_functions_take_the_path_first():
         for name, value in vars(storage).items()
         if callable(value) and instrument._TEXT_IO.match(name)
     }
-    assert {"read_waveform", "write_waveform", "_read_tagged_lines", "_write_text"} <= set(traced)
+    assert {"read_waveform", "write_waveform", "_read_tagged_lines", "write_text"} <= set(traced)
     for name, function in traced.items():
         first = next(iter(inspect.signature(function).parameters), None)
         assert first == "path", f"storage.{name} takes {first!r} first"

@@ -1,11 +1,12 @@
 import argparse
 import math
 import os
+import shutil
 import struct
 
 import numpy as np
 import pytest
-from conftest import samples_of, save_device_library
+from conftest import report_values, samples_of, save_device_library
 
 from feeder_nilm import cli
 from feeder_nilm.config import (
@@ -20,14 +21,8 @@ from feeder_nilm.devices import default_library
 from feeder_nilm.featurize import window_targets
 from feeder_nilm import featurize as featurize_module
 from feeder_nilm import model as model_module
-from feeder_nilm.storage import (
-    read_dataset,
-    read_ground_truth,
-    read_report_lines,
-    read_residuals,
-    read_schedule,
-    read_waveform,
-)
+from feeder_nilm.simulate import generate_schedule, ground_truth_counts
+from feeder_nilm.storage import read_dataset, read_waveform
 
 SMALL_CONFIG = """
 [scenario]
@@ -85,6 +80,106 @@ _GARBLED_LAST_LINES = [
 ]
 
 
+def _edit_value(name, lines):
+    """The ``lines`` of artifact ``name`` with one value changed: each still well-formed, fingerprint kept."""
+    body = [k for k, line in enumerate(lines) if not line.startswith("#")]
+    if name == "report.txt":
+        (k,) = [k for k in body if lines[k].startswith("mae_rounded = ")]
+        lines[k] = "mae_rounded = 0.125"
+    elif name == "residuals.csv":
+        fields = lines[-1].split(",")
+        fields[3] = "2.5"  # y_continuous
+        lines[-1] = ",".join(fields)
+    elif name == "schedule.txt":
+        k = next(k for k in reversed(body) if ". . ." not in lines[k])
+        device_id, start, end, mode = lines[k].split()
+        lines[k] = f"{device_id} {start} {(float(start) + float(end)) / 2!r} {mode}"
+    else:  # ground_truth.txt
+        k = next(k for k in body if lines[k].endswith(" 0"))
+        lines[k] = lines[k][: -len("0")] + "3"
+    return lines
+
+
+# (artifact, the stage that writes it): each gets one well-formed value edit.
+_EDITED_VALUES = [
+    ("report.txt", "eval"),
+    ("residuals.csv", "eval"),
+    ("schedule.txt", "simulate"),
+    ("ground_truth.txt", "simulate"),
+]
+
+
+def _replace_line(lines, start, new):
+    """``lines`` with the one line that starts with ``start`` replaced by ``new``."""
+    (k,) = [k for k, line in enumerate(lines) if line.startswith(start)]
+    return lines[:k] + [new] + lines[k + 1 :]
+
+
+def _without_line(lines, start):
+    (k,) = [k for k, line in enumerate(lines) if line.startswith(start)]
+    return lines[:k] + lines[k + 1 :]
+
+
+# (artifact, stage that writes it, case, edit of the file's lines): each edit
+# keeps the fingerprint, and each makes a file that a format reader refuses
+# (a wrong field count, a non-number, a class or mode the library lacks, a
+# gapped or shuffled second, a count out of range, a key set other than
+# eval's). None of these files is read back, so each is merely stale.
+_REFUSED_EDITS = [
+    ("schedule.txt", "simulate", "too-few-fields", lambda lines: lines + ["ventilator#1 3.0 4.0"]),
+    ("schedule.txt", "simulate", "non-numeric-end", lambda lines: lines + ["ventilator#1 3.0 four run"]),
+    ("schedule.txt", "simulate", "half-placeholder", lambda lines: lines + ["ventilator#0 . 3.0 run"]),
+    ("schedule.txt", "simulate", "unknown-mode", lambda lines: lines + ["ventilator#1 50.0 60.0 bogus-mode"]),
+    ("schedule.txt", "simulate", "unknown-class", lambda lines: lines + ["toaster#0 0 1 on"]),
+    ("schedule.txt", "simulate", "mode-its-class-lacks", lambda lines: lines + ["resistive_heater#0 0 1 run"]),
+    ("ground_truth.txt", "simulate", "three-fields", lambda lines: lines + ["60 1 1"]),
+    ("ground_truth.txt", "simulate", "non-numeric-count", lambda lines: lines + ["60 seven"]),
+    ("ground_truth.txt", "simulate", "gapped", lambda lines: lines[:3] + lines[4:]),
+    ("ground_truth.txt", "simulate", "shuffled", lambda lines: lines[:2] + [lines[3], lines[2]] + lines[4:]),
+    ("ground_truth.txt", "simulate", "late-start", lambda lines: lines[:2] + lines[3:]),
+    ("ground_truth.txt", "simulate", "negative-count", lambda lines: _replace_line(lines, "0 ", "0 -1")),
+    ("ground_truth.txt", "simulate", "beyond-int64", lambda lines: _replace_line(lines, "0 ", "0 99999999999999999999")),
+    ("ground_truth.txt", "simulate", "missing-fingerprint", lambda lines: _without_line(lines, "# fingerprint=")),
+    ("ground_truth.txt", "simulate", "other-format", lambda lines: ["# feeder-nilm dataset v1"] + lines[1:]),
+    ("report.txt", "eval", "key-without-equals", lambda lines: lines + ["mae_rounded 0.25"]),
+    ("report.txt", "eval", "count-of-one-value", lambda lines: lines + ["count_3 = 4"]),
+    ("report.txt", "eval", "not-a-number",
+     lambda lines: _replace_line(lines, "mae_continuous = ", "mae_continuous = not-a-number")),
+    ("report.txt", "eval", "nan",
+     lambda lines: _replace_line(lines, "exact_count_accuracy = ", "exact_count_accuracy = nan")),
+    ("report.txt", "eval", "other-format-version",
+     lambda lines: _replace_line(lines, "format_version = ", "format_version = 2")),
+    ("report.txt", "eval", "missing-format-version", lambda lines: _without_line(lines, "format_version = ")),
+    ("report.txt", "eval", "headline-key-missing", lambda lines: _without_line(lines, "baseline_constant = ")),
+    ("report.txt", "eval", "unknown-key", lambda lines: lines + ["mae_median = 0.5"]),
+    ("report.txt", "eval", "count-of-no-whole-number", lambda lines: lines + ["count_x = 1 0"]),
+    ("report.txt", "eval", "counts-alone",
+     lambda lines: [line for line in lines if line.startswith(("#", "format_version = ", "count_"))]),
+    ("report.txt", "eval", "repeated-key",
+     lambda lines: lines + [next(line for line in lines if line.startswith("mae_rounded = "))]),
+    ("residuals.csv", "eval", "index-repeated", lambda lines: lines[:-1] + [lines[-2].split(",")[0] + lines[-1][1:]]),
+    ("residuals.csv", "eval", "error-wrong", lambda lines: lines[:-1] + [lines[-1][:-1] + str(1 - int(lines[-1][-1]))]),
+    ("residuals.csv", "eval", "header-renamed", lambda lines: _replace_line(lines, "window_index,", "index," + lines[2][13:])),
+    ("residuals.csv", "eval", "four-fields", lambda lines: lines + ["3,60,1,1"]),
+    ("residuals.csv", "eval", "non-numeric-field", lambda lines: lines + ["3,60,1,x,1,0"]),
+]
+
+
+@pytest.fixture(scope="module")
+def fresh_outputs(tmp_path_factory):
+    """(config path, output directory) of one ``pipeline`` run on the small config; copy before editing."""
+    root = tmp_path_factory.mktemp("fresh")
+    path = root / "run.cfg"
+    path.write_text(SMALL_CONFIG)
+    assert run("pipeline", "--config", str(path), "--out", str(root / "out"), "--quiet") == 0
+    return str(path), root / "out"
+
+
+def _files_of(out):
+    """Each file of ``out`` with its bytes and modification time."""
+    return {name: ((out / name).read_bytes(), (out / name).stat().st_mtime_ns) for name in sorted(os.listdir(out))}
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "run.cfg"
@@ -94,6 +189,19 @@ def config_path(tmp_path):
 
 def run(*argv):
     return cli.main(list(argv))
+
+
+def truth_of(config_path):
+    """The per-second counts of the schedule the config draws: the counts featurize labels windows with."""
+    config = load_run_config(config_path)
+    return ground_truth_counts(generate_schedule(config.scenario, load_library_for(config)), config.scenario)
+
+
+def fingerprint_of(path) -> str:
+    """The ``# fingerprint=`` word of a text artifact."""
+    with open(path, encoding="utf-8") as fh:
+        (line,) = [line for line in fh.read().splitlines() if line.startswith("# fingerprint=")]
+    return line[len("# fingerprint=") :]
 
 
 class TestConfigParsing:
@@ -155,8 +263,8 @@ class TestStages:
 
     def test_always_on_params_give_constant_truth(self, tmp_path):
         # Schedule oracle: with a huge mean-on and a tiny mean-off every
-        # instance stays on for the whole scenario, so the truth file is
-        # a constant count.
+        # instance stays on for the whole scenario, so the counts are
+        # constant.
         path = tmp_path / "alwayson.cfg"
         path.write_text(
             "[scenario]\nduration_s = 60\nsample_rate_hz = 2000\n"
@@ -165,9 +273,7 @@ class TestStages:
         )
         out = str(tmp_path / "out")
         assert run("simulate", "--config", str(path), "--out", out, "--quiet") == 0
-        from feeder_nilm.storage import read_ground_truth
-
-        counts, _ = read_ground_truth(os.path.join(out, "ground_truth.txt"), 60)
+        counts = truth_of(path)
         assert counts.size == 60
         assert (counts == 2).all()
 
@@ -192,8 +298,7 @@ class TestStages:
         out = str(tmp_path / "out")
         for command in ("simulate", "featurize", "select-features", "train", "eval"):
             assert run(command, "--config", config_path, "--out", out) == 0, command
-        entries, _ = read_report_lines(os.path.join(out, "report.txt"))
-        values = dict(entries)
+        values = report_values(os.path.join(out, "report.txt"))
         assert float(values["mae_rounded"]) >= 0.0
         assert np.isfinite(float(values["mae_continuous"]))
         assert os.path.exists(os.path.join(out, "ranking.txt"))
@@ -247,36 +352,27 @@ class TestStages:
         header = [line for line in truth.read_text().splitlines() if line.startswith("#")]
         truth.write_text("\n".join(header + [f"{second} 0" for second in range(seconds)]) + "\n")
 
-    @pytest.mark.parametrize("seconds", [50, 61], ids=["truncated", "extended"])
-    def test_ground_truth_of_another_duration_is_file_error(self, config_path, tmp_path, capsys, seconds):
-        # The counts keep their fingerprint but cover 50 or 61 of the scenario's 60 seconds.
+    @pytest.mark.parametrize("edit", ["deleted", "truncated", "extended", "count-edited"])
+    def test_featurize_labels_come_from_the_config_not_the_ground_truth_file(self, config_path, tmp_path, edit):
+        # ground_truth.txt is a diagnostic: featurize draws the counts from the config's schedule.
         out = tmp_path / "out"
         assert run("simulate", "--config", config_path, "--out", str(out), "--quiet") == 0
-        self.recount_ground_truth(out, seconds)
-        assert run("featurize", "--config", config_path, "--out", str(out), "--quiet") == 3
-        err = capsys.readouterr().err
-        assert err.startswith("file error:") and "ground_truth.txt" in err
-
-    def test_ground_truth_not_of_the_schedule_is_file_error(self, config_path, tmp_path, capsys):
-        # One count moves from 0 to 3 under the kept fingerprint: the counts are regenerated and compared.
-        out = tmp_path / "out"
-        assert run("simulate", "--config", config_path, "--out", str(out), "--quiet") == 0
+        assert run("featurize", "--config", config_path, "--out", str(out), "--quiet") == 0
+        dataset = (out / "dataset.csv").read_bytes()
         truth = out / "ground_truth.txt"
-        original = truth.read_bytes()
-        lines = truth.read_text().splitlines()
-        second = next(k for k, line in enumerate(lines) if line.endswith(" 0"))
-        lines[second] = lines[second][: -len("0")] + "3"
-        truth.write_text("\n".join(lines) + "\n")
-        assert run("featurize", "--config", config_path, "--out", str(out), "--quiet") == 3
-        err = capsys.readouterr().err
-        assert err.startswith("file error:") and "ground_truth.txt" in err
-        assert run("pipeline", "--config", config_path, "--out", str(out)) == 0
-        assert "simulate: up to date" not in capsys.readouterr().out
-        assert truth.read_bytes() == original
+        if edit == "deleted":
+            truth.unlink()
+        elif edit == "count-edited":
+            truth.write_text("\n".join(_edit_value("ground_truth.txt", truth.read_text().splitlines())) + "\n")
+        else:
+            self.recount_ground_truth(out, {"truncated": 50, "extended": 61}[edit])
+        (out / "dataset.csv").unlink()
+        assert run("featurize", "--config", config_path, "--out", str(out), "--quiet") == 0
+        assert (out / "dataset.csv").read_bytes() == dataset
 
     @pytest.mark.parametrize("seconds", [50, 61], ids=["truncated", "extended"])
     def test_pipeline_resimulates_ground_truth_of_another_duration(self, config_path, tmp_path, capsys, seconds):
-        # The freshness check reads the counts as featurize does, so the rerun regenerates them.
+        # The counts keep their fingerprint but cover 50 or 61 of the scenario's 60 seconds.
         out = tmp_path / "out"
         assert run("simulate", "--config", config_path, "--out", str(out), "--quiet") == 0
         truth = out / "ground_truth.txt"
@@ -285,7 +381,6 @@ class TestStages:
         capsys.readouterr()
         assert run("pipeline", "--config", config_path, "--out", str(out)) == 0
         assert "simulate: up to date" not in capsys.readouterr().out
-        assert read_ground_truth(truth, 60)[0].size == 60
         assert truth.read_bytes() == original
 
     @pytest.mark.parametrize("edit", ["unknown", "repeated", "outside-the-config", "truncated"])
@@ -459,7 +554,7 @@ class TestStages:
         assert config.scenario.medical_class == "ventilator" and "ventilator" not in load_library_for(config)
         out = tmp_path / "o"
         assert run("simulate", "--config", str(path), "--out", str(out), "--quiet") == 0
-        assert not read_ground_truth(out / "ground_truth.txt", 60)[0].any()
+        assert not truth_of(path).any()
 
     def test_format_1_library_exits_2(self, tmp_path, capsys):
         # Format 1 flagged the medical class in a [device.<class>] section; format 2 has no such section.
@@ -485,7 +580,7 @@ class TestStages:
         path.write_text(text.replace("schedule_ventilator = 25 10", "schedule_ventilator = 25 10\nschedule_refrigerator = 20 15"))
         out = tmp_path / "out"
         assert run("simulate", "--config", str(path), "--out", str(out), "--quiet") == 0
-        schedule, _ = read_schedule(out / "schedule.txt", default_library())
+        schedule = generate_schedule(load_run_config(path).scenario, default_library())
         expected = np.zeros(60, dtype=np.int64)
         for device in schedule.devices:
             if device.class_name == "refrigerator":
@@ -493,7 +588,7 @@ class TestStages:
                     assert mode == "compressor"
                     expected[math.ceil(start) : math.ceil(end)] += 1
         assert {d.class_name for d in schedule.devices} == {"refrigerator", "ventilator", "resistive_heater", "lighting"}
-        counts, _ = read_ground_truth(out / "ground_truth.txt", 60)
+        counts = truth_of(path)
         assert np.array_equal(counts, expected) and counts.any()
 
     @pytest.mark.parametrize(
@@ -593,7 +688,7 @@ class TestPipeline:
         out = tmp_path / "out"
         assert run("pipeline", "--config", str(path), "--out", str(out), "--quiet") == 0
         dataset, _ = read_dataset(out / "dataset.csv")
-        counts, _ = read_ground_truth(out / "ground_truth.txt", 120)
+        counts = truth_of(path)
         assert np.array_equal(dataset.y, window_targets(counts, 5.0, 2.5, dataset.n_windows))
 
     def test_pipeline_idempotent_when_current(self, config_path, tmp_path, capsys):
@@ -639,7 +734,7 @@ class TestPipeline:
         for stage in ("train", "eval"):
             assert any(line.startswith(f"{stage}: ") and "up to date" not in line for line in lines), stage
         config = load_run_config(config_path)
-        assert read_residuals(os.path.join(out, "residuals.csv"))[1] == model_fingerprint(config, load_library_for(config))
+        assert fingerprint_of(os.path.join(out, "residuals.csv")) == model_fingerprint(config, load_library_for(config))
 
     @pytest.mark.parametrize(
         "name, stage, last_word",
@@ -676,6 +771,50 @@ class TestPipeline:
         for artifact in sorted(os.listdir(fresh)):
             assert (out / artifact).read_bytes() == (fresh / artifact).read_bytes(), artifact
 
+    @pytest.mark.parametrize("name, stage", _EDITED_VALUES, ids=[name for name, _ in _EDITED_VALUES])
+    def test_pipeline_reruns_only_the_writer_of_an_edited_value(self, config_path, tmp_path, capsys, name, stage):
+        # The edited file parses and keeps its fingerprint: only the bytes its stage would write now tell.
+        out = tmp_path / "out"
+        assert run("pipeline", "--config", config_path, "--out", str(out), "--quiet") == 0
+        before = {artifact: (out / artifact).read_bytes() for artifact in os.listdir(out)}
+        path = out / name
+        path.write_text("\n".join(_edit_value(name, path.read_text().splitlines())) + "\n")
+        assert path.read_bytes() != before[name]
+        capsys.readouterr()
+        assert run("pipeline", "--config", config_path, "--out", str(out)) == 0
+        stdout = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in stdout if not line.endswith(": up to date")] == [stage]
+        assert {artifact: (out / artifact).read_bytes() for artifact in os.listdir(out)} == before
+
+    @pytest.mark.parametrize(
+        "name, stage, edit", [(n, s, e) for n, s, _, e in _REFUSED_EDITS], ids=[f"{n}-{c}" for n, _, c, _ in _REFUSED_EDITS]
+    )
+    def test_pipeline_reruns_only_the_writer_of_a_file_no_reader_would_accept(
+        self, fresh_outputs, tmp_path, capsys, name, stage, edit
+    ):
+        config_path, fresh = fresh_outputs
+        out = tmp_path / "out"
+        shutil.copytree(fresh, out)
+        path = out / name
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        assert path.read_bytes() != (fresh / name).read_bytes()
+        capsys.readouterr()
+        assert run("pipeline", "--config", config_path, "--out", str(out)) == 0
+        stdout = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in stdout if not line.endswith(": up to date")] == [stage]
+        for artifact in sorted(os.listdir(fresh)):
+            assert (out / artifact).read_bytes() == (fresh / artifact).read_bytes(), artifact
+
+    @pytest.mark.parametrize("stage", cli._STAGES, ids=[stage.name for stage in cli._STAGES])
+    def test_rerun_check_finds_fresh_outputs_current_and_writes_nothing(self, fresh_outputs, tmp_path, stage):
+        config_path, fresh = fresh_outputs
+        out = tmp_path / "out"
+        shutil.copytree(fresh, out)
+        before = _files_of(out)
+        config = load_run_config(config_path)
+        assert cli._stage_current(config, load_library_for(config), str(out), stage)
+        assert _files_of(out) == before
+
     def test_dataset_recording_the_grid_frequency_is_rewritten_alone(self, config_path, tmp_path, capsys):
         # Earlier datasets carried an f0_hz word, under the same fingerprint: the scenario's f0_hz is the only one.
         out = tmp_path / "out"
@@ -699,9 +838,9 @@ class TestPipeline:
         out_b = str(tmp_path / "b")
         assert run("pipeline", "--config", config_path, "--out", out_a, "--quiet") == 0
         assert run("pipeline", "--config", config_path, "--out", out_b, "--quiet") == 0
-        entries_a, _ = read_report_lines(os.path.join(out_a, "report.txt"))
-        entries_b, _ = read_report_lines(os.path.join(out_b, "report.txt"))
-        assert entries_a == entries_b
+        for name in ("report.txt", "residuals.csv"):
+            with open(os.path.join(out_a, name), "rb") as fa, open(os.path.join(out_b, name), "rb") as fb:
+                assert fa.read() == fb.read(), name
 
     def test_pipeline_recreates_deleted_residuals(self, config_path, tmp_path, capsys):
         out = str(tmp_path / "out")
@@ -712,7 +851,7 @@ class TestPipeline:
         assert "eval: up to date" not in capsys.readouterr().out
         config = load_run_config(config_path)
         expected = model_fingerprint(config, load_library_for(config))
-        assert read_residuals(residuals)[1] == expected
+        assert fingerprint_of(residuals) == expected
 
     def test_train_summary_reports_the_written_model_when_no_epoch_improved(self, tmp_path, capsys):
         # At learning rate 50 every epoch diverges, so train keeps the initial parameters; the
@@ -756,7 +895,7 @@ class TestPipeline:
         # Eval writes the predictions evaluate() made: one forward pass, same bytes as recomputing it.
         from feeder_nilm.featurize import apply_normalization
         from feeder_nilm.model import count_from_output, forward_batch
-        from feeder_nilm.storage import read_model, write_residuals
+        from feeder_nilm.storage import holds_text, read_model, residual_lines
 
         out = str(tmp_path / "out")
         assert run("pipeline", "--config", config_path, "--out", out, "--quiet") == 0
@@ -765,10 +904,8 @@ class TestPipeline:
         (params, stats), fp = read_model(os.path.join(out, "model.txt"))
         _, _, test = cli._split_rows(config, dataset)
         continuous = forward_batch(params, apply_normalization(test.X, stats))
-        expected = tmp_path / "expected.csv"
-        write_residuals(expected, test.t_start_s, test.y, continuous, count_from_output(continuous), fp)
-        with open(os.path.join(out, "residuals.csv"), "rb") as fh:
-            assert fh.read() == expected.read_bytes()
+        expected = residual_lines(test.t_start_s, test.y, continuous, count_from_output(continuous), fp)
+        assert holds_text(os.path.join(out, "residuals.csv"), expected)
 
     def test_pipeline_loads_library_once(self, config_path, tmp_path, monkeypatch):
         calls = []
@@ -840,10 +977,17 @@ class TestStageRegistry:
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         assert set(sub.choices) == {stage.name for stage in cli._STAGES} | {"pipeline"}
 
-    def test_registry_artifacts_cover_artifact_table(self):
-        # Every file a stage writes has exactly one reader, the one its consumer and the rerun check use.
+    def test_registry_artifacts_cover_artifact_table(self, config_path, tmp_path):
+        # Every file a stage writes has exactly one currency rule: the reader its consumer and the
+        # rerun check use, or the bytes its stage renders now.
+        out = str(tmp_path / "out")
+        assert run("pipeline", "--config", config_path, "--out", out, "--quiet") == 0
+        config = load_run_config(config_path)
+        library = load_library_for(config)
+        rendered = [name for stage in cli._STAGES if stage.texts for name in stage.texts(config, library, out)]
         written = [name for stage in cli._STAGES for name in stage.artifacts]
-        assert sorted(written) == sorted(cli._READERS)
+        assert sorted(written) == sorted([*cli._READERS, *rendered])
+        assert sorted(os.listdir(out)) == sorted(written)
 
 
 class TestTopK:

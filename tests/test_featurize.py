@@ -24,7 +24,7 @@ from feeder_nilm.featurize import (
     rank_features,
 )
 from feeder_nilm.simulate import Schedule, ScenarioConfig, generate_schedule, ground_truth_counts, synthesize_feeder
-from feeder_nilm.storage import read_ground_truth, read_waveform
+from feeder_nilm.storage import read_waveform
 
 LIBRARY = default_library()
 SMOKE = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "smoke.cfg")
@@ -466,7 +466,7 @@ class TestFeaturizeChunks:
     def test_dataset_does_not_depend_on_the_chunk_size(self, smoke, stride_s):
         config = load_run_config(SMOKE)
         fs = config.scenario.sample_rate_hz
-        truth, _ = read_ground_truth(smoke / "ground_truth.txt", math.ceil(config.scenario.duration_s))
+        truth = ground_truth_counts(generate_schedule(config.scenario, LIBRARY), config.scenario)
 
         def dataset():
             voltage, _ = read_waveform(smoke / "voltage.fnwv", "VOLT", fs)

@@ -5,38 +5,31 @@ import numpy as np
 import pytest
 from conftest import samples_of, waveform_of
 
-from feeder_nilm import signals, storage
+from feeder_nilm import signals
 
-from feeder_nilm.devices import default_library
 from feeder_nilm.featurize import FeatureDataset, FeatureSpec, NormStats
 from feeder_nilm.model import init_params
 from feeder_nilm.signals import Waveform
-from feeder_nilm.simulate import DeviceSchedule, Schedule, ScenarioConfig, generate_schedule, ground_truth_counts
+from feeder_nilm.simulate import DeviceSchedule, Schedule
 from feeder_nilm.storage import (
-    REPORT_KEYS,
     FileFormatError,
+    ground_truth_lines,
+    holds_text,
     read_dataset,
-    read_ground_truth,
     read_model,
     read_ranking,
-    read_report_lines,
-    read_residuals,
-    read_schedule,
     read_waveform,
+    report_lines,
+    residual_lines,
+    schedule_lines,
     write_dataset,
-    write_ground_truth,
     write_model,
     write_ranking,
-    write_report_lines,
-    write_residuals,
-    write_schedule,
+    write_text,
     write_waveform,
 )
 
 FP = "ab" * 16  # 32 hex digits, arbitrary
-
-# A report as eval writes one: every headline key, then count_<c> lines.
-REPORT = [(key, "0.25") for key in REPORT_KEYS] + [("count_0", "4 0"), ("count_1", "2 0.5")]
 
 
 def random_samples(seed=0, n=5000):
@@ -195,92 +188,57 @@ class TestWaveformFile:
             read_waveform(path, "VOLT", 100.0)
 
 
-class TestScheduleFile:
-    def test_round_trip(self, tmp_path):
-        library = default_library()
+class TestRenderedText:
+    """The four artifacts no stage reads back: rendered lines, and the byte comparison that judges them current."""
+
+    def test_schedule_lines_keep_an_idle_device_as_a_placeholder(self):
         schedule = Schedule(
             (
                 DeviceSchedule("ventilator#0", ((0.5, 20.25, "run"), (30.0, 45.0, "standby"))),
-                DeviceSchedule("resistive_heater#0", ((1.0, 9.0, "on"),)),
                 DeviceSchedule("lighting#0", ()),
             )
         )
-        path = tmp_path / "schedule.txt"
-        write_schedule(path, schedule, FP)
-        loaded, fingerprint = read_schedule(path, library)
-        assert fingerprint == FP
-        assert loaded == schedule
+        lines = schedule_lines(schedule, FP)
+        assert lines == [
+            "# feeder-nilm schedule v1",
+            f"# fingerprint={FP}",
+            "ventilator#0 0.5 20.25 run",
+            "ventilator#0 30 45 standby",
+            "lighting#0 . . .",
+        ]
 
-    def test_unknown_class_rejected(self, tmp_path):
-        path = tmp_path / "schedule.txt"
-        write_schedule(path, Schedule((DeviceSchedule("toaster#0", ((0.0, 1.0, "on"),)),)), FP)
-        with pytest.raises(FileFormatError, match="unknown class 'toaster'"):
-            read_schedule(path, default_library())
+    def test_ground_truth_lines_give_one_second_per_line(self):
+        lines = ground_truth_lines(np.array([0, 1, 2, 1]), FP)
+        assert lines == ["# feeder-nilm ground-truth v1", f"# fingerprint={FP}", "0 0", "1 1", "2 2", "3 1"]
 
-    def test_mode_its_class_lacks_rejected(self, tmp_path):
-        # As synthesize_feeder refuses it: a heater has no "run" mode.
-        path = tmp_path / "schedule.txt"
-        write_schedule(path, Schedule((DeviceSchedule("resistive_heater#0", ((0.0, 1.0, "run"),)),)), FP)
-        with pytest.raises(FileFormatError, match="'resistive_heater' has no mode 'run'"):
-            read_schedule(path, default_library())
+    def test_report_lines_start_with_the_format_version(self):
+        lines = report_lines([("mae_rounded", "0.25"), ("count_1", "2 0.5")], FP)
+        assert lines[2:] == ["format_version = 1", "mae_rounded = 0.25", "count_1 = 2 0.5"]
 
-    def test_round_trip_keeps_the_ground_truth(self, tmp_path):
-        # A device's class is its id's prefix, so no write and read moves a device to another class.
-        config = ScenarioConfig(
-            duration_s=300.0,
-            n_medical_devices=2,
-            background_population=(("lighting", 2),),
-            schedule_params={"ventilator": (40.0, 20.0), "lighting": (30.0, 30.0)},
-            rng_seed=5,
-        )
-        schedule = generate_schedule(config, default_library())
-        path = tmp_path / "schedule.txt"
-        write_schedule(path, schedule, FP)
-        loaded, _ = read_schedule(path, default_library())
-        truth = ground_truth_counts(schedule, config)
-        assert truth.max() == 2 and truth.min() < 2
-        assert np.array_equal(ground_truth_counts(loaded, config), truth)
-
-
-class TestGroundTruthFile:
-    def test_round_trip(self, tmp_path):
-        counts = np.tile([0, 1, 2, 1], 5)
-        path = tmp_path / "truth.txt"
-        write_ground_truth(path, counts, FP)
-        loaded, fingerprint = read_ground_truth(path, 20)
-        assert fingerprint == FP
-        assert loaded.dtype == np.int64
-        assert np.array_equal(loaded, counts)
-        assert path.read_text().splitlines()[2:5] == ["0 0", "1 1", "2 2"]  # one 'second count' line per second
+    def test_residual_lines_give_the_rounded_error(self):
+        lines = residual_lines([0.0, 2.5], [1, 3], [1.25, 0.1], [1, 0], FP)
+        assert lines[2:] == [
+            "window_index,t_start_s,y_true,y_continuous,y_rounded,abs_error_rounded",
+            "0,0,1,1.25,1,0",
+            "1,2.5,3,0.10000000000000001,0,3",
+        ]
 
     @pytest.mark.parametrize(
-        "body", ["0 1\n2 1\n3 1\n", "0 1\n2 1\n1 1\n", "1 1\n2 1\n"], ids=["gapped", "shuffled", "late-start"]
+        "edit",
+        [lambda b: b.replace(b"0.5", b"0.25"), lambda b: b[:-1], lambda b: b + b"\n", lambda b: b.replace(b"\n", b"\r\n")],
+        ids=["value", "no-final-newline", "blank-line-appended", "crlf"],
     )
-    def test_seconds_must_be_the_line_index(self, tmp_path, body):
-        # Counts are read by position, so a line whose second is not its index would be misplaced.
-        path = tmp_path / "truth.txt"
-        path.write_text(f"# feeder-nilm ground-truth v1\n# fingerprint={FP}\n{body}")
-        with pytest.raises(FileFormatError, match="truth.txt"):
-            read_ground_truth(path, body.count("\n"))
+    def test_holds_text_is_true_only_for_the_bytes_write_text_writes(self, tmp_path, edit):
+        path = tmp_path / "report.txt"
+        lines = report_lines([("mae_rounded", "0.5"), ("count_1", "2 0.5")], FP)
+        write_text(path, lines)
+        assert holds_text(path, lines)
+        path.write_bytes(edit(path.read_bytes()))
+        assert not holds_text(path, lines)
 
-    @pytest.mark.parametrize("count", ["-1", "99999999999999999999"], ids=["negative", "beyond-int64"])
-    def test_count_out_of_range_rejected(self, tmp_path, count):
-        path = tmp_path / "truth.txt"
-        path.write_text(f"# feeder-nilm ground-truth v1\n# fingerprint={FP}\n0 1\n1 {count}\n")
-        with pytest.raises(FileFormatError, match="truth.txt"):
-            read_ground_truth(path, 2)
-
-    def test_missing_fingerprint_rejected(self, tmp_path):
-        path = tmp_path / "truth.txt"
-        path.write_text("# feeder-nilm ground-truth v1\n0 1\n1 1\n")
-        with pytest.raises(FileFormatError, match="fingerprint"):
-            read_ground_truth(path, 2)
-
-    def test_wrong_header_rejected(self, tmp_path):
-        path = tmp_path / "truth.txt"
-        path.write_text("# feeder-nilm dataset v1\n0 1\n")
-        with pytest.raises(FileFormatError):
-            read_ground_truth(path, 1)
+    def test_holds_text_of_a_missing_file_is_an_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            holds_text(tmp_path / "report.txt", report_lines([], FP))
 
 
 class TestDatasetFile:
@@ -434,59 +392,6 @@ class TestModelFile:
             read_model(path)
 
 
-class TestReportFile:
-    def test_round_trip_byte_identical(self, tmp_path):
-        entries = REPORT
-        first = tmp_path / "a.txt"
-        second = tmp_path / "b.txt"
-        write_report_lines(first, entries, FP)
-        assert first.read_text().splitlines()[2] == "format_version = 1"  # written by the writer, not the caller
-        loaded, fingerprint = read_report_lines(first)
-        assert loaded == entries
-        write_report_lines(second, loaded, fingerprint)
-        assert first.read_bytes() == second.read_bytes()
-
-    @pytest.mark.parametrize("version", ["2", None], ids=["other", "missing"])
-    def test_other_format_version_rejected(self, tmp_path, version):
-        path = tmp_path / "report.txt"
-        write_report_lines(path, REPORT, FP)
-        lines = [line for line in path.read_text().splitlines() if line != "format_version = 1"]
-        if version is not None:
-            lines.append(f"format_version = {version}")
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FileFormatError, match="report.txt: unsupported report format_version"):
-            read_report_lines(path)
-
-    @pytest.mark.parametrize(
-        "entries",
-        [REPORT[:2] + REPORT[3:], REPORT + [("mae_median", "0.5")], REPORT + [("count_x", "1 0")], REPORT[7:]],
-        ids=["headline-key-missing", "unknown-key", "count-of-no-whole-number", "counts-alone"],
-    )
-    def test_other_key_set_rejected(self, tmp_path, entries):
-        # Every headline key eval writes is there once; any other key is a count_<c> line.
-        path = tmp_path / "report.txt"
-        write_report_lines(path, entries, FP)
-        with pytest.raises(FileFormatError, match="report.txt: report keys must be n_test_windows, "):
-            read_report_lines(path)
-
-
-class TestResidualsFile:
-    @pytest.mark.parametrize(
-        "old, new, message",
-        [("1,2.5,3,", "0,2.5,3,", "window indices"), (",2,1\n", ",2,0\n", "abs_error_rounded"),
-         ("window_index,", "index,", "header row")],
-        ids=["index-repeated", "error-wrong", "header-renamed"],
-    )
-    def test_inconsistent_rows_rejected(self, tmp_path, old, new, message):
-        path = tmp_path / "residuals.csv"
-        write_residuals(path, [0.0, 2.5], [1, 3], [1.25, 1.5], [1, 2], FP)
-        text = path.read_text()
-        assert text.count(old) == 1
-        path.write_text(text.replace(old, new))
-        with pytest.raises(FileFormatError, match=f"residuals.csv: .*{message}"):
-            read_residuals(path)
-
-
 class TestRankingFile:
     def test_round_trip(self, tmp_path):
         ranking = [("h3", 1234.5), ("i_rms", 0.75), ("thd", 0.0)]
@@ -521,7 +426,7 @@ class TestAtomicWrites:
             raise RuntimeError("disk full")
 
         with pytest.raises(RuntimeError):
-            storage._write_text(path, lines())
+            write_text(path, lines())
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["ranking.txt"]
 
@@ -572,66 +477,31 @@ class TestAtomicWrites:
         assert os.listdir(tmp_path) == ["ranking.txt"]
 
 
-def _schedule_with_idle_device():
-    return Schedule(
-        (
-            DeviceSchedule("ventilator#0", ((0.5, 20.25, "run"), (30.0, 45.0, "standby"))),
-            DeviceSchedule("lighting#0", ()),
-        )
-    )
-
-
 def _write_sample(path, kind):
     """A valid artifact of ``kind`` at ``path``."""
-    if kind == "schedule":
-        write_schedule(path, _schedule_with_idle_device(), FP)
-    elif kind == "ground-truth":
-        write_ground_truth(path, np.array([0, 1, 2, 1, 0, 3]), FP)
-    elif kind == "ranking":
+    if kind == "ranking":
         write_ranking(path, [("h3", 1234.5), ("i_rms", 0.75)], FP)
     elif kind == "dataset":
         write_dataset(path, TestDatasetFile().make_dataset(), FP)
-    elif kind == "model":
-        write_model(path, *TestModelFile().make_model(), FP)
-    elif kind == "report":
-        write_report_lines(path, REPORT, FP)
     else:
-        write_residuals(path, [0.0, 2.5, 5.0], [1, 3, 0], [1.25, 1.5, 0.0], [1, 2, 0], FP)
+        write_model(path, *TestModelFile().make_model(), FP)
 
 
 _READERS = {
-    "schedule": lambda path: read_schedule(path, default_library()),
-    "ground-truth": lambda path: read_ground_truth(path, 6),
     "ranking": lambda path: read_ranking(path, ("h3", "i_rms")),
     "dataset": read_dataset,
     "model": read_model,
-    "report": read_report_lines,
-    "residuals": read_residuals,
 }
 
 # (artifact kind, appended line): a wrong field count (too few or too many),
-# then a non-numeric number. A report value is one finite number, or two on
-# a count_<c> line. A schedule line is an idle device only when it is the
-# exact '. . .' placeholder, and names a mode its class has.
+# then a non-numeric number.
 _BAD_LINES = [
-    ("schedule", "ventilator#1 3.0 4.0"),
-    ("schedule", "ventilator#1 3.0 four run"),
-    ("schedule", "ventilator#0 . 3.0 run"),
-    ("schedule", "ventilator#1 50.0 60.0 bogus-mode"),
-    ("ground-truth", "7.0 1 1"),
-    ("ground-truth", "7.0 seven"),
     ("ranking", "thd 0.5 0.25"),
     ("ranking", "thd high"),
     ("dataset", "1.0,2.0,3.0"),
     ("dataset", "1.0,2.0,x,4.0,1,1"),
     ("model", "init_seed"),
     ("model", "W0 = x"),
-    ("report", "mae_rounded 0.25"),
-    ("report", "count_3 = 4"),
-    ("report", "mae_continuous = not-a-number"),
-    ("report", "exact_count_accuracy = nan"),
-    ("residuals", "3,7.5,1,1"),
-    ("residuals", "3,7.5,1,x,1,0"),
 ]
 
 
@@ -641,19 +511,14 @@ _REPEATED_KEYS = [
     ("ranking", f"# fingerprint={'cd' * 16}", "fingerprint"),
     ("dataset", "# max_harmonic=7", "max_harmonic"),
     ("model", "b1 = 0.5", "b1"),
-    ("report", "mae_rounded = 0.5", "mae_rounded"),
 ]
 
 
 # (artifact kind, header word): a ``key=value`` word its format does not declare.
 _STRAY_HEADER_WORDS = [
-    ("schedule", "window_s=99"),
-    ("ground-truth", "window_s=99"),
     ("ranking", "window_s=99"),
     ("dataset", "f0_hz=60"),
     ("model", "window_s=99"),
-    ("report", "window_s=99"),
-    ("residuals", "window_s=99"),
 ]
 
 
@@ -691,20 +556,17 @@ class TestSharedParser:
         with pytest.raises(FileFormatError, match=f"bad-{kind}.txt: unknown header key {key!r}"):
             _READERS[kind](path)
 
-    @pytest.mark.parametrize("kind", ["schedule", "ground-truth", "ranking", "residuals"])
+    @pytest.mark.parametrize("kind", ["ranking", "dataset", "model"])
     def test_write_read_write_byte_identical(self, tmp_path, kind):
         first = tmp_path / "a.txt"
         second = tmp_path / "b.txt"
         _write_sample(first, kind)
         loaded, fingerprint = _READERS[kind](first)
         assert fingerprint == FP
-        if kind == "schedule":
-            assert loaded == _schedule_with_idle_device()
-            write_schedule(second, loaded, fingerprint)
-        elif kind == "ground-truth":
-            write_ground_truth(second, loaded, fingerprint)
-        elif kind == "residuals":
-            write_residuals(second, *loaded, fingerprint)
-        else:
+        if kind == "ranking":
             write_ranking(second, loaded, fingerprint)
+        elif kind == "dataset":
+            write_dataset(second, loaded, fingerprint)
+        else:
+            write_model(second, *loaded, fingerprint)
         assert first.read_bytes() == second.read_bytes()
