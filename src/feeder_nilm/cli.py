@@ -65,36 +65,33 @@ def _say(quiet: bool, message: str) -> None:
         print(message)
 
 
-# The artifact files a consumer reads, each with its reader: (path, config, library) ->
-# (value, fingerprint). The readers are looked up on ``st`` at call time, so a
-# tracer that rebinds them there reaches these calls.
+# Every artifact file, each with its reader: (path, config) -> (value, fingerprint).
+# A text file no stage parses is read by its envelope, under the tag its name
+# must carry. The readers are looked up on ``st`` at call time, so a tracer that
+# rebinds them there reaches these calls.
 _READERS: dict[str, Callable] = {
-    "voltage.fnwv": lambda path, config, library: st.read_waveform(path, "VOLT", config.scenario.sample_rate_hz),
-    "current.fnwv": lambda path, config, library: st.read_waveform(path, "CURR", config.scenario.sample_rate_hz),
-    "ranking.txt": lambda path, config, library: st.read_ranking(path, config.featurize.features),
-    "dataset.csv": lambda path, config, library: st.read_dataset(path),
-    "model.txt": lambda path, config, library: st.read_model(path),
+    "voltage.fnwv": lambda path, config: st.read_waveform(path, "VOLT", config.scenario.sample_rate_hz),
+    "current.fnwv": lambda path, config: st.read_waveform(path, "CURR", config.scenario.sample_rate_hz),
+    "schedule.txt": lambda path, config: st.read_text(path, "schedule"),
+    "ground_truth.txt": lambda path, config: st.read_text(path, "ground-truth"),
+    "ranking.txt": lambda path, config: st.read_ranking(path, config.featurize.features),
+    "dataset.csv": lambda path, config: st.read_dataset(path),
+    "model.txt": lambda path, config: st.read_model(path),
+    "report.txt": lambda path, config: st.read_text(path, "report"),
+    "residuals.csv": lambda path, config: st.read_text(path, "residuals"),
 }
 
 
-def _read_checked(config: RunConfig, library: Library, out: str, name: str, expected: str):
+def _read_checked(config: RunConfig, out: str, name: str, expected: str):
     """Artifact file ``name`` read from ``out`` by its reader; refused unless it carries the ``expected`` fingerprint."""
     path = os.path.join(out, name)
-    value, found = _READERS[name](path, config, library)
+    value, found = _READERS[name](path, config)
     if found != expected:
         raise ContractError(f"{path} was produced by a different configuration; re-run the upstream stage")
     return value
 
 
 # ------------------------------------------------------------------- stages
-
-
-def _simulate_texts(config: RunConfig, library: Library, out: str) -> dict[str, list[str]]:
-    """simulate's text files, by name: a function of the config and the library alone."""
-    fp = scenario_fingerprint(config, library)
-    schedule = generate_schedule(config.scenario, library)
-    truth = ground_truth_counts(schedule, config.scenario)
-    return {"schedule.txt": st.schedule_lines(schedule, fp), "ground_truth.txt": st.ground_truth_lines(truth, fp)}
 
 
 def stage_simulate(config: RunConfig, library: Library, out: str, quiet: bool) -> None:
@@ -105,8 +102,9 @@ def stage_simulate(config: RunConfig, library: Library, out: str, quiet: bool) -
     os.makedirs(out, exist_ok=True)
     st.write_waveform(os.path.join(out, "voltage.fnwv"), voltage, "VOLT", fp)
     st.write_waveform(os.path.join(out, "current.fnwv"), current, "CURR", fp)
-    for name, lines in _simulate_texts(config, library, out).items():
-        st.write_text(os.path.join(out, name), lines)
+    st.write_text(os.path.join(out, "schedule.txt"), "schedule", fp, st.schedule_lines(schedule))
+    truth = ground_truth_counts(schedule, config.scenario)
+    st.write_text(os.path.join(out, "ground_truth.txt"), "ground-truth", fp, st.ground_truth_lines(truth))
 
     n_devices = len(schedule.devices)
     _say(
@@ -125,15 +123,15 @@ def _resolve_features(config: RunConfig, library, out: str) -> FeatureSpec:
     ranking_path = os.path.join(out, "ranking.txt")
     if not os.path.exists(ranking_path):
         raise ContractError(f"{ranking_path} is required when top_k is set; run select-features first")
-    ranking = _read_checked(config, library, out, "ranking.txt", dataset_fingerprint(config, library))
+    ranking = _read_checked(config, out, "ranking.txt", dataset_fingerprint(config, library))
     chosen = {fid for fid, _ in ranking[:top_k]}
     return FeatureSpec(tuple(fid for fid in spec.features if fid in chosen))
 
 
 def stage_featurize(config: RunConfig, library: Library, out: str, quiet: bool) -> None:
     scenario_fp = scenario_fingerprint(config, library)
-    voltage = _read_checked(config, library, out, "voltage.fnwv", scenario_fp)
-    current = _read_checked(config, library, out, "current.fnwv", scenario_fp)
+    voltage = _read_checked(config, out, "voltage.fnwv", scenario_fp)
+    current = _read_checked(config, out, "current.fnwv", scenario_fp)
     truth = ground_truth_counts(generate_schedule(config.scenario, library), config.scenario)
 
     spec = _resolve_features(config, library, out)
@@ -179,7 +177,7 @@ def _split_rows(config: RunConfig, dataset: FeatureDataset):
 
 
 def stage_train(config: RunConfig, library: Library, out: str, quiet: bool) -> None:
-    dataset = _read_checked(config, library, out, "dataset.csv", dataset_fingerprint(config, library))
+    dataset = _read_checked(config, out, "dataset.csv", dataset_fingerprint(config, library))
     train_part, val_part, _ = _split_rows(config, dataset)
 
     stats = fit_normalization(train_part.X, dataset.feature_spec.features)
@@ -210,11 +208,10 @@ def stage_train(config: RunConfig, library: Library, out: str, quiet: bool) -> N
     )
 
 
-def _eval_texts(config: RunConfig, library: Library, out: str) -> tuple[dict[str, list[str]], str]:
-    """eval's text files, by name, from the dataset and model in ``out``; and the summary it prints."""
-    dataset = _read_checked(config, library, out, "dataset.csv", dataset_fingerprint(config, library))
+def stage_eval(config: RunConfig, library: Library, out: str, quiet: bool) -> None:
+    dataset = _read_checked(config, out, "dataset.csv", dataset_fingerprint(config, library))
     fp = model_fingerprint(config, library)
-    params, stats = _read_checked(config, library, out, "model.txt", fp)
+    params, stats = _read_checked(config, out, "model.txt", fp)
     if stats.input_feature_ids != dataset.feature_spec.features:
         raise ContractError("model.txt feature layout does not match dataset.csv")
 
@@ -229,37 +226,24 @@ def _eval_texts(config: RunConfig, library: Library, out: str) -> tuple[dict[str
                 ("baseline_exact_count_accuracy", baseline.exact_count_accuracy)]
     entries = [(key, format(value, ".17g")) for key, value in headline]
     entries += [(f"count_{count}", f"{n} {format(err, '.17g')}") for count, n, err in report.per_count]
-    texts = {
-        "report.txt": st.report_lines(entries, fp),
-        "residuals.csv": st.residual_lines(test_part.t_start_s, test_part.y, report.continuous, report.rounded, fp),
-    }
-    summary = (
+    st.write_text(os.path.join(out, "report.txt"), "report", fp, st.report_lines(entries))
+    residuals = st.residual_lines(test_part.t_start_s, test_part.y, report.continuous, report.rounded)
+    st.write_text(os.path.join(out, "residuals.csv"), "residuals", fp, residuals)
+    _say(
+        quiet,
         f"eval: rounded MAE {report.mae_rounded:.4g} (baseline {baseline.mae_rounded:.4g}), "
-        f"exact-count accuracy {report.exact_count_accuracy:.1%} on {report.n_test_windows} test windows"
+        f"exact-count accuracy {report.exact_count_accuracy:.1%} on {report.n_test_windows} test windows",
     )
-    return texts, summary
-
-
-def stage_eval(config: RunConfig, library: Library, out: str, quiet: bool) -> None:
-    texts, summary = _eval_texts(config, library, out)
-    for name, lines in texts.items():
-        st.write_text(os.path.join(out, name), lines)
-    _say(quiet, summary)
 
 
 class Stage(NamedTuple):
-    """A subcommand and the artifact files it writes.
-
-    ``texts``, when set, renders the text files the stage writes from inputs
-    the rerun check already trusts: (config, library, out) -> {file: lines}.
-    """
+    """A subcommand and the artifact files it writes."""
 
     name: str
     run: Callable[[RunConfig, Library, str, bool], None]
     fingerprint: Callable
     artifacts: tuple[str, ...]
     help: str
-    texts: Callable[[RunConfig, Library, str], dict[str, list[str]]] | None = None
 
 
 # The stages in pipeline order: a plain module-level tuple, so a tracer that
@@ -267,38 +251,33 @@ class Stage(NamedTuple):
 _STAGES = (
     Stage("simulate", stage_simulate, scenario_fingerprint,
           ("voltage.fnwv", "current.fnwv", "schedule.txt", "ground_truth.txt"),
-          "synthesize waveforms, schedule, and ground truth", _simulate_texts),
+          "synthesize waveforms, schedule, and ground truth"),
     Stage("select-features", stage_select_features, dataset_fingerprint, ("ranking.txt",),
           "rank features by Fisher score over class signatures"),
     Stage("featurize", stage_featurize, dataset_fingerprint, ("dataset.csv",),
           "window the waveforms into a feature dataset"),
     Stage("train", stage_train, model_fingerprint, ("model.txt",), "fit the count regressor on the dataset"),
     Stage("eval", stage_eval, model_fingerprint, ("report.txt", "residuals.csv"),
-          "evaluate the trained model and write the report",
-          lambda config, library, out: _eval_texts(config, library, out)[0]),
+          "evaluate the trained model and write the report"),
 )
 
 
 def _stage_current(config: RunConfig, library: Library, out: str, stage: Stage) -> bool:
     """Whether every artifact file ``stage`` writes to ``out`` is current; nothing is written.
 
-    A file ``stage.texts`` renders is current when it holds the bytes the
-    stage would write now. Any other must pass the reader its consumer uses
-    and carry the stage's fingerprint; a waveform's every sample is read,
-    and checked, too. A missing file is stale before anything is rendered.
+    A file is current when it passes its reader and carries the stage's
+    fingerprint; a text file's reader checks its seal first, and a
+    waveform's every sample is read, and checked, too. A missing file is
+    stale before any file is read.
     """
     if not all(os.path.isfile(os.path.join(out, name)) for name in stage.artifacts):
         return False
     expected = stage.fingerprint(config, library)
     try:
-        texts = stage.texts(config, library, out) if stage.texts else {}
-        if not all(st.holds_text(os.path.join(out, name), lines) for name, lines in texts.items()):
-            return False
         for name in stage.artifacts:
-            if name not in texts:
-                value = _read_checked(config, library, out, name, expected)
-                if isinstance(value, Waveform):
-                    value.skip(value.n_samples)
+            value = _read_checked(config, out, name, expected)
+            if isinstance(value, Waveform):
+                value.skip(value.n_samples)
     except (st.FileFormatError, OSError, ContractError):
         return False
     return True

@@ -24,21 +24,23 @@ sample rate it expects and refuses a file of the other channel or another
 rate. Every trace starts at scenario second 0, so the reader also refuses
 a header whose start time is not 0.0.
 
-Text artifacts are line-oriented. Every format begins with its format line
-``# feeder-nilm <tag> v1``, followed by ``# key=value`` comment lines that
-carry the fingerprint (and, for a dataset, its window metadata); floats
-are rendered with 17 significant digits so a write/read/write cycle is
-byte-identical. Every writer requires a 32-hex-digit fingerprint, and
-every reader returns it beside the value for an exact comparison.
+Text artifacts are line-oriented. ``write_text``, the one writer of all
+seven text formats, takes a format's body lines and writes the format line
+``# feeder-nilm <tag> v2``, the seal line
+``# fingerprint=<32 hex> body=<8 hex>``, then the body. ``body`` is the
+CRC-32 of every byte after the seal line, a dataset's ``# window_s=`` line
+included. Floats are rendered with 17 significant digits so a
+write/read/write cycle is byte-identical. Every writer requires a
+32-hex-digit fingerprint, and every reader returns it beside the value for
+an exact comparison.
 
-A format that a stage reads has one reader, which checks the whole file;
-the stage reads its inputs with it, and ``pipeline`` judges the artifact
-current only if it passes it, so nothing reads a fingerprint without its
-body. Schedules, ground truth, reports and residuals have no reader: no
-stage reads them, and each has a pure line renderer (``schedule_lines``,
-``ground_truth_lines``, ``report_lines``, ``residual_lines``) whose lines
-``write_text`` writes. Such a file is current when ``holds_text`` finds
-in it exactly the bytes its stage would write now.
+Every text reader checks the seal first, so a file edited or damaged since
+it was written is refused, naming it. The seal guards against accidental
+edits and bit rot, not forgery: anyone can recompute a CRC. The ranking,
+dataset and model readers then check the whole body, which a stage reads.
+Schedules, ground truth, reports and residuals are read by ``read_text``,
+which returns the body lines their renderers (``schedule_lines``,
+``ground_truth_lines``, ``report_lines``, ``residual_lines``) gave.
 Every artifact is written to a temp file beside it and then renamed over
 it, so an interrupted write leaves the previous artifact intact.
 """
@@ -46,8 +48,10 @@ it, so an interrupted write leaves the previous artifact intact.
 from __future__ import annotations
 
 import os
+import re
 import struct
 import sys
+import zlib
 from contextlib import contextmanager
 from typing import Iterable
 
@@ -63,7 +67,7 @@ __all__ = [
     "write_waveform",
     "read_waveform",
     "write_text",
-    "holds_text",
+    "read_text",
     "schedule_lines",
     "ground_truth_lines",
     "write_dataset",
@@ -193,43 +197,54 @@ def _file_identity(fh) -> tuple[int, int, int, int]:
 # ------------------------------------------------------------- text helpers
 
 
-def write_text(path, lines: Iterable[str]) -> None:
-    """Write each of ``lines`` and a newline, UTF-8, then rename the file into place."""
-    with _atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+def _format_line(tag: str) -> str:
+    return f"# feeder-nilm {tag} v2"
 
 
-def holds_text(path, lines: Iterable[str]) -> bool:
-    """Whether the file at ``path`` holds exactly the bytes ``write_text`` writes for ``lines``."""
-    with open(path, "rb") as fh:
-        return fh.read() == "".join(f"{line}\n" for line in lines).encode("utf-8")
+# The seal line; the fingerprint's width is checked where it is compared.
+_SEAL = re.compile(rb"# fingerprint=\S* body=([0-9a-f]{8})")
 
 
-def _read_tagged_lines(path, tag: str, keys: tuple[str, ...] = ("fingerprint",)) -> tuple[dict[str, str], list[str]]:
-    """Returns (header values, non-comment lines); validates the format line.
+def write_text(path, tag: str, fingerprint: str, lines: Iterable[str]) -> None:
+    """Write format ``tag``'s format and seal lines, then each of ``lines`` and a newline, UTF-8; rename it into place."""
+    _fingerprint_bytes(fingerprint)  # the same width as a waveform header's
+    body = "".join(f"{line}\n" for line in lines).encode("utf-8")
+    with _atomic_open(path, "wb") as fh:
+        fh.write(f"{_format_line(tag)}\n# fingerprint={fingerprint} body={zlib.crc32(body):08x}\n".encode("utf-8"))
+        fh.write(body)
 
+
+def _read_tagged_lines(path, tag: str, keys: tuple[str, ...] = ()) -> tuple[dict[str, str], list[str]]:
+    """Returns (header values, non-comment lines); checks the seal, then the format line.
+
+    The seal comes first: a file whose bytes after the seal line are not
+    the ones it was written with is refused before any of them is parsed.
     Header values are the ``key=value`` words of the comment lines after
-    the format line. The format declares its ``keys``: each must be there
-    once, and any other key is refused, so a stray word is no part of a
-    current file.
+    the format line. Every format has ``fingerprint`` and ``body`` and
+    declares the rest as ``keys``: each must be there once, and any other
+    key is refused, so a stray word is no part of a current file.
     """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    parts = raw.split(b"\n", 2)
+    seal = _SEAL.fullmatch(parts[1]) if len(parts) == 3 else None
+    if seal is None or int(seal[1], 16) != zlib.crc32(parts[2]):
+        raise FileFormatError(f"{path}: missing or broken body seal; edited or damaged since it was written")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read().splitlines()
+        lines = raw.decode("utf-8").splitlines()
     except UnicodeDecodeError:
         raise FileFormatError(f"{path}: not a text artifact") from None
-    if not raw or raw[0] != f"# feeder-nilm {tag} v1":
-        raise FileFormatError(f"{path}: missing '# feeder-nilm {tag} v1' header")
+    if lines[0] != _format_line(tag):
+        raise FileFormatError(f"{path}: missing '{_format_line(tag)}' header")
     words: list[tuple[str, str]] = []
     body: list[str] = []
-    for line in raw[1:]:
+    for line in lines[1:]:
         if line.startswith("#"):
             words += [tuple(word.split("=", 1)) for word in line[1:].split() if "=" in word]
         elif line.strip():
             body.append(line)
     header = _unique(path, words)
+    keys = ("fingerprint", "body", *keys)
     for key in header:
         if key not in keys:
             raise FileFormatError(f"{path}: unknown header key {key!r}")
@@ -237,6 +252,12 @@ def _read_tagged_lines(path, tag: str, keys: tuple[str, ...] = ("fingerprint",))
         if key not in header:
             raise FileFormatError(f"{path}: missing '# {key}=' header word")
     return header, body
+
+
+def read_text(path, tag: str) -> tuple[list[str], str]:
+    """(body lines, fingerprint) of a sealed format ``tag`` file whose body no stage parses."""
+    header, body = _read_tagged_lines(path, tag)
+    return body, header["fingerprint"]
 
 
 def _fields(path, line: str, types: tuple, sep: str | None = None) -> tuple:
@@ -267,16 +288,11 @@ def _entries(path, body: list[str]) -> dict[str, str]:
     return _unique(path, [tuple(part.strip() for part in line.split("=", 1)) for line in body])
 
 
-def _header_lines(tag: str, fingerprint: str) -> list[str]:
-    _fingerprint_bytes(fingerprint)  # the same width as a waveform header's
-    return [f"# feeder-nilm {tag} v1", f"# fingerprint={fingerprint}"]
-
-
 # ------------------------------------------------- schedules and ground truth
 
 
-def schedule_lines(schedule: Schedule, fingerprint: str) -> list[str]:
-    lines = _header_lines("schedule", fingerprint)
+def schedule_lines(schedule: Schedule) -> list[str]:
+    lines = []
     for device in schedule.devices:
         if not device.intervals:
             lines.append(f"{device.device_id} . . .")  # placeholder keeps idle devices on file
@@ -285,28 +301,29 @@ def schedule_lines(schedule: Schedule, fingerprint: str) -> list[str]:
     return lines
 
 
-def ground_truth_lines(counts: np.ndarray, fingerprint: str) -> list[str]:
+def ground_truth_lines(counts: np.ndarray) -> list[str]:
     """One ``second count`` line per scenario second, from second 0."""
-    return _header_lines("ground-truth", fingerprint) + [f"{second} {int(count)}" for second, count in enumerate(counts)]
+    return [f"{second} {int(count)}" for second, count in enumerate(counts)]
 
 
 # ------------------------------------------------------------------ dataset
 
 
 def write_dataset(path, dataset: FeatureDataset, fingerprint: str) -> None:
-    lines = _header_lines("dataset", fingerprint)
     spec = dataset.feature_spec
-    lines.append(f"# window_s={_f(dataset.window_s)} stride_s={_f(dataset.stride_s)} max_harmonic={THD_ORDERS[-1]}")
-    lines.append("t_start_s," + ",".join(spec.features) + ",y,valid")
+    lines = [
+        f"# window_s={_f(dataset.window_s)} stride_s={_f(dataset.stride_s)} max_harmonic={THD_ORDERS[-1]}",
+        "t_start_s," + ",".join(spec.features) + ",y,valid",
+    ]
     # One template per row; "%.17g" renders a float exactly as _f does.
     row = "%.17g," * (1 + len(spec.features)) + "%d,%d"
     columns = zip(dataset.t_start_s.tolist(), dataset.X.tolist(), dataset.y.tolist(), dataset.valid.tolist())
     lines.extend(row % (t, *x, y, valid) for t, x, y, valid in columns)
-    write_text(path, lines)
+    write_text(path, "dataset", fingerprint, lines)
 
 
 def read_dataset(path) -> tuple[FeatureDataset, str]:
-    meta, body = _read_tagged_lines(path, "dataset", ("fingerprint", "window_s", "stride_s", "max_harmonic"))
+    meta, body = _read_tagged_lines(path, "dataset", ("window_s", "stride_s", "max_harmonic"))
     columns = (body or [""])[0].split(",")
     if columns[0] != "t_start_s" or columns[-2:] != ["y", "valid"]:
         raise FileFormatError(f"{path}: missing or bad dataset header row")
@@ -334,8 +351,7 @@ def read_dataset(path) -> tuple[FeatureDataset, str]:
 
 
 def write_model(path, params: RegressorParams, stats: NormStats, fingerprint: str) -> None:
-    lines = _header_lines("model", fingerprint)
-    lines.append("format_version = 1")
+    lines = ["format_version = 1"]
     lines.append("layer_sizes = " + " ".join(str(s) for s in params.layer_sizes))
     lines.append("input_features = " + " ".join(stats.input_feature_ids))
     lines.append("kept_indices = " + " ".join(str(i) for i in stats.kept_indices))
@@ -344,7 +360,7 @@ def write_model(path, params: RegressorParams, stats: NormStats, fingerprint: st
     for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
         lines.append(f"W{layer} = " + " ".join(_f(x) for x in w.reshape(-1)))
         lines.append(f"b{layer} = " + " ".join(_f(x) for x in b))
-    write_text(path, lines)
+    write_text(path, "model", fingerprint, lines)
 
 
 def read_model(path) -> tuple[tuple[RegressorParams, NormStats], str]:
@@ -384,15 +400,14 @@ def read_model(path) -> tuple[tuple[RegressorParams, NormStats], str]:
 # ------------------------------------------------------ report and residuals
 
 
-def report_lines(entries: list[tuple[str, str]], fingerprint: str) -> list[str]:
+def report_lines(entries: list[tuple[str, str]]) -> list[str]:
     """An ordered key = value report after its ``format_version = 1`` line."""
-    return _header_lines("report", fingerprint) + ["format_version = 1"] + [f"{key} = {value}" for key, value in entries]
+    return ["format_version = 1"] + [f"{key} = {value}" for key, value in entries]
 
 
-def residual_lines(t_start_s, y_true, y_continuous, y_rounded, fingerprint: str) -> list[str]:
+def residual_lines(t_start_s, y_true, y_continuous, y_rounded) -> list[str]:
     """One CSV row per test window: truth, continuous and rounded prediction, rounded error."""
-    lines = _header_lines("residuals", fingerprint)
-    lines.append("window_index,t_start_s,y_true,y_continuous,y_rounded,abs_error_rounded")
+    lines = ["window_index,t_start_s,y_true,y_continuous,y_rounded,abs_error_rounded"]
     for k, (t, y, cont, rounded) in enumerate(zip(t_start_s, y_true, y_continuous, y_rounded)):
         lines.append(f"{k},{_f(t)},{int(y)},{_f(cont)},{int(rounded)},{abs(int(rounded) - int(y))}")
     return lines
@@ -402,10 +417,7 @@ def residual_lines(t_start_s, y_true, y_continuous, y_rounded, fingerprint: str)
 
 
 def write_ranking(path, ranking: list[tuple[str, float]], fingerprint: str) -> None:
-    lines = _header_lines("ranking", fingerprint)
-    for feature_id, score in ranking:
-        lines.append(f"{feature_id} {_f(score)}")
-    write_text(path, lines)
+    write_text(path, "ranking", fingerprint, [f"{feature_id} {_f(score)}" for feature_id, score in ranking])
 
 
 def read_ranking(path, features) -> tuple[list[tuple[str, float]], str]:

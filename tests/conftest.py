@@ -1,3 +1,6 @@
+import re
+import zlib
+
 import numpy as np
 import pytest
 
@@ -67,3 +70,12 @@ def report_values(path) -> dict[str, str]:
     """The ``key = value`` lines of a report file, as strings."""
     with open(path, encoding="utf-8") as fh:
         return dict(line.split(" = ", 1) for line in fh.read().splitlines() if " = " in line)
+
+
+def reseal(path) -> None:
+    """Set the ``body=`` seal of a hand-edited text artifact to its edited body, so its reader parses the edit."""
+    with open(path, "rb") as fh:
+        head, seal, body = fh.read().split(b"\n", 2)
+    seal = re.sub(rb"body=[0-9a-f]{8}$", b"body=%08x" % zlib.crc32(body), seal)
+    with open(path, "wb") as fh:
+        fh.write(b"\n".join((head, seal, body)))

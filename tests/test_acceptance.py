@@ -22,13 +22,13 @@ from feeder_nilm.featurize import FeatureSpec, evaluate_window, rank_features
 from feeder_nilm.model import init_params, loss_and_gradient
 from feeder_nilm.simulate import ScenarioConfig, generate_schedule, synthesize_feeder
 from feeder_nilm.storage import (
-    holds_text,
     read_dataset,
     read_model,
     read_waveform,
     report_lines,
     write_dataset,
     write_model,
+    write_text,
     write_waveform,
 )
 
@@ -259,7 +259,9 @@ def test_criterion_8_round_trip_persistence(smoke_run, tmp_path):
         write_model(copy, params, stats, fp)
         assert copy.read_bytes() == open(src, "rb").read()
 
-        # Report: its key = value lines, rendered again under the model's fingerprint, are its bytes.
+        # Report: its key = value lines, written again under the model's fingerprint, are its bytes.
         values = read_report_values(smoke_run)
         assert values.pop("format_version") == "1"
-        assert holds_text(os.path.join(smoke_run, "report.txt"), report_lines(list(values.items()), fp))
+        copy = tmp_path / "report.txt"
+        write_text(copy, "report", fp, report_lines(list(values.items())))
+        assert copy.read_bytes() == open(os.path.join(smoke_run, "report.txt"), "rb").read()

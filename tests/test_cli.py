@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 import pytest
-from conftest import report_values, samples_of, save_device_library
+from conftest import report_values, reseal, samples_of, save_device_library
 
 from feeder_nilm import cli
 from feeder_nilm.config import (
@@ -94,9 +94,22 @@ def _edit_value(name, lines):
         k = next(k for k in reversed(body) if ". . ." not in lines[k])
         device_id, start, end, mode = lines[k].split()
         lines[k] = f"{device_id} {start} {(float(start) + float(end)) / 2!r} {mode}"
-    else:  # ground_truth.txt
+    elif name == "ground_truth.txt":
         k = next(k for k in body if lines[k].endswith(" 0"))
         lines[k] = lines[k][: -len("0")] + "3"
+    elif name == "ranking.txt":
+        feature_id, score = lines[body[0]].split()
+        lines[body[0]] = f"{feature_id} {float(score) * 2!r}"
+    elif name == "dataset.csv":
+        # The first i_rms cell's 17th significant digit: a change the parsed float may not even show.
+        column = lines[body[0]].split(",").index("i_rms")
+        fields = lines[body[1]].split(",")
+        assert len(fields[column].replace(".", "").lstrip("0")) == 17
+        fields[column] = fields[column][:-1] + str(9 - int(fields[column][-1]))
+        lines[body[1]] = ",".join(fields)
+    else:  # model.txt
+        (k,) = [k for k in body if lines[k].startswith("W0 = ")]
+        lines[k] = "W0 = 0.5 " + lines[k].split(" ", 3)[3]
     return lines
 
 
@@ -106,6 +119,9 @@ _EDITED_VALUES = [
     ("residuals.csv", "eval"),
     ("schedule.txt", "simulate"),
     ("ground_truth.txt", "simulate"),
+    ("ranking.txt", "select-features"),
+    ("dataset.csv", "featurize"),
+    ("model.txt", "train"),
 ]
 
 
@@ -201,7 +217,7 @@ def fingerprint_of(path) -> str:
     """The ``# fingerprint=`` word of a text artifact."""
     with open(path, encoding="utf-8") as fh:
         (line,) = [line for line in fh.read().splitlines() if line.startswith("# fingerprint=")]
-    return line[len("# fingerprint=") :]
+    return line[len("# fingerprint=") :].split()[0]
 
 
 class TestConfigParsing:
@@ -403,6 +419,7 @@ class TestStages:
         if edit == "truncated":
             lines = lines[: body[0] + 1]
         ranking.write_text("\n".join(lines) + "\n")
+        reseal(ranking)
         assert run("featurize", "--config", str(path), "--out", str(out), "--quiet") == 3
         err = capsys.readouterr().err
         assert err.startswith("file error:") and "ranking.txt" in err
@@ -421,6 +438,7 @@ class TestStages:
             elif edit == "index-dropped" and key in ("kept_indices", "norm_mean", "norm_std"):
                 lines[k] = f"{key} = {' '.join(values.split()[:-1])}"
         model.write_text("\n".join(lines) + "\n")
+        reseal(model)
         capsys.readouterr()  # only what eval says; train warns on stderr that no epoch improved
         assert run("eval", "--config", config_path, "--out", str(out), "--quiet") == 3
         err = capsys.readouterr().err
@@ -742,7 +760,7 @@ class TestPipeline:
         ids=[f"{name}-{stage}" + (f"-{word}" if word else "") for name, stage, word in _GARBLED_LAST_LINES],
     )
     def test_pipeline_reruns_the_writer_of_a_garbled_body_line(self, config_path, tmp_path, capsys, name, stage, last_word):
-        # The fingerprint header is kept: only the reader the file's consumer uses can tell it is broken.
+        # The fingerprint header is kept: the file's reader refuses it.
         fresh, out = tmp_path / "fresh", tmp_path / "out"
         assert run("pipeline", "--config", config_path, "--out", str(fresh), "--quiet") == 0
         assert run("pipeline", "--config", config_path, "--out", str(out), "--quiet") == 0
@@ -773,7 +791,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize("name, stage", _EDITED_VALUES, ids=[name for name, _ in _EDITED_VALUES])
     def test_pipeline_reruns_only_the_writer_of_an_edited_value(self, config_path, tmp_path, capsys, name, stage):
-        # The edited file parses and keeps its fingerprint: only the bytes its stage would write now tell.
+        # The edited file parses and keeps its fingerprint: only its seal tells.
         out = tmp_path / "out"
         assert run("pipeline", "--config", config_path, "--out", str(out), "--quiet") == 0
         before = {artifact: (out / artifact).read_bytes() for artifact in os.listdir(out)}
@@ -815,6 +833,35 @@ class TestPipeline:
         assert cli._stage_current(config, load_library_for(config), str(out), stage)
         assert _files_of(out) == before
 
+    def test_noop_pipeline_neither_evaluates_nor_reads_the_dataset_twice(self, fresh_outputs, tmp_path, monkeypatch):
+        config_path, fresh = fresh_outputs
+        out = tmp_path / "out"
+        shutil.copytree(fresh, out)
+        calls = []
+
+        def counted(name, function):
+            return lambda *args, **kwargs: calls.append(name) or function(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate", counted("evaluate", cli.evaluate))
+        monkeypatch.setattr(cli.st, "read_dataset", counted("read_dataset", cli.st.read_dataset))
+        assert run("pipeline", "--config", config_path, "--out", str(out), "--quiet") == 0
+        assert calls == ["read_dataset"]
+
+    def test_swapped_report_and_residuals_are_rewritten(self, fresh_outputs, tmp_path, capsys):
+        # Both files keep a valid seal and eval's fingerprint: only the format line tells which is which.
+        config_path, fresh = fresh_outputs
+        out = tmp_path / "out"
+        shutil.copytree(fresh, out)
+        os.replace(out / "report.txt", out / "swap")
+        os.replace(out / "residuals.csv", out / "report.txt")
+        os.replace(out / "swap", out / "residuals.csv")
+        capsys.readouterr()
+        assert run("pipeline", "--config", config_path, "--out", str(out)) == 0
+        stdout = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in stdout if not line.endswith(": up to date")] == ["eval"]
+        for artifact in sorted(os.listdir(fresh)):
+            assert (out / artifact).read_bytes() == (fresh / artifact).read_bytes(), artifact
+
     def test_dataset_recording_the_grid_frequency_is_rewritten_alone(self, config_path, tmp_path, capsys):
         # Earlier datasets carried an f0_hz word, under the same fingerprint: the scenario's f0_hz is the only one.
         out = tmp_path / "out"
@@ -824,6 +871,7 @@ class TestPipeline:
         text = dataset.read_text()
         assert text.count(" max_harmonic=7\n") == 1
         dataset.write_text(text.replace(" max_harmonic=7\n", " f0_hz=60 max_harmonic=7\n"))
+        reseal(dataset)
         capsys.readouterr()  # only what this train says; the first one warns that no epoch improved
         assert run("train", "--config", config_path, "--out", str(out), "--quiet") == 3
         err = capsys.readouterr().err
@@ -895,7 +943,7 @@ class TestPipeline:
         # Eval writes the predictions evaluate() made: one forward pass, same bytes as recomputing it.
         from feeder_nilm.featurize import apply_normalization
         from feeder_nilm.model import count_from_output, forward_batch
-        from feeder_nilm.storage import holds_text, read_model, residual_lines
+        from feeder_nilm.storage import read_model, read_text, residual_lines
 
         out = str(tmp_path / "out")
         assert run("pipeline", "--config", config_path, "--out", out, "--quiet") == 0
@@ -904,8 +952,8 @@ class TestPipeline:
         (params, stats), fp = read_model(os.path.join(out, "model.txt"))
         _, _, test = cli._split_rows(config, dataset)
         continuous = forward_batch(params, apply_normalization(test.X, stats))
-        expected = residual_lines(test.t_start_s, test.y, continuous, count_from_output(continuous), fp)
-        assert holds_text(os.path.join(out, "residuals.csv"), expected)
+        expected = residual_lines(test.t_start_s, test.y, continuous, count_from_output(continuous))
+        assert read_text(os.path.join(out, "residuals.csv"), "residuals") == (expected, fp)
 
     def test_pipeline_loads_library_once(self, config_path, tmp_path, monkeypatch):
         calls = []
@@ -929,7 +977,7 @@ class TestPipeline:
             lines = fh.read().splitlines(keepends=True)
         index = next(k for k, line in enumerate(lines) if line.startswith("# fingerprint="))
         full = lines[index]
-        lines[index] = full[: len("# fingerprint=") + 1] + "\n"
+        lines[index] = full[: len("# fingerprint=") + 1] + full[full.index(" body=") :]
         with open(dataset_path, "w", encoding="utf-8") as fh:
             fh.writelines(lines)
         assert run("train", "--config", config_path, "--out", out, "--quiet") == 4
@@ -978,15 +1026,11 @@ class TestStageRegistry:
         assert set(sub.choices) == {stage.name for stage in cli._STAGES} | {"pipeline"}
 
     def test_registry_artifacts_cover_artifact_table(self, config_path, tmp_path):
-        # Every file a stage writes has exactly one currency rule: the reader its consumer and the
-        # rerun check use, or the bytes its stage renders now.
+        # Every file a stage writes has one reader, which its consumer and the rerun check use.
         out = str(tmp_path / "out")
         assert run("pipeline", "--config", config_path, "--out", out, "--quiet") == 0
-        config = load_run_config(config_path)
-        library = load_library_for(config)
-        rendered = [name for stage in cli._STAGES if stage.texts for name in stage.texts(config, library, out)]
         written = [name for stage in cli._STAGES for name in stage.artifacts]
-        assert sorted(written) == sorted([*cli._READERS, *rendered])
+        assert sorted(written) == sorted(cli._READERS)
         assert sorted(os.listdir(out)) == sorted(written)
 
 

@@ -1,9 +1,10 @@
 import os
 import struct
+import zlib
 
 import numpy as np
 import pytest
-from conftest import samples_of, waveform_of
+from conftest import reseal, samples_of, waveform_of
 
 from feeder_nilm import signals
 
@@ -14,10 +15,10 @@ from feeder_nilm.simulate import DeviceSchedule, Schedule
 from feeder_nilm.storage import (
     FileFormatError,
     ground_truth_lines,
-    holds_text,
     read_dataset,
     read_model,
     read_ranking,
+    read_text,
     read_waveform,
     report_lines,
     residual_lines,
@@ -189,7 +190,7 @@ class TestWaveformFile:
 
 
 class TestRenderedText:
-    """The four artifacts no stage reads back: rendered lines, and the byte comparison that judges them current."""
+    """The body lines of the four artifacts no stage parses; ``write_text`` adds the format and seal lines."""
 
     def test_schedule_lines_keep_an_idle_device_as_a_placeholder(self):
         schedule = Schedule(
@@ -198,47 +199,33 @@ class TestRenderedText:
                 DeviceSchedule("lighting#0", ()),
             )
         )
-        lines = schedule_lines(schedule, FP)
-        assert lines == [
-            "# feeder-nilm schedule v1",
-            f"# fingerprint={FP}",
+        assert schedule_lines(schedule) == [
             "ventilator#0 0.5 20.25 run",
             "ventilator#0 30 45 standby",
             "lighting#0 . . .",
         ]
 
     def test_ground_truth_lines_give_one_second_per_line(self):
-        lines = ground_truth_lines(np.array([0, 1, 2, 1]), FP)
-        assert lines == ["# feeder-nilm ground-truth v1", f"# fingerprint={FP}", "0 0", "1 1", "2 2", "3 1"]
+        assert ground_truth_lines(np.array([0, 1, 2, 1])) == ["0 0", "1 1", "2 2", "3 1"]
 
     def test_report_lines_start_with_the_format_version(self):
-        lines = report_lines([("mae_rounded", "0.25"), ("count_1", "2 0.5")], FP)
-        assert lines[2:] == ["format_version = 1", "mae_rounded = 0.25", "count_1 = 2 0.5"]
+        lines = report_lines([("mae_rounded", "0.25"), ("count_1", "2 0.5")])
+        assert lines == ["format_version = 1", "mae_rounded = 0.25", "count_1 = 2 0.5"]
 
     def test_residual_lines_give_the_rounded_error(self):
-        lines = residual_lines([0.0, 2.5], [1, 3], [1.25, 0.1], [1, 0], FP)
-        assert lines[2:] == [
+        lines = residual_lines([0.0, 2.5], [1, 3], [1.25, 0.1], [1, 0])
+        assert lines == [
             "window_index,t_start_s,y_true,y_continuous,y_rounded,abs_error_rounded",
             "0,0,1,1.25,1,0",
             "1,2.5,3,0.10000000000000001,0,3",
         ]
 
-    @pytest.mark.parametrize(
-        "edit",
-        [lambda b: b.replace(b"0.5", b"0.25"), lambda b: b[:-1], lambda b: b + b"\n", lambda b: b.replace(b"\n", b"\r\n")],
-        ids=["value", "no-final-newline", "blank-line-appended", "crlf"],
-    )
-    def test_holds_text_is_true_only_for_the_bytes_write_text_writes(self, tmp_path, edit):
+    def test_write_text_seals_the_body(self, tmp_path):
         path = tmp_path / "report.txt"
-        lines = report_lines([("mae_rounded", "0.5"), ("count_1", "2 0.5")], FP)
-        write_text(path, lines)
-        assert holds_text(path, lines)
-        path.write_bytes(edit(path.read_bytes()))
-        assert not holds_text(path, lines)
-
-    def test_holds_text_of_a_missing_file_is_an_os_error(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            holds_text(tmp_path / "report.txt", report_lines([], FP))
+        write_text(path, "report", FP, report_lines([("mae_rounded", "0.5")]))
+        body = b"format_version = 1\nmae_rounded = 0.5\n"
+        seal = f"# fingerprint={FP} body={zlib.crc32(body):08x}\n".encode()
+        assert path.read_bytes() == b"# feeder-nilm report v2\n" + seal + body
 
 
 class TestDatasetFile:
@@ -304,6 +291,7 @@ class TestDatasetFile:
         lines = path.read_text().splitlines()
         lines[5] = "garbage,row"
         path.write_text("\n".join(lines) + "\n")
+        reseal(path)
         with pytest.raises(FileFormatError, match="dataset.csv"):
             read_dataset(path)
 
@@ -314,6 +302,7 @@ class TestDatasetFile:
         text = path.read_text()
         assert text.splitlines()[2] == "# window_s=5 stride_s=2.5 max_harmonic=7"
         path.write_text(text.replace(" max_harmonic=7", " f0_hz=60 max_harmonic=7"))
+        reseal(path)
         with pytest.raises(FileFormatError, match="dataset.csv: unknown header key 'f0_hz'"):
             read_dataset(path)
 
@@ -329,6 +318,7 @@ class TestDatasetFile:
         text = path.read_text()
         assert text.count(old) == 1
         path.write_text(text.replace(old, new))
+        reseal(path)
         with pytest.raises(FileFormatError, match=f"dataset.csv: {message}"):
             read_dataset(path)
 
@@ -372,6 +362,7 @@ class TestModelFile:
         at = lines.index("format_version = 1") + 2
         lines[at:at] = ["init_seed = 11", "hidden_activation = relu"]
         path.write_text("\n".join(lines) + "\n")
+        reseal(path)
         with pytest.raises(FileFormatError, match="unknown model key.*hidden_activation, init_seed"):
             read_model(path)
 
@@ -380,6 +371,7 @@ class TestModelFile:
         write_model(path, *self.make_model(), FP)
         text = path.read_text().replace("kept_indices = 0 2", "kept_indices = 0")
         path.write_text(text.replace("norm_mean = 1.5 -2.25", "norm_mean = 1.5").replace("norm_std = 0.5 3", "norm_std = 0.5"))
+        reseal(path)
         with pytest.raises(FileFormatError, match="layer_sizes"):
             read_model(path)
 
@@ -388,7 +380,8 @@ class TestModelFile:
         write_model(path, *self.make_model(), FP)
         lines = [l for l in path.read_text().splitlines() if not l.startswith("W1")]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FileFormatError):
+        reseal(path)
+        with pytest.raises(FileFormatError, match="model.txt: bad model file"):
             read_model(path)
 
 
@@ -422,11 +415,11 @@ class TestAtomicWrites:
         before = path.read_bytes()
 
         def lines():
-            yield "# feeder-nilm ranking v1"
+            yield "thd 2.0"
             raise RuntimeError("disk full")
 
         with pytest.raises(RuntimeError):
-            write_text(path, lines())
+            write_text(path, "ranking", FP, lines())
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["ranking.txt"]
 
@@ -477,21 +470,42 @@ class TestAtomicWrites:
         assert os.listdir(tmp_path) == ["ranking.txt"]
 
 
-def _write_sample(path, kind):
-    """A valid artifact of ``kind`` at ``path``."""
-    if kind == "ranking":
-        write_ranking(path, [("h3", 1234.5), ("i_rms", 0.75)], FP)
-    elif kind == "dataset":
-        write_dataset(path, TestDatasetFile().make_dataset(), FP)
-    else:
-        write_model(path, *TestModelFile().make_model(), FP)
+# The body lines of each format no stage parses.
+_RENDERED = {
+    "schedule": schedule_lines(Schedule((DeviceSchedule("ventilator#0", ((0.5, 20.25, "run"),)),))),
+    "ground-truth": ground_truth_lines(np.array([0, 1, 2, 1])),
+    "report": report_lines([("mae_rounded", "0.25"), ("count_1", "2 0.5")]),
+    "residuals": residual_lines([0.0, 2.5], [1, 3], [1.25, 0.1], [1, 0]),
+}
 
+# Each text format's writer: (path, value as its reader returns it, fingerprint).
+_WRITERS = {
+    "ranking": write_ranking,
+    "dataset": write_dataset,
+    "model": lambda path, value, fingerprint: write_model(path, *value, fingerprint),
+    **{kind: lambda path, value, fingerprint, kind=kind: write_text(path, kind, fingerprint, value) for kind in _RENDERED},
+}
 
 _READERS = {
     "ranking": lambda path: read_ranking(path, ("h3", "i_rms")),
     "dataset": read_dataset,
     "model": read_model,
+    **{kind: lambda path, kind=kind: read_text(path, kind) for kind in _RENDERED},
 }
+
+# A valid value of each format, as its reader returns it.
+_SAMPLES = {
+    "ranking": [("h3", 1234.5), ("i_rms", 0.75)],
+    "dataset": TestDatasetFile().make_dataset(),
+    "model": TestModelFile().make_model(),
+    **_RENDERED,
+}
+
+
+def _write_sample(path, kind):
+    """A valid artifact of ``kind`` at ``path``."""
+    _WRITERS[kind](path, _SAMPLES[kind], FP)
+
 
 # (artifact kind, appended line): a wrong field count (too few or too many),
 # then a non-numeric number.
@@ -530,8 +544,10 @@ class TestSharedParser:
         _READERS[kind](path)  # the untouched file reads
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
-        with pytest.raises(FileFormatError, match=f"bad-{kind}.txt"):
+        reseal(path)
+        with pytest.raises(FileFormatError, match=f"bad-{kind}.txt") as refused:
             _READERS[kind](path)
+        assert "seal" not in str(refused.value)  # the reader's own refusal
 
     @pytest.mark.parametrize(
         "kind, line, key", _REPEATED_KEYS, ids=[f"{k}:{key}" for k, _, key in _REPEATED_KEYS]
@@ -541,6 +557,7 @@ class TestSharedParser:
         _write_sample(path, kind)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
+        reseal(path)
         with pytest.raises(FileFormatError, match=f"bad-{kind}.txt: repeated key {key!r}"):
             _READERS[kind](path)
 
@@ -552,21 +569,40 @@ class TestSharedParser:
         lines = path.read_text().splitlines()
         lines.insert(2, f"# {word}")
         path.write_text("\n".join(lines) + "\n")
+        reseal(path)
         key = word.split("=")[0]
         with pytest.raises(FileFormatError, match=f"bad-{kind}.txt: unknown header key {key!r}"):
             _READERS[kind](path)
 
-    @pytest.mark.parametrize("kind", ["ranking", "dataset", "model"])
+    @pytest.mark.parametrize("kind", _READERS)
     def test_write_read_write_byte_identical(self, tmp_path, kind):
         first = tmp_path / "a.txt"
         second = tmp_path / "b.txt"
         _write_sample(first, kind)
         loaded, fingerprint = _READERS[kind](first)
         assert fingerprint == FP
-        if kind == "ranking":
-            write_ranking(second, loaded, fingerprint)
-        elif kind == "dataset":
-            write_dataset(second, loaded, fingerprint)
-        else:
-            write_model(second, *loaded, fingerprint)
+        _WRITERS[kind](second, loaded, fingerprint)
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("kind", _READERS)
+    def test_any_byte_flipped_after_the_seal_line_is_refused_naming_the_file(self, tmp_path, kind):
+        path = tmp_path / f"sealed-{kind}.txt"
+        _write_sample(path, kind)
+        raw = path.read_bytes()
+        start = raw.index(b"\n", raw.index(b"\n") + 1) + 1  # the first byte after the seal line
+        assert start < len(raw)
+        for k in range(start, len(raw)):
+            path.write_bytes(raw[:k] + bytes([raw[k] ^ 0xFF]) + raw[k + 1 :])
+            with pytest.raises(FileFormatError, match=f"sealed-{kind}.txt: missing or broken body seal"):
+                _READERS[kind](path)
+
+    @pytest.mark.parametrize("kind", _READERS)
+    def test_file_without_its_seal_is_refused_naming_the_file(self, tmp_path, kind):
+        # The v1 layout: the fingerprint line carries no body word.
+        path = tmp_path / f"unsealed-{kind}.txt"
+        _write_sample(path, kind)
+        lines = path.read_text().splitlines()
+        lines[1] = f"# fingerprint={FP}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match=f"unsealed-{kind}.txt: missing or broken body seal"):
+            _READERS[kind](path)
