@@ -4,7 +4,8 @@ Architecture: affine + rectifier per hidden layer, affine + softplus at
 the single output, so predictions are always non-negative. Training
 minimizes a Huber loss (delta = 1) plus an L2 penalty on the weights by
 mini-batch gradient descent; MAE stays the reporting metric. Training is
-single-threaded and bit-deterministic given the seeds.
+single-threaded and bit-deterministic given the seeds. Every matrix
+product is an ``np.dot``: the same BLAS calls as ``@``, less dispatch.
 
 ``run_epochs`` gathers each epoch's permuted training rows once and takes
 its batches as slices of that copy. Its working copy of the parameters
@@ -122,20 +123,16 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _forward_pass(params: RegressorParams, X: np.ndarray):
-    # Returns pre-activations, activations and the (B,) output vector.
-    pre: list[np.ndarray] = []
+    # Returns the activations (X, then each hidden layer's), the output pre-activation and the
+    # (B,) outputs. Each rectifier runs in place, and act > 0 masks as pre-activation > 0 would.
     act: list[np.ndarray] = [X]
-    a = X
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        z = a @ w.T
+        z = np.dot(act[-1], w.T)
         z += b
-        a = np.maximum(z, 0.0)
-        pre.append(z)
-        act.append(a)
-    z_out = a @ params.weights[-1].T
+        act.append(np.maximum(z, 0.0, out=z))
+    z_out = np.dot(act[-1], params.weights[-1].T)
     z_out += params.biases[-1]
-    pre.append(z_out)
-    return pre, act, _softplus(z_out)[:, 0]
+    return act, z_out, _softplus(z_out)[:, 0]
 
 
 def _as_batch(params: RegressorParams, X) -> np.ndarray:
@@ -145,10 +142,20 @@ def _as_batch(params: RegressorParams, X) -> np.ndarray:
     return arr
 
 
+def _as_rows(params: RegressorParams, X, y) -> tuple[np.ndarray, np.ndarray]:
+    """A non-empty batch and its targets as one flat vector of as many rows."""
+    arr = _as_batch(params, X)
+    targets = np.asarray(y, dtype=np.float64).reshape(-1)
+    if arr.shape[0] == 0:
+        raise ValueError("batch must be non-empty")
+    if targets.shape[0] != arr.shape[0]:
+        raise ValueError("features and targets must have the same number of rows")
+    return arr, targets
+
+
 def forward_batch(params: RegressorParams, X) -> np.ndarray:
     """Network outputs for a batch of feature rows; always non-negative."""
-    arr = _as_batch(params, X)
-    return _forward_pass(params, arr)[2]
+    return _forward_pass(params, _as_batch(params, X))[2]
 
 
 def _huber(residual: np.ndarray) -> tuple[float, np.ndarray]:
@@ -170,38 +177,35 @@ def loss_and_gradient(params: RegressorParams, batch_X, batch_y, l2: float = 0.0
     exactly like the parameters. The L2 penalty covers weights only.
     ``out`` is a (weight arrays, bias arrays) pair shaped like the
     parameters; the gradients are written into it and it is what is
-    returned. Omitted, a zeroed pair is allocated.
+    returned. Omitted, a zeroed pair is allocated. The weight arrays are
+    written by ``np.dot``, which refuses (ValueError) any that is not
+    C-contiguous float64; ``run_epochs``' views of one flat vector are.
     """
-    X = _as_batch(params, batch_X)
-    y = np.asarray(batch_y, dtype=np.float64).reshape(-1)
-    if X.shape[0] == 0:
-        raise ValueError("batch must be non-empty")
-    if y.shape[0] != X.shape[0]:
-        raise ValueError("batch_X and batch_y must have the same length")
-    n = X.shape[0]
-
-    pre, act, y_hat = _forward_pass(params, X)
+    X, y = _as_rows(params, batch_X, batch_y)
+    act, z_out, y_hat = _forward_pass(params, X)
     y_hat -= y  # the residual; y_hat is this call's own array
     loss, clipped = _huber(y_hat)
     loss += _penalty(params, l2)
 
     # dL/dy_hat for the mean Huber: clip(residual, -1, 1) / n
-    clipped /= n
+    clipped /= X.shape[0]
     # through the softplus head: d softplus(z) = sigmoid(z); the product commutes bit for bit
-    delta = _sigmoid(pre[-1])
+    delta = _sigmoid(z_out)
     delta[:, 0] *= clipped
 
     if out is None:
         out = [np.zeros_like(w) for w in params.weights], [np.zeros_like(b) for b in params.biases]
     grad_w, grad_b = out
     for layer in range(len(params.weights) - 1, -1, -1):
-        np.matmul(delta.T, act[layer], out=grad_w[layer])
+        # A 1x1 product takes np.dot's scalar path and can give -0.0 where dgemm gives +0.0, which
+        # never reaches a parameter: w - rate * (+-0.0) is w for w != 0, and a bias's gradient is a sum.
+        np.dot(delta.T, act[layer], out=grad_w[layer])
         if l2 > 0.0:
             grad_w[layer] += l2 * params.weights[layer]
         np.add.reduce(delta, axis=0, out=grad_b[layer])
         if layer > 0:
-            delta = delta @ params.weights[layer]
-            delta *= pre[layer - 1] > 0.0
+            delta = np.dot(delta, params.weights[layer])
+            delta *= act[layer] > 0.0
     return loss, grad_w, grad_b
 
 
@@ -212,8 +216,9 @@ def _penalty(params: RegressorParams, l2: float) -> float:
 
 
 def data_loss(params: RegressorParams, X, y) -> float:
-    """Mean Huber(delta=1) loss of the network on a batch, without the L2 penalty."""
-    return _huber(forward_batch(params, X) - np.asarray(y, dtype=np.float64))[0]
+    """Mean Huber(delta=1) loss of a batch, without the L2 penalty; refuses what loss_and_gradient does."""
+    X, y = _as_rows(params, X, y)
+    return _huber(_forward_pass(params, X)[2] - y)[0]
 
 
 def _over(params: RegressorParams, flat: np.ndarray) -> RegressorParams:
@@ -235,14 +240,8 @@ def run_epochs(params, train_set, val_set, config: TrainConfig, permutations):
     val_loss)). Exposed separately from ``train`` so the batching
     contract is testable with hand-built permutations.
     """
-    X_train, y_train = train_set
-    X_val, y_val = val_set
-    X_train = _as_batch(params, X_train)
-    X_val = _as_batch(params, X_val)
-    y_train = np.asarray(y_train, dtype=np.float64).reshape(-1)
-    y_val = np.asarray(y_val, dtype=np.float64).reshape(-1)
-    if X_train.shape[0] == 0 or X_val.shape[0] == 0:
-        raise ValueError("train and validation splits must be non-empty")
+    X_train, y_train = _as_rows(params, *train_set)
+    X_val, y_val = _as_rows(params, *val_set)
 
     flat = np.concatenate((*params.weights, *params.biases), axis=None)
     current = _over(params, flat)

@@ -9,6 +9,7 @@ from feeder_nilm import model as model_module
 from feeder_nilm.model import (
     TrainConfig,
     count_from_output,
+    data_loss,
     forward_batch,
     init_params,
     loss_and_gradient,
@@ -240,6 +241,55 @@ class TestLossAndGradient:
         assert loss == float(np.mean(np.where(np.abs(r) <= 1.0, 0.5 * r * r, np.abs(r) - 0.5)))
         assert grad_b[-1][0] == np.sum(np.clip(r, -1.0, 1.0) / len(r))
 
+    @given(
+        seed=strat.integers(min_value=0, max_value=2**32 - 1),
+        width=strat.integers(min_value=1, max_value=13),
+        hidden=strat.lists(strat.integers(min_value=1, max_value=24), min_size=0, max_size=2),
+        n_rows=strat.one_of(strat.sampled_from([1, 14, 16]), strat.integers(min_value=1, max_value=20)),
+        l2=strat.sampled_from([0.0, 5e-4, 0.37]),
+    )
+    @example(seed=27, width=13, hidden=[24, 12], n_rows=16, l2=5e-4)
+    @example(seed=27, width=13, hidden=[24, 12], n_rows=14, l2=0.0)
+    @example(seed=3, width=11, hidden=[1], n_rows=1, l2=0.0)  # 1x1 products
+    @settings(max_examples=100, deadline=None)
+    def test_values_match_the_matmul_reference(self, seed, width, hidden, n_rows, l2):
+        # The model's products go through np.dot, the reference's through @.
+        rng = np.random.default_rng(seed)
+        params = init_params((width, *hidden, 1), seed=seed)
+        for b in params.biases:
+            b[:] = rng.normal(0.0, 0.5, b.shape)
+        X, y = rng.normal(0, 1, (n_rows, width)), rng.integers(0, 5, n_rows).astype(float)
+        loss, grad_w, grad_b = loss_and_gradient(params, X, y, l2)
+        want_w, want_b = reference_gradients(params, X, y, l2)
+        assert loss == reference_objective(params, X, y, l2)
+        for got, want in zip(grad_w + grad_b, want_w + want_b, strict=True):
+            assert got.shape == want.shape and np.array_equal(got, want)
+        assert np.array_equal(forward_batch(params, X), reference_forward(params, X)[2])
+
+    def test_out_that_is_not_c_contiguous_is_refused(self):
+        params = init_params((3, 4, 1), seed=0)
+        out = [np.zeros((3, 4)).T, np.zeros((1, 4))], [np.zeros(4), np.zeros(1)]
+        with pytest.raises(ValueError):
+            loss_and_gradient(params, np.ones((5, 3)), np.zeros(5), out=out)
+
+
+class TestDataLoss:
+    params = init_params((2, 5, 1), seed=9)
+    X = np.random.default_rng(0).normal(0, 1, (5, 2))
+    y = np.arange(5.0)
+
+    def test_column_targets_give_the_loss_of_flat_ones(self):
+        want = loss_and_gradient(self.params, self.X, self.y)[0]
+        assert data_loss(self.params, self.X, self.y) == want
+        assert data_loss(self.params, self.X, self.y[:, None]) == want
+
+    @pytest.mark.parametrize("X, y", [(X, y[:1]), (X, y[:4]), (X[:0], y[:0])], ids=["one-target", "short", "empty"])
+    def test_refuses_what_loss_and_gradient_refuses(self, X, y):
+        with pytest.raises(ValueError) as refused:
+            loss_and_gradient(self.params, X, y)
+        with pytest.raises(ValueError, match=str(refused.value)):
+            data_loss(self.params, X, y)
+
 
 class TestTrain:
     def make_data(self, n=20, seed=0):
@@ -303,8 +353,6 @@ class TestTrain:
         config = TrainConfig(learning_rate=0.05, epochs=60, patience=10)
         fitted, history = train(init_params((3, 6, 1), seed=5), (X, y), (X_val, y_val), config)
         best_recorded = min(h[2] for h in history)
-        from feeder_nilm.model import data_loss
-
         assert data_loss(fitted, X_val, y_val) <= best_recorded + 1e-12
 
     def test_one_gradient_per_batch(self, monkeypatch):
@@ -436,6 +484,15 @@ class TestTrain:
         X, y = self.make_data()
         with pytest.raises(ValueError):
             train(params, (np.zeros((0, 3)), np.zeros(0)), (X, y), TrainConfig())
+
+    @pytest.mark.parametrize("targets", [19, 21])
+    def test_split_with_another_number_of_targets_than_rows_rejected(self, targets):
+        params = init_params((3, 6, 1), seed=0)
+        X, y = self.make_data(n=21)
+        with pytest.raises(ValueError):
+            train(params, (X[:20], y[:targets]), (X, y), TrainConfig())
+        with pytest.raises(ValueError):
+            train(params, (X, y), (X[:20], y[:targets]), TrainConfig())
 
 
 class TestPredictCount:
