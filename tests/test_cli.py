@@ -1,8 +1,11 @@
 import argparse
 import math
 import os
+import re
 import shutil
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,15 +21,17 @@ from feeder_nilm.config import (
 )
 from feeder_nilm.config import model_fingerprint
 from feeder_nilm.devices import default_library
-from feeder_nilm.featurize import window_targets
+from feeder_nilm.featurize import apply_normalization, window_targets
 from feeder_nilm import featurize as featurize_module
 from feeder_nilm import model as model_module
 from feeder_nilm.simulate import generate_schedule, ground_truth_counts
-from feeder_nilm.storage import read_dataset, read_waveform
+from feeder_nilm.storage import read_dataset, read_model, read_waveform
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 SMALL_CONFIG = """
 [scenario]
-duration_s = 60
+duration_s = 120
 sample_rate_hz = 2000
 n_medical_devices = 2
 medical_modes = run humidifier-run
@@ -56,8 +61,9 @@ test_fraction = 0.2
 
 
 # (artifact, stage that writes it, word that replaces the last line's last word):
-# None garbles the line's first separator instead, and "without-<key>" deletes
-# the line that starts with <key> (the last line, if the key is "last-line").
+# None garbles the line's first separator instead, "without-<key>" deletes
+# the line that starts with <key> (the last line, if the key is "last-line"),
+# and "<key>=<word>" gives the line that starts with <key> the value <word>.
 # On the small config the schedule's last word is a lighting mode and the
 # report's a count_<c> error.
 _GARBLED_LAST_LINES = [
@@ -69,6 +75,7 @@ _GARBLED_LAST_LINES = [
     ("residuals.csv", "eval", None),
     ("schedule.txt", "simulate", "bogus-mode"),
     ("report.txt", "eval", "not-a-number"),
+    ("report.txt", "eval", "mae_rounded=not-a-number"),
     ("report.txt", "eval", "without-mae_rounded"),
     ("schedule.txt", "simulate", "without-last-line"),
     ("schedule.txt", "simulate", "stray-header-word"),
@@ -80,7 +87,7 @@ _GARBLED_LAST_LINES = [
 ]
 
 
-def _edit_value(name, lines):
+def _edit_value(name, lines, variant=None):
     """The ``lines`` of artifact ``name`` with one value changed: each still well-formed, fingerprint kept."""
     body = [k for k, line in enumerate(lines) if not line.startswith("#")]
     if name == "report.txt":
@@ -101,11 +108,15 @@ def _edit_value(name, lines):
         feature_id, score = lines[body[0]].split()
         lines[body[0]] = f"{feature_id} {float(score) * 2!r}"
     elif name == "dataset.csv":
-        # The first i_rms cell's 17th significant digit: a change the parsed float may not even show.
+        # The first i_rms cell's 17th significant digit, or an 18th digit appended to it:
+        # a change the parsed float may not even show.
         column = lines[body[0]].split(",").index("i_rms")
         fields = lines[body[1]].split(",")
         assert len(fields[column].replace(".", "").lstrip("0")) == 17
-        fields[column] = fields[column][:-1] + str(9 - int(fields[column][-1]))
+        if variant == "digit-appended":
+            fields[column] += "7"
+        else:
+            fields[column] = fields[column][:-1] + str(9 - int(fields[column][-1]))
         lines[body[1]] = ",".join(fields)
     else:  # model.txt
         (k,) = [k for k in body if lines[k].startswith("W0 = ")]
@@ -113,15 +124,16 @@ def _edit_value(name, lines):
     return lines
 
 
-# (artifact, the stage that writes it): each gets one well-formed value edit.
+# (artifact, the stage that writes it, variant of its well-formed value edit or None).
 _EDITED_VALUES = [
-    ("report.txt", "eval"),
-    ("residuals.csv", "eval"),
-    ("schedule.txt", "simulate"),
-    ("ground_truth.txt", "simulate"),
-    ("ranking.txt", "select-features"),
-    ("dataset.csv", "featurize"),
-    ("model.txt", "train"),
+    ("report.txt", "eval", None),
+    ("residuals.csv", "eval", None),
+    ("schedule.txt", "simulate", None),
+    ("ground_truth.txt", "simulate", None),
+    ("ranking.txt", "select-features", None),
+    ("dataset.csv", "featurize", None),
+    ("dataset.csv", "featurize", "digit-appended"),
+    ("model.txt", "train", None),
 ]
 
 
@@ -183,11 +195,22 @@ _REFUSED_EDITS = [
 
 @pytest.fixture(scope="module")
 def fresh_outputs(tmp_path_factory):
-    """(config path, output directory) of one ``pipeline`` run on the small config; copy before editing."""
+    """(config path, output directory) of one ``pipeline`` run on the small config; copy before editing.
+
+    The small config trains: some epoch beats the initial parameters' validation
+    loss, so ``model.txt`` holds trained weights, and so does every run on it.
+    """
     root = tmp_path_factory.mktemp("fresh")
     path = root / "run.cfg"
     path.write_text(SMALL_CONFIG)
     assert run("pipeline", "--config", str(path), "--out", str(root / "out"), "--quiet") == 0
+    config = load_run_config(str(path))
+    dataset, _ = read_dataset(root / "out" / "dataset.csv")
+    (params, stats), _ = read_model(root / "out" / "model.txt")
+    _, val, _ = cli._split_rows(config, dataset)
+    X_val = apply_normalization(val.X, stats)
+    initial = model_module.init_params(params.layer_sizes, config.model.init_seed)
+    assert model_module.data_loss(params, X_val, val.y) < model_module.data_loss(initial, X_val, val.y)
     return str(path), root / "out"
 
 
@@ -223,7 +246,7 @@ def fingerprint_of(path) -> str:
 class TestConfigParsing:
     def test_load_small_config(self, config_path):
         config = load_run_config(config_path)
-        assert config.scenario.duration_s == 60.0
+        assert config.scenario.duration_s == 120.0
         assert config.scenario.populations() == (
             ("ventilator", 2),
             ("resistive_heater", 2),
@@ -271,7 +294,7 @@ class TestStages:
         out = str(tmp_path / "out")
         assert run("simulate", "--config", config_path, "--out", out) == 0
         current, _ = read_waveform(os.path.join(out, "current.fnwv"), "CURR", 2000.0)
-        assert current.n_samples == 120_000  # 60 s at 2 kHz
+        assert current.n_samples == 240_000  # 120 s at 2 kHz
         assert os.path.exists(os.path.join(out, "voltage.fnwv"))
         assert os.path.exists(os.path.join(out, "schedule.txt"))
         assert os.path.exists(os.path.join(out, "ground_truth.txt"))
@@ -307,7 +330,7 @@ class TestStages:
         assert run("simulate", "--config", config_path, "--out", out, "--quiet") == 0
         assert run("featurize", "--config", config_path, "--out", out, "--quiet") == 0
         dataset, _ = read_dataset(os.path.join(out, "dataset.csv"))
-        assert dataset.n_windows == 12
+        assert dataset.n_windows == 24
         assert len(dataset.feature_spec.features) == 13
 
     def test_full_chain_and_report(self, config_path, tmp_path, capsys):
@@ -381,14 +404,14 @@ class TestStages:
         elif edit == "count-edited":
             truth.write_text("\n".join(_edit_value("ground_truth.txt", truth.read_text().splitlines())) + "\n")
         else:
-            self.recount_ground_truth(out, {"truncated": 50, "extended": 61}[edit])
+            self.recount_ground_truth(out, {"truncated": 110, "extended": 121}[edit])
         (out / "dataset.csv").unlink()
         assert run("featurize", "--config", config_path, "--out", str(out), "--quiet") == 0
         assert (out / "dataset.csv").read_bytes() == dataset
 
-    @pytest.mark.parametrize("seconds", [50, 61], ids=["truncated", "extended"])
+    @pytest.mark.parametrize("seconds", [110, 121], ids=["truncated", "extended"])
     def test_pipeline_resimulates_ground_truth_of_another_duration(self, config_path, tmp_path, capsys, seconds):
-        # The counts keep their fingerprint but cover 50 or 61 of the scenario's 60 seconds.
+        # The counts keep their fingerprint but cover 110 or 121 of the scenario's 120 seconds.
         out = tmp_path / "out"
         assert run("simulate", "--config", config_path, "--out", str(out), "--quiet") == 0
         truth = out / "ground_truth.txt"
@@ -599,7 +622,7 @@ class TestStages:
         out = tmp_path / "out"
         assert run("simulate", "--config", str(path), "--out", str(out), "--quiet") == 0
         schedule = generate_schedule(load_run_config(path).scenario, default_library())
-        expected = np.zeros(60, dtype=np.int64)
+        expected = np.zeros(120, dtype=np.int64)
         for device in schedule.devices:
             if device.class_name == "refrigerator":
                 for start, end, mode in device.intervals:
@@ -671,16 +694,16 @@ class TestStages:
         assert err.startswith("config error: device class 'ventilator'") and "aliases" in err
 
     def test_window_longer_than_scenario_exits_2(self, tmp_path, capsys):
-        # A 61 s window cannot be cut from a 60 s trace: refused when the config loads.
+        # A 121 s window cannot be cut from a 120 s trace: refused when the config loads.
         path = tmp_path / "long_window.cfg"
-        path.write_text(SMALL_CONFIG.replace("\nwindow_s = 5\n", "\nwindow_s = 61\n"))
+        path.write_text(SMALL_CONFIG.replace("\nwindow_s = 5\n", "\nwindow_s = 121\n"))
         with pytest.raises(ConfigError, match="duration_s"):
             load_run_config(path)
         assert run("pipeline", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet") == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "window_s" in err
-        path.write_text(SMALL_CONFIG.replace("\nwindow_s = 5\n", "\nwindow_s = 60\n"))
-        assert load_run_config(path).featurize.window_s == 60.0
+        path.write_text(SMALL_CONFIG.replace("\nwindow_s = 5\n", "\nwindow_s = 120\n"))
+        assert load_run_config(path).featurize.window_s == 120.0
 
     def test_env_var_out_dir(self, config_path, tmp_path, monkeypatch):
         out = str(tmp_path / "envout")
@@ -778,6 +801,9 @@ class TestPipeline:
             kept = [line for line in lines if not line.startswith(f"{key} = ")]
             assert len(kept) == len(lines) - 1
             lines = kept
+        elif "=" in last_word:
+            key, word = last_word.split("=")
+            lines = _replace_line(lines, f"{key} = ", f"{key} = {word}")
         else:
             lines[-1] = lines[-1].rsplit(" ", 1)[0] + " " + last_word
         path.write_text("\n".join(lines) + "\n")
@@ -789,14 +815,18 @@ class TestPipeline:
         for artifact in sorted(os.listdir(fresh)):
             assert (out / artifact).read_bytes() == (fresh / artifact).read_bytes(), artifact
 
-    @pytest.mark.parametrize("name, stage", _EDITED_VALUES, ids=[name for name, _ in _EDITED_VALUES])
-    def test_pipeline_reruns_only_the_writer_of_an_edited_value(self, config_path, tmp_path, capsys, name, stage):
+    @pytest.mark.parametrize(
+        "name, stage, variant",
+        _EDITED_VALUES,
+        ids=[name + (f"-{variant}" if variant else "") for name, _, variant in _EDITED_VALUES],
+    )
+    def test_pipeline_reruns_only_the_writer_of_an_edited_value(self, config_path, tmp_path, capsys, name, stage, variant):
         # The edited file parses and keeps its fingerprint: only its seal tells.
         out = tmp_path / "out"
         assert run("pipeline", "--config", config_path, "--out", str(out), "--quiet") == 0
         before = {artifact: (out / artifact).read_bytes() for artifact in os.listdir(out)}
         path = out / name
-        path.write_text("\n".join(_edit_value(name, path.read_text().splitlines())) + "\n")
+        path.write_text("\n".join(_edit_value(name, path.read_text().splitlines(), variant)) + "\n")
         assert path.read_bytes() != before[name]
         capsys.readouterr()
         assert run("pipeline", "--config", config_path, "--out", str(out)) == 0
@@ -872,7 +902,7 @@ class TestPipeline:
         assert text.count(" max_harmonic=7\n") == 1
         dataset.write_text(text.replace(" max_harmonic=7\n", " f0_hz=60 max_harmonic=7\n"))
         reseal(dataset)
-        capsys.readouterr()  # only what this train says; the first one warns that no epoch improved
+        capsys.readouterr()  # only what this train says
         assert run("train", "--config", config_path, "--out", str(out), "--quiet") == 3
         err = capsys.readouterr().err
         assert err.startswith("file error:") and "dataset.csv" in err and "f0_hz" in err
@@ -904,9 +934,7 @@ class TestPipeline:
     def test_train_summary_reports_the_written_model_when_no_epoch_improved(self, tmp_path, capsys):
         # At learning rate 50 every epoch diverges, so train keeps the initial parameters; the
         # summary must give their validation loss, not the best of the diverged epochs, and warn.
-        from feeder_nilm.featurize import apply_normalization
         from feeder_nilm.model import forward_batch, init_params
-        from feeder_nilm.storage import read_model
 
         smoke = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "smoke.cfg")
         with open(smoke, encoding="utf-8") as fh:
@@ -941,9 +969,8 @@ class TestPipeline:
 
     def test_residuals_hold_the_model_predictions(self, config_path, tmp_path):
         # Eval writes the predictions evaluate() made: one forward pass, same bytes as recomputing it.
-        from feeder_nilm.featurize import apply_normalization
         from feeder_nilm.model import count_from_output, forward_batch
-        from feeder_nilm.storage import read_model, read_text, residual_lines
+        from feeder_nilm.storage import read_text, residual_lines
 
         out = str(tmp_path / "out")
         assert run("pipeline", "--config", config_path, "--out", out, "--quiet") == 0
@@ -1032,6 +1059,34 @@ class TestStageRegistry:
         written = [name for stage in cli._STAGES for name in stage.artifacts]
         assert sorted(written) == sorted(cli._READERS)
         assert sorted(os.listdir(out)) == sorted(written)
+
+
+# Runs the entry point argv[1] ("module:function") on argv[2:] as an installed console script does.
+CONSOLE_SCRIPT = (
+    "import importlib, sys\n"
+    "module, function = sys.argv[1].split(':')\n"
+    "sys.argv = ['feeder-nilm', *sys.argv[2:]]\n"
+    "sys.exit(getattr(importlib.import_module(module), function)())\n"
+)
+
+
+def test_console_script_runs_the_pipeline_then_finds_every_stage_up_to_date(tmp_path):
+    # tomllib is newer than the 3.10 floor, so the [project.scripts] table is read with a pattern.
+    with open(os.path.join(ROOT, "pyproject.toml"), encoding="utf-8") as fh:
+        table = re.search(r"(?ms)^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", fh.read())
+    assert table, "pyproject.toml has no [project.scripts] table"
+    entry = re.search(r'(?m)^feeder-nilm\s*=\s*"([\w.]+):(\w+)"$', table.group(1))
+    assert entry, "[project.scripts] has no feeder-nilm entry point"
+    paths = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    smoke = os.path.join(ROOT, "configs", "smoke.cfg")
+    argv = [sys.executable, "-c", CONSOLE_SCRIPT, f"{entry[1]}:{entry[2]}", "pipeline", "--config", smoke,
+            "--out", str(tmp_path / "out")]
+    first = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert first.returncode == 0, first.stderr
+    second = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert second.returncode == 0, second.stderr
+    assert second.stdout.splitlines() == [f"{stage.name}: up to date" for stage in cli._STAGES]
 
 
 class TestTopK:

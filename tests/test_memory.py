@@ -9,10 +9,15 @@ are never held at once. Each stage runs in its own process, and a small
 launcher process takes its peak RSS (``ru_maxrss``) from ``os.wait4``. The
 launcher, not pytest, is the stage's parent because on Linux a child's
 ``ru_maxrss`` starts from the peak RSS of the process that started it.
+
+Two absolute bounds hold as well: each of the three stages peaks under
+150 MB (153 600 KiB) on a 30-minute copy of smoke (two 144 MB waveform
+files), and ``select-features`` under 100 MB (102 400 KiB) with 60 s windows.
 """
 
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -33,6 +38,9 @@ LAUNCHER = (
 GROWTH_BOUND_MB = 16.0
 # The peak of select-features with 40 s windows may exceed its peak with 5 s windows by at most this much.
 WINDOW_GROWTH_BOUND_MB = 24.0
+# The peak of each stage on a 30-minute scenario, and of select-features with 60 s windows, is at most this.
+LONG_SCENARIO_BOUND_MB = 150.0
+LONG_WINDOW_BOUND_MB = 100.0
 
 
 def stage_peak_mb(stage: str, config: str, out: str) -> float:
@@ -77,3 +85,19 @@ def test_select_features_peak_rss_does_not_grow_with_the_window(tmp_path):
         peaks[window_s] = stage_peak_mb("select-features", config, str(tmp_path / f"out_{window_s}"))
     message = f"select-features: peak RSS {peaks[5]:.1f} MB with 5 s windows, {peaks[40]:.1f} MB with 40 s windows"
     assert peaks[40] - peaks[5] <= WINDOW_GROWTH_BOUND_MB, message
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_each_stage_peaks_under_the_bound_on_a_30_minute_scenario(tmp_path):
+    config = smoke_with(tmp_path, "duration_s", 1800)
+    out = str(tmp_path / "out")
+    peaks = {stage: stage_peak_mb(stage, config, out) for stage in ("simulate", "select-features", "featurize")}
+    shutil.rmtree(out)  # 288 MB of waveforms
+    over = {stage: f"{peak:.1f} MB" for stage, peak in peaks.items() if peak > LONG_SCENARIO_BOUND_MB}
+    assert over == {}
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_select_features_peaks_under_the_bound_with_60_s_windows(tmp_path):
+    peak = stage_peak_mb("select-features", smoke_with(tmp_path, "window_s", 60), str(tmp_path / "out"))
+    assert peak <= LONG_WINDOW_BOUND_MB, f"select-features: peak RSS {peak:.1f} MB with 60 s windows"
