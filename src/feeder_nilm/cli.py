@@ -4,6 +4,10 @@ Every command takes ``--config <path>`` and ``--out <dir>`` (default from
 FEEDER_NILM_OUT, then the config [output] section, then ./out). Exit
 codes: 0 success, 2 configuration error, 3 I/O or file-format error,
 4 contract violation (fingerprint or dimension mismatch).
+
+Each stage's row in ``_STAGES`` declares the artifact files it writes, each
+with its reader and writer; a stage reads another's artifact only under the
+fingerprint of the stage that declares it, and writes its own under its own.
 """
 
 from __future__ import annotations
@@ -65,54 +69,60 @@ def _say(quiet: bool, message: str) -> None:
         print(message)
 
 
-# Every artifact file, each with its reader: (path, config) -> (value, fingerprint).
-# A text file no stage parses is read by its envelope, under the tag its name
-# must carry. The readers are looked up on ``st`` at call time, so a tracer that
-# rebinds them there reaches these calls.
-_READERS: dict[str, Callable] = {
-    "voltage.fnwv": lambda path, config: st.read_waveform(path, "VOLT", config.scenario.sample_rate_hz),
-    "current.fnwv": lambda path, config: st.read_waveform(path, "CURR", config.scenario.sample_rate_hz),
-    "schedule.txt": lambda path, config: st.read_text(path, "schedule"),
-    "ground_truth.txt": lambda path, config: st.read_text(path, "ground-truth"),
-    "ranking.txt": lambda path, config: st.read_ranking(path, config.featurize.features),
-    "dataset.csv": lambda path, config: st.read_dataset(path),
-    "model.txt": lambda path, config: st.read_model(path),
-    "report.txt": lambda path, config: st.read_text(path, "report"),
-    "residuals.csv": lambda path, config: st.read_text(path, "residuals"),
-}
+# The artifact files, each named once: its writing stage's row in _STAGES declares its reader and writer.
+VOLTAGE, CURRENT, SCHEDULE, TRUTH = "voltage.fnwv", "current.fnwv", "schedule.txt", "ground_truth.txt"
+RANKING, DATASET, MODEL, REPORT, RESIDUALS = "ranking.txt", "dataset.csv", "model.txt", "report.txt", "residuals.csv"
 
 
-def _read_checked(config: RunConfig, out: str, name: str, expected: str):
-    """Artifact file ``name`` read from ``out`` by its reader; refused unless it carries the ``expected`` fingerprint."""
+# An artifact's (reader, writer): reader(path, config) -> (value, fingerprint), and
+# writer(path, value, fingerprint). Each looks its storage function up on ``st`` at
+# call time, so a tracer that rebinds it there reaches these calls.
+def _waveform(channel: str) -> tuple[Callable, Callable]:
+    return (lambda path, config: st.read_waveform(path, channel, config.scenario.sample_rate_hz),
+            lambda path, waveform, fp: st.write_waveform(path, waveform, channel, fp))
+
+
+def _text(tag: str, lines: Callable) -> tuple[Callable, Callable]:
+    """A text file no stage parses: read by its envelope alone, under the tag its name must carry."""
+    return (lambda path, config: st.read_text(path, tag),
+            lambda path, value, fp: st.write_text(path, tag, fp, lines(value)))
+
+
+def _writer_of(name: str) -> Stage:
+    return next(stage for stage in _STAGES if name in stage.artifacts)
+
+
+def _read_checked(config: RunConfig, library: Library, out: str, name: str):
+    """Artifact ``name`` read from ``out`` by its reader; refused unless it carries its writing stage's fingerprint."""
+    stage = _writer_of(name)
     path = os.path.join(out, name)
-    value, found = _READERS[name](path, config)
-    if found != expected:
+    value, found = stage.artifacts[name][0](path, config)
+    if found != stage.fingerprint(config, library):
         raise ContractError(f"{path} was produced by a different configuration; re-run the upstream stage")
     return value
+
+
+def _write(config: RunConfig, library: Library, out: str, values: dict) -> dict[str, str]:
+    """Each artifact ``name: value`` of ``values`` written to ``out`` under its stage's fingerprint; their paths."""
+    stage = _writer_of(next(iter(values)))
+    fingerprint = stage.fingerprint(config, library)
+    paths = {name: os.path.join(out, name) for name in values}
+    for name, value in values.items():
+        stage.artifacts[name][1](paths[name], value, fingerprint)
+    return paths
 
 
 # ------------------------------------------------------------------- stages
 
 
 def stage_simulate(config: RunConfig, library: Library, out: str, quiet: bool) -> None:
-    fp = scenario_fingerprint(config, library)
     schedule = generate_schedule(config.scenario, library)
     voltage, current = synthesize_feeder(config.scenario, schedule, library)
-
-    os.makedirs(out, exist_ok=True)
-    st.write_waveform(os.path.join(out, "voltage.fnwv"), voltage, "VOLT", fp)
-    st.write_waveform(os.path.join(out, "current.fnwv"), current, "CURR", fp)
-    st.write_text(os.path.join(out, "schedule.txt"), "schedule", fp, st.schedule_lines(schedule))
     truth = ground_truth_counts(schedule, config.scenario)
-    st.write_text(os.path.join(out, "ground_truth.txt"), "ground-truth", fp, st.ground_truth_lines(truth))
-
-    n_devices = len(schedule.devices)
-    _say(
-        quiet,
-        f"simulate: {config.scenario.duration_s:g} s at {config.scenario.sample_rate_hz:g} Hz, "
-        f"{n_devices} devices ({config.scenario.n_medical_devices} medical), "
-        f"current file {os.path.getsize(os.path.join(out, 'current.fnwv'))} bytes",
-    )
+    paths = _write(config, library, out, {VOLTAGE: voltage, CURRENT: current, SCHEDULE: schedule, TRUTH: truth})
+    _say(quiet, f"simulate: {config.scenario.duration_s:g} s at {config.scenario.sample_rate_hz:g} Hz, "
+                f"{len(schedule.devices)} devices ({config.scenario.n_medical_devices} medical), "
+                f"current file {os.path.getsize(paths[CURRENT])} bytes")
 
 
 def _resolve_features(config: RunConfig, library, out: str) -> FeatureSpec:
@@ -120,30 +130,26 @@ def _resolve_features(config: RunConfig, library, out: str) -> FeatureSpec:
     top_k = config.featurize.top_k
     if top_k <= 0:
         return spec
-    ranking_path = os.path.join(out, "ranking.txt")
-    if not os.path.exists(ranking_path):
-        raise ContractError(f"{ranking_path} is required when top_k is set; run select-features first")
-    ranking = _read_checked(config, out, "ranking.txt", dataset_fingerprint(config, library))
+    try:
+        ranking = _read_checked(config, library, out, RANKING)
+    except FileNotFoundError as exc:
+        raise ContractError(f"{exc.filename} is required when top_k is set; run select-features first") from None
     chosen = {fid for fid, _ in ranking[:top_k]}
     return FeatureSpec(tuple(fid for fid in spec.features if fid in chosen))
 
 
 def stage_featurize(config: RunConfig, library: Library, out: str, quiet: bool) -> None:
-    scenario_fp = scenario_fingerprint(config, library)
-    voltage = _read_checked(config, out, "voltage.fnwv", scenario_fp)
-    current = _read_checked(config, out, "current.fnwv", scenario_fp)
+    voltage = _read_checked(config, library, out, VOLTAGE)
+    current = _read_checked(config, library, out, CURRENT)
     truth = ground_truth_counts(generate_schedule(config.scenario, library), config.scenario)
 
     spec = _resolve_features(config, library, out)
     dataset = featurize(
         voltage, current, truth, config.featurize.window_s, config.featurize.stride_s, spec, config.scenario.f0_hz
     )
-    st.write_dataset(os.path.join(out, "dataset.csv"), dataset, dataset_fingerprint(config, library))
-    _say(
-        quiet,
-        f"featurize: {dataset.n_windows} windows x {len(spec.features)} features "
-        f"(window {config.featurize.window_s:g} s, stride {config.featurize.stride_s:g} s)",
-    )
+    _write(config, library, out, {DATASET: dataset})
+    _say(quiet, f"featurize: {dataset.n_windows} windows x {len(spec.features)} features "
+                f"(window {config.featurize.window_s:g} s, stride {config.featurize.stride_s:g} s)")
 
 
 def stage_select_features(config: RunConfig, library: Library, out: str, quiet: bool) -> None:
@@ -156,18 +162,13 @@ def stage_select_features(config: RunConfig, library: Library, out: str, quiet: 
     if len(signatures) < 2:
         raise ConfigError("feature selection needs at least two device classes in the scenario")
     ranking = rank_features(signatures, spec.features)
-    os.makedirs(out, exist_ok=True)
-    st.write_ranking(os.path.join(out, "ranking.txt"), ranking, dataset_fingerprint(config, library))
+    _write(config, library, out, {RANKING: ranking})
     top = ", ".join(fid for fid, _ in ranking[:3])
     _say(quiet, f"select-features: ranked {len(ranking)} features, top: {top}")
 
 
 def _split_rows(config: RunConfig, dataset: FeatureDataset):
-    fractions = (
-        config.split.train_fraction,
-        config.split.val_fraction,
-        config.split.test_fraction,
-    )
+    fractions = (config.split.train_fraction, config.split.val_fraction, config.split.test_fraction)
     train_idx, val_idx, test_idx = chronological_split(dataset.n_windows, fractions)
     splits = [dataset.rows(idx) for idx in (train_idx, val_idx, test_idx)]
     splits = [part.rows(part.valid) for part in splits]  # train/evaluate on valid windows only
@@ -177,43 +178,36 @@ def _split_rows(config: RunConfig, dataset: FeatureDataset):
 
 
 def stage_train(config: RunConfig, library: Library, out: str, quiet: bool) -> None:
-    dataset = _read_checked(config, out, "dataset.csv", dataset_fingerprint(config, library))
+    dataset = _read_checked(config, library, out, DATASET)
     train_part, val_part, _ = _split_rows(config, dataset)
 
     stats = fit_normalization(train_part.X, dataset.feature_spec.features)
+    if not stats.kept_indices:
+        raise ConfigError(f"every feature is constant on the training split: {', '.join(stats.input_feature_ids)}")
     X_train = apply_normalization(train_part.X, stats)
     X_val = apply_normalization(val_part.X, stats)
 
     layer_sizes = (len(stats.kept_indices), *config.model.hidden_layers, 1)
     params = init_params(layer_sizes, config.model.init_seed)
     initial_val = data_loss(params, X_val, val_part.y)
-    params, history = train(
-        params, (X_train, train_part.y), (X_val, val_part.y), config.model.train
-    )
-    st.write_model(os.path.join(out, "model.txt"), params, stats, model_fingerprint(config, library))
+    params, history = train(params, (X_train, train_part.y), (X_val, val_part.y), config.model.train)
+    _write(config, library, out, {MODEL: (params, stats)})
     # train keeps the initial parameters unless an epoch's validation loss beats theirs.
     best_val = min(h[2] for h in history)
     if not best_val < initial_val:
         best_val = initial_val
-        print(
-            f"train: warning: no epoch improved on the initial parameters' val loss {initial_val:.4g}; "
-            "model.txt holds the initial parameters",
-            file=sys.stderr,
-        )
+        print(f"train: warning: no epoch improved on the initial parameters' val loss {initial_val:.4g}; "
+              f"{MODEL} holds the initial parameters", file=sys.stderr)
     last_epoch, train_obj, _ = history[-1]
-    _say(
-        quiet,
-        f"train: {last_epoch + 1} epochs on {train_part.n_windows} windows, "
-        f"final train objective {train_obj:.4g}, best val loss {best_val:.4g}",
-    )
+    _say(quiet, f"train: {last_epoch + 1} epochs on {train_part.n_windows} windows, "
+                f"final train objective {train_obj:.4g}, best val loss {best_val:.4g}")
 
 
 def stage_eval(config: RunConfig, library: Library, out: str, quiet: bool) -> None:
-    dataset = _read_checked(config, out, "dataset.csv", dataset_fingerprint(config, library))
-    fp = model_fingerprint(config, library)
-    params, stats = _read_checked(config, out, "model.txt", fp)
+    dataset = _read_checked(config, library, out, DATASET)
+    params, stats = _read_checked(config, library, out, MODEL)
     if stats.input_feature_ids != dataset.feature_spec.features:
-        raise ContractError("model.txt feature layout does not match dataset.csv")
+        raise ContractError(f"{MODEL} feature layout does not match {DATASET}")
 
     train_part, _, test_part = _split_rows(config, dataset)
     report = evaluate(params, stats, test_part)
@@ -226,38 +220,45 @@ def stage_eval(config: RunConfig, library: Library, out: str, quiet: bool) -> No
                 ("baseline_exact_count_accuracy", baseline.exact_count_accuracy)]
     entries = [(key, format(value, ".17g")) for key, value in headline]
     entries += [(f"count_{count}", f"{n} {format(err, '.17g')}") for count, n, err in report.per_count]
-    st.write_text(os.path.join(out, "report.txt"), "report", fp, st.report_lines(entries))
-    residuals = st.residual_lines(test_part.t_start_s, test_part.y, report.continuous, report.rounded)
-    st.write_text(os.path.join(out, "residuals.csv"), "residuals", fp, residuals)
-    _say(
-        quiet,
-        f"eval: rounded MAE {report.mae_rounded:.4g} (baseline {baseline.mae_rounded:.4g}), "
-        f"exact-count accuracy {report.exact_count_accuracy:.1%} on {report.n_test_windows} test windows",
-    )
+    residuals = (test_part.t_start_s, test_part.y, report.continuous, report.rounded)
+    _write(config, library, out, {REPORT: entries, RESIDUALS: residuals})
+    _say(quiet, f"eval: rounded MAE {report.mae_rounded:.4g} (baseline {baseline.mae_rounded:.4g}), "
+                f"exact-count accuracy {report.exact_count_accuracy:.1%} on {report.n_test_windows} test windows")
 
 
 class Stage(NamedTuple):
-    """A subcommand and the artifact files it writes."""
+    """A subcommand, the fingerprint its artifacts carry, and each artifact file it writes with its (reader, writer)."""
 
     name: str
     run: Callable[[RunConfig, Library, str, bool], None]
     fingerprint: Callable
-    artifacts: tuple[str, ...]
+    artifacts: dict[str, tuple[Callable, Callable]]
     help: str
 
 
 # The stages in pipeline order: a plain module-level tuple, so a tracer that
-# rebinds the stage functions here reaches the ones `pipeline` and `main` run.
+# rebinds the stage and fingerprint functions here reaches the ones `pipeline`,
+# `main` and every artifact read and write run.
 _STAGES = (
     Stage("simulate", stage_simulate, scenario_fingerprint,
-          ("voltage.fnwv", "current.fnwv", "schedule.txt", "ground_truth.txt"),
+          {VOLTAGE: _waveform("VOLT"), CURRENT: _waveform("CURR"),
+           SCHEDULE: _text("schedule", lambda schedule: st.schedule_lines(schedule)),
+           TRUTH: _text("ground-truth", lambda counts: st.ground_truth_lines(counts))},
           "synthesize waveforms, schedule, and ground truth"),
-    Stage("select-features", stage_select_features, dataset_fingerprint, ("ranking.txt",),
+    Stage("select-features", stage_select_features, dataset_fingerprint,
+          {RANKING: (lambda path, config: st.read_ranking(path, config.featurize.features),
+                     lambda path, ranking, fp: st.write_ranking(path, ranking, fp))},
           "rank features by Fisher score over class signatures"),
-    Stage("featurize", stage_featurize, dataset_fingerprint, ("dataset.csv",),
+    Stage("featurize", stage_featurize, dataset_fingerprint,
+          {DATASET: (lambda path, config: st.read_dataset(path),
+                     lambda path, dataset, fp: st.write_dataset(path, dataset, fp))},
           "window the waveforms into a feature dataset"),
-    Stage("train", stage_train, model_fingerprint, ("model.txt",), "fit the count regressor on the dataset"),
-    Stage("eval", stage_eval, model_fingerprint, ("report.txt", "residuals.csv"),
+    Stage("train", stage_train, model_fingerprint,
+          {MODEL: (lambda path, config: st.read_model(path), lambda path, model, fp: st.write_model(path, *model, fp))},
+          "fit the count regressor on the dataset"),
+    Stage("eval", stage_eval, model_fingerprint,
+          {REPORT: _text("report", lambda entries: st.report_lines(entries)),
+           RESIDUALS: _text("residuals", lambda columns: st.residual_lines(*columns))},
           "evaluate the trained model and write the report"),
 )
 
@@ -270,15 +271,18 @@ def _stage_current(config: RunConfig, library: Library, out: str, stage: Stage) 
     waveform's every sample is read, and checked, too. A missing file is
     stale before any file is read.
     """
-    if not all(os.path.isfile(os.path.join(out, name)) for name in stage.artifacts):
+    paths = {name: os.path.join(out, name) for name in stage.artifacts}
+    if not all(map(os.path.isfile, paths.values())):
         return False
     expected = stage.fingerprint(config, library)
     try:
-        for name in stage.artifacts:
-            value = _read_checked(config, out, name, expected)
+        for name, (read, _) in stage.artifacts.items():
+            value, found = read(paths[name], config)
+            if found != expected:
+                return False
             if isinstance(value, Waveform):
                 value.skip(value.n_samples)
-    except (st.FileFormatError, OSError, ContractError):
+    except (st.FileFormatError, OSError):
         return False
     return True
 

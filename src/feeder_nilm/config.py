@@ -215,7 +215,7 @@ def load_run_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except ConfigParserError as exc:
+    except (ConfigParserError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
     raw = {name: dict(parser.items(name)) for name in parser.sections()}

@@ -346,7 +346,7 @@ def load_device_library(path) -> dict[str, DeviceModel]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except ConfigParserError as exc:
+    except (ConfigParserError, UnicodeDecodeError) as exc:
         raise LibraryFormatError(f"device library {path}: {exc}") from None
     if not parser.has_section("library"):
         raise LibraryFormatError(f"device library {path}: missing [library] section")

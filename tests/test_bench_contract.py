@@ -11,6 +11,8 @@ never fires, or a forbidden one does. The span-coverage tests run the
 benchmark's own child (``perfbench/child.py cli --trace``) on the small
 ``configs/smoke.cfg`` in the same invocations as each workload of
 ``perfbench/run.py`` and check its ``required`` and ``forbidden`` lists.
+Every artifact's reader and writer must fire its own span, and the files
+the no-op workload checks for changes must be the ones the stages declare.
 """
 
 import importlib
@@ -22,7 +24,7 @@ import sys
 
 import pytest
 
-from feeder_nilm import storage
+from feeder_nilm import cli, storage
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -56,6 +58,11 @@ def test_storage_io_functions_take_the_path_first():
     for name, function in traced.items():
         first = next(iter(inspect.signature(function).parameters), None)
         assert first == "path", f"storage.{name} takes {first!r} first"
+
+
+def test_noop_snapshot_covers_every_declared_artifact():
+    # desk_noop checks that a rerun leaves these files untouched; a missing name goes unchecked.
+    assert sorted(bench_run.ARTIFACT_FILES) == sorted(name for stage in cli._STAGES for name in stage.artifacts)
 
 
 def child(out, *args, trace=None):
@@ -95,8 +102,22 @@ def test_feature_stages_cover_desk_features_spans(tmp_path):
     assert missing_spans(spans, workload.required, workload.forbidden) == []
 
 
-def test_pipeline_rerun_covers_desk_noop_spans(cold_run, tmp_path):
+@pytest.fixture(scope="module")
+def rerun_spans(cold_run, tmp_path_factory):
+    """The spans of a traced ``pipeline`` rerun on the cold run's current directory."""
     out, _ = cold_run
-    spans = child(out, "pipeline", trace=tmp_path / "rerun.json")
+    return child(out, "pipeline", trace=tmp_path_factory.mktemp("rerun") / "rerun.json")
+
+
+def test_pipeline_rerun_covers_desk_noop_spans(rerun_spans):
     workload = bench_run.DeskNoop
-    assert missing_spans(spans, workload.required, workload.forbidden) == []
+    assert missing_spans(rerun_spans, workload.required, workload.forbidden) == []
+
+
+def test_every_artifact_reader_and_writer_fires_its_span(cold_run, rerun_spans):
+    # Each looks its storage function up at call time: one bound at import would run untraced.
+    _, cold = cold_run
+    writers = ("write_waveform", "text.write_text", "text.write_ranking", "text.write_dataset", "text.write_model")
+    readers = ("read_waveform", "text.read_text", "text.read_ranking", "text.read_dataset", "text.read_model")
+    assert {f"storage.{name}" for name in writers} <= {span[0] for span in cold}
+    assert {f"storage.{name}" for name in readers} <= {span[0] for span in rerun_spans}

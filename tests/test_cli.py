@@ -60,30 +60,30 @@ test_fraction = 0.2
 """
 
 
-# (artifact, stage that writes it, word that replaces the last line's last word):
+# (artifact, word that replaces the last line's last word):
 # None garbles the line's first separator instead, "without-<key>" deletes
 # the line that starts with <key> (the last line, if the key is "last-line"),
 # and "<key>=<word>" gives the line that starts with <key> the value <word>.
 # On the small config the schedule's last word is a lighting mode and the
 # report's a count_<c> error.
 _GARBLED_LAST_LINES = [
-    ("schedule.txt", "simulate", None),
-    ("ranking.txt", "select-features", None),
-    ("dataset.csv", "featurize", None),
-    ("model.txt", "train", None),
-    ("report.txt", "eval", None),
-    ("residuals.csv", "eval", None),
-    ("schedule.txt", "simulate", "bogus-mode"),
-    ("report.txt", "eval", "not-a-number"),
-    ("report.txt", "eval", "mae_rounded=not-a-number"),
-    ("report.txt", "eval", "without-mae_rounded"),
-    ("schedule.txt", "simulate", "without-last-line"),
-    ("schedule.txt", "simulate", "stray-header-word"),
-    ("ground_truth.txt", "simulate", "stray-header-word"),
-    ("ranking.txt", "select-features", "stray-header-word"),
-    ("model.txt", "train", "stray-header-word"),
-    ("report.txt", "eval", "stray-header-word"),
-    ("residuals.csv", "eval", "stray-header-word"),
+    ("schedule.txt", None),
+    ("ranking.txt", None),
+    ("dataset.csv", None),
+    ("model.txt", None),
+    ("report.txt", None),
+    ("residuals.csv", None),
+    ("schedule.txt", "bogus-mode"),
+    ("report.txt", "not-a-number"),
+    ("report.txt", "mae_rounded=not-a-number"),
+    ("report.txt", "without-mae_rounded"),
+    ("schedule.txt", "without-last-line"),
+    ("schedule.txt", "stray-header-word"),
+    ("ground_truth.txt", "stray-header-word"),
+    ("ranking.txt", "stray-header-word"),
+    ("model.txt", "stray-header-word"),
+    ("report.txt", "stray-header-word"),
+    ("residuals.csv", "stray-header-word"),
 ]
 
 
@@ -124,16 +124,16 @@ def _edit_value(name, lines, variant=None):
     return lines
 
 
-# (artifact, the stage that writes it, variant of its well-formed value edit or None).
+# (artifact, variant of its well-formed value edit or None).
 _EDITED_VALUES = [
-    ("report.txt", "eval", None),
-    ("residuals.csv", "eval", None),
-    ("schedule.txt", "simulate", None),
-    ("ground_truth.txt", "simulate", None),
-    ("ranking.txt", "select-features", None),
-    ("dataset.csv", "featurize", None),
-    ("dataset.csv", "featurize", "digit-appended"),
-    ("model.txt", "train", None),
+    ("report.txt", None),
+    ("residuals.csv", None),
+    ("schedule.txt", None),
+    ("ground_truth.txt", None),
+    ("ranking.txt", None),
+    ("dataset.csv", None),
+    ("dataset.csv", "digit-appended"),
+    ("model.txt", None),
 ]
 
 
@@ -148,48 +148,50 @@ def _without_line(lines, start):
     return lines[:k] + lines[k + 1 :]
 
 
-# (artifact, stage that writes it, case, edit of the file's lines): each edit
-# keeps the fingerprint, and each makes a file that a format reader refuses
-# (a wrong field count, a non-number, a class or mode the library lacks, a
-# gapped or shuffled second, a count out of range, a key set other than
-# eval's). None of these files is read back, so each is merely stale.
+# (artifact, case, edit of the file's lines): each edit keeps the fingerprint
+# and makes fields that no parser of the format would accept (a wrong field
+# count, a non-number, a class or mode the library lacks, a gapped or shuffled
+# second, a count out of range, a key set other than eval's). No stage parses
+# these four formats: each is read by its envelope alone, so the body seal is
+# what refuses every edit but "other-format", whose format line is refused.
+# None of these files is read back, so each is merely stale.
 _REFUSED_EDITS = [
-    ("schedule.txt", "simulate", "too-few-fields", lambda lines: lines + ["ventilator#1 3.0 4.0"]),
-    ("schedule.txt", "simulate", "non-numeric-end", lambda lines: lines + ["ventilator#1 3.0 four run"]),
-    ("schedule.txt", "simulate", "half-placeholder", lambda lines: lines + ["ventilator#0 . 3.0 run"]),
-    ("schedule.txt", "simulate", "unknown-mode", lambda lines: lines + ["ventilator#1 50.0 60.0 bogus-mode"]),
-    ("schedule.txt", "simulate", "unknown-class", lambda lines: lines + ["toaster#0 0 1 on"]),
-    ("schedule.txt", "simulate", "mode-its-class-lacks", lambda lines: lines + ["resistive_heater#0 0 1 run"]),
-    ("ground_truth.txt", "simulate", "three-fields", lambda lines: lines + ["60 1 1"]),
-    ("ground_truth.txt", "simulate", "non-numeric-count", lambda lines: lines + ["60 seven"]),
-    ("ground_truth.txt", "simulate", "gapped", lambda lines: lines[:3] + lines[4:]),
-    ("ground_truth.txt", "simulate", "shuffled", lambda lines: lines[:2] + [lines[3], lines[2]] + lines[4:]),
-    ("ground_truth.txt", "simulate", "late-start", lambda lines: lines[:2] + lines[3:]),
-    ("ground_truth.txt", "simulate", "negative-count", lambda lines: _replace_line(lines, "0 ", "0 -1")),
-    ("ground_truth.txt", "simulate", "beyond-int64", lambda lines: _replace_line(lines, "0 ", "0 99999999999999999999")),
-    ("ground_truth.txt", "simulate", "missing-fingerprint", lambda lines: _without_line(lines, "# fingerprint=")),
-    ("ground_truth.txt", "simulate", "other-format", lambda lines: ["# feeder-nilm dataset v1"] + lines[1:]),
-    ("report.txt", "eval", "key-without-equals", lambda lines: lines + ["mae_rounded 0.25"]),
-    ("report.txt", "eval", "count-of-one-value", lambda lines: lines + ["count_3 = 4"]),
-    ("report.txt", "eval", "not-a-number",
+    ("schedule.txt", "too-few-fields", lambda lines: lines + ["ventilator#1 3.0 4.0"]),
+    ("schedule.txt", "non-numeric-end", lambda lines: lines + ["ventilator#1 3.0 four run"]),
+    ("schedule.txt", "half-placeholder", lambda lines: lines + ["ventilator#0 . 3.0 run"]),
+    ("schedule.txt", "unknown-mode", lambda lines: lines + ["ventilator#1 50.0 60.0 bogus-mode"]),
+    ("schedule.txt", "unknown-class", lambda lines: lines + ["toaster#0 0 1 on"]),
+    ("schedule.txt", "mode-its-class-lacks", lambda lines: lines + ["resistive_heater#0 0 1 run"]),
+    ("ground_truth.txt", "three-fields", lambda lines: lines + ["60 1 1"]),
+    ("ground_truth.txt", "non-numeric-count", lambda lines: lines + ["60 seven"]),
+    ("ground_truth.txt", "gapped", lambda lines: lines[:3] + lines[4:]),
+    ("ground_truth.txt", "shuffled", lambda lines: lines[:2] + [lines[3], lines[2]] + lines[4:]),
+    ("ground_truth.txt", "late-start", lambda lines: lines[:2] + lines[3:]),
+    ("ground_truth.txt", "negative-count", lambda lines: _replace_line(lines, "0 ", "0 -1")),
+    ("ground_truth.txt", "beyond-int64", lambda lines: _replace_line(lines, "0 ", "0 99999999999999999999")),
+    ("ground_truth.txt", "missing-fingerprint", lambda lines: _without_line(lines, "# fingerprint=")),
+    ("ground_truth.txt", "other-format", lambda lines: ["# feeder-nilm dataset v1"] + lines[1:]),
+    ("report.txt", "key-without-equals", lambda lines: lines + ["mae_rounded 0.25"]),
+    ("report.txt", "count-of-one-value", lambda lines: lines + ["count_3 = 4"]),
+    ("report.txt", "not-a-number",
      lambda lines: _replace_line(lines, "mae_continuous = ", "mae_continuous = not-a-number")),
-    ("report.txt", "eval", "nan",
+    ("report.txt", "nan",
      lambda lines: _replace_line(lines, "exact_count_accuracy = ", "exact_count_accuracy = nan")),
-    ("report.txt", "eval", "other-format-version",
+    ("report.txt", "other-format-version",
      lambda lines: _replace_line(lines, "format_version = ", "format_version = 2")),
-    ("report.txt", "eval", "missing-format-version", lambda lines: _without_line(lines, "format_version = ")),
-    ("report.txt", "eval", "headline-key-missing", lambda lines: _without_line(lines, "baseline_constant = ")),
-    ("report.txt", "eval", "unknown-key", lambda lines: lines + ["mae_median = 0.5"]),
-    ("report.txt", "eval", "count-of-no-whole-number", lambda lines: lines + ["count_x = 1 0"]),
-    ("report.txt", "eval", "counts-alone",
+    ("report.txt", "missing-format-version", lambda lines: _without_line(lines, "format_version = ")),
+    ("report.txt", "headline-key-missing", lambda lines: _without_line(lines, "baseline_constant = ")),
+    ("report.txt", "unknown-key", lambda lines: lines + ["mae_median = 0.5"]),
+    ("report.txt", "count-of-no-whole-number", lambda lines: lines + ["count_x = 1 0"]),
+    ("report.txt", "counts-alone",
      lambda lines: [line for line in lines if line.startswith(("#", "format_version = ", "count_"))]),
-    ("report.txt", "eval", "repeated-key",
+    ("report.txt", "repeated-key",
      lambda lines: lines + [next(line for line in lines if line.startswith("mae_rounded = "))]),
-    ("residuals.csv", "eval", "index-repeated", lambda lines: lines[:-1] + [lines[-2].split(",")[0] + lines[-1][1:]]),
-    ("residuals.csv", "eval", "error-wrong", lambda lines: lines[:-1] + [lines[-1][:-1] + str(1 - int(lines[-1][-1]))]),
-    ("residuals.csv", "eval", "header-renamed", lambda lines: _replace_line(lines, "window_index,", "index," + lines[2][13:])),
-    ("residuals.csv", "eval", "four-fields", lambda lines: lines + ["3,60,1,1"]),
-    ("residuals.csv", "eval", "non-numeric-field", lambda lines: lines + ["3,60,1,x,1,0"]),
+    ("residuals.csv", "index-repeated", lambda lines: lines[:-1] + [lines[-2].split(",")[0] + lines[-1][1:]]),
+    ("residuals.csv", "error-wrong", lambda lines: lines[:-1] + [lines[-1][:-1] + str(1 - int(lines[-1][-1]))]),
+    ("residuals.csv", "header-renamed", lambda lines: _replace_line(lines, "window_index,", "index," + lines[2][13:])),
+    ("residuals.csv", "four-fields", lambda lines: lines + ["3,60,1,1"]),
+    ("residuals.csv", "non-numeric-field", lambda lines: lines + ["3,60,1,x,1,0"]),
 ]
 
 
@@ -705,6 +707,40 @@ class TestStages:
         path.write_text(SMALL_CONFIG.replace("\nwindow_s = 5\n", "\nwindow_s = 120\n"))
         assert load_run_config(path).featurize.window_s == 120.0
 
+    @pytest.mark.parametrize("which", ["config", "library"])
+    def test_input_file_that_is_not_utf8_exits_2_naming_it(self, tmp_path, capsys, which):
+        # One Latin-1 byte in a comment ("# café", é as 0xE9): refused as input, not a traceback.
+        library = tmp_path / "library.cfg"
+        save_device_library(default_library(), library)
+        path = tmp_path / "run.cfg"
+        path.write_text(SMALL_CONFIG.replace("rng_seed = 11", "rng_seed = 11\ndevice_library = library.cfg"))
+        bad = path if which == "config" else library
+        bad.write_bytes(b"# caf\xe9\n" + bad.read_bytes())
+        assert run("simulate", "--config", str(path), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(bad) in err and "utf-8" in err
+        assert not os.path.exists(tmp_path / "o" / "voltage.fnwv")
+
+    def test_every_feature_constant_on_the_training_split_exits_2_naming_it(self, tmp_path, capsys):
+        # Two always-on heaters and no noise: the crest factor is the same in every window, so
+        # normalization would drop the only feature and leave the network no input.
+        library = os.path.join(ROOT, "configs", "separable_library.cfg")
+        text = re.sub(r"(?ms)^n_medical_devices.*?^feeder_noise_rms_amps = 0\.02\n", "", SMALL_CONFIG)
+        path = tmp_path / "constant.cfg"
+        path.write_text(
+            text.replace("rng_seed = 11", "n_medical_devices = 0\nbackground_population = resistive_heater:2\n"
+                         f"schedule_resistive_heater = 10000 1\nrng_seed = 11\ndevice_library = {library}")
+            .replace("stride_s = 5", "stride_s = 5\nfeatures = i_crest_factor")
+        )
+        out = str(tmp_path / "o")
+        assert run("simulate", "--config", str(path), "--out", out, "--quiet") == 0
+        assert run("featurize", "--config", str(path), "--out", out, "--quiet") == 0
+        with pytest.warns(UserWarning, match="i_crest_factor"):
+            assert run("train", "--config", str(path), "--out", out, "--quiet") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "i_crest_factor" in err
+        assert not os.path.exists(os.path.join(out, "model.txt"))
+
     def test_env_var_out_dir(self, config_path, tmp_path, monkeypatch):
         out = str(tmp_path / "envout")
         monkeypatch.setenv("FEEDER_NILM_OUT", out)
@@ -778,12 +814,13 @@ class TestPipeline:
         assert fingerprint_of(os.path.join(out, "residuals.csv")) == model_fingerprint(config, load_library_for(config))
 
     @pytest.mark.parametrize(
-        "name, stage, last_word",
+        "name, last_word",
         _GARBLED_LAST_LINES,
-        ids=[f"{name}-{stage}" + (f"-{word}" if word else "") for name, stage, word in _GARBLED_LAST_LINES],
+        ids=[f"{name}-{cli._writer_of(name).name}" + (f"-{w}" if w else "") for name, w in _GARBLED_LAST_LINES],
     )
-    def test_pipeline_reruns_the_writer_of_a_garbled_body_line(self, config_path, tmp_path, capsys, name, stage, last_word):
+    def test_pipeline_reruns_the_writer_of_a_garbled_body_line(self, config_path, tmp_path, capsys, name, last_word):
         # The fingerprint header is kept: the file's reader refuses it.
+        stage = cli._writer_of(name).name
         fresh, out = tmp_path / "fresh", tmp_path / "out"
         assert run("pipeline", "--config", config_path, "--out", str(fresh), "--quiet") == 0
         assert run("pipeline", "--config", config_path, "--out", str(out), "--quiet") == 0
@@ -816,11 +853,11 @@ class TestPipeline:
             assert (out / artifact).read_bytes() == (fresh / artifact).read_bytes(), artifact
 
     @pytest.mark.parametrize(
-        "name, stage, variant",
+        "name, variant",
         _EDITED_VALUES,
-        ids=[name + (f"-{variant}" if variant else "") for name, _, variant in _EDITED_VALUES],
+        ids=[name + (f"-{variant}" if variant else "") for name, variant in _EDITED_VALUES],
     )
-    def test_pipeline_reruns_only_the_writer_of_an_edited_value(self, config_path, tmp_path, capsys, name, stage, variant):
+    def test_pipeline_reruns_only_the_writer_of_an_edited_value(self, config_path, tmp_path, capsys, name, variant):
         # The edited file parses and keeps its fingerprint: only its seal tells.
         out = tmp_path / "out"
         assert run("pipeline", "--config", config_path, "--out", str(out), "--quiet") == 0
@@ -831,14 +868,15 @@ class TestPipeline:
         capsys.readouterr()
         assert run("pipeline", "--config", config_path, "--out", str(out)) == 0
         stdout = capsys.readouterr().out.splitlines()
-        assert [line.split(":")[0] for line in stdout if not line.endswith(": up to date")] == [stage]
+        writer = cli._writer_of(name).name
+        assert [line.split(":")[0] for line in stdout if not line.endswith(": up to date")] == [writer]
         assert {artifact: (out / artifact).read_bytes() for artifact in os.listdir(out)} == before
 
     @pytest.mark.parametrize(
-        "name, stage, edit", [(n, s, e) for n, s, _, e in _REFUSED_EDITS], ids=[f"{n}-{c}" for n, _, c, _ in _REFUSED_EDITS]
+        "name, edit", [(n, e) for n, _, e in _REFUSED_EDITS], ids=[f"{n}-{c}" for n, c, _ in _REFUSED_EDITS]
     )
     def test_pipeline_reruns_only_the_writer_of_a_file_no_reader_would_accept(
-        self, fresh_outputs, tmp_path, capsys, name, stage, edit
+        self, fresh_outputs, tmp_path, capsys, name, edit
     ):
         config_path, fresh = fresh_outputs
         out = tmp_path / "out"
@@ -849,7 +887,8 @@ class TestPipeline:
         capsys.readouterr()
         assert run("pipeline", "--config", config_path, "--out", str(out)) == 0
         stdout = capsys.readouterr().out.splitlines()
-        assert [line.split(":")[0] for line in stdout if not line.endswith(": up to date")] == [stage]
+        writer = cli._writer_of(name).name
+        assert [line.split(":")[0] for line in stdout if not line.endswith(": up to date")] == [writer]
         for artifact in sorted(os.listdir(fresh)):
             assert (out / artifact).read_bytes() == (fresh / artifact).read_bytes(), artifact
 
@@ -1052,13 +1091,23 @@ class TestStageRegistry:
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         assert set(sub.choices) == {stage.name for stage in cli._STAGES} | {"pipeline"}
 
-    def test_registry_artifacts_cover_artifact_table(self, config_path, tmp_path):
-        # Every file a stage writes has one reader, which its consumer and the rerun check use.
-        out = str(tmp_path / "out")
-        assert run("pipeline", "--config", config_path, "--out", out, "--quiet") == 0
-        written = [name for stage in cli._STAGES for name in stage.artifacts]
-        assert sorted(written) == sorted(cli._READERS)
-        assert sorted(os.listdir(out)) == sorted(written)
+    def test_each_subcommand_writes_exactly_the_files_its_stage_declares(self, config_path, tmp_path):
+        # The suite's one statement of the stage -> files mapping apart from cli._STAGES itself.
+        stage_files = [
+            ("simulate", {"voltage.fnwv", "current.fnwv", "schedule.txt", "ground_truth.txt"}),
+            ("select-features", {"ranking.txt"}),
+            ("featurize", {"dataset.csv"}),
+            ("train", {"model.txt"}),
+            ("eval", {"report.txt", "residuals.csv"}),
+        ]
+        assert [stage.name for stage in cli._STAGES] == [name for name, _ in stage_files]
+        out = tmp_path / "out"
+        out.mkdir()
+        for stage, (name, files) in zip(cli._STAGES, stage_files):
+            before = set(os.listdir(out))
+            assert run(name, "--config", config_path, "--out", str(out), "--quiet") == 0
+            assert set(stage.artifacts) == files, name
+            assert set(os.listdir(out)) == before | files and not before & files, name  # no temp file left
 
 
 # Runs the entry point argv[1] ("module:function") on argv[2:] as an installed console script does.
