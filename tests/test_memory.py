@@ -1,7 +1,9 @@
 """Peak memory does not grow with the data: waveforms and repetitions move in bounded chunks.
 
-``simulate`` and ``featurize`` run on copies of ``configs/smoke.cfg`` cut to
-60 s and to 600 s of scenario (at 10 kHz a 600 s waveform file holds 48 MB).
+``simulate``, ``featurize`` and a no-op ``pipeline`` rerun, which reads and
+checks every sample of both traces, run on copies of ``configs/smoke.cfg``
+cut to 60 s and to 600 s of scenario (at 10 kHz a 600 s waveform file holds
+48 MB).
 ``select-features`` runs on copies with 5 s and 40 s windows: it
 characterizes each device mode from ``devices.REPETITIONS`` windows, drawn
 in groups of about ``signals.CHUNK_BYTES``, so eight 40 s windows (25.6 MB)
@@ -71,7 +73,11 @@ def test_peak_rss_does_not_grow_with_the_scenario(tmp_path):
         out = str(tmp_path / f"out_{duration}")
         for stage in ("simulate", "featurize"):
             peaks[stage, duration] = stage_peak_mb(stage, config, out)
-    for stage in ("simulate", "featurize"):
+        stage_peak_mb("pipeline", config, out)  # select-features, train and eval: every artifact is now current
+        written = {name: os.stat(os.path.join(out, name)).st_mtime_ns for name in os.listdir(out)}
+        peaks["pipeline", duration] = stage_peak_mb("pipeline", config, out)
+        assert {name: os.stat(os.path.join(out, name)).st_mtime_ns for name in os.listdir(out)} == written
+    for stage in ("simulate", "featurize", "pipeline"):
         growth = peaks[stage, 600] - peaks[stage, 60]
         message = f"{stage}: peak RSS {peaks[stage, 60]:.1f} MB at 60 s, {peaks[stage, 600]:.1f} MB at 600 s"
         assert growth <= GROWTH_BOUND_MB, message

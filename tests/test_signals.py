@@ -64,6 +64,7 @@ class TestWaveform:
 
     def test_chunks_and_skip_read_in_bounded_pieces(self, monkeypatch):
         monkeypatch.setattr(sg, "CHUNK_BYTES", 8 * 4)  # four samples a chunk
+        monkeypatch.setattr(sg, "SKIP_BYTES", 8 * 3)  # three samples a skipped piece
         filled = []
 
         def fill(out, start):
@@ -74,7 +75,7 @@ class TestWaveform:
         parts = [part.copy() for part in w.chunks(6)]
         w.skip(5)
         assert [p.tolist() for p in parts] == [[0, 1, 2, 3], [4, 5]]
-        assert filled == [(0, 4), (4, 2), (6, 4), (10, 1)]
+        assert filled == [(0, 4), (4, 2), (6, 3), (9, 2)]
 
 
 class TestRms:
