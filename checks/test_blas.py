@@ -1,20 +1,25 @@
-"""Artifacts do not depend on the BLAS thread count, nor on the OpenBLAS kernel where no BLAS product makes them.
+"""Artifacts do not depend on the BLAS thread variables, nor on the OpenBLAS kernel where no BLAS product makes them.
 
 Every run is a child process whose ``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS`` and ``OPENBLAS_CORETYPE`` are exactly those of its run
 (a variable the run leaves out is unset), because OpenBLAS reads them once,
-when numpy loads it.
+when numpy loads it. The command line sets the thread variables to ``1``
+before it imports numpy (README, BLAS threads), so the thread runs check
+that a thread count set in the environment no longer reaches the program:
+a run at two threads writes what a run at one writes. The kernel variable
+still reaches the program, and the kernel runs compare as before.
 
-- ``smoke``: one BLAS thread, two threads twice, and the Prescott and
-  Sandybridge kernels. Every artifact is byte-equal across the thread counts
-  and the rerun. Selection and featurizing use no BLAS, so no kernel may move
-  ``ranking.txt`` or ``dataset.csv``; ``model.txt`` is not compared across
-  kernels, because training's matrix products round differently on each.
+- ``smoke``: thread variables at one, at two twice, and the Prescott and
+  Sandybridge kernels. Every artifact is byte-equal across the thread
+  variables and the rerun. Selection and featurizing use no BLAS, so no
+  kernel may move ``ranking.txt`` or ``dataset.csv``; ``model.txt`` is not
+  compared across kernels, because training's matrix products round
+  differently on each.
 - ``desk_scale`` trains in the batch shapes of the headline run (16 rows, and
   a last batch of 14), which the 28 training rows of ``smoke`` never reach.
-  Its model, report and residuals are byte-equal at one and two threads;
-  across kernels only what the weights decide is compared: the epoch count,
-  ``mae_rounded`` and the rounded counts.
+  Its model, report and residuals are byte-equal with the thread variables
+  at one and at two; across kernels only what the weights decide is
+  compared: the epoch count, ``mae_rounded`` and the rounded counts.
 
 The nine runs take about 4 s, so they sit outside tier-1's ``testpaths``:
 ``PYTHONPATH=src python -m pytest -q checks``.

@@ -17,6 +17,16 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
+# One BLAS thread whatever the environment says, set before numpy loads BLAS:
+# no product here is large enough to use a second thread, whose idle OpenBLAS
+# worker spins for about 0.1 s of CPU per process (a no-op pipeline rerun on
+# desk_scale took 0.34 s CPU with two threads, 0.22 s with one, on 2 vCPUs;
+# the artifacts are the same bytes). It takes effect only where numpy is not
+# loaded yet: the console script, ``python -m feeder_nilm.cli`` or a fresh
+# process that imports this module first. Importing the other modules leaves
+# the environment alone.
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+
 import numpy as np
 
 from . import storage as st

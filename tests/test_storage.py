@@ -1,4 +1,5 @@
 import os
+import shutil
 import struct
 import zlib
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import reseal, samples_of, waveform_of
 
-from feeder_nilm import signals
+from feeder_nilm import cli, signals
 
 from feeder_nilm.featurize import FeatureDataset, FeatureSpec, NormStats
 from feeder_nilm.model import init_params
@@ -31,6 +32,7 @@ from feeder_nilm.storage import (
 )
 
 FP = "ab" * 16  # 32 hex digits, arbitrary
+SMOKE = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "smoke.cfg")
 
 
 def random_samples(seed=0, n=5000):
@@ -44,6 +46,15 @@ def random_samples(seed=0, n=5000):
 
 def random_waveform(seed=0, n=5000):
     return waveform_of(random_samples(seed, n), 12_345.5)
+
+
+@pytest.fixture(scope="module")
+def smoke_simulated(tmp_path_factory):
+    """The output directory of ``simulate`` on ``configs/smoke.cfg``: two 120 s traces at 10 kHz."""
+    out = tmp_path_factory.mktemp("smoke")
+    assert cli.main(["simulate", "--config", SMOKE, "--out", str(out), "--quiet"]) == 0
+    yield out
+    shutil.rmtree(out)  # 19 MB of waveforms
 
 
 class TestWaveformFile:
@@ -92,6 +103,38 @@ class TestWaveformFile:
             path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(FileFormatError, match="current.fnwv"):
             samples_of(loaded)
+
+    def read_smoke_copy(self, smoke_simulated, tmp_path):
+        """(path, waveform) of a copy of the ``smoke`` current trace whose header has been read."""
+        path = tmp_path / "current.fnwv"
+        shutil.copy2(smoke_simulated / "current.fnwv", path)
+        return path, read_waveform(path, "CURR", 10_000.0)[0]
+
+    def test_trace_rewritten_in_place_at_the_same_size_is_refused(self, smoke_simulated, tmp_path):
+        # Same inode and size: only the modification time tells the rewrite apart.
+        path, loaded = self.read_smoke_copy(smoke_simulated, tmp_path)
+        before = os.stat(path)
+        raw = bytearray(path.read_bytes())
+        raw[64:72] = struct.pack("<d", 1.0)
+        path.write_bytes(bytes(raw))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 1_000_000_000))
+        after = os.stat(path)
+        assert (after.st_ino, after.st_size) == (before.st_ino, before.st_size)
+        with pytest.raises(FileFormatError, match=r"current\.fnwv: file changed while its samples were read"):
+            loaded.skip(loaded.n_samples)
+
+    def test_trace_replaced_by_another_file_is_refused(self, smoke_simulated, tmp_path):
+        # A copy with the same bytes, size and modification time: only the inode tells it apart.
+        path, loaded = self.read_smoke_copy(smoke_simulated, tmp_path)
+        other = tmp_path / "other.fnwv"
+        shutil.copy2(path, other)
+        before = os.stat(path)
+        os.replace(other, path)
+        after = os.stat(path)
+        assert after.st_ino != before.st_ino
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        with pytest.raises(FileFormatError, match=r"current\.fnwv: file changed while its samples were read"):
+            loaded.skip(loaded.n_samples)
 
     def test_write_read_write_byte_identical(self, tmp_path):
         first = tmp_path / "a.fnwv"
