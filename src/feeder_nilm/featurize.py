@@ -11,7 +11,8 @@ gcd(window, stride) samples; every per-sample quantity a feature needs is
 reduced once per block, and each window is built from its blocks. The
 blocks are read from the waveforms one chunk of windows at a time, so
 memory does not grow with the trace. ``featurize`` alone sizes that
-chunk: ``evaluate_window`` evaluates the stack it is given in one pass.
+chunk: ``evaluate_window`` evaluates the stack it is given in one call,
+its elementwise temporaries bounded by ``signals.SKIP_BYTES``.
 The projections take their sinusoids from ``signals._period_table``,
 the table the feeder synthesis is built from too.
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import signals
-from .signals import CHUNK_BYTES, Waveform, wrap_phase
+from .signals import CHUNK_BYTES, SKIP_BYTES, Waveform, wrap_phase
 
 __all__ = [
     "FEATURIZE_VERSION",
@@ -115,11 +116,12 @@ def evaluate_window(
     ``k = s = 1`` each row is one window. Sums of squares, of ``|i|`` and
     of ``v*i``, the peak ``|i|`` and the single-bin projections are taken
     once per block and combined per window, so windows that overlap share
-    the work. The whole stack is evaluated in one pass, gap blocks of a
+    the work. The whole stack is evaluated in one call, gap blocks of a
     gapped grid (s > k) included, so the caller decides how much of a
     trace is in memory: ``featurize`` passes one chunk of windows at a
-    time. The projections take the whole-hertz grid frequency ``f0_hz``
-    and ``sample_rate_hz``.
+    time, and the per-sample passes add no copy of the stack (see
+    ``_block_moments``). The projections take the whole-hertz grid
+    frequency ``f0_hz`` and ``sample_rate_hz``.
 
     Returns an ``(n_windows, n_features)`` matrix and ``n_windows``
     validity flags. Undefined features (all-zero current, say) are
@@ -135,7 +137,7 @@ def evaluate_window(
     if len(v) < k:
         raise ValueError("the stacks hold fewer blocks than one window covers")
     width = k * v.shape[1]
-    work = np.empty(i.shape)
+    square_sums, product_sums, abs_sums, peaks = _block_moments(v, i)
 
     def per_window(block_values, reduce=np.add.reduce):
         # Window j combines blocks j*s ... j*s + k - 1; a one-block window is its block.
@@ -143,9 +145,7 @@ def evaluate_window(
             return block_values[::s]
         return reduce(np.lib.stride_tricks.sliding_window_view(block_values, k)[::s], axis=1)
 
-    # Block sums are pairwise row reductions along the contiguous axis, as the
-    # scalar signals functions take them, so one-block windows match those bit for bit.
-    i_rms = np.sqrt(per_window(np.sum(np.multiply(i, i, out=work), axis=1)) / width)
+    i_rms = np.sqrt(per_window(square_sums) / width)
     never = np.zeros(len(i_rms), dtype=bool)
     # Project the current only on the harmonic orders the spec needs.
     names = set(spec.features)
@@ -157,10 +157,9 @@ def evaluate_window(
     # feature -> (column, undefined mask)
     table = {f"h{h}": (magnitude, never) for h, (magnitude, _) in i_phasors.items()}
     table["i_rms"] = (i_rms, never)
-    table["active_power"] = (per_window(np.sum(np.multiply(v, i, out=work), axis=1)) / width, never)
-    abs_i = np.abs(i, out=work)
-    table["i_form_factor"] = _ratio(i_rms, per_window(np.sum(abs_i, axis=1)) / width)
-    table["i_crest_factor"] = _ratio(per_window(np.max(abs_i, axis=1), np.maximum.reduce), i_rms)
+    table["active_power"] = (per_window(product_sums) / width, never)
+    table["i_form_factor"] = _ratio(i_rms, per_window(abs_sums) / width)
+    table["i_crest_factor"] = _ratio(per_window(peaks, np.maximum.reduce), i_rms)
     if "thd" in names:
         energy = sum(i_phasors[h][0] ** 2 for h in THD_ORDERS)
         table["thd"] = _ratio(np.sqrt(energy), i_phasors[1][0])
@@ -173,6 +172,35 @@ def evaluate_window(
         table["reactive_power"] = (v_mag * i_mag * np.sin(shift), no_shift)
     values, undefined = zip(*(table[name] for name in spec.features))
     return np.column_stack(values), ~np.any(undefined, axis=0)
+
+
+def _block_moments(v: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """Per block (row) of the equal stacks: the sums of ``i*i``, ``v*i`` and ``|i|``, and the peak ``|i|``.
+
+    The elementwise passes run a batch of whole rows at a time through one
+    temporary of at most ``SKIP_BYTES`` (one row, if a row is larger),
+    which stays in a core's L2 cache. It is freed when this returns, before
+    the projections allocate theirs, so a fresh process reuses its pages
+    rather than returning them to the system and faulting them in again for
+    every chunk (``featurize`` on desk_scale at stride 0.25 s: 945 minor
+    faults, not 5 492). The sums are pairwise row reductions along the
+    contiguous axis, as the scalar signals functions take them, so a row's
+    sum is the same bits in a batch of any height, and one-block windows
+    match those functions bit for bit.
+    """
+    n_blocks, block_len = i.shape
+    moments = np.empty((4, n_blocks))
+    square_sums, product_sums, abs_sums, peaks = moments
+    rows = max(1, SKIP_BYTES // (8 * block_len))
+    work = np.empty((min(rows, n_blocks), block_len))
+    for lo in range(0, n_blocks, rows):
+        part, vb, ib = work[: min(rows, n_blocks - lo)], v[lo : lo + rows], i[lo : lo + rows]
+        np.sum(np.multiply(ib, ib, out=part), axis=1, out=square_sums[lo : lo + rows])
+        np.sum(np.multiply(vb, ib, out=part), axis=1, out=product_sums[lo : lo + rows])
+        np.abs(ib, out=part)
+        np.sum(part, axis=1, out=abs_sums[lo : lo + rows])
+        np.max(part, axis=1, out=peaks[lo : lo + rows])
+    return moments
 
 
 def _windows_per_chunk(n_windows: int, k: int, s: int, width: int) -> int:

@@ -65,19 +65,23 @@ __all__ = [
 # draws its repetitions in groups of about this size.
 # Each stage holds two or three chunks, so the chunk sets its peak memory; but each
 # chunk of windows pays a fixed evaluate_window cost and re-evaluates the blocks it
-# shares with the chunk before it. Measured on desk_scale (2 vCPUs, numpy 2.4):
-# pipeline peak RSS 54.2 / 45.4 / 42.4 MB and featurize CPU at stride 0.25 s
-# 0.12 / 0.16 / 0.19 s at 4 MiB / 2 MiB / 1 MiB; 0.29 s at 256 KiB.
-CHUNK_BYTES = 2 << 20
+# shares with the chunk before it. Measured on desk_scale (2 vCPUs, 2 MiB L2 per core,
+# numpy 2.4), with evaluate_window's per-sample temporary bounded by SKIP_BYTES: pipeline
+# peak RSS 43.6 / 40.5 MB at 2 MiB / 1 MiB (44.4 MB at 2 MiB with a temporary the size
+# of the stack); in-process CPU medians of 10 interleaved rounds, featurize at stride
+# 0.25 s 0.13 / 0.16 / 0.23 s at 2 MiB / 1 MiB / 512 KiB (0.17 s at 2 MiB and 0.20 s at
+# 1 MiB with the stack-sized temporary), characterization 0.08 / 0.10 / 0.10 s.
+CHUNK_BYTES = 1 << 20
 
 # Waveform.skip reads the samples it passes over through one piece of at most this many
-# bytes. A drain keeps no sample, so a piece larger than the per-piece cost (one open,
-# fstat and seek of the file) needs buys only resident memory; a piece well inside a
-# core's L2 cache is still cached when its samples are checked. Measured on the
-# desk_scale rerun check of simulate's two 48 MB traces (2 vCPUs, 2 MiB L2 per core,
-# numpy 2.4), medians of 12 interleaved rounds in two runs: 19-22 ms at 2 MiB,
-# 19-21 ms at 256 KiB and 31-33 ms at 64 KiB; desk_noop peaks about 2 MB lower at
-# 256 KiB than at 2 MiB.
+# bytes, and evaluate_window runs its per-sample passes through a temporary of at most
+# this size. A drain keeps no sample, so a piece larger than the per-piece cost (an
+# fstat and a stat of the open file, a seek) needs buys only resident memory; a piece
+# well inside a core's L2 cache is still cached when its samples are checked. Measured on
+# the desk_scale rerun check of simulate's two 48 MB traces (2 vCPUs, 2 MiB L2 per core,
+# numpy 2.4), medians of 12 interleaved rounds in two runs, when each piece reopened the
+# file: 19-22 ms at 2 MiB, 19-21 ms at 256 KiB and 31-33 ms at 64 KiB; desk_noop peaks
+# about 2 MB lower at 256 KiB than at 2 MiB.
 SKIP_BYTES = 256 << 10
 
 
@@ -107,7 +111,7 @@ class Waveform:
     the feeder synthesizer generates them (``simulate``).
     """
 
-    __slots__ = ("n_samples", "sample_rate_hz", "_fill", "_next")
+    __slots__ = ("n_samples", "sample_rate_hz", "_fill", "_next", "__weakref__")
 
     def __init__(self, n_samples: int, sample_rate_hz: float, fill: Callable[[np.ndarray, int], None]) -> None:
         if n_samples < 1:

@@ -18,11 +18,12 @@ is ever whole in memory. The writer fills one buffer at a time from its
 ``Waveform`` and writes it to the temp file. The reader checks the header
 and the file size against the header count before it allocates anything,
 and returns a ``Waveform`` that reads the samples into its consumer's
-buffers, checking every one finite as it arrives; a non-finite sample is a
-``FileFormatError`` naming the file. The reader is told which channel and
-sample rate it expects and refuses a file of the other channel or another
-rate. Every trace starts at scenario second 0, so the reader also refuses
-a header whose start time is not 0.0.
+buffers through the handle the header came from, checking every one
+finite as it arrives; a non-finite sample is a ``FileFormatError`` naming
+the file. The reader is told which channel and sample rate it expects and
+refuses a file of the other channel or another rate. Every trace starts
+at scenario second 0, so the reader also refuses a header whose start time
+is not 0.0.
 
 Text artifacts are line-oriented. ``write_text``, the one writer of all
 seven text formats, takes a format's body lines and writes the format line
@@ -51,6 +52,7 @@ import os
 import re
 import struct
 import sys
+import weakref
 import zlib
 from contextlib import contextmanager
 from typing import Iterable
@@ -146,10 +148,13 @@ def read_waveform(path, channel: str, sample_rate_hz: float) -> tuple[Waveform, 
     """Returns (waveform, fingerprint hex); refuses a file of another ``channel`` or ``sample_rate_hz``.
 
     The header is checked here; the samples are read, and checked finite,
-    as the waveform is read. A file replaced or resized in between is
+    as the waveform is read, through the one handle the header was read
+    from. It is closed after the last sample, or when the waveform is
+    dropped before it. A file replaced, rewritten or resized in between is
     refused then.
     """
-    with open(path, "rb") as fh:
+    fh = open(path, "rb", buffering=0)
+    try:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
             raise FileFormatError(f"{path}: truncated waveform header")
@@ -165,32 +170,39 @@ def read_waveform(path, channel: str, sample_rate_hz: float) -> tuple[Waveform, 
             raise FileFormatError(f"{path}: sample rate {rate!r} Hz, expected {float(sample_rate_hz)!r} Hz")
         if start != 0.0:
             raise FileFormatError(f"{path}: start time {start!r}, expected 0.0")
-        identity = _file_identity(fh)
+        identity = _identity(os.fstat(fh.fileno()))
         if identity[-1] != _HEADER.size + 8 * count:
             raise FileFormatError(f"{path}: sample payload does not match header count")
 
-    def fill(out: np.ndarray, first: int) -> None:
-        with open(path, "rb") as fh:
-            if _file_identity(fh) != identity:
+        def fill(out: np.ndarray, first: int) -> None:
+            if not out.size:
+                return  # the last piece may have closed the handle
+            # The handle sees a rewrite in place; only the path sees a file renamed over it.
+            if _identity(os.fstat(fh.fileno())) != identity or _identity(os.stat(path)) != identity:
                 raise FileFormatError(f"{path}: file changed while its samples were read")
-            fh.seek(_HEADER.size + 8 * first)
+            fh.seek(_HEADER.size + 8 * first)  # a piece that failed its checks moved the handle on
             if fh.readinto(out) != out.nbytes:
                 raise FileFormatError(f"{path}: sample payload does not match header count")
-        if sys.byteorder != "little":
-            out.byteswap(inplace=True)
-        if not np.isfinite(out).all():
-            raise FileFormatError(f"{path}: samples must all be finite")
+            if sys.byteorder != "little":
+                out.byteswap(inplace=True)
+            if not np.isfinite(out).all():
+                raise FileFormatError(f"{path}: samples must all be finite")
+            if first + out.size == count:
+                fh.close()
 
-    try:
-        waveform = Waveform(count, rate, fill)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from None
+        try:
+            waveform = Waveform(count, rate, fill)
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: {exc}") from None
+    except BaseException:
+        fh.close()
+        raise
+    weakref.finalize(waveform, fh.close)
     return waveform, fp.hex()
 
 
-def _file_identity(fh) -> tuple[int, int, int, int]:
-    """(device, inode, modification time, size) of an open file: a replaced or rewritten file differs."""
-    stat = os.fstat(fh.fileno())
+def _identity(stat: os.stat_result) -> tuple[int, int, int, int]:
+    """(device, inode, modification time, size): a replaced or rewritten file differs."""
     return stat.st_dev, stat.st_ino, stat.st_mtime_ns, stat.st_size
 
 

@@ -7,6 +7,7 @@ import pytest
 from conftest import reference_current, samples_of, save_device_library
 
 from feeder_nilm import devices
+from feeder_nilm import featurize as FEATURIZE_MODULE
 from feeder_nilm import signals as sg
 from feeder_nilm.config import load_library_for, load_run_config
 from feeder_nilm.devices import (
@@ -203,7 +204,11 @@ class TestSignatureFeatures:
 
 
 class TestCharacterizationGroups:
-    """``characterization_vectors`` draws and evaluates each mode's repetitions in chunk-sized groups."""
+    """``characterization_vectors`` draws and evaluates each mode's repetitions in chunk-sized groups.
+
+    Within a group, ``evaluate_window`` takes its per-sample passes one piece of whole rows at a time; a
+    group's vectors are the same bits with pieces of one row and with the whole group in one piece.
+    """
 
     @pytest.fixture
     def smoke(self):
@@ -232,11 +237,21 @@ class TestCharacterizationGroups:
         )
         return vectors, stacks, modes
 
-    @pytest.mark.parametrize("class_name", ["ventilator", "induction_motor"])
-    def test_one_repetition_per_group_gives_the_same_bits(self, smoke, monkeypatch, class_name):
+    @pytest.mark.parametrize(
+        "class_name, piece",
+        [
+            pytest.param(class_name, piece, id=f"{class_name}{piece}")
+            for class_name in ("ventilator", "induction_motor")
+            for piece in ("", "-one-row", "-whole-group")
+        ],
+    )
+    def test_one_repetition_per_group_gives_the_same_bits(self, smoke, monkeypatch, class_name, piece):
         config, library = smoke
         model = library[class_name]
         n = int(round(config.featurize.window_s * config.scenario.sample_rate_hz))
+        if piece:
+            rows = 1 if piece == "-one-row" else devices.CHUNK_BYTES // (8 * n)
+            monkeypatch.setattr(FEATURIZE_MODULE, "SKIP_BYTES", rows * 8 * n)
         grouped, stacks, modes = self.characterize(monkeypatch, config, model)
         assert len(stacks) > len(model.modes)  # smoke's 5 s windows do not fit one chunk eight at a time
         assert max(stacks) > 1 and max(stacks) * 8 * n <= devices.CHUNK_BYTES

@@ -456,7 +456,9 @@ class TestFeaturizeGrid:
 
 
 class TestFeaturizeChunks:
-    """The smoke dataset has the same bits whether its windows are evaluated in 4 MiB chunks or one at a time."""
+    """The smoke dataset has the same bits whether its windows are evaluated in ``CHUNK_BYTES`` chunks or one at a
+    time, and whether ``evaluate_window`` takes its per-sample passes in ``SKIP_BYTES`` pieces or one block row at a
+    time."""
 
     @pytest.fixture(scope="class")
     def smoke(self, tmp_path_factory):
@@ -464,8 +466,11 @@ class TestFeaturizeChunks:
         assert cli.main(["simulate", "--config", SMOKE, "--out", str(out), "--quiet"]) == 0
         return out
 
-    @pytest.mark.parametrize("stride_s", [1.25, 0.25])
-    def test_dataset_does_not_depend_on_the_chunk_size(self, smoke, stride_s):
+    @pytest.mark.parametrize(
+        "stride_s, piece",
+        [pytest.param(stride_s, piece, id=f"{stride_s}{piece}") for stride_s in (1.25, 0.25) for piece in ("", "-one-row")],
+    )
+    def test_dataset_does_not_depend_on_the_chunk_size(self, smoke, stride_s, piece):
         config = load_run_config(SMOKE)
         fs = config.scenario.sample_rate_hz
         truth = ground_truth_counts(generate_schedule(config.scenario, LIBRARY), config.scenario)
@@ -479,7 +484,11 @@ class TestFeaturizeChunks:
         default = dataset()
         window, stride = round(config.featurize.window_s * fs), round(stride_s * fs)
         block_len = math.gcd(window, stride)
-        with mock.patch.object(FEATURIZE_MODULE, "CHUNK_BYTES", 4 << 10):
+        assert FEATURIZE_MODULE.SKIP_BYTES // (8 * block_len) > 1  # the default pieces hold several rows
+        piece_bytes = 8 * block_len if piece else FEATURIZE_MODULE.SKIP_BYTES
+        with mock.patch.object(FEATURIZE_MODULE, "CHUNK_BYTES", 4 << 10), mock.patch.object(
+            FEATURIZE_MODULE, "SKIP_BYTES", piece_bytes
+        ):
             assert FEATURIZE_MODULE._windows_per_chunk(default.n_windows, window // block_len, stride // block_len, block_len) == 1
             one_by_one = dataset()
         for name in ("X", "y", "t_start_s", "valid"):

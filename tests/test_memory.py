@@ -15,6 +15,10 @@ launcher, not pytest, is the stage's parent because on Linux a child's
 Two absolute bounds hold as well: each of the three stages peaks under
 150 MB (153 600 KiB) on a 30-minute copy of smoke (two 144 MB waveform
 files), and ``select-features`` under 100 MB (102 400 KiB) with 60 s windows.
+
+Inside one stage, ``evaluate_window`` adds no copy of the stack it is
+given: numpy reports its array data to ``tracemalloc``, so the guard on its
+temporaries counts bytes allocated, whatever the host's allocator keeps.
 """
 
 import os
@@ -22,8 +26,12 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
+
+from feeder_nilm.featurize import FeatureSpec, evaluate_window
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SMOKE = os.path.join(ROOT, "configs", "smoke.cfg")
@@ -107,3 +115,18 @@ def test_each_stage_peaks_under_the_bound_on_a_30_minute_scenario(tmp_path):
 def test_select_features_peaks_under_the_bound_with_60_s_windows(tmp_path):
     peak = stage_peak_mb("select-features", smoke_with(tmp_path, "window_s", 60), str(tmp_path / "out"))
     assert peak <= LONG_WINDOW_BOUND_MB, f"select-features: peak RSS {peak:.1f} MB with 60 s windows"
+
+
+def test_evaluate_window_temporaries_stay_under_half_its_stacks():
+    # 100 one-second blocks at 10 kHz, 20 periods of 60 Hz each: two 8 MB stacks.
+    rng = np.random.default_rng(0)
+    v, i = rng.standard_normal((2, 100, 10_000))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()  # tracing may have started before this test (python -X tracemalloc)
+        before = tracemalloc.get_traced_memory()[0]
+        evaluate_window(v, i, FeatureSpec(), 10_000.0, 60.0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < i.nbytes / 2, f"evaluate_window peaked at {peak} traced bytes on {i.nbytes}-byte stacks"

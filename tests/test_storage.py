@@ -92,6 +92,18 @@ class TestWaveformFile:
         with pytest.raises(FileFormatError, match="current.fnwv: samples must all be finite"):
             loaded.skip(loaded.n_samples)
 
+    def test_a_read_after_a_refused_piece_reads_that_piece_again(self, tmp_path):
+        path = tmp_path / "current.fnwv"
+        write_waveform(path, random_waveform(n=12), "CURR", FP)
+        raw = bytearray(path.read_bytes())
+        raw[64 + 8 * 5 : 72 + 8 * 5] = struct.pack("<d", float("inf"))
+        path.write_bytes(bytes(raw))
+        loaded, _ = read_waveform(path, "CURR", 12_345.5)
+        loaded.readinto(np.empty(4))
+        for _ in range(2):  # samples 4 ... 7 both times, not 8 ... 11 the second time
+            with pytest.raises(FileFormatError, match="current.fnwv: samples must all be finite"):
+                loaded.readinto(np.empty(4))
+
     @pytest.mark.parametrize("change", ["replaced", "truncated"])
     def test_file_changed_after_its_header_was_read_is_refused(self, tmp_path, change):
         path = tmp_path / "current.fnwv"
@@ -135,6 +147,26 @@ class TestWaveformFile:
         assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
         with pytest.raises(FileFormatError, match=r"current\.fnwv: file changed while its samples were read"):
             loaded.skip(loaded.n_samples)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open files in /proc/self/fd")
+    @pytest.mark.parametrize("end", ["drained", "dropped", "failed"])
+    def test_a_read_holds_one_open_file_until_it_ends(self, tmp_path, end):
+        path = tmp_path / "current.fnwv"
+        write_waveform(path, random_waveform(), "CURR", FP)
+        before = len(os.listdir("/proc/self/fd"))
+        loaded, _ = read_waveform(path, "CURR", 12_345.5)
+        loaded.readinto(np.empty(10))
+        assert len(os.listdir("/proc/self/fd")) == before + 1
+        if end == "drained":
+            loaded.skip(loaded.n_samples - 10)
+            loaded.readinto(np.empty(0))
+        elif end == "failed":
+            path.write_bytes(path.read_bytes()[:-8])
+            with pytest.raises(FileFormatError, match="current.fnwv: file changed"):
+                loaded.skip(loaded.n_samples - 10)
+        if end != "drained":
+            del loaded
+        assert len(os.listdir("/proc/self/fd")) == before
 
     def test_write_read_write_byte_identical(self, tmp_path):
         first = tmp_path / "a.fnwv"
